@@ -5,6 +5,19 @@ replaced by a distance-weighted mean of the raw samples of its k nearest
 neighbors in decision space, drawn from every evaluation the run has made so
 far. Distances are standardized per dimension by the history's variance so
 that no variable dominates the neighborhood.
+
+Numerics contract, which seeded runs depend on bit for bit:
+
+- The standardized distance is ``sqrt`` of the left-to-right sum over
+  dimensions ``j = 0, 1, ...`` of ``(a_j - b_j)**2 / var_j``, skipping
+  dimensions with ``var_j < ZERO_VARIANCE_EPS``. :func:`sed` and
+  :func:`knn_evaluate` share this one definition.
+- ``max_dist`` is inclusive: a record at exactly ``max_dist`` is kept.
+- Among kept records the solution itself comes first, then records by
+  ascending distance, equal distances in insertion order.
+
+Averaging a batch of b solutions over a history of n records holds
+O(b * n) memory, independent of the number of dimensions.
 """
 
 from __future__ import annotations
@@ -14,6 +27,7 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .core import ContractViolationError, Solution
 
@@ -55,9 +69,15 @@ class KnnConfig:
     weighting: WeightShape = WeightShape.SQUARED
 
     def __post_init__(self) -> None:
-        if int(self.k) < 1:
+        try:
+            k = int(self.k)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ContractViolationError(f"k must be an integer, got {self.k!r}") from exc
+        if isinstance(self.k, (bool, np.bool_)) or k != self.k:
+            raise ContractViolationError(f"k must be an integer, got {self.k!r}")
+        if k < 1:
             raise ContractViolationError("k must be at least 1")
-        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "k", k)
         md = float(self.max_dist)
         if not np.isfinite(md) or md <= 0.0:
             raise ContractViolationError("max_dist must be finite and positive")
@@ -193,9 +213,10 @@ def sed(a, b, variances) -> float:
     """Standardized Euclidean distance between two decision vectors.
 
     Each dimension's squared difference is divided by that dimension's
-    variance before summing: sqrt(sum((a_i - b_i)^2 / var_i)). Dimensions
-    whose variance is below ``ZERO_VARIANCE_EPS`` carry no spread
-    information and contribute zero.
+    variance before summing: sqrt(sum((a_i - b_i)^2 / var_i)), summed left
+    to right. Dimensions whose variance is below ``ZERO_VARIANCE_EPS`` carry
+    no spread information and contribute zero. Variances must be finite and
+    non-negative.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -204,24 +225,46 @@ def sed(a, b, variances) -> float:
         raise ContractViolationError(f"vector shapes differ: {a.shape} vs {b.shape}")
     if variances.shape != a.shape:
         raise ContractViolationError("variances must have one entry per dimension")
+    if not np.all(np.isfinite(variances)):
+        raise ContractViolationError("variances must be finite")
     if np.any(variances < 0.0):
         raise ContractViolationError("variances must be non-negative")
-    mask = variances >= ZERO_VARIANCE_EPS
-    if not np.any(mask):
-        return 0.0
-    diff = a[mask] - b[mask]
-    return float(np.sqrt(np.sum(diff * diff / variances[mask])))
+    return float(_pair_distances(a.reshape(1, -1), b.reshape(1, -1), variances.reshape(-1))[0])
 
 
-def _sed_matrix(queries: np.ndarray, records: np.ndarray, variances: np.ndarray) -> np.ndarray:
-    """Pairwise standardized distances, queries by rows, records by columns."""
+def _pair_distances(a: np.ndarray, b: np.ndarray, variances: np.ndarray) -> np.ndarray:
+    """Standardized distance between row i of ``a`` and row i of ``b``.
+
+    The sum over dimensions runs strictly left to right, one dimension at a
+    time; this is the distance definition every result depends on.
+    """
+    acc = np.zeros(a.shape[0])
+    for j in np.flatnonzero(variances >= ZERO_VARIANCE_EPS):
+        dj = a[:, j] - b[:, j]
+        acc += dj * dj / variances[j]
+    return np.sqrt(acc)
+
+
+def _neighbor_pairs(
+    queries: np.ndarray, records: np.ndarray, variances: np.ndarray, max_dist: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every (query, record) pair within ``max_dist``, with its exact distance.
+
+    ``cdist`` screens all pairs first. It sums the same non-negative terms
+    as :func:`_pair_distances`, possibly in another order, so the two agree
+    to a few ulps and the relative margin keeps every true neighbor. The
+    survivors are then measured exactly and cut at ``max_dist``.
+    """
     mask = variances >= ZERO_VARIANCE_EPS
-    if not np.any(mask):
-        return np.zeros((queries.shape[0], records.shape[0]))
-    q = queries[:, mask]
-    r = records[:, mask]
-    diff = q[:, None, :] - r[None, :, :]
-    return np.sqrt(np.sum(diff * diff / variances[mask], axis=2))
+    if np.any(mask):
+        coarse = cdist(queries[:, mask], records[:, mask], "seuclidean", V=variances[mask])
+    else:
+        # no dimension carries spread: every pair sits at distance zero
+        coarse = np.zeros((queries.shape[0], records.shape[0]))
+    q_idx, r_idx = np.nonzero(coarse <= max_dist * (1.0 + 1e-9))
+    dist = _pair_distances(queries[q_idx], records[r_idx], variances)
+    keep = dist <= max_dist
+    return q_idx[keep], r_idx[keep], dist[keep]
 
 
 def _weights(distances: np.ndarray, config: KnnConfig) -> np.ndarray:
@@ -243,11 +286,13 @@ def knn_evaluate(
     finds itself at distance zero and always takes part in its own average.
     Standardization variances are computed once from the post-append
     history. Per solution: records farther than ``config.max_dist`` are
-    discarded, the ``config.k`` closest survivors are kept (distance ties
-    keep the solution itself first, then earlier-appended records), and
-    their raw objectives are combined with the configured weight shape.
-    A solution whose only kept neighbor is itself keeps its raw sample
-    bitwise unchanged.
+    discarded (a record at exactly ``max_dist`` is kept), the ``config.k``
+    closest survivors are kept (distance ties keep the solution itself
+    first, then earlier-appended records), and their raw objectives are
+    combined with the configured weight shape. A solution whose only kept
+    neighbor is itself keeps its raw sample bitwise unchanged. Distances
+    follow the module's numerics contract, and memory stays within
+    O(batch * history) whatever the number of dimensions.
 
     Returns new solutions in input order with averaged objectives and the
     original raw objectives; the averages are also stored in the history.
@@ -256,31 +301,30 @@ def knn_evaluate(
     if not batch:
         return []
     rows = history.append_batch(batch)
-    variances = history.variances()
     record_vars = history.variables_matrix()
     record_raws = history.raw_matrix()
-    distances = _sed_matrix(record_vars[rows], record_vars, variances)
+    q_idx, r_idx, dist = _neighbor_pairs(
+        record_vars[rows], record_vars, history.variances(), config.max_dist
+    )
+    # Group by query; within a query self first, then by distance, then by
+    # record index: a stable sort by distance with the solution moved first.
+    order = np.lexsort((r_idx, dist, r_idx != rows.start + q_idx, q_idx))
+    r_idx, dist = r_idx[order], dist[order]
+    starts = np.searchsorted(q_idx[order], np.arange(len(batch) + 1))
 
     averaged = np.empty((len(batch), history.n_objs))
     out: list[Solution] = []
     for i, solution in enumerate(batch):
-        self_idx = rows.start + i
-        d = distances[i]
-        order = np.argsort(d, kind="stable")
-        order = np.concatenate(([self_idx], order[order != self_idx]))
-        within = order[d[order] <= config.max_dist]
-        chosen = within[: config.k]
-        if chosen.shape[0] == 1:
-            # Only the solution itself: averaging would reproduce the raw
-            # sample up to rounding; keep it exact instead.
-            mean = np.array(solution.raw_objectives)
-        else:
-            weights = _weights(d[chosen], config)
+        lo = starts[i]
+        hi = min(starts[i + 1], lo + config.k)
+        mean = np.array(solution.raw_objectives)
+        # Only the solution itself kept: averaging would reproduce the raw
+        # sample up to rounding; keep it exact instead.
+        if hi - lo > 1:
+            weights = _weights(dist[lo:hi], config)
             total = weights.sum()
-            if total <= 0.0:
-                mean = np.array(solution.raw_objectives)
-            else:
-                mean = weights @ record_raws[chosen] / total
+            if total > 0.0:
+                mean = weights @ record_raws[r_idx[lo:hi]] / total
         averaged[i] = mean
         out.append(
             Solution(

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from knnavg.averaging import (
     ZERO_VARIANCE_EPS,
@@ -79,6 +81,23 @@ class TestSed:
     def test_negative_variance_rejected(self):
         with pytest.raises(ContractViolationError):
             sed([0.0], [1.0], [-1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_variance_rejected(self, bad):
+        # a NaN variance used to fail the < 0 check and drop its dimension
+        with pytest.raises(ContractViolationError):
+            sed([0.0, 0.0], [1.0, 1.0], [bad, 1.0])
+
+    def test_sums_dimensions_left_to_right(self):
+        # 30 terms: numpy's pairwise np.sum would round differently
+        rng = RngStream(58)
+        for _ in range(20):
+            a, b = rng.random(30), rng.random(30)
+            v = rng.random(30) + 0.01
+            total = 0.0
+            for x, y, var in zip(a, b, v):
+                total += (x - y) * (x - y) / var
+            assert sed(a, b, v) == math.sqrt(total)
 
     def test_symmetry(self):
         rng = RngStream(55)
@@ -204,6 +223,17 @@ class TestKnnConfig:
             KnnConfig(k=5, max_dist=0.0)
         with pytest.raises(ContractViolationError):
             KnnConfig(k=5, max_dist=float("inf"))
+
+    @pytest.mark.parametrize("bad", [2.7, True, False, np.True_, "3", math.nan, math.inf])
+    def test_non_integer_k_rejected(self, bad):
+        # k=2.7 used to become 2 and k=True to become 1 silently
+        with pytest.raises(ContractViolationError):
+            KnnConfig(k=bad, max_dist=1.0)
+
+    @pytest.mark.parametrize("k", [3, np.int64(3), 3.0])
+    def test_integral_k_accepted(self, k):
+        config = KnnConfig(k=k, max_dist=1.0)
+        assert config.k == 3 and type(config.k) is int
 
     def test_label(self):
         assert KnnConfig(k=10, max_dist=0.25).label() == "knn(k=10, max_dist=0.25)"
@@ -364,6 +394,127 @@ class TestKnnEvaluate:
         out = knn_evaluate(batch, history, KnnConfig(k=2, max_dist=5.0))
         assert np.array_equal(out[0].variables, [0.31, 0.62])
         assert np.array_equal(out[1].variables, [0.30, 0.60])
+
+
+def seed_definition_average(history, rows, config, distances):
+    """The averaging definition written out the long way.
+
+    ``distances`` is the full query-by-record matrix. Per query: a stable
+    sort by distance, the query itself moved first, records beyond
+    ``max_dist`` dropped, the first k kept and their raws weighted.
+    """
+    raws = history.raw_matrix()
+    out = []
+    for i, row in enumerate(range(rows.start, rows.stop)):
+        d = distances[i]
+        order = np.argsort(d, kind="stable")
+        order = np.concatenate(([row], order[order != row]))
+        chosen = order[d[order] <= config.max_dist][: config.k]
+        if chosen.shape[0] == 1:
+            out.append(raws[row].copy())
+            continue
+        if config.weighting is WeightShape.SQUARED:
+            weights = np.maximum(config.max_dist - d[chosen] ** 2, 0.0)
+        elif config.weighting is WeightShape.LINEAR:
+            weights = np.maximum(config.max_dist - d[chosen], 0.0)
+        else:
+            weights = np.ones(chosen.shape[0])
+        total = weights.sum()
+        out.append(raws[row].copy() if total <= 0.0 else weights @ raws[chosen] / total)
+    return np.array(out)
+
+
+def full_distance_matrix(queries, records, variances):
+    """sqrt of the left-to-right per-dimension sum, over every pair."""
+    acc = np.zeros((queries.shape[0], records.shape[0]))
+    for j in range(variances.shape[0]):
+        if variances[j] >= ZERO_VARIANCE_EPS:
+            dj = queries[:, j][:, None] - records[:, j][None, :]
+            acc += dj * dj / variances[j]
+    return np.sqrt(acc)
+
+
+@st.composite
+def averaging_cases(draw):
+    """A history plus one batch, shaped to hit the selection edge cases."""
+    d = draw(st.sampled_from([1, 2, 5, 30]))
+    n_prior = draw(st.integers(0, 30))
+    n_batch = draw(st.integers(1, 10))
+    total = n_prior + n_batch
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        # coordinates on a coarse grid: many exact distance ties
+        x = rng.integers(0, 4, size=(total, d)) / 4.0
+    else:
+        x = rng.random((total, d))
+    # exact duplicates inside the batch and copies of earlier records
+    for _ in range(draw(st.integers(0, n_batch))):
+        x[n_prior + rng.integers(n_batch)] = x[rng.integers(total)]
+    spread = draw(st.sampled_from(["full", "one-constant", "all-constant"]))
+    if spread == "one-constant":
+        x[:, rng.integers(d)] = 0.375
+    elif spread == "all-constant":
+        x[:] = x[0]
+    raws = rng.standard_normal((total, 2))
+    k = draw(st.integers(1, 12))
+    weighting = draw(st.sampled_from(list(WeightShape)))
+    boundary = draw(st.booleans())
+    max_dist = draw(st.floats(0.05, 3.0))
+    return x, raws, n_prior, k, weighting, boundary, max_dist
+
+
+def assert_matches_definition(x, raws, n_prior, k, weighting, pick_max_dist):
+    """Run ``knn_evaluate`` on rows ``n_prior:`` of ``x`` over a history
+    holding rows ``:n_prior`` and compare it bitwise with the definition.
+
+    ``pick_max_dist`` maps the full query-by-record distance matrix to the
+    cutoff, so a test can place the cutoff on a distance that occurs.
+    """
+    solutions = [make_solution(v, r) for v, r in zip(x, raws)]
+    kernel_history = EvaluationHistory(x.shape[1], 2)
+    reference_history = EvaluationHistory(x.shape[1], 2)
+    if n_prior:
+        kernel_history.append_batch(solutions[:n_prior])
+        reference_history.append_batch(solutions[:n_prior])
+    batch = solutions[n_prior:]
+    rows = reference_history.append_batch(batch)
+    records = reference_history.variables_matrix()
+    distances = full_distance_matrix(records[rows], records, reference_history.variances())
+    config = KnnConfig(k=k, max_dist=pick_max_dist(distances), weighting=weighting)
+    expected = seed_definition_average(reference_history, rows, config, distances)
+
+    out = knn_evaluate(batch, kernel_history, config)
+    got = np.array([s.objectives for s in out])
+    assert got.tobytes() == expected.tobytes()
+    assert kernel_history.averaged_matrix()[rows].tobytes() == expected.tobytes()
+    if k == 1:
+        assert got.tobytes() == raws[n_prior:].tobytes()
+
+
+class TestKnnEvaluateMatchesDefinition:
+    @given(averaging_cases())
+    def test_bitwise_equal_to_full_matrix_definition(self, case):
+        x, raws, n_prior, k, weighting, boundary, max_dist = case
+
+        def pick(distances):
+            positive = distances[distances > 0.0]
+            if boundary and positive.size:
+                # a distance that occurs: the cutoff is inclusive
+                return float(np.sort(positive)[positive.size // 2])
+            return max_dist
+
+        assert_matches_definition(x, raws, n_prior, k, weighting, pick)
+
+    def test_records_exactly_at_the_cutoff_are_kept(self):
+        # At d=30 the pre-filter's cdist rounds above the exact distance for
+        # about a fifth of all pairs; its margin must keep those on the
+        # cutoff. Uniform weights make every kept neighbor move the mean.
+        rng = RngStream(67)
+        x, raws = rng.random((40, 30)), rng.random((40, 2))
+        for record in range(30):
+            assert_matches_definition(
+                x, raws, 30, 40, WeightShape.UNIFORM, lambda dist: float(dist[0, record])
+            )
 
 
 class TestHistoryRows:
