@@ -396,7 +396,7 @@ class TestKnnEvaluate:
         assert np.array_equal(out[1].variables, [0.30, 0.60])
 
 
-def seed_definition_average(history, rows, config, distances):
+def reference_average(history, rows, config, distances):
     """The averaging definition written out the long way.
 
     ``distances`` is the full query-by-record matrix. Per query: a stable
@@ -481,7 +481,7 @@ def assert_matches_definition(x, raws, n_prior, k, weighting, pick_max_dist):
     records = reference_history.variables_matrix()
     distances = full_distance_matrix(records[rows], records, reference_history.variances())
     config = KnnConfig(k=k, max_dist=pick_max_dist(distances), weighting=weighting)
-    expected = seed_definition_average(reference_history, rows, config, distances)
+    expected = reference_average(reference_history, rows, config, distances)
 
     out = knn_evaluate(batch, kernel_history, config)
     got = np.array([s.objectives for s in out])
