@@ -6,156 +6,15 @@ step is pluggable, the k-nearest-neighbor averaging evaluator that smooths
 noisy fitness values over the run's own evaluation history, quality
 indicators computed on expectation-adjusted solution sets, a paired
 statistical comparison protocol, and an experiment grid runner with
-persistence and verdict reports.
+persistence and verdict reports. Everything else is imported from its
+module (``knnavg.core``, ``knnavg.averaging``, ``knnavg.nsga2``, ...).
 """
 
-from .averaging import (
-    ZERO_VARIANCE_EPS,
-    EvaluationHistory,
-    KnnConfig,
-    WeightShape,
-    history_rows,
-    history_variances,
-    knn_evaluate,
-    sed,
-)
-from .core import (
-    ContractViolationError,
-    ProblemSpec,
-    RngStream,
-    Solution,
-    dominates,
-    non_dominated_filter,
-    objectives_matrix,
-    variables_matrix,
-)
-from .experiment import (
-    ExperimentGrid,
-    GridOutcome,
-    ReportBundle,
-    RunConfig,
-    RunResult,
-    execute_run,
-    expand_grid,
-    load_results,
-    report,
-    run_grid,
-    write_history_csv,
-    write_report_files,
-)
-from .metrics import (
-    DEFAULT_FRONT_SAMPLE_SIZE,
-    DEFAULT_REFERENCE,
-    MetricReport,
-    adjusted_set,
-    compute_report,
-    delta_f,
-    hypervolume_2d,
-    igd,
-)
-from .nsga2 import (
-    Evaluator,
-    GaConfig,
-    GenerationStats,
-    KnnAveraged,
-    OptimizationResult,
-    PlainNoisy,
-    crowding_distance,
-    fast_non_dominated_sort,
-    polynomial_mutation,
-    run_optimization,
-    sbx_crossover,
-)
-from .problems import (
-    ZDT_VARIANTS,
-    NoiseSpec,
-    ParetoFrontSample,
-    ZdtProblem,
-    evaluate_noisy,
-    evaluate_true,
-    mean_objectives,
-    true_front,
-)
-from .stats import (
-    EXACT_LIMIT,
-    HIGHER_IS_BETTER,
-    METRICS,
-    MIN_PAIRS,
-    ComparisonVerdict,
-    Verdict,
-    WilcoxonResult,
-    compare_setting,
-    vargha_delaney_a12,
-    wilcoxon_signed_rank,
-)
+from .averaging import KnnConfig
+from .core import RngStream
+from .experiment import ExperimentGrid, RunConfig, execute_run, expand_grid, load_results
+from .metrics import DEFAULT_FRONT_SAMPLE_SIZE, compute_report
+from .nsga2 import GaConfig, KnnAveraged, PlainNoisy
+from .problems import NoiseSpec, ZdtProblem, true_front
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ZERO_VARIANCE_EPS",
-    "EvaluationHistory",
-    "KnnConfig",
-    "WeightShape",
-    "history_rows",
-    "history_variances",
-    "knn_evaluate",
-    "sed",
-    "ContractViolationError",
-    "ProblemSpec",
-    "RngStream",
-    "Solution",
-    "dominates",
-    "non_dominated_filter",
-    "objectives_matrix",
-    "variables_matrix",
-    "ExperimentGrid",
-    "GridOutcome",
-    "ReportBundle",
-    "RunConfig",
-    "RunResult",
-    "execute_run",
-    "expand_grid",
-    "load_results",
-    "report",
-    "run_grid",
-    "write_history_csv",
-    "write_report_files",
-    "DEFAULT_FRONT_SAMPLE_SIZE",
-    "DEFAULT_REFERENCE",
-    "MetricReport",
-    "adjusted_set",
-    "compute_report",
-    "delta_f",
-    "hypervolume_2d",
-    "igd",
-    "Evaluator",
-    "GaConfig",
-    "GenerationStats",
-    "KnnAveraged",
-    "OptimizationResult",
-    "PlainNoisy",
-    "crowding_distance",
-    "fast_non_dominated_sort",
-    "polynomial_mutation",
-    "run_optimization",
-    "sbx_crossover",
-    "ZDT_VARIANTS",
-    "NoiseSpec",
-    "ParetoFrontSample",
-    "ZdtProblem",
-    "evaluate_noisy",
-    "evaluate_true",
-    "mean_objectives",
-    "true_front",
-    "EXACT_LIMIT",
-    "HIGHER_IS_BETTER",
-    "METRICS",
-    "MIN_PAIRS",
-    "ComparisonVerdict",
-    "Verdict",
-    "WilcoxonResult",
-    "compare_setting",
-    "vargha_delaney_a12",
-    "wilcoxon_signed_rank",
-    "__version__",
-]

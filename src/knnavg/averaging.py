@@ -4,7 +4,13 @@ Instead of trusting a single noisy sample, each solution's objectives are
 replaced by a distance-weighted mean of the raw samples of its k nearest
 neighbors in decision space, drawn from every evaluation the run has made so
 far. Distances are standardized per dimension by the history's variance so
-that no variable dominates the neighborhood.
+that no variable dominates the neighborhood. A neighbor at distance d
+weighs ``max(max_dist - d**2, 0)``.
+
+The history keeps every sample as rows of read-only matrices (variables,
+raw objectives, averaged objectives, batch numbers). Appending a batch or
+storing averages builds new matrices, so a matrix handed out earlier never
+changes.
 
 Numerics contract, which seeded runs depend on bit for bit:
 
@@ -23,20 +29,17 @@ O(b * n) memory, independent of the number of dimensions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .core import ContractViolationError, Solution
+from .core import ContractViolationError, Solution, as_count
 
 __all__ = [
     "ZERO_VARIANCE_EPS",
-    "WeightShape",
     "KnnConfig",
     "EvaluationHistory",
-    "history_variances",
     "sed",
     "knn_evaluate",
     "history_rows",
@@ -47,45 +50,27 @@ __all__ = [
 ZERO_VARIANCE_EPS = 1e-12
 
 
-class WeightShape(str, Enum):
-    """How a neighbor's distance maps to its averaging weight.
-
-    SQUARED is the default: weight = max(max_dist - sed^2, 0). LINEAR uses
-    max(max_dist - sed, 0) and UNIFORM weighs every kept neighbor equally;
-    both are exploratory alternatives.
-    """
-
-    SQUARED = "squared"
-    LINEAR = "linear"
-    UNIFORM = "uniform"
-
-
 @dataclass(frozen=True)
 class KnnConfig:
-    """Averaging parameters: neighbor count, distance cutoff, weight shape."""
+    """Averaging parameters: neighbor count and distance cutoff."""
 
     k: int
     max_dist: float
-    weighting: WeightShape = WeightShape.SQUARED
 
     def __post_init__(self) -> None:
-        try:
-            k = int(self.k)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ContractViolationError(f"k must be an integer, got {self.k!r}") from exc
-        if isinstance(self.k, (bool, np.bool_)) or k != self.k:
-            raise ContractViolationError(f"k must be an integer, got {self.k!r}")
-        if k < 1:
-            raise ContractViolationError("k must be at least 1")
-        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "k", as_count(self.k, "k", 1))
         md = float(self.max_dist)
         if not np.isfinite(md) or md <= 0.0:
             raise ContractViolationError("max_dist must be finite and positive")
         object.__setattr__(self, "max_dist", md)
-        object.__setattr__(self, "weighting", WeightShape(self.weighting))
 
     def label(self) -> str:
         return f"knn(k={self.k}, max_dist={self.max_dist!r})"
+
+
+def _read_only(matrix: np.ndarray) -> np.ndarray:
+    matrix.setflags(write=False)
+    return matrix
 
 
 class EvaluationHistory:
@@ -95,8 +80,8 @@ class EvaluationHistory:
     averaged objectives assigned afterwards (initially the raw sample), and
     the batch number it arrived in. Records are never mutated or removed;
     assigning averaged values stores them alongside the raw sample, never in
-    its place. The variable matrix and the per-dimension variances are
-    cached between appends because averaging reads them once per batch.
+    its place. The per-dimension variances are cached between appends
+    because averaging reads them once per batch.
     """
 
     def __init__(self, n_vars: int, n_objs: int) -> None:
@@ -104,21 +89,18 @@ class EvaluationHistory:
             raise ContractViolationError("history dimensions must be positive")
         self.n_vars = int(n_vars)
         self.n_objs = int(n_objs)
-        self._vars: list[np.ndarray] = []
-        self._raws: list[np.ndarray] = []
-        self._avgs: list[np.ndarray] = []
-        self._batches: list[int] = []
-        self._batch_count = 0
-        self._vars_cache: np.ndarray | None = None
-        self._raws_cache: np.ndarray | None = None
+        self._vars = _read_only(np.empty((0, self.n_vars)))
+        self._raws = _read_only(np.empty((0, self.n_objs)))
+        self._avgs = self._raws
+        self._batches = _read_only(np.empty(0, dtype=np.int64))
         self._var_cache: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return len(self._vars)
+        return self._vars.shape[0]
 
     @property
     def batch_count(self) -> int:
-        return self._batch_count
+        return int(self._batches[-1]) + 1 if len(self) else 0
 
     def append_batch(self, solutions: Sequence[Solution]) -> slice:
         """Append one batch of sampled solutions; returns their index range.
@@ -138,75 +120,51 @@ class EvaluationHistory:
                     f"solution dimensions {s.variables.shape[0]}x{s.raw_objectives.shape[0]} "
                     f"do not match history {self.n_vars}x{self.n_objs}"
                 )
-        start = len(self._vars)
-        for s in batch:
-            self._vars.append(s.variables)
-            self._raws.append(s.raw_objectives)
-            self._avgs.append(s.raw_objectives)
-            self._batches.append(self._batch_count)
-        self._batch_count += 1
-        self._vars_cache = None
-        self._raws_cache = None
+        start = len(self)
+        raws = np.array([s.raw_objectives for s in batch])
+        numbers = np.full(len(batch), self.batch_count, dtype=np.int64)
+        self._vars = _read_only(np.concatenate((self._vars, [s.variables for s in batch])))
+        self._raws = _read_only(np.concatenate((self._raws, raws)))
+        self._avgs = _read_only(np.concatenate((self._avgs, raws)))
+        self._batches = _read_only(np.concatenate((self._batches, numbers)))
         self._var_cache = None
-        return slice(start, len(self._vars))
+        return slice(start, len(self))
 
     def set_averaged(self, rows: slice, values: np.ndarray) -> None:
         """Store the averaged objectives computed for the records in ``rows``."""
         values = np.asarray(values, dtype=np.float64)
-        indices = range(*rows.indices(len(self._avgs)))
-        if values.shape != (len(indices), self.n_objs):
+        count = len(range(*rows.indices(len(self))))
+        if values.shape != (count, self.n_objs):
             raise ContractViolationError(
-                f"averaged block has shape {values.shape}, expected ({len(indices)}, {self.n_objs})"
+                f"averaged block has shape {values.shape}, expected ({count}, {self.n_objs})"
             )
-        for row, i in enumerate(indices):
-            value = values[row].copy()
-            value.setflags(write=False)
-            self._avgs[i] = value
+        avgs = self._avgs.copy()
+        avgs[rows] = values
+        self._avgs = _read_only(avgs)
 
     def variables_matrix(self) -> np.ndarray:
-        """All recorded decision vectors as an (n, d) matrix (cached)."""
-        if self._vars_cache is None:
-            mat = np.array(self._vars) if self._vars else np.empty((0, self.n_vars))
-            mat.setflags(write=False)
-            self._vars_cache = mat
-        return self._vars_cache
+        """All recorded decision vectors as a read-only (n, d) matrix."""
+        return self._vars
 
     def raw_matrix(self) -> np.ndarray:
-        """All raw sampled objectives as an (n, m) matrix (cached)."""
-        if self._raws_cache is None:
-            mat = np.array(self._raws) if self._raws else np.empty((0, self.n_objs))
-            mat.setflags(write=False)
-            self._raws_cache = mat
-        return self._raws_cache
+        """All raw sampled objectives as a read-only (n, m) matrix."""
+        return self._raws
 
     def averaged_matrix(self) -> np.ndarray:
-        """All averaged objectives as an (n, m) matrix."""
-        mat = np.array(self._avgs) if self._avgs else np.empty((0, self.n_objs))
-        mat.setflags(write=False)
-        return mat
+        """All averaged objectives as a read-only (n, m) matrix."""
+        return self._avgs
 
     def batch_numbers(self) -> np.ndarray:
-        """The batch number of every record, in insertion order."""
-        return np.array(self._batches, dtype=np.int64)
+        """The batch number of every record, in insertion order (read-only)."""
+        return self._batches
 
     def variances(self) -> np.ndarray:
         """Population variance of each variable dimension over all records."""
-        if not self._vars:
+        if not len(self):
             raise ContractViolationError("history is empty; variances are undefined")
         if self._var_cache is None:
-            var = self.variables_matrix().var(axis=0)
-            var.setflags(write=False)
-            self._var_cache = var
+            self._var_cache = _read_only(self._vars.var(axis=0))
         return self._var_cache
-
-
-def history_variances(history: EvaluationHistory) -> np.ndarray:
-    """Per-dimension population variances of the history's decision vectors.
-
-    These are the standardization denominators used by :func:`sed`. The
-    history must be non-empty.
-    """
-    return history.variances()
 
 
 def sed(a, b, variances) -> float:
@@ -267,14 +225,6 @@ def _neighbor_pairs(
     return q_idx[keep], r_idx[keep], dist[keep]
 
 
-def _weights(distances: np.ndarray, config: KnnConfig) -> np.ndarray:
-    if config.weighting is WeightShape.SQUARED:
-        return np.maximum(config.max_dist - distances**2, 0.0)
-    if config.weighting is WeightShape.LINEAR:
-        return np.maximum(config.max_dist - distances, 0.0)
-    return np.ones_like(distances)
-
-
 def knn_evaluate(
     population: Iterable[Solution],
     history: EvaluationHistory,
@@ -289,10 +239,10 @@ def knn_evaluate(
     discarded (a record at exactly ``max_dist`` is kept), the ``config.k``
     closest survivors are kept (distance ties keep the solution itself
     first, then earlier-appended records), and their raw objectives are
-    combined with the configured weight shape. A solution whose only kept
-    neighbor is itself keeps its raw sample bitwise unchanged. Distances
-    follow the module's numerics contract, and memory stays within
-    O(batch * history) whatever the number of dimensions.
+    combined with weights ``max(max_dist - d**2, 0)``. A solution whose
+    only kept neighbor is itself keeps its raw sample bitwise unchanged.
+    Distances follow the module's numerics contract, and memory stays
+    within O(batch * history) whatever the number of dimensions.
 
     Returns new solutions in input order with averaged objectives and the
     original raw objectives; the averages are also stored in the history.
@@ -321,7 +271,7 @@ def knn_evaluate(
         # Only the solution itself kept: averaging would reproduce the raw
         # sample up to rounding; keep it exact instead.
         if hi - lo > 1:
-            weights = _weights(dist[lo:hi], config)
+            weights = np.maximum(config.max_dist - dist[lo:hi] ** 2, 0.0)
             total = weights.sum()
             if total > 0.0:
                 mean = weights @ record_raws[r_idx[lo:hi]] / total

@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: ``run`` executes an experiment grid from a config file, with
-optional flag overrides; ``single`` executes one run and prints its JSON
-result; ``report`` builds verdict tables from persisted results; ``front``
-samples a problem's true Pareto front; ``history`` converts a single-run
-JSON file's evaluation history to CSV.
+optional flag overrides, and with ``--include-histories`` also writes each
+run's evaluation history as CSV; ``single`` executes one run and prints its
+JSON result; ``report`` builds verdict tables from persisted results;
+``front`` samples a problem's true Pareto front.
 
 Exit codes: 0 on success, 1 on a contract violation (including bad
 arguments), 2 when a grid finished but some runs failed.
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import json
 import logging
 import sys
@@ -75,24 +74,26 @@ def _grid_from_config(path: str | None, args: argparse.Namespace) -> tuple[Exper
                     message += f" (it belongs in [{home}])"
                 raise ContractViolationError(message)
 
-    grid_cfg = sections.get("grid", {})
-    run_cfg = sections.get("run", {})
-    metrics_cfg = sections.get("metrics", {})
-
-    def pick(flag_value, section: dict, key: str, parse, default=None):
+    def pick(flag_value, section: str, key: str, parse, default=None):
         if flag_value is not None:
             return flag_value
-        if key in section:
-            return parse(section[key])
-        return default
+        values = sections.get(section, {})
+        if key not in values:
+            return default
+        try:
+            return parse(values[key])
+        except ValueError as exc:
+            raise ContractViolationError(
+                f"[{section}] {key}: cannot parse {values[key]!r} ({exc})"
+            ) from exc
 
-    problems = pick(args.problems, grid_cfg, "problems", _split_list)
-    n_vars = pick(args.n_vars, grid_cfg, "n_vars", lambda t: [int(v) for v in _split_list(t)])
-    sigmas = pick(args.sigmas, grid_cfg, "sigmas", lambda t: [float(v) for v in _split_list(t)])
-    pops = pick(args.pop_sizes, grid_cfg, "pop_sizes", lambda t: [int(v) for v in _split_list(t)])
-    ks = pick(args.ks, grid_cfg, "ks", lambda t: [int(v) for v in _split_list(t)])
+    problems = pick(args.problems, "grid", "problems", _split_list)
+    n_vars = pick(args.n_vars, "grid", "n_vars", lambda t: [int(v) for v in _split_list(t)])
+    sigmas = pick(args.sigmas, "grid", "sigmas", lambda t: [float(v) for v in _split_list(t)])
+    pops = pick(args.pop_sizes, "grid", "pop_sizes", lambda t: [int(v) for v in _split_list(t)])
+    ks = pick(args.ks, "grid", "ks", lambda t: [int(v) for v in _split_list(t)])
     max_dists = pick(
-        args.max_dists, grid_cfg, "max_dists", lambda t: [float(v) for v in _split_list(t)]
+        args.max_dists, "grid", "max_dists", lambda t: [float(v) for v in _split_list(t)]
     )
     missing = [
         name
@@ -114,19 +115,19 @@ def _grid_from_config(path: str | None, args: argparse.Namespace) -> tuple[Exper
         pop_sizes=tuple(pops),
         ks=tuple(ks),
         max_dists=tuple(max_dists),
-        repetitions=pick(args.repetitions, run_cfg, "repetitions", int, 30),
-        generations=pick(args.generations, run_cfg, "generations", int, 100),
-        base_seed=pick(args.base_seed, run_cfg, "base_seed", int, 0),
+        repetitions=pick(args.repetitions, "run", "repetitions", int, 30),
+        generations=pick(args.generations, "run", "generations", int, 100),
+        base_seed=pick(args.base_seed, "run", "base_seed", int, 0),
     )
     reference = pick(
-        args.reference, metrics_cfg, "reference_point",
+        args.reference, "metrics", "reference_point",
         lambda t: tuple(float(v) for v in _split_list(t)), DEFAULT_REFERENCE,
     )
     reference = tuple(float(v) for v in reference)
     if len(reference) != 2:
         raise ContractViolationError("reference point needs exactly two coordinates")
     front_samples = pick(
-        args.front_samples, metrics_cfg, "front_sample_size", int, DEFAULT_FRONT_SAMPLE_SIZE
+        args.front_samples, "metrics", "front_sample_size", int, DEFAULT_FRONT_SAMPLE_SIZE
     )
     return grid, {"reference": reference, "front_sample_size": int(front_samples)}
 
@@ -185,9 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     single_p.add_argument(
         "--front-samples", dest="front_samples", type=int, default=DEFAULT_FRONT_SAMPLE_SIZE
     )
-    single_p.add_argument(
-        "--include-history", action="store_true", help="embed the evaluation history in the JSON"
-    )
     single_p.add_argument("--out", help="write the JSON here instead of stdout")
 
     report_p = sub.add_parser("report", help="verdict tables from persisted results")
@@ -199,10 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     front_p.add_argument("--problem", required=True, choices=("zdt1", "zdt2", "zdt3"))
     front_p.add_argument("--count", type=int, default=DEFAULT_FRONT_SAMPLE_SIZE)
     front_p.add_argument("--out", help="write CSV here instead of stdout")
-
-    history_p = sub.add_parser("history", help="evaluation history of a single-run JSON as CSV")
-    history_p.add_argument("--in", dest="in_file", required=True, help="JSON from 'single'")
-    history_p.add_argument("--out", help="write CSV here instead of stdout")
 
     return parser
 
@@ -257,7 +251,7 @@ def _cmd_single(args: argparse.Namespace) -> int:
         front_sample_size=args.front_samples,
         keep_optimization=True,
     )
-    payload = result.optimization.to_dict(include_history=args.include_history)
+    payload = result.optimization.to_dict()
     payload["fingerprint"] = config.fingerprint
     payload["metrics"] = {
         "hv_mean_adjusted": result.metrics.hv_mean_adjusted,
@@ -296,33 +290,11 @@ def _cmd_front(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_history(args: argparse.Namespace) -> int:
-    path = Path(args.in_file)
-    if not path.exists():
-        raise ContractViolationError(f"no such file: {path}")
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    history = payload.get("history")
-    if not history:
-        raise ContractViolationError(
-            "the JSON has no embedded history; produce it with 'single --include-history'"
-        )
-    out = Path(args.out).open("w", newline="") if args.out else sys.stdout
-    try:
-        writer = csv.writer(out)
-        writer.writerow(history["columns"])
-        writer.writerows(history["rows"])
-    finally:
-        if args.out:
-            out.close()
-    return 0
-
-
 _COMMANDS = {
     "run": _cmd_run,
     "single": _cmd_single,
     "report": _cmd_report,
     "front": _cmd_front,
-    "history": _cmd_history,
 }
 
 

@@ -1,4 +1,4 @@
-"""Core domain types: solutions, problem metadata, dominance, seeded RNG.
+"""Core domain types: solutions, dominance, seeded RNG, count checks.
 
 Everything downstream (benchmark functions, neighbor averaging, the search
 engine, the quality indicators) is built on the small value types defined
@@ -18,12 +18,12 @@ __all__ = [
     "STREAM_VERSION",
     "ContractViolationError",
     "Solution",
-    "ProblemSpec",
     "RngStream",
+    "as_count",
+    "dominance_matrix",
     "dominates",
     "non_dominated_filter",
     "objectives_matrix",
-    "variables_matrix",
 ]
 
 
@@ -36,6 +36,24 @@ STREAM_VERSION = 1
 
 class ContractViolationError(ValueError):
     """An operation was called with inputs that break its stated contract."""
+
+
+def as_count(value, name: str, minimum: int) -> int:
+    """``value`` as an int of at least ``minimum``.
+
+    Integral numbers of any type are accepted (``3``, ``np.int64(3)``,
+    ``3.0``); bools, non-integral and non-numeric values are rejected
+    instead of being truncated.
+    """
+    try:
+        count = int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ContractViolationError(f"{name} must be an integer, got {value!r}") from exc
+    if isinstance(value, (bool, np.bool_)) or count != value:
+        raise ContractViolationError(f"{name} must be an integer, got {value!r}")
+    if count < minimum:
+        raise ContractViolationError(f"{name} must be at least {minimum}")
+    return count
 
 
 def _frozen_array(values, context: str) -> np.ndarray:
@@ -83,35 +101,6 @@ class Solution:
     @property
     def n_objs(self) -> int:
         return self.objectives.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class ProblemSpec:
-    """Name, dimensions and box bounds of a multi-objective problem."""
-
-    name: str
-    n_vars: int
-    n_objs: int
-    lower_bounds: np.ndarray
-    upper_bounds: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.n_vars < 1:
-            raise ContractViolationError("n_vars must be at least 1")
-        if self.n_objs < 2:
-            raise ContractViolationError("n_objs must be at least 2")
-        lower = _frozen_array(self.lower_bounds, "lower_bounds")
-        upper = _frozen_array(self.upper_bounds, "upper_bounds")
-        if lower.shape != (self.n_vars,) or upper.shape != (self.n_vars,):
-            raise ContractViolationError("bounds must have length n_vars")
-        if not np.all(lower < upper):
-            raise ContractViolationError("each lower bound must be strictly below its upper bound")
-        object.__setattr__(self, "lower_bounds", lower)
-        object.__setattr__(self, "upper_bounds", upper)
-
-    @property
-    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.lower_bounds, self.upper_bounds
 
 
 class RngStream:
@@ -180,14 +169,6 @@ def objectives_matrix(solutions: Sequence[Solution]) -> np.ndarray:
     return np.array([s.objectives for s in solutions])
 
 
-def variables_matrix(solutions: Sequence[Solution]) -> np.ndarray:
-    """Stack the decision vectors of ``solutions`` into an (n, d) matrix."""
-    dims = {s.variables.shape for s in solutions}
-    if len(dims) > 1:
-        raise ContractViolationError(f"mixed variable dimensions: {sorted(dims)}")
-    return np.array([s.variables for s in solutions])
-
-
 def dominates(a: Solution, b: Solution) -> bool:
     """Pareto dominance for minimization.
 
@@ -202,6 +183,17 @@ def dominates(a: Solution, b: Solution) -> bool:
     return bool(np.all(fa <= fb) and np.any(fa < fb))
 
 
+def dominance_matrix(objs: np.ndarray) -> np.ndarray:
+    """``dom[i, j]`` is True when row i of ``objs`` Pareto-dominates row j.
+
+    Minimization: nowhere worse and strictly better somewhere. Equal rows
+    do not dominate each other.
+    """
+    less_eq = np.all(objs[:, None, :] <= objs[None, :, :], axis=2)
+    strict = np.any(objs[:, None, :] < objs[None, :, :], axis=2)
+    return less_eq & strict
+
+
 def non_dominated_filter(solutions: Iterable[Solution]) -> list[Solution]:
     """Members of ``solutions`` not dominated by any other member.
 
@@ -211,8 +203,5 @@ def non_dominated_filter(solutions: Iterable[Solution]) -> list[Solution]:
     sols = list(solutions)
     if not sols:
         return []
-    objs = objectives_matrix(sols)
-    less_eq = np.all(objs[:, None, :] <= objs[None, :, :], axis=2)
-    strict = np.any(objs[:, None, :] < objs[None, :, :], axis=2)
-    dominated = np.any(less_eq & strict, axis=0)
+    dominated = dominance_matrix(objectives_matrix(sols)).any(axis=0)
     return [s for s, dead in zip(sols, dominated) if not dead]

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import logging
+import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -27,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .averaging import KnnConfig, history_rows
-from .core import ContractViolationError, RngStream, Solution
+from .core import ContractViolationError, RngStream, Solution, as_count
 from .metrics import (
     DEFAULT_FRONT_SAMPLE_SIZE,
     DEFAULT_REFERENCE,
@@ -123,27 +124,19 @@ class ExperimentGrid:
         problems = as_tuple("problems", str)
         for p in problems:
             ZdtProblem(p, 2)  # validates the variant name
-        for n in as_tuple("n_vars_list", int):
-            if n < 2:
-                raise ContractViolationError("every n_vars must be at least 2")
+        as_tuple("n_vars_list", lambda n: as_count(n, "every n_vars", 2))
         for s in as_tuple("sigmas", float):
             if s < 0.0 or not np.isfinite(s):
                 raise ContractViolationError("every sigma must be finite and non-negative")
-        for p in as_tuple("pop_sizes", int):
-            if p < 2 or p % 2 != 0:
+        for p in as_tuple("pop_sizes", lambda p: as_count(p, "every pop_size", 2)):
+            if p % 2 != 0:
                 raise ContractViolationError("every pop_size must be even and at least 2")
-        for k in as_tuple("ks", int):
-            if k < 1:
-                raise ContractViolationError("every k must be at least 1")
+        as_tuple("ks", lambda k: as_count(k, "every k", 1))
         for m in as_tuple("max_dists", float):
             if m <= 0.0 or not np.isfinite(m):
                 raise ContractViolationError("every max_dist must be finite and positive")
-        if int(self.repetitions) < 1:
-            raise ContractViolationError("repetitions must be at least 1")
-        object.__setattr__(self, "repetitions", int(self.repetitions))
-        if int(self.generations) < 1:
-            raise ContractViolationError("generations must be at least 1")
-        object.__setattr__(self, "generations", int(self.generations))
+        object.__setattr__(self, "repetitions", as_count(self.repetitions, "repetitions", 1))
+        object.__setattr__(self, "generations", as_count(self.generations, "generations", 1))
         seed = int(self.base_seed)
         if not 0 <= seed < 2**64:
             raise ContractViolationError("base_seed must fit in an unsigned 64-bit integer")
@@ -363,14 +356,24 @@ def _row_to_result(row: dict[str, str]) -> RunResult:
 
 
 def load_results(out_dir: str | Path) -> list[RunResult]:
-    """Load all persisted results from a grid output directory."""
+    """Load all persisted results from a grid output directory.
+
+    A row that does not parse is a contract violation naming its line.
+    Resuming the grid drops a last row torn off by a crash mid-write.
+    """
     path = Path(out_dir) / RESULTS_FILENAME
     if not path.exists():
         raise ContractViolationError(f"no results table at {path}")
     results: list[RunResult] = []
     with path.open(newline="") as handle:
-        for row in csv.DictReader(handle):
-            results.append(_row_to_result(row))
+        reader = csv.DictReader(handle)
+        for row in reader:
+            try:
+                results.append(_row_to_result(row))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ContractViolationError(
+                    f"{path}: line {reader.line_num}: unparsable row ({exc})"
+                ) from exc
     return results
 
 
@@ -387,15 +390,28 @@ def write_history_csv(path: str | Path, optimization: OptimizationResult) -> Non
 
 
 class _ResultsWriter:
-    """Single append-only writer for the shared results table."""
+    """Single append-only writer for the shared results table.
+
+    ``persisted`` holds the fingerprints already in the table. A crash
+    mid-write can leave a partial last line. Opening cuts the table back to
+    its last line end, so that run counts as not persisted and runs again;
+    a table with nothing left starts over with its header.
+    """
 
     def __init__(self, out_dir: Path) -> None:
         out_dir.mkdir(parents=True, exist_ok=True)
         self.path = out_dir / RESULTS_FILENAME
-        fresh = not self.path.exists()
+        data = self.path.read_bytes() if self.path.exists() else b""
+        keep = data.rfind(b"\n") + 1
+        if keep < len(data):
+            logger.warning("dropping a torn last row of %s", self.path)
+            os.truncate(self.path, keep)
+        self.persisted = {
+            row["fingerprint"] for row in csv.DictReader(data[:keep].decode().splitlines())
+        }
         self._handle = self.path.open("a", newline="")
         self._writer = csv.DictWriter(self._handle, fieldnames=_RESULT_COLUMNS)
-        if fresh:
+        if keep == 0:
             self._writer.writeheader()
             self._handle.flush()
 
@@ -405,14 +421,6 @@ class _ResultsWriter:
 
     def close(self) -> None:
         self._handle.close()
-
-
-def _persisted_fingerprints(out_dir: Path) -> set[str]:
-    path = out_dir / RESULTS_FILENAME
-    if not path.exists():
-        return set()
-    with path.open(newline="") as handle:
-        return {row["fingerprint"] for row in csv.DictReader(handle)}
 
 
 def _grid_worker(
@@ -479,8 +487,8 @@ def run_grid(
     out_path: Path | None = None
     if out_dir is not None:
         out_path = Path(out_dir)
-        done = _persisted_fingerprints(out_path)
         writer = _ResultsWriter(out_path)
+        done = writer.persisted
     pending = [c for c in configs if c.fingerprint not in done]
     skipped = len(configs) - len(pending)
     if skipped:

@@ -19,7 +19,14 @@ from typing import Sequence
 import numpy as np
 
 from .averaging import EvaluationHistory, KnnConfig, history_rows, knn_evaluate
-from .core import ContractViolationError, RngStream, Solution, non_dominated_filter, objectives_matrix
+from .core import (
+    ContractViolationError,
+    RngStream,
+    Solution,
+    as_count,
+    dominance_matrix,
+    objectives_matrix,
+)
 from .metrics import DEFAULT_REFERENCE, hypervolume_2d
 from .problems import NoiseSpec, ZdtProblem, evaluate_noisy
 
@@ -57,12 +64,11 @@ class GaConfig:
     eta_mutation: float = 20.0
 
     def __post_init__(self) -> None:
-        if int(self.pop_size) < 2 or int(self.pop_size) % 2 != 0:
+        pop_size = as_count(self.pop_size, "pop_size", 2)
+        if pop_size % 2 != 0:
             raise ContractViolationError("pop_size must be an even number of at least 2")
-        object.__setattr__(self, "pop_size", int(self.pop_size))
-        if int(self.generations) < 1:
-            raise ContractViolationError("generations must be at least 1")
-        object.__setattr__(self, "generations", int(self.generations))
+        object.__setattr__(self, "pop_size", pop_size)
+        object.__setattr__(self, "generations", as_count(self.generations, "generations", 1))
         for name in ("crossover_prob", "mutation_prob"):
             p = float(getattr(self, name))
             if not 0.0 <= p <= 1.0:
@@ -123,10 +129,7 @@ def fast_non_dominated_sort(population: Sequence[Solution]) -> list[list[int]]:
     sols = list(population)
     if not sols:
         return []
-    objs = objectives_matrix(sols)
-    less_eq = np.all(objs[:, None, :] <= objs[None, :, :], axis=2)
-    strict = np.any(objs[:, None, :] < objs[None, :, :], axis=2)
-    dom = less_eq & strict  # dom[i, j]: i dominates j
+    dom = dominance_matrix(objectives_matrix(sols))
     n_dominators = dom.sum(axis=0).astype(np.int64)
     fronts: list[list[int]] = []
     current = np.flatnonzero(n_dominators == 0)
@@ -290,7 +293,7 @@ class OptimizationResult:
 
         data = {
             "problem": {"variant": self.problem.variant, "n_vars": self.problem.n_vars},
-            "noise_sigma": self.noise.sigma if np.isscalar(self.noise.sigma) else list(self.noise.sigma),
+            "noise_sigma": self.noise.sigma,
             "evaluator": self.evaluator_label,
             "ga": {
                 "pop_size": self.ga.pop_size,
@@ -371,8 +374,22 @@ def _survival(
     )
 
 
-def _generation_stats(generation: int, population: Sequence[Solution]) -> GenerationStats:
-    front = non_dominated_filter(population)
+def _first_front(population: Sequence[Solution], ranks: np.ndarray) -> list[Solution]:
+    """The rank-0 members, in population order.
+
+    Ranks come from :func:`_rank_population` or :func:`_survival`, so these
+    are exactly the population's non-dominated members: a rank-0 survivor
+    is dominated by nobody in the larger set it was ranked in, and a
+    survivor of rank r >= 1 was only kept after every earlier front was
+    kept whole, so some survivor of rank r - 1 dominates it.
+    """
+    return [s for s, rank in zip(population, ranks) if rank == 0]
+
+
+def _generation_stats(
+    generation: int, population: Sequence[Solution], ranks: np.ndarray
+) -> GenerationStats:
+    front = _first_front(population, ranks)
     hv = hypervolume_2d(objectives_matrix(front), DEFAULT_REFERENCE)
     return GenerationStats(generation=generation, front_size=len(front), front_hypervolume=hv)
 
@@ -399,7 +416,7 @@ def run_optimization(
     sampled = [evaluate_noisy(problem, noise, x, rng) for x in initial]
     population = evaluator.evaluate(sampled, history)
     ranks, crowding = _rank_population(population)
-    trace = [_generation_stats(0, population)]
+    trace = [_generation_stats(0, population, ranks)]
     bounds = (lower, upper)
     for generation in range(1, ga.generations + 1):
         child_vars: list[np.ndarray] = []
@@ -423,7 +440,7 @@ def run_optimization(
         sampled = [evaluate_noisy(problem, noise, x, rng) for x in child_vars]
         offspring = evaluator.evaluate(sampled, history)
         population, ranks, crowding = _survival(population + offspring, ga.pop_size)
-        trace.append(_generation_stats(generation, population))
+        trace.append(_generation_stats(generation, population, ranks))
     return OptimizationResult(
         problem=problem,
         noise=noise,
@@ -431,7 +448,7 @@ def run_optimization(
         ga=ga,
         seed=rng.seed,
         population=population,
-        nondominated=non_dominated_filter(population),
+        nondominated=_first_front(population, ranks),
         history=history,
         trace=trace,
     )

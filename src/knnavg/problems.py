@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContractViolationError, ProblemSpec, RngStream, Solution
+from .core import ContractViolationError, RngStream, Solution, as_count
 
 __all__ = [
     "ZDT_VARIANTS",
@@ -49,9 +49,7 @@ class ZdtProblem:
                 f"unknown variant {self.variant!r}; expected one of {ZDT_VARIANTS}"
             )
         object.__setattr__(self, "variant", variant)
-        if int(self.n_vars) < 2:
-            raise ContractViolationError("n_vars must be at least 2")
-        object.__setattr__(self, "n_vars", int(self.n_vars))
+        object.__setattr__(self, "n_vars", as_count(self.n_vars, "n_vars", 2))
 
     @property
     def n_objs(self) -> int:
@@ -65,59 +63,28 @@ class ZdtProblem:
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         return np.zeros(self.n_vars), np.ones(self.n_vars)
 
-    @property
-    def spec(self) -> ProblemSpec:
-        lower, upper = self.bounds
-        return ProblemSpec(self.name, self.n_vars, self.n_objs, lower, upper)
-
 
 @dataclass(frozen=True, eq=False)
 class NoiseSpec:
     """Additive zero-mean Gaussian noise applied to each objective.
 
-    ``sigma`` is either one standard deviation shared by both objectives or
-    a per-objective vector. Draws are independent across objectives and
-    across evaluations. ``sigma = 0`` reproduces the noise-free values
-    exactly while still consuming the same number of random draws, so runs
-    with and without noise stay aligned on the same seed.
+    ``sigma`` is one standard deviation shared by both objectives. Draws are
+    independent across objectives and across evaluations. ``sigma = 0``
+    reproduces the noise-free values exactly while still consuming the same
+    number of random draws, so runs with and without noise stay aligned on
+    the same seed.
     """
 
-    sigma: float | tuple[float, ...] = 0.0
+    sigma: float = 0.0
 
     def __post_init__(self) -> None:
-        if np.isscalar(self.sigma):
+        try:
             value = float(self.sigma)
-            if not np.isfinite(value) or value < 0.0:
-                raise ContractViolationError("sigma must be finite and non-negative")
-            object.__setattr__(self, "sigma", value)
-        else:
-            values = tuple(float(v) for v in self.sigma)
-            if not values:
-                raise ContractViolationError("per-objective sigma vector must be non-empty")
-            if any(not np.isfinite(v) or v < 0.0 for v in values):
-                raise ContractViolationError("each sigma must be finite and non-negative")
-            object.__setattr__(self, "sigma", values)
-
-    def sigmas(self, n_objs: int) -> np.ndarray:
-        """Per-objective standard deviations as a vector of length ``n_objs``."""
-        if np.isscalar(self.sigma):
-            return np.full(n_objs, float(self.sigma))
-        if len(self.sigma) != n_objs:
-            raise ContractViolationError(
-                f"sigma vector has length {len(self.sigma)}, problem has {n_objs} objectives"
-            )
-        return np.array(self.sigma, dtype=np.float64)
-
-    @property
-    def is_zero(self) -> bool:
-        if np.isscalar(self.sigma):
-            return self.sigma == 0.0
-        return all(v == 0.0 for v in self.sigma)
-
-    def label(self) -> str:
-        if np.isscalar(self.sigma):
-            return repr(float(self.sigma))
-        return ",".join(repr(v) for v in self.sigma)
+        except (TypeError, ValueError) as exc:
+            raise ContractViolationError(f"sigma must be a number, got {self.sigma!r}") from exc
+        if not np.isfinite(value) or value < 0.0:
+            raise ContractViolationError("sigma must be finite and non-negative")
+        object.__setattr__(self, "sigma", value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,7 +139,7 @@ def evaluate_noisy(problem: ZdtProblem, noise: NoiseSpec, x, rng: RngStream) -> 
     """
     true = evaluate_true(problem, x)
     draws = rng.standard_normal(problem.n_objs)
-    raw = true + noise.sigmas(problem.n_objs) * draws
+    raw = true + noise.sigma * draws
     return Solution(variables=x, objectives=raw, raw_objectives=raw)
 
 

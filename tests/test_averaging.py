@@ -11,9 +11,8 @@ from knnavg.averaging import (
     ZERO_VARIANCE_EPS,
     EvaluationHistory,
     KnnConfig,
-    WeightShape,
+    _neighbor_pairs,
     history_rows,
-    history_variances,
     knn_evaluate,
     sed,
 )
@@ -32,7 +31,7 @@ def make_solution(variables, raw):
 
 def brute_force_average(history, rows, config):
     """Independent reimplementation: per-query loop over the full history."""
-    variances = history_variances(history)
+    variances = history.variances()
     all_vars = history.variables_matrix()
     all_raws = history.raw_matrix()
     out = []
@@ -176,6 +175,27 @@ class TestEvaluationHistory:
             history.variables_matrix()[0, 0] = 9.0
         with pytest.raises(ValueError):
             history.raw_matrix()[0, 0] = 9.0
+        with pytest.raises(ValueError):
+            history.averaged_matrix()[0, 0] = 9.0
+        with pytest.raises(ValueError):
+            history.batch_numbers()[0] = 9
+
+    def test_handed_out_matrices_never_change(self):
+        # a caller may hold a matrix across later appends and averaging
+        history = EvaluationHistory(2, 2)
+        rows = history.append_batch([make_solution([0.1, 0.2], [0.3, 0.4])])
+        held = [
+            history.variables_matrix(), history.raw_matrix(),
+            history.averaged_matrix(), history.batch_numbers(), history.variances(),
+        ]
+        snapshot = [m.copy() for m in held]
+        history.set_averaged(rows, np.array([[9.0, 9.0]]))
+        history.append_batch([make_solution([0.5, 0.6], [0.7, 0.8])])
+        for matrix, before in zip(held, snapshot):
+            assert not matrix.flags.writeable
+            assert np.array_equal(matrix, before)
+        assert np.array_equal(history.averaged_matrix(), [[9.0, 9.0], [0.7, 0.8]])
+        assert np.array_equal(history.batch_numbers(), [0, 1])
 
     def test_variances_empty_history_rejected(self):
         with pytest.raises(ContractViolationError):
@@ -186,7 +206,7 @@ class TestHistoryVariances:
     def test_single_record_zero_variance(self):
         history = EvaluationHistory(2, 2)
         history.append_batch([make_solution([0.3, 0.9], [1.0, 2.0])])
-        assert np.array_equal(history_variances(history), [0.0, 0.0])
+        assert np.array_equal(history.variances(), [0.0, 0.0])
 
     def test_two_record_hand_value(self):
         # population variance of {0, 2} is 1 in each dimension
@@ -194,7 +214,7 @@ class TestHistoryVariances:
         history.append_batch(
             [make_solution([0.0, 0.0], [1.0, 1.0]), make_solution([2.0, 2.0], [2.0, 2.0])]
         )
-        assert np.array_equal(history_variances(history), [1.0, 1.0])
+        assert np.array_equal(history.variances(), [1.0, 1.0])
 
     def test_matches_two_pass_oracle(self):
         # independent two-pass computation over 1,000 random records
@@ -209,7 +229,7 @@ class TestHistoryVariances:
             column = [float(x) for x in xs[:, d]]
             mean = sum(column) / len(column)
             oracle.append(sum((v - mean) ** 2 for v in column) / len(column))
-        got = history_variances(history)
+        got = history.variances()
         assert np.allclose(got, oracle, rtol=1e-12, atol=0.0)
 
 
@@ -327,7 +347,7 @@ class TestKnnEvaluate:
         for _ in range(6):
             batch = [evaluate_noisy(problem, noise, rng.random(2), rng) for _ in range(10)]
             out = knn_evaluate(batch, history, config)
-            variances = history_variances(history)
+            variances = history.variances()
             all_vars = history.variables_matrix()
             all_raws = history.raw_matrix()
             rows = range(len(history) - len(batch), len(history))
@@ -370,24 +390,6 @@ class TestKnnEvaluate:
             outputs.append(out[0].objectives[0])
         assert np.var(outputs) < 0.5  # iid variance is 1.0; 5-way averaging cuts it
 
-    def test_weight_shapes_differ(self):
-        history1 = EvaluationHistory(2, 2)
-        history2 = EvaluationHistory(2, 2)
-        batch = [
-            make_solution([0.0, 0.0], [0.0, 0.0]),
-            make_solution([0.2, 0.0], [1.0, 1.0]),
-            make_solution([0.9, 0.9], [2.0, 2.0]),
-        ]
-        clones = [make_solution(s.variables, s.raw_objectives) for s in batch]
-        squared = knn_evaluate(
-            batch, history1, KnnConfig(k=3, max_dist=4.0, weighting=WeightShape.SQUARED)
-        )
-        uniform = knn_evaluate(
-            clones, history2, KnnConfig(k=3, max_dist=4.0, weighting=WeightShape.UNIFORM)
-        )
-        assert not np.array_equal(squared[0].objectives, uniform[0].objectives)
-        assert np.allclose(uniform[0].objectives, [1.0, 1.0])
-
     def test_variables_preserved(self):
         history = EvaluationHistory(2, 2)
         batch = [make_solution([0.31, 0.62], [1.0, 2.0]), make_solution([0.30, 0.60], [3.0, 4.0])]
@@ -413,12 +415,7 @@ def reference_average(history, rows, config, distances):
         if chosen.shape[0] == 1:
             out.append(raws[row].copy())
             continue
-        if config.weighting is WeightShape.SQUARED:
-            weights = np.maximum(config.max_dist - d[chosen] ** 2, 0.0)
-        elif config.weighting is WeightShape.LINEAR:
-            weights = np.maximum(config.max_dist - d[chosen], 0.0)
-        else:
-            weights = np.ones(chosen.shape[0])
+        weights = np.maximum(config.max_dist - d[chosen] ** 2, 0.0)
         total = weights.sum()
         out.append(raws[row].copy() if total <= 0.0 else weights @ raws[chosen] / total)
     return np.array(out)
@@ -457,15 +454,16 @@ def averaging_cases(draw):
         x[:] = x[0]
     raws = rng.standard_normal((total, 2))
     k = draw(st.integers(1, 12))
-    weighting = draw(st.sampled_from(list(WeightShape)))
     boundary = draw(st.booleans())
     max_dist = draw(st.floats(0.05, 3.0))
-    return x, raws, n_prior, k, weighting, boundary, max_dist
+    return x, raws, n_prior, k, boundary, max_dist
 
 
-def assert_matches_definition(x, raws, n_prior, k, weighting, pick_max_dist):
+def assert_matches_definition(x, raws, n_prior, k, pick_max_dist):
     """Run ``knn_evaluate`` on rows ``n_prior:`` of ``x`` over a history
-    holding rows ``:n_prior`` and compare it bitwise with the definition.
+    holding rows ``:n_prior`` and compare it bitwise with the definition:
+    first the (query, record, distance) pairs kept within the cutoff, then
+    the weighted means.
 
     ``pick_max_dist`` maps the full query-by-record distance matrix to the
     cutoff, so a test can place the cutoff on a distance that occurs.
@@ -479,9 +477,17 @@ def assert_matches_definition(x, raws, n_prior, k, weighting, pick_max_dist):
     batch = solutions[n_prior:]
     rows = reference_history.append_batch(batch)
     records = reference_history.variables_matrix()
-    distances = full_distance_matrix(records[rows], records, reference_history.variances())
-    config = KnnConfig(k=k, max_dist=pick_max_dist(distances), weighting=weighting)
+    variances = reference_history.variances()
+    distances = full_distance_matrix(records[rows], records, variances)
+    config = KnnConfig(k=k, max_dist=pick_max_dist(distances))
     expected = reference_average(reference_history, rows, config, distances)
+
+    kept = zip(*_neighbor_pairs(records[rows], records, variances, config.max_dist))
+    q_idx, r_idx = np.nonzero(distances <= config.max_dist)
+    within = zip(q_idx, r_idx, distances[q_idx, r_idx])
+    assert sorted((int(q), int(r), float(d)) for q, r, d in kept) == sorted(
+        (int(q), int(r), float(d)) for q, r, d in within
+    )
 
     out = knn_evaluate(batch, kernel_history, config)
     got = np.array([s.objectives for s in out])
@@ -494,7 +500,7 @@ def assert_matches_definition(x, raws, n_prior, k, weighting, pick_max_dist):
 class TestKnnEvaluateMatchesDefinition:
     @given(averaging_cases())
     def test_bitwise_equal_to_full_matrix_definition(self, case):
-        x, raws, n_prior, k, weighting, boundary, max_dist = case
+        x, raws, n_prior, k, boundary, max_dist = case
 
         def pick(distances):
             positive = distances[distances > 0.0]
@@ -503,18 +509,16 @@ class TestKnnEvaluateMatchesDefinition:
                 return float(np.sort(positive)[positive.size // 2])
             return max_dist
 
-        assert_matches_definition(x, raws, n_prior, k, weighting, pick)
+        assert_matches_definition(x, raws, n_prior, k, pick)
 
     def test_records_exactly_at_the_cutoff_are_kept(self):
         # At d=30 the pre-filter's cdist rounds above the exact distance for
         # about a fifth of all pairs; its margin must keep those on the
-        # cutoff. Uniform weights make every kept neighbor move the mean.
+        # cutoff, which the kept-pair comparison sees directly.
         rng = RngStream(67)
         x, raws = rng.random((40, 30)), rng.random((40, 2))
         for record in range(30):
-            assert_matches_definition(
-                x, raws, 30, 40, WeightShape.UNIFORM, lambda dist: float(dist[0, record])
-            )
+            assert_matches_definition(x, raws, 30, 40, lambda dist: float(dist[0, record]))
 
 
 class TestHistoryRows:

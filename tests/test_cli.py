@@ -2,10 +2,12 @@
 
 import csv
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from knnavg.cli import main
+from knnavg.cli import build_parser, main
 
 
 def run_cli(argv):
@@ -83,48 +85,18 @@ class TestSingle:
         b.pop("duration_s")
         assert a == b
 
-    def test_out_file_with_history(self, tmp_path, capsys):
+    def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "run.json"
-        argv = SINGLE_BASE + ["--include-history", "--out", str(target)]
-        assert run_cli(argv) == 0
+        assert run_cli(SINGLE_BASE + ["--out", str(target)]) == 0
         assert capsys.readouterr().out == ""
         payload = json.loads(target.read_text(encoding="utf-8"))
-        assert len(payload["history"]["rows"]) == 60
-        assert payload["history"]["columns"][0] == "batch"
+        assert payload["history_length"] == 60
+        assert "history" not in payload
 
     def test_missing_required_flag_rejected(self):
         with pytest.raises(SystemExit) as err:
             run_cli(["single", "--problem", "zdt1"])
         assert err.value.code == 1
-
-
-class TestHistory:
-    def test_json_to_csv(self, tmp_path, capsys):
-        source = tmp_path / "run.json"
-        run_cli(SINGLE_BASE + ["--include-history", "--out", str(source)])
-        target = tmp_path / "history.csv"
-        assert run_cli(["history", "--in", str(source), "--out", str(target)]) == 0
-        with target.open(newline="") as handle:
-            rows = list(csv.reader(handle))
-        assert rows[0][0] == "batch"
-        assert len(rows) == 61
-
-    def test_stdout(self, tmp_path, capsys):
-        source = tmp_path / "run.json"
-        run_cli(SINGLE_BASE + ["--include-history", "--out", str(source)])
-        capsys.readouterr()
-        assert run_cli(["history", "--in", str(source)]) == 0
-        out = capsys.readouterr().out
-        assert out.splitlines()[0].startswith("batch,")
-
-    def test_missing_embedded_history(self, tmp_path, capsys):
-        source = tmp_path / "bare.json"
-        run_cli(SINGLE_BASE + ["--out", str(source)])
-        assert run_cli(["history", "--in", str(source)]) == 1
-        assert "include-history" in capsys.readouterr().err
-
-    def test_missing_file(self, tmp_path, capsys):
-        assert run_cli(["history", "--in", str(tmp_path / "nope.json")]) == 1
 
 
 RUN_FLAGS = [
@@ -228,6 +200,22 @@ class TestRun:
         assert "unknown key 'repetitions' in [grid]" in err
         assert "[run]" in err
 
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("[grid]\nks = 2.7\n", "[grid] ks"),
+            ("[grid]\nproblems = zdt1\nn_vars = 2\nsigmas = 0.2\npop_sizes = 10\n"
+             "ks = 3\nmax_dists = 0.25\n[run]\nrepetitions = ten\n", "[run] repetitions"),
+        ],
+        ids=["grid-ks", "run-repetitions"],
+    )
+    def test_malformed_config_number_rejected(self, tmp_path, capsys, text, where):
+        # used to end in an uncaught ValueError traceback
+        config = tmp_path / "campaign.ini"
+        config.write_text(text, encoding="utf-8")
+        assert run_cli(["run", "--config", str(config)]) == 1
+        assert f"error: {where}: cannot parse" in capsys.readouterr().err
+
     def test_unknown_config_section_rejected(self, tmp_path, capsys):
         config = tmp_path / "campaign.ini"
         config.write_text("[grids]\nproblems = zdt1\n", encoding="utf-8")
@@ -272,3 +260,23 @@ class TestParsing:
         with pytest.raises(SystemExit) as err:
             run_cli(["front", "--problem", "zdt1", "--bogus"])
         assert err.value.code == 1
+
+
+def readme_commands():
+    """Every ``knnavg <subcommand> --flag ...`` line of README.md, continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for line in text.replace("\\\n", " ").splitlines():
+        line = line.split("#")[0].strip()
+        if line.startswith("knnavg ") and " --" in line:
+            commands.append(line)
+    return commands
+
+
+class TestReadme:
+    def test_every_readme_command_parses(self):
+        commands = readme_commands()
+        parser = build_parser()
+        for command in commands:
+            parser.parse_args(shlex.split(command)[1:])
+        assert {shlex.split(c)[1] for c in commands} == {"run", "single", "report", "front"}

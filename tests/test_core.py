@@ -1,16 +1,21 @@
-"""Core types: dominance, filtering, and the seeded random stream."""
+"""Core types: dominance, filtering, count checks, and the seeded random stream."""
+
+import math
 
 import numpy as np
 import pytest
 
+from knnavg.averaging import KnnConfig
 from knnavg.core import (
     ContractViolationError,
-    ProblemSpec,
     RngStream,
     Solution,
     dominates,
     non_dominated_filter,
 )
+from knnavg.experiment import ExperimentGrid
+from knnavg.nsga2 import GaConfig
+from knnavg.problems import ZdtProblem
 
 
 def sol(*objectives):
@@ -45,24 +50,47 @@ class TestSolution:
             Solution(variables=np.zeros(2), objectives=["a", "b"])
 
 
-class TestProblemSpec:
-    def test_valid_spec(self):
-        spec = ProblemSpec("box", 3, 2, np.zeros(3), np.ones(3))
-        lower, upper = spec.bounds
-        assert lower.shape == (3,)
-        assert np.all(lower < upper)
+def grid_with(**overrides):
+    fields = dict(
+        problems=("zdt1",), n_vars_list=(2,), sigmas=(0.1,),
+        pop_sizes=(10,), ks=(3,), max_dists=(0.25,),
+    )
+    fields.update(overrides)
+    return ExperimentGrid(**fields)
 
-    def test_bounds_must_be_ordered(self):
-        with pytest.raises(ContractViolationError):
-            ProblemSpec("bad", 2, 2, np.array([0.0, 1.0]), np.array([1.0, 1.0]))
 
-    def test_bounds_length_checked(self):
-        with pytest.raises(ContractViolationError):
-            ProblemSpec("bad", 2, 2, np.zeros(3), np.ones(3))
+# Every count of the public configuration types, read back after validation.
+COUNTS = {
+    "KnnConfig.k": lambda v: KnnConfig(k=v, max_dist=1.0).k,
+    "GaConfig.pop_size": lambda v: GaConfig(pop_size=v, generations=5).pop_size,
+    "GaConfig.generations": lambda v: GaConfig(pop_size=10, generations=v).generations,
+    "ZdtProblem.n_vars": lambda v: ZdtProblem("zdt1", v).n_vars,
+    "ExperimentGrid.n_vars_list": lambda v: grid_with(n_vars_list=(v,)).n_vars_list[0],
+    "ExperimentGrid.pop_sizes": lambda v: grid_with(pop_sizes=(v,)).pop_sizes[0],
+    "ExperimentGrid.ks": lambda v: grid_with(ks=(v,)).ks[0],
+    "ExperimentGrid.repetitions": lambda v: grid_with(repetitions=v).repetitions,
+    "ExperimentGrid.generations": lambda v: grid_with(generations=v).generations,
+}
 
-    def test_single_objective_rejected(self):
-        with pytest.raises(ContractViolationError):
-            ProblemSpec("bad", 2, 1, np.zeros(2), np.ones(2))
+
+class TestCounts:
+    @pytest.mark.parametrize("field", sorted(COUNTS))
+    @pytest.mark.parametrize(
+        "value, accepted",
+        [
+            (10, True), (np.int64(10), True), (10.0, True),
+            # each of these used to be truncated: 10.7 -> 10, True -> 1
+            (10.7, False), (True, False), (np.True_, False),
+            ("10", False), (None, False), (math.nan, False), (math.inf, False),
+        ],
+    )
+    def test_counts_are_integral(self, field, value, accepted):
+        if accepted:
+            count = COUNTS[field](value)
+            assert count == 10 and type(count) is int
+        else:
+            with pytest.raises(ContractViolationError):
+                COUNTS[field](value)
 
 
 class TestDominates:

@@ -212,6 +212,37 @@ class TestRunGrid:
             r.config.fingerprint for r in full.results
         }
 
+    def test_torn_last_row_is_dropped_and_run_again(self, tmp_path):
+        # a crash mid-write leaves a partial last row; it used to count as
+        # persisted on resume and to crash loading
+        def table_rows(path):
+            with path.open(newline="") as handle:
+                return [
+                    {key: value for key, value in row.items() if key != "duration_s"}
+                    for row in csv.DictReader(handle)
+                ]
+
+        grid = tiny_grid(repetitions=1, generations=2)
+        run_grid(grid, out_dir=tmp_path / "clean", front_sample_size=50)
+        expected = table_rows(tmp_path / "clean" / RESULTS_FILENAME)
+        table = (tmp_path / "clean" / RESULTS_FILENAME).read_bytes()
+        last_row = table.rstrip(b"\r\n").rfind(b"\n") + 1
+        path = tmp_path / "torn" / RESULTS_FILENAME
+        path.parent.mkdir()
+        # cuts inside the header leave nothing: the table starts over
+        for cut in [0, 7, *range(last_row, len(table))]:
+            path.write_bytes(table[:cut])
+            outcome = run_grid(grid, out_dir=path.parent, front_sample_size=50)
+            assert outcome.skipped + len(outcome.results) == len(expected)
+            assert table_rows(path) == expected, cut
+
+    def test_unparsable_row_names_its_line(self, tmp_path):
+        run_grid(tiny_grid(), out_dir=tmp_path)
+        path = tmp_path / RESULTS_FILENAME
+        path.write_bytes(path.read_bytes()[:-40])
+        with pytest.raises(ContractViolationError, match="line 5"):
+            load_results(tmp_path)
+
     def test_parallel_matches_serial(self, tmp_path):
         grid = tiny_grid()
         serial = run_grid(grid, out_dir=tmp_path / "serial")

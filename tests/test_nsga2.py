@@ -2,14 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from knnavg.averaging import EvaluationHistory, KnnConfig
-from knnavg.core import ContractViolationError, RngStream, Solution, dominates
+from knnavg.core import ContractViolationError, RngStream, Solution, dominates, non_dominated_filter
 from knnavg.metrics import hypervolume_2d
 from knnavg.nsga2 import (
     GaConfig,
     KnnAveraged,
     PlainNoisy,
+    _first_front,
+    _survival,
     crowding_distance,
     fast_non_dominated_sort,
     polynomial_mutation,
@@ -90,6 +94,38 @@ class TestFastNonDominatedSort:
                 for i in front:
                     for j in front:
                         assert not dominates(population[i], population[j])
+
+
+@st.composite
+def survival_cases(draw):
+    """Parents plus offspring and a target, shaped to hit ties and big fronts."""
+    n = draw(st.integers(2, 40))
+    m = draw(st.sampled_from([2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["grid", "trade-off", "random"]))
+    if shape == "grid":
+        # few distinct values: equal objectives and exact duplicates
+        objs = rng.integers(0, 3, size=(n, m)).astype(float)
+    elif shape == "trade-off":
+        # mostly one front, larger than the target
+        f1 = rng.random(n)
+        objs = np.column_stack([f1, 1.0 - f1] + [rng.random(n)] * (m - 2))
+        objs[rng.random(n) < 0.2] += 0.5
+    else:
+        objs = rng.random((n, m))
+    for _ in range(draw(st.integers(0, n // 2))):
+        objs[rng.integers(n)] = objs[rng.integers(n)]
+    return sols(*objs), draw(st.integers(1, n))
+
+
+class TestSurvival:
+    @given(survival_cases())
+    def test_rank0_survivors_are_the_survivors_front(self, case):
+        combined, target = case
+        survivors, ranks, _ = _survival(combined, target)
+        assert len(survivors) == target
+        front = _first_front(survivors, ranks)
+        assert [id(s) for s in front] == [id(s) for s in non_dominated_filter(survivors)]
 
 
 class TestCrowdingDistance:

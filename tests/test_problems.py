@@ -33,7 +33,7 @@ class TestZdtProblem:
         assert np.array_equal(lower, np.zeros(4))
         assert np.array_equal(upper, np.ones(4))
         assert problem.n_objs == 2
-        assert problem.spec.name == "zdt2-n4"
+        assert problem.name == "zdt2-n4"
 
 
 class TestEvaluateTrue:
@@ -92,18 +92,24 @@ class TestNoiseSpec:
             NoiseSpec(-0.1)
 
     def test_scalar_broadcast(self):
-        assert np.array_equal(NoiseSpec(0.5).sigmas(2), [0.5, 0.5])
+        # the one sigma scales the draw of every objective
+        problem = ZdtProblem("zdt1", 2)
+        x = np.array([0.3, 0.6])
+        sample = evaluate_noisy(problem, NoiseSpec(0.5), x, RngStream(8))
+        draws = RngStream(8).standard_normal(2)
+        assert np.array_equal(sample.raw_objectives, evaluate_true(problem, x) + 0.5 * draws)
 
-    def test_vector_sigma_length_checked(self):
-        spec = NoiseSpec((0.1, 0.2))
-        assert np.array_equal(spec.sigmas(2), [0.1, 0.2])
+    def test_sigma_stored_as_float(self):
+        for value in (1, np.float32(0.5), np.int64(2)):
+            sigma = NoiseSpec(value).sigma
+            assert sigma == float(value) and type(sigma) is float
+
+    def test_vector_sigma_rejected(self):
+        # one sigma is shared by both objectives; a vector is a contract violation
         with pytest.raises(ContractViolationError):
-            spec.sigmas(3)
-
-    def test_is_zero(self):
-        assert NoiseSpec(0.0).is_zero
-        assert not NoiseSpec(0.1).is_zero
-        assert NoiseSpec((0.0, 0.0)).is_zero
+            NoiseSpec((0.1, 0.2))
+        with pytest.raises(ContractViolationError):
+            NoiseSpec("0.1 0.2")
 
 
 class TestEvaluateNoisy:
@@ -153,15 +159,6 @@ class TestEvaluateNoisy:
         )
         corr = np.corrcoef(deltas[:, 0], deltas[:, 1])[0, 1]
         assert abs(corr) < 0.05
-
-    def test_per_objective_sigma(self):
-        problem = ZdtProblem("zdt1", 2)
-        rng = RngStream(33)
-        x = np.array([0.5, 0.5])
-        true = evaluate_true(problem, x)
-        s = evaluate_noisy(problem, NoiseSpec((0.0, 0.5)), x, rng)
-        assert s.raw_objectives[0] == true[0]
-        assert s.raw_objectives[1] != true[1]
 
 
 class TestMeanObjectives:
