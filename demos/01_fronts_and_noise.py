@@ -53,9 +53,7 @@ truth = evaluate_true(problem, x)
 print(f"point x={x.tolist()} has true objectives {truth.round(4).tolist()}")
 for sigma in (0.0, 0.1, 0.5):
     noise = NoiseSpec(sigma)
-    samples = np.array(
-        [evaluate_noisy(problem, noise, x, rng).objectives for _ in range(2000)]
-    )
+    samples = evaluate_noisy(problem, noise, np.tile(x, (2000, 1)), rng).objectives
     err = samples - truth
     print(f"sigma={sigma}: sample mean offset {err.mean(axis=0).round(4).tolist()}"
           f", sd {err.std(axis=0).round(4).tolist()}")
@@ -64,8 +62,7 @@ print()
 print("a single lucky sample can land 'beyond' the front:")
 noise = NoiseSpec(0.1)
 best = None
-for _ in range(200):
-    s = evaluate_noisy(problem, noise, x, rng)
+for s in evaluate_noisy(problem, noise, np.tile(x, (200, 1)), rng):
     # noisy f1 can dip below zero where the front curve is undefined
     with np.errstate(invalid="ignore"):
         margin = (1.0 - np.sqrt(s.objectives[0])) - s.objectives[1]

@@ -15,23 +15,21 @@ from knnavg.averaging import (
     knn_evaluate,
     sed,
 )
-from knnavg.core import Solution
+from knnavg.core import Batch
 
 
-def record(x, f):
-    f = np.asarray(f, dtype=float)
-    return Solution(variables=np.asarray(x, dtype=float),
-                    objectives=f.copy(), raw_objectives=f.copy())
+def samples(xs, fs):
+    """Fresh samples as a batch: decision vectors and their raw objectives."""
+    return Batch(variables=xs, objectives=fs, raw_objectives=fs)
 
 
 history = EvaluationHistory(n_vars=2, n_objs=2)
 
 print("=== batch 0: three early samples ===")
-batch0 = [
-    record([0.20, 0.30], [1.00, 2.00]),
-    record([0.22, 0.31], [1.40, 1.60]),
-    record([0.80, 0.90], [3.00, 0.50]),
-]
+batch0 = samples(
+    [[0.20, 0.30], [0.22, 0.31], [0.80, 0.90]],
+    [[1.00, 2.00], [1.40, 1.60], [3.00, 0.50]],
+)
 config = KnnConfig(k=3, max_dist=2.0)
 out0 = knn_evaluate(batch0, history, config)
 for s in out0:
@@ -60,18 +58,18 @@ print(f"weight of the point itself (distance 0): {config.max_dist}")
 
 print()
 print("=== a new batch joins the history before averaging ===")
-batch1 = [record([0.21, 0.30], [0.60, 2.40])]
+batch1 = samples([[0.21, 0.30]], [[0.60, 2.40]])
 out1 = knn_evaluate(batch1, history, config)
-print(f"  query raw {batch1[0].raw_objectives.tolist()} ->"
-      f" averaged {np.round(out1[0].objectives, 4).tolist()}")
+print(f"  query raw {batch1.raw_objectives[0].tolist()} ->"
+      f" averaged {np.round(out1.objectives[0], 4).tolist()}")
 print("  the query's own noisy sample is one of the neighbors, so the")
 print("  average is pulled toward, but not onto, its nearby records.")
 
 print()
 print("=== k=1 switches averaging off ===")
 lone = EvaluationHistory(2, 2)
-out = knn_evaluate([record([0.5, 0.5], [1.23, 4.56])], lone, KnnConfig(k=1, max_dist=2.0))
-print(f"  k=1 output equals the raw sample exactly: {out[0].objectives.tolist()}")
+out = knn_evaluate(samples([[0.5, 0.5]], [[1.23, 4.56]]), lone, KnnConfig(k=1, max_dist=2.0))
+print(f"  k=1 output equals the raw sample exactly: {out.objectives[0].tolist()}")
 
 print()
 print("=== everything the history recorded ===")

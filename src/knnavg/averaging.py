@@ -29,12 +29,11 @@ O(b * n) memory, independent of the number of dimensions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .core import ContractViolationError, Solution, as_count
+from .core import Batch, ContractViolationError, as_count
 
 __all__ = [
     "ZERO_VARIANCE_EPS",
@@ -102,28 +101,24 @@ class EvaluationHistory:
     def batch_count(self) -> int:
         return int(self._batches[-1]) + 1 if len(self) else 0
 
-    def append_batch(self, solutions: Sequence[Solution]) -> slice:
-        """Append one batch of sampled solutions; returns their index range.
+    def append_batch(self, variables: np.ndarray, raw_objectives: np.ndarray) -> slice:
+        """Append one batch of samples, given as matrices; returns their index range.
 
-        Every solution must carry raw objectives and match the history's
-        dimensions. The batch is tagged with the next batch number, which
-        under the generational loop is the generation index.
+        ``variables`` is (b, n_vars) and ``raw_objectives`` (b, n_objs) with
+        b >= 1. The batch is tagged with the next batch number, which under
+        the generational loop is the generation index.
         """
-        batch = list(solutions)
-        if not batch:
-            raise ContractViolationError("cannot append an empty batch")
-        for s in batch:
-            if s.raw_objectives is None:
-                raise ContractViolationError("history records need raw objectives")
-            if s.variables.shape != (self.n_vars,) or s.raw_objectives.shape != (self.n_objs,):
-                raise ContractViolationError(
-                    f"solution dimensions {s.variables.shape[0]}x{s.raw_objectives.shape[0]} "
-                    f"do not match history {self.n_vars}x{self.n_objs}"
-                )
+        variables = np.asarray(variables, dtype=np.float64)
+        raws = np.asarray(raw_objectives, dtype=np.float64)
+        b = len(variables) if variables.ndim == 2 else 0
+        if b < 1 or variables.shape != (b, self.n_vars) or raws.shape != (b, self.n_objs):
+            raise ContractViolationError(
+                f"need a non-empty batch of (b, {self.n_vars}) variables and (b, "
+                f"{self.n_objs}) raw objectives, got {variables.shape} and {raws.shape}"
+            )
         start = len(self)
-        raws = np.array([s.raw_objectives for s in batch])
-        numbers = np.full(len(batch), self.batch_count, dtype=np.int64)
-        self._vars = _read_only(np.concatenate((self._vars, [s.variables for s in batch])))
+        numbers = np.full(len(variables), self.batch_count, dtype=np.int64)
+        self._vars = _read_only(np.concatenate((self._vars, variables)))
         self._raws = _read_only(np.concatenate((self._raws, raws)))
         self._avgs = _read_only(np.concatenate((self._avgs, raws)))
         self._batches = _read_only(np.concatenate((self._batches, numbers)))
@@ -225,12 +220,8 @@ def _neighbor_pairs(
     return q_idx[keep], r_idx[keep], dist[keep]
 
 
-def knn_evaluate(
-    population: Iterable[Solution],
-    history: EvaluationHistory,
-    config: KnnConfig,
-) -> list[Solution]:
-    """Assign each solution the weighted mean of its nearest history samples.
+def knn_evaluate(batch: Batch, history: EvaluationHistory, config: KnnConfig) -> Batch:
+    """Assign each row the weighted mean of its nearest history samples.
 
     The incoming batch is appended to ``history`` first, so each solution
     finds itself at distance zero and always takes part in its own average.
@@ -244,13 +235,13 @@ def knn_evaluate(
     Distances follow the module's numerics contract, and memory stays
     within O(batch * history) whatever the number of dimensions.
 
-    Returns new solutions in input order with averaged objectives and the
+    Returns a batch in input order with the averaged objectives and the
     original raw objectives; the averages are also stored in the history.
     """
-    batch = list(population)
-    if not batch:
-        return []
-    rows = history.append_batch(batch)
+    if not len(batch):
+        return batch
+    raws = batch.raw_objectives
+    rows = history.append_batch(batch.variables, raws)
     record_vars = history.variables_matrix()
     record_raws = history.raw_matrix()
     q_idx, r_idx, dist = _neighbor_pairs(
@@ -262,29 +253,19 @@ def knn_evaluate(
     r_idx, dist = r_idx[order], dist[order]
     starts = np.searchsorted(q_idx[order], np.arange(len(batch) + 1))
 
-    averaged = np.empty((len(batch), history.n_objs))
-    out: list[Solution] = []
-    for i, solution in enumerate(batch):
+    averaged = raws.copy()
+    for i in range(len(batch)):
         lo = starts[i]
         hi = min(starts[i + 1], lo + config.k)
-        mean = np.array(solution.raw_objectives)
         # Only the solution itself kept: averaging would reproduce the raw
         # sample up to rounding; keep it exact instead.
         if hi - lo > 1:
             weights = np.maximum(config.max_dist - dist[lo:hi] ** 2, 0.0)
             total = weights.sum()
             if total > 0.0:
-                mean = weights @ record_raws[r_idx[lo:hi]] / total
-        averaged[i] = mean
-        out.append(
-            Solution(
-                variables=solution.variables,
-                objectives=mean,
-                raw_objectives=solution.raw_objectives,
-            )
-        )
+                averaged[i] = weights @ record_raws[r_idx[lo:hi]] / total
     history.set_averaged(rows, averaged)
-    return out
+    return Batch(variables=batch.variables, objectives=averaged, raw_objectives=raws)
 
 
 def history_rows(history: EvaluationHistory) -> tuple[list[str], list[list[float]]]:
@@ -299,15 +280,9 @@ def history_rows(history: EvaluationHistory) -> tuple[list[str], list[list[float
         + [f"raw_f{j + 1}" for j in range(history.n_objs)]
         + [f"avg_f{j + 1}" for j in range(history.n_objs)]
     )
-    batches = history.batch_numbers()
-    variables = history.variables_matrix()
-    raws = history.raw_matrix()
-    avgs = history.averaged_matrix()
-    rows = [
-        [int(batches[i])]
-        + [float(v) for v in variables[i]]
-        + [float(v) for v in raws[i]]
-        + [float(v) for v in avgs[i]]
-        for i in range(len(history))
+    values = np.column_stack(
+        (history.variables_matrix(), history.raw_matrix(), history.averaged_matrix())
+    )
+    return header, [
+        [batch] + row for batch, row in zip(history.batch_numbers().tolist(), values.tolist())
     ]
-    return header, rows

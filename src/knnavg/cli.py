@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import json
 import logging
 import sys
@@ -48,6 +49,14 @@ def _split_list(text: str) -> list[str]:
     return [part.strip() for part in text.replace(",", " ").split() if part.strip()]
 
 
+def _ints(text: str) -> list[int]:
+    return [int(v) for v in _split_list(text)]
+
+
+def _floats(text: str) -> list[float]:
+    return [float(v) for v in _split_list(text)]
+
+
 def _grid_from_config(path: str | None, args: argparse.Namespace) -> tuple[ExperimentGrid, dict]:
     """Build the grid from the INI file, letting command-line flags override."""
     sections: dict[str, dict[str, str]] = {}
@@ -58,8 +67,13 @@ def _grid_from_config(path: str | None, args: argparse.Namespace) -> tuple[Exper
             raise ContractViolationError(f"config file not found: {path}")
         sections = {name: dict(parser[name]) for name in parser.sections()}
 
+    # grid axes: INI key (also the flag's attribute) -> parser, in grid order
+    axes = {
+        "problems": _split_list, "n_vars": _ints, "sigmas": _floats,
+        "pop_sizes": _ints, "ks": _ints, "max_dists": _floats,
+    }
     known = {
-        "grid": {"problems", "n_vars", "sigmas", "pop_sizes", "ks", "max_dists"},
+        "grid": set(axes),
         "run": {"repetitions", "generations", "base_seed"},
         "metrics": {"reference_point", "front_sample_size"},
     }
@@ -87,42 +101,21 @@ def _grid_from_config(path: str | None, args: argparse.Namespace) -> tuple[Exper
                 f"[{section}] {key}: cannot parse {values[key]!r} ({exc})"
             ) from exc
 
-    problems = pick(args.problems, "grid", "problems", _split_list)
-    n_vars = pick(args.n_vars, "grid", "n_vars", lambda t: [int(v) for v in _split_list(t)])
-    sigmas = pick(args.sigmas, "grid", "sigmas", lambda t: [float(v) for v in _split_list(t)])
-    pops = pick(args.pop_sizes, "grid", "pop_sizes", lambda t: [int(v) for v in _split_list(t)])
-    ks = pick(args.ks, "grid", "ks", lambda t: [int(v) for v in _split_list(t)])
-    max_dists = pick(
-        args.max_dists, "grid", "max_dists", lambda t: [float(v) for v in _split_list(t)]
-    )
-    missing = [
-        name
-        for name, value in [
-            ("problems", problems), ("n_vars", n_vars), ("sigmas", sigmas),
-            ("pop_sizes", pops), ("ks", ks), ("max_dists", max_dists),
-        ]
-        if not value
-    ]
+    levels = {key: pick(getattr(args, key), "grid", key, parse) for key, parse in axes.items()}
+    missing = [key for key, values in levels.items() if not values]
     if missing:
         raise ContractViolationError(
             "grid is incomplete; missing " + ", ".join(missing)
             + " (provide them in the [grid] section or as flags)"
         )
+    levels["n_vars_list"] = levels.pop("n_vars")
     grid = ExperimentGrid(
-        problems=tuple(problems),
-        n_vars_list=tuple(n_vars),
-        sigmas=tuple(sigmas),
-        pop_sizes=tuple(pops),
-        ks=tuple(ks),
-        max_dists=tuple(max_dists),
+        **{key: tuple(values) for key, values in levels.items()},
         repetitions=pick(args.repetitions, "run", "repetitions", int, 30),
         generations=pick(args.generations, "run", "generations", int, 100),
         base_seed=pick(args.base_seed, "run", "base_seed", int, 0),
     )
-    reference = pick(
-        args.reference, "metrics", "reference_point",
-        lambda t: tuple(float(v) for v in _split_list(t)), DEFAULT_REFERENCE,
-    )
+    reference = pick(args.reference, "metrics", "reference_point", _floats, DEFAULT_REFERENCE)
     reference = tuple(float(v) for v in reference)
     if len(reference) != 2:
         raise ContractViolationError("reference point needs exactly two coordinates")
@@ -141,25 +134,16 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", help="output directory (results.csv, resumable)")
     run_p.add_argument("--parallelism", type=int, default=1, help="worker processes")
     run_p.add_argument("--problems", type=_split_list, help="e.g. zdt1,zdt2,zdt3")
-    run_p.add_argument(
-        "--n-vars", dest="n_vars", type=lambda t: [int(v) for v in _split_list(t)]
-    )
-    run_p.add_argument(
-        "--sigmas", type=lambda t: [float(v) for v in _split_list(t)]
-    )
-    run_p.add_argument(
-        "--pop-sizes", dest="pop_sizes", type=lambda t: [int(v) for v in _split_list(t)]
-    )
-    run_p.add_argument("--ks", type=lambda t: [int(v) for v in _split_list(t)])
-    run_p.add_argument(
-        "--max-dists", dest="max_dists", type=lambda t: [float(v) for v in _split_list(t)]
-    )
+    run_p.add_argument("--n-vars", dest="n_vars", type=_ints)
+    run_p.add_argument("--sigmas", type=_floats)
+    run_p.add_argument("--pop-sizes", dest="pop_sizes", type=_ints)
+    run_p.add_argument("--ks", type=_ints)
+    run_p.add_argument("--max-dists", dest="max_dists", type=_floats)
     run_p.add_argument("--reps", dest="repetitions", type=int)
     run_p.add_argument("--generations", type=int)
     run_p.add_argument("--base-seed", dest="base_seed", type=int)
     run_p.add_argument(
-        "--reference", type=lambda t: tuple(float(v) for v in _split_list(t)),
-        help="hypervolume reference point, e.g. '11,11'",
+        "--reference", type=_floats, help="hypervolume reference point, e.g. '11,11'"
     )
     run_p.add_argument("--front-samples", dest="front_samples", type=int)
     run_p.add_argument(
@@ -179,10 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     single_p.add_argument("--seed", type=int, required=True)
     single_p.add_argument("--k", type=int, help="averaging neighbor count (omit for baseline)")
     single_p.add_argument("--max-dist", dest="max_dist", type=float)
-    single_p.add_argument(
-        "--reference", type=lambda t: tuple(float(v) for v in _split_list(t)),
-        default=DEFAULT_REFERENCE,
-    )
+    single_p.add_argument("--reference", type=_floats, default=DEFAULT_REFERENCE)
     single_p.add_argument(
         "--front-samples", dest="front_samples", type=int, default=DEFAULT_FRONT_SAMPLE_SIZE
     )
@@ -234,15 +215,8 @@ def _cmd_single(args: argparse.Namespace) -> int:
     if arm == "knn":
         KnnConfig(k=args.k, max_dist=args.max_dist)  # validates early
     config = RunConfig(
-        problem=args.problem,
-        n_vars=args.n_vars,
-        sigma=args.sigma,
-        pop_size=args.pop_size,
-        generations=args.generations,
-        arm=arm,
-        k=args.k,
-        max_dist=args.max_dist,
-        rep=0,
+        problem=args.problem, n_vars=args.n_vars, sigma=args.sigma, pop_size=args.pop_size,
+        generations=args.generations, arm=arm, k=args.k, max_dist=args.max_dist, rep=0,
         seed=RngStream(args.seed).seed,
     )
     result = execute_run(
@@ -253,13 +227,7 @@ def _cmd_single(args: argparse.Namespace) -> int:
     )
     payload = result.optimization.to_dict()
     payload["fingerprint"] = config.fingerprint
-    payload["metrics"] = {
-        "hv_mean_adjusted": result.metrics.hv_mean_adjusted,
-        "igd_mean_adjusted": result.metrics.igd_mean_adjusted,
-        "delta_f": result.metrics.delta_f,
-        "reference_point": list(result.metrics.reference_point),
-        "front_sample_size": result.metrics.front_sample_size,
-    }
+    payload["metrics"] = dataclasses.asdict(result.metrics)
     payload["duration_s"] = result.duration_s
     text = json.dumps(payload, indent=2)
     if args.out:

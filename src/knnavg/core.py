@@ -1,15 +1,17 @@
-"""Core domain types: solutions, dominance, seeded RNG, count checks.
+"""Core domain types: solutions, batches, dominance, seeded RNG, count checks.
 
 Everything downstream (benchmark functions, neighbor averaging, the search
 engine, the quality indicators) is built on the small value types defined
-here. All of them are immutable after construction; ``RngStream`` is the one
-stateful object and is owned by exactly one run.
+here. A ``Batch`` holds many solutions as the rows of three matrices and is
+what the search loop works on; a ``Solution`` is one row, handed out at the
+API edge. All of them are immutable after construction; ``RngStream`` is
+the one stateful object and is owned by exactly one run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy.special import ndtri
@@ -18,6 +20,7 @@ __all__ = [
     "STREAM_VERSION",
     "ContractViolationError",
     "Solution",
+    "Batch",
     "RngStream",
     "as_count",
     "dominance_matrix",
@@ -56,14 +59,14 @@ def as_count(value, name: str, minimum: int) -> int:
     return count
 
 
-def _frozen_array(values, context: str) -> np.ndarray:
-    """Copy ``values`` into a read-only float vector."""
+def _frozen_array(values, context: str, ndim: int = 1) -> np.ndarray:
+    """Copy ``values`` into a read-only float array of ``ndim`` dimensions."""
     try:
         arr = np.array(values, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise ContractViolationError(f"{context}: not a numeric array") from exc
-    if arr.ndim != 1:
-        raise ContractViolationError(f"{context}: expected a 1-d vector, got shape {arr.shape}")
+    if arr.ndim != ndim:
+        raise ContractViolationError(f"{context}: expected {ndim}-d, got shape {arr.shape}")
     arr.setflags(write=False)
     return arr
 
@@ -101,6 +104,50 @@ class Solution:
     @property
     def n_objs(self) -> int:
         return self.objectives.shape[0]
+
+
+@dataclass(frozen=True, eq=False)
+class Batch:
+    """Solutions as the rows of three read-only matrices.
+
+    Row i of ``variables`` (b, n), ``objectives`` (b, m) and
+    ``raw_objectives`` (b, m) is one solution, with the meaning the fields
+    of :class:`Solution` have. The matrices are copied and frozen. Iterating
+    yields the rows as :class:`Solution` objects.
+    """
+
+    variables: np.ndarray
+    objectives: np.ndarray
+    raw_objectives: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("variables", "objectives", "raw_objectives"):
+            object.__setattr__(self, name, _frozen_array(getattr(self, name), name, ndim=2))
+        rows = self.variables.shape[0]
+        if self.raw_objectives.shape != self.objectives.shape or self.objectives.shape[0] != rows:
+            raise ContractViolationError(
+                f"mismatched shapes: variables {self.variables.shape}, objectives "
+                f"{self.objectives.shape}, raw_objectives {self.raw_objectives.shape}"
+            )
+
+    def __len__(self) -> int:
+        return self.variables.shape[0]
+
+    def __iter__(self) -> Iterator[Solution]:
+        for x, f, raw in zip(self.variables, self.objectives, self.raw_objectives):
+            yield Solution(variables=x, objectives=f, raw_objectives=raw)
+
+    def take(self, index) -> "Batch":
+        """The rows selected by an index array or boolean mask, in that order."""
+        return Batch(self.variables[index], self.objectives[index], self.raw_objectives[index])
+
+    def concat(self, other: "Batch") -> "Batch":
+        """This batch's rows followed by ``other``'s."""
+        return Batch(
+            np.concatenate((self.variables, other.variables)),
+            np.concatenate((self.objectives, other.objectives)),
+            np.concatenate((self.raw_objectives, other.raw_objectives)),
+        )
 
 
 class RngStream:
@@ -187,10 +234,15 @@ def dominance_matrix(objs: np.ndarray) -> np.ndarray:
     """``dom[i, j]`` is True when row i of ``objs`` Pareto-dominates row j.
 
     Minimization: nowhere worse and strictly better somewhere. Equal rows
-    do not dominate each other.
+    do not dominate each other. The comparisons are accumulated one
+    objective at a time on (n, n) matrices, never on an (n, n, m) tensor.
     """
-    less_eq = np.all(objs[:, None, :] <= objs[None, :, :], axis=2)
-    strict = np.any(objs[:, None, :] < objs[None, :, :], axis=2)
+    n = objs.shape[0]
+    less_eq = np.ones((n, n), dtype=bool)
+    strict = np.zeros((n, n), dtype=bool)
+    for column in objs.T:
+        less_eq &= column[:, None] <= column[None, :]
+        strict |= column[:, None] < column[None, :]
     return less_eq & strict
 
 

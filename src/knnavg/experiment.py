@@ -10,13 +10,16 @@ signed-rank comparison relies on.
 
 Results persist as an append-only CSV, one row per finished run, which
 makes interrupted grids resumable: already persisted fingerprints are
-skipped on the next invocation.
+skipped on the next invocation, provided their rows were produced under the
+same seed, reference point and front sample size.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
+import itertools
 import logging
 import os
 import time
@@ -223,36 +226,22 @@ def expand_grid(grid: ExperimentGrid) -> list[RunConfig]:
     pop_size); within a cell the baseline arm comes first, then the
     averaging settings in (k, max_dist) order, repetitions innermost.
     """
-    configs: list[RunConfig] = []
-    for problem in grid.problems:
-        for n_vars in grid.n_vars_list:
-            for sigma in grid.sigmas:
-                for pop_size in grid.pop_sizes:
-                    def seeded(arm: str, k: int | None, max_dist: float | None) -> None:
-                        for rep in range(grid.repetitions):
-                            configs.append(
-                                RunConfig(
-                                    problem=problem,
-                                    n_vars=n_vars,
-                                    sigma=sigma,
-                                    pop_size=pop_size,
-                                    generations=grid.generations,
-                                    arm=arm,
-                                    k=k,
-                                    max_dist=max_dist,
-                                    rep=rep,
-                                    seed=_pairing_seed(
-                                        grid.base_seed, problem, n_vars, sigma,
-                                        pop_size, grid.generations, rep,
-                                    ),
-                                )
-                            )
-
-                    seeded(ARM_BASELINE, None, None)
-                    for k in grid.ks:
-                        for max_dist in grid.max_dists:
-                            seeded(ARM_KNN, k, max_dist)
-    return configs
+    arms = [(ARM_BASELINE, None, None)] + [
+        (ARM_KNN, k, max_dist) for k in grid.ks for max_dist in grid.max_dists
+    ]
+    cells = itertools.product(grid.problems, grid.n_vars_list, grid.sigmas, grid.pop_sizes)
+    return [
+        RunConfig(
+            problem=problem, n_vars=n_vars, sigma=sigma, pop_size=pop_size,
+            generations=grid.generations, arm=arm, k=k, max_dist=max_dist, rep=rep,
+            seed=_pairing_seed(
+                grid.base_seed, problem, n_vars, sigma, pop_size, grid.generations, rep
+            ),
+        )
+        for problem, n_vars, sigma, pop_size in cells
+        for arm, k, max_dist in arms
+        for rep in range(grid.repetitions)
+    ]
 
 
 @dataclass(eq=False)
@@ -327,18 +316,12 @@ def _result_row(result: RunResult) -> dict[str, str]:
 
 
 def _row_to_result(row: dict[str, str]) -> RunResult:
-    arm = row["arm"]
     config = RunConfig(
-        problem=row["problem"],
-        n_vars=int(row["n_vars"]),
-        sigma=float(row["sigma"]),
-        pop_size=int(row["pop_size"]),
-        generations=int(row["generations"]),
-        arm=arm,
+        problem=row["problem"], n_vars=int(row["n_vars"]), sigma=float(row["sigma"]),
+        pop_size=int(row["pop_size"]), generations=int(row["generations"]), arm=row["arm"],
         k=int(row["k"]) if row["k"] else None,
         max_dist=float(row["max_dist"]) if row["max_dist"] else None,
-        rep=int(row["rep"]),
-        seed=int(row["seed"]),
+        rep=int(row["rep"]), seed=int(row["seed"]),
     )
     metrics = MetricReport(
         hv_mean_adjusted=float(row["hv_mean_adjusted"]),
@@ -392,10 +375,10 @@ def write_history_csv(path: str | Path, optimization: OptimizationResult) -> Non
 class _ResultsWriter:
     """Single append-only writer for the shared results table.
 
-    ``persisted`` holds the fingerprints already in the table. A crash
-    mid-write can leave a partial last line. Opening cuts the table back to
-    its last line end, so that run counts as not persisted and runs again;
-    a table with nothing left starts over with its header.
+    ``persisted`` maps the fingerprints already in the table to their rows.
+    A crash mid-write can leave a partial last line. Opening cuts the table
+    back to its last line end, so that run counts as not persisted and runs
+    again; a table with nothing left starts over with its header.
     """
 
     def __init__(self, out_dir: Path) -> None:
@@ -407,7 +390,8 @@ class _ResultsWriter:
             logger.warning("dropping a torn last row of %s", self.path)
             os.truncate(self.path, keep)
         self.persisted = {
-            row["fingerprint"] for row in csv.DictReader(data[:keep].decode().splitlines())
+            row["fingerprint"]: row
+            for row in csv.DictReader(data[:keep].decode().splitlines())
         }
         self._handle = self.path.open("a", newline="")
         self._writer = csv.DictWriter(self._handle, fieldnames=_RESULT_COLUMNS)
@@ -421,6 +405,39 @@ class _ResultsWriter:
 
     def close(self) -> None:
         self._handle.close()
+
+
+def _check_resumable(
+    persisted: dict[str, dict[str, str]], configs: Sequence[RunConfig],
+    reference: tuple[float, float], front_sample_size: int, path: Path,
+) -> None:
+    """Refuse to skip a persisted run that was produced under other settings.
+
+    The fingerprint names the cell, arm and repetition only; the seed (from
+    the base seed), the reference point and the front sample size stored
+    with the run must equal what this grid would run it with.
+    """
+    for config in configs:
+        row = persisted.get(config.fingerprint)
+        if row is None:
+            continue
+        try:
+            stored = _row_to_result(row)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ContractViolationError(
+                f"{path}: run {config.fingerprint}: unparsable row ({exc})"
+            ) from exc
+        for column, old, new in (
+            ("seed", stored.config.seed, config.seed),
+            ("ref_f1/ref_f2", stored.metrics.reference_point, tuple(map(float, reference))),
+            ("front_sample_size", stored.metrics.front_sample_size, front_sample_size),
+        ):
+            if old != new:
+                raise ContractViolationError(
+                    f"{path} holds run {config.fingerprint} with {column}={old}, but this grid "
+                    f"would run it with {column}={new}; resume with the original settings or "
+                    "write to another output directory"
+                )
 
 
 def _grid_worker(
@@ -468,7 +485,9 @@ def run_grid(
     directory, every finished run is appended to the results table
     immediately (a single writer in the coordinating process), so crashes
     lose at most the in-flight runs; on re-invocation, runs whose
-    fingerprints are already persisted are skipped. A failing run is
+    fingerprints are already persisted are skipped. A persisted run whose
+    seed, reference point or front sample size differs from this grid's is
+    a contract violation, raised before anything runs. A failing run is
     recorded and does not stop the rest of the grid. ``include_histories``
     additionally writes one history CSV per run and requires an output
     directory.
@@ -488,7 +507,12 @@ def run_grid(
     if out_dir is not None:
         out_path = Path(out_dir)
         writer = _ResultsWriter(out_path)
-        done = writer.persisted
+        try:
+            _check_resumable(writer.persisted, configs, reference, front_sample_size, writer.path)
+        except ContractViolationError:
+            writer.close()
+            raise
+        done = set(writer.persisted)
     pending = [c for c in configs if c.fingerprint not in done]
     skipped = len(configs) - len(pending)
     if skipped:
@@ -575,10 +599,6 @@ _VERDICT_SYMBOLS = {Verdict.BETTER: "✓", Verdict.EQUIVALENT: "≡", Verdict.WO
 _METRIC_HEADERS = {"hv": "HV", "igd": "IGD", "delta_f": "Δf"}
 
 
-def _scope_label(sigma: float) -> str:
-    return f"sigma={float(sigma)!r}"
-
-
 def report(results: Sequence[RunResult], alpha: float = 0.05) -> ReportBundle:
     """Compare every averaging setting against the baseline, per noise level.
 
@@ -613,8 +633,7 @@ def report(results: Sequence[RunResult], alpha: float = 0.05) -> ReportBundle:
     sigmas = sorted({r.config.sigma for r in unique})
     settings = sorted(knn_runs)
     tables: dict[str, dict[tuple[int, float], dict[str, ComparisonVerdict]]] = {}
-    scopes = [_scope_label(s) for s in sigmas] + [POOLED_SCOPE]
-    insufficient_seen = False
+    scopes = [f"sigma={float(s)!r}" for s in sigmas] + [POOLED_SCOPE]
 
     for scope, sigma in list(zip(scopes, sigmas)) + [(POOLED_SCOPE, None)]:
         scope_table: dict[tuple[int, float], dict[str, ComparisonVerdict]] = {}
@@ -627,12 +646,7 @@ def report(results: Sequence[RunResult], alpha: float = 0.05) -> ReportBundle:
                 continue
             runs.sort(key=lambda r: (r.config.cell, r.config.rep))
             missing = [
-                RunConfig(
-                    problem=r.config.problem, n_vars=r.config.n_vars, sigma=r.config.sigma,
-                    pop_size=r.config.pop_size, generations=r.config.generations,
-                    arm=ARM_BASELINE, k=None, max_dist=None,
-                    rep=r.config.rep, seed=r.config.seed,
-                ).fingerprint
+                dataclasses.replace(r.config, arm=ARM_BASELINE, k=None, max_dist=None).fingerprint
                 for r in runs
                 if r.config.cell + (r.config.rep,) not in baselines
             ]
@@ -641,9 +655,8 @@ def report(results: Sequence[RunResult], alpha: float = 0.05) -> ReportBundle:
                     "missing baseline partners: " + ", ".join(sorted(missing))
                 )
             paired_baselines = [baselines[r.config.cell + (r.config.rep,)] for r in runs]
-            verdicts: dict[str, ComparisonVerdict] = {}
-            for metric in METRICS:
-                verdict = compare_setting(
+            scope_table[setting] = {
+                metric: compare_setting(
                     [r.metrics for r in runs],
                     [r.metrics for r in paired_baselines],
                     metric,
@@ -651,49 +664,45 @@ def report(results: Sequence[RunResult], alpha: float = 0.05) -> ReportBundle:
                     k=setting[0],
                     max_dist=setting[1],
                 )
-                verdicts[metric] = verdict
-                insufficient_seen = insufficient_seen or verdict.insufficient
-            scope_table[setting] = verdicts
+                for metric in METRICS
+            }
         if scope_table:
             tables[scope] = scope_table
 
-    text = _render_text(tables, scopes, alpha, insufficient_seen)
+    text = _render_text(tables, scopes, alpha)
     verdict_rows = _verdict_rows(tables)
     plot_rows = _plot_rows(unique)
     return ReportBundle(tables=tables, text=text, verdict_rows=verdict_rows, plot_rows=plot_rows)
 
 
-def _render_text(tables, scopes, alpha: float, flag_insufficient: bool) -> str:
+def _render_text(tables, scopes, alpha: float) -> str:
     lines = [
         f"Verdicts versus baseline (two-sided signed-rank, alpha={alpha:g}; "
         "direction by A12)",
         "  ✓ averaging better   ≡ no significant difference   ✗ baseline better",
     ]
-    if flag_insufficient:
+    if any(
+        v.insufficient for table in tables.values() for vs in table.values() for v in vs.values()
+    ):
         lines.append("  * fewer than 5 non-zero paired differences; test skipped")
-    name_width = max(
-        (len(_setting_label(s)) for table in tables.values() for s in table), default=12
+    width = max(
+        [len("setting")] + [len(_setting_label(s)) for table in tables.values() for s in table]
     )
-    name_width = max(name_width, len("setting"))
+
+    def row(label: str, cells: list[str]) -> str:
+        return "  ".join([label.ljust(width)] + [cell.ljust(4) for cell in cells])
+
     for scope in scopes:
         if scope not in tables:
             continue
         title = "all noise levels pooled" if scope == POOLED_SCOPE else scope
-        lines.append("")
-        lines.append(f"-- {title} --")
-        header = "setting".ljust(name_width)
-        for metric in METRICS:
-            header += "  " + _METRIC_HEADERS[metric].ljust(4)
-        lines.append(header)
+        lines += ["", f"-- {title} --", row("setting", [_METRIC_HEADERS[m] for m in METRICS])]
         for setting, verdicts in tables[scope].items():
-            row = _setting_label(setting).ljust(name_width)
-            for metric in METRICS:
-                verdict = verdicts[metric]
-                symbol = _VERDICT_SYMBOLS[verdict.verdict]
-                if verdict.insufficient:
-                    symbol += "*"
-                row += "  " + symbol.ljust(4)
-            lines.append(row)
+            symbols = [
+                _VERDICT_SYMBOLS[verdicts[m].verdict] + ("*" if verdicts[m].insufficient else "")
+                for m in METRICS
+            ]
+            lines.append(row(_setting_label(setting), symbols))
     return "\n".join(lines) + "\n"
 
 
@@ -723,28 +732,16 @@ def _verdict_rows(tables) -> list[dict[str, str]]:
     return rows
 
 
+_PLOT_COLUMNS = [
+    "fingerprint", "problem", "n_vars", "sigma", "pop_size", "arm", "k", "max_dist", "rep",
+    "hv_mean_adjusted", "igd_mean_adjusted", "delta_f",
+]
+
+
 def _plot_rows(results: Sequence[RunResult]) -> list[dict[str, str]]:
     """Per-run metric values, keyed for downstream plotting."""
-    rows = []
-    for result in sorted(results, key=lambda r: r.config.fingerprint):
-        cfg = result.config
-        rows.append(
-            {
-                "fingerprint": cfg.fingerprint,
-                "problem": cfg.problem,
-                "n_vars": str(cfg.n_vars),
-                "sigma": repr(float(cfg.sigma)),
-                "pop_size": str(cfg.pop_size),
-                "arm": cfg.arm,
-                "k": "" if cfg.k is None else str(cfg.k),
-                "max_dist": "" if cfg.max_dist is None else repr(float(cfg.max_dist)),
-                "rep": str(cfg.rep),
-                "hv_mean_adjusted": repr(result.metrics.hv_mean_adjusted),
-                "igd_mean_adjusted": repr(result.metrics.igd_mean_adjusted),
-                "delta_f": repr(result.metrics.delta_f),
-            }
-        )
-    return rows
+    rows = [_result_row(r) for r in sorted(results, key=lambda r: r.config.fingerprint)]
+    return [{column: row[column] for column in _PLOT_COLUMNS} for row in rows]
 
 
 def write_report_files(bundle: ReportBundle, out_dir: str | Path) -> None:
@@ -752,24 +749,10 @@ def write_report_files(bundle: ReportBundle, out_dir: str | Path) -> None:
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
     (out_path / "verdicts.txt").write_text(bundle.text, encoding="utf-8")
-    with (out_path / "verdicts.csv").open("w", newline="") as handle:
-        writer = csv.DictWriter(
-            handle,
-            fieldnames=[
-                "scope", "k", "max_dist", "metric", "p_value",
-                "a12", "verdict", "n_pairs", "insufficient",
-            ],
-        )
-        writer.writeheader()
-        writer.writerows(bundle.verdict_rows)
-    with (out_path / "metrics_long.csv").open("w", newline="") as handle:
-        writer = csv.DictWriter(
-            handle,
-            fieldnames=[
-                "fingerprint", "problem", "n_vars", "sigma", "pop_size", "arm",
-                "k", "max_dist", "rep",
-                "hv_mean_adjusted", "igd_mean_adjusted", "delta_f",
-            ],
-        )
-        writer.writeheader()
-        writer.writerows(bundle.plot_rows)
+    # the row dictionaries carry their columns in file order
+    tables = {"verdicts.csv": bundle.verdict_rows, "metrics_long.csv": bundle.plot_rows}
+    for name, rows in tables.items():
+        with (out_path / name).open("w", newline="") as handle:
+            writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)

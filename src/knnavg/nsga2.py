@@ -8,24 +8,47 @@ the selection machinery never sees is how objectives were obtained: an
 ``Evaluator`` turns freshly sampled solutions into ranked ones, either
 passing the noisy sample through or replacing it with a neighborhood
 average over the run's evaluation history.
+
+Inside the loop, populations and offspring are :class:`~knnavg.core.Batch`
+matrices; the ``Solution`` objects of :class:`OptimizationResult` are built
+once, at the end. Each generation first draws all of its randomness in one
+lean loop (:func:`draw_variation`), then runs crossover, mutation and
+evaluation once on whole matrices.
+
+Draw-order contract of ``STREAM_VERSION`` 1. The initial population takes
+``random((pop_size, n))``, then its evaluation noise. Every generation then
+consumes, for each parent pair p = 0, 1, ... in turn:
+
+1. the first tournament: ``integers(pop_size, 2)``, plus one coin (one
+   uniform) only when the two candidates tie on rank and on crowding;
+2. the second tournament, drawn the same way;
+3. the crossover gate (one uniform), plus ``random(n)`` when the pair
+   crosses;
+4. the mutation gate of child 2p (one uniform), plus ``random(n)`` twice
+   (which variables mutate, then their perturbations) when it mutates;
+5. the mutation gate of child 2p + 1, drawn the same way;
+
+and after the last pair the evaluation noise of all children,
+``standard_normal((pop_size, 2))``, child 0 first. This is the order in
+which a loop over individuals that applies the operators one pair at a time
+consumes the stream, so both produce bitwise-identical runs.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .averaging import EvaluationHistory, KnnConfig, history_rows, knn_evaluate
 from .core import (
+    Batch,
     ContractViolationError,
     RngStream,
     Solution,
     as_count,
     dominance_matrix,
-    objectives_matrix,
 )
 from .metrics import DEFAULT_REFERENCE, hypervolume_2d
 from .problems import NoiseSpec, ZdtProblem, evaluate_noisy
@@ -37,8 +60,10 @@ __all__ = [
     "KnnAveraged",
     "GenerationStats",
     "OptimizationResult",
+    "VariationDraws",
     "fast_non_dominated_sort",
     "crowding_distance",
+    "draw_variation",
     "sbx_crossover",
     "polynomial_mutation",
     "run_optimization",
@@ -92,7 +117,7 @@ class Evaluator(abc.ABC):
     label: str = "evaluator"
 
     @abc.abstractmethod
-    def evaluate(self, batch: Sequence[Solution], history: EvaluationHistory) -> list[Solution]:
+    def evaluate(self, batch: Batch, history: EvaluationHistory) -> Batch:
         """Assign search objectives to ``batch``, recording it in ``history``."""
 
 
@@ -101,9 +126,8 @@ class PlainNoisy(Evaluator):
 
     label = "plain"
 
-    def evaluate(self, batch: Sequence[Solution], history: EvaluationHistory) -> list[Solution]:
-        batch = list(batch)
-        history.append_batch(batch)
+    def evaluate(self, batch: Batch, history: EvaluationHistory) -> Batch:
+        history.append_batch(batch.variables, batch.raw_objectives)
         return batch
 
 
@@ -114,27 +138,26 @@ class KnnAveraged(Evaluator):
         self.config = config
         self.label = config.label()
 
-    def evaluate(self, batch: Sequence[Solution], history: EvaluationHistory) -> list[Solution]:
+    def evaluate(self, batch: Batch, history: EvaluationHistory) -> Batch:
         return knn_evaluate(batch, history, self.config)
 
 
-def fast_non_dominated_sort(population: Sequence[Solution]) -> list[list[int]]:
-    """Partition population indices into non-domination fronts.
+def fast_non_dominated_sort(objectives: np.ndarray) -> list[list[int]]:
+    """Partition the rows of an (n, m) objective matrix into non-domination fronts.
 
-    Front 0 is the set of solutions dominated by nobody; front j contains
-    solutions dominated only by members of earlier fronts. Every index
-    appears in exactly one front; indices inside a front keep ascending
-    order.
+    Front 0 is the set of rows dominated by nobody; front j contains rows
+    dominated only by members of earlier fronts. Every row index appears in
+    exactly one front; indices inside a front keep ascending order.
     """
-    sols = list(population)
-    if not sols:
+    objs = np.asarray(objectives, dtype=np.float64)
+    if not objs.size:
         return []
-    dom = dominance_matrix(objectives_matrix(sols))
+    dom = dominance_matrix(objs)
     n_dominators = dom.sum(axis=0).astype(np.int64)
     fronts: list[list[int]] = []
     current = np.flatnonzero(n_dominators == 0)
     while current.size:
-        fronts.append([int(i) for i in current])
+        fronts.append(current.tolist())
         released = dom[current].sum(axis=0)
         n_dominators[current] = -1
         n_dominators = n_dominators - released
@@ -142,24 +165,22 @@ def fast_non_dominated_sort(population: Sequence[Solution]) -> list[list[int]]:
     return fronts
 
 
-def crowding_distance(front: Sequence[Solution]) -> np.ndarray:
-    """Crowding distances of the members of one front.
+def crowding_distance(front: np.ndarray) -> np.ndarray:
+    """Crowding distances of the rows of one front's (n, m) objective matrix.
 
     Boundary solutions of every objective get infinity; interior solutions
     accumulate the normalized span between their neighbors in each
     objective's sorted order. Fronts of one or two members are all-infinite.
     An objective with zero range contributes nothing.
     """
-    sols = list(front)
-    if not sols:
+    objs = np.asarray(front, dtype=np.float64)
+    n = objs.shape[0]
+    if not n:
         raise ContractViolationError("crowding distance of an empty front is undefined")
-    n = len(sols)
     if n <= 2:
         return np.full(n, np.inf)
-    objs = objectives_matrix(sols)
     dist = np.zeros(n)
-    for m in range(objs.shape[1]):
-        vals = objs[:, m]
+    for vals in objs.T:
         order = np.argsort(vals, kind="stable")
         dist[order[0]] = np.inf
         dist[order[-1]] = np.inf
@@ -168,6 +189,59 @@ def crowding_distance(front: Sequence[Solution]) -> np.ndarray:
             continue
         dist[order[1:-1]] += (vals[order[2:]] - vals[order[:-2]]) / span
     return dist
+
+
+@dataclass(frozen=True, eq=False)
+class VariationDraws:
+    """One generation's variation draws; rows of skipped operators hold zeros."""
+
+    parents: np.ndarray  # (pop_size / 2, 2): the two tournament winners of pair p
+    crosses: np.ndarray  # (pop_size / 2,): pair p crosses
+    u_cross: np.ndarray  # (pop_size / 2, n): its crossover uniforms
+    mutates: np.ndarray  # (pop_size,): child c mutates
+    u_pick: np.ndarray  # (pop_size, n): which of its variables mutate
+    u_mutation: np.ndarray  # (pop_size, n): how far they move
+
+
+def _binary_tournament(ranks: list, crowding: list, rng: RngStream) -> int:
+    """Pick the better of two uniformly drawn indices: rank, crowding, coin."""
+    i, j = rng.integers(len(ranks), 2).tolist()
+    if ranks[i] != ranks[j]:
+        return i if ranks[i] < ranks[j] else j
+    if crowding[i] != crowding[j]:
+        return i if crowding[i] > crowding[j] else j
+    return i if rng.coin() else j
+
+
+def draw_variation(
+    ranks: np.ndarray, crowding: np.ndarray, ga: GaConfig, n_vars: int, rng: RngStream
+) -> VariationDraws:
+    """Draw one generation's tournaments, crossover and mutation randomness.
+
+    Consumes the stream in the module's draw-order contract, pair by pair;
+    the arithmetic happens afterwards in :func:`sbx_crossover` and
+    :func:`polynomial_mutation`, on whole matrices.
+    """
+    pairs = ga.pop_size // 2
+    rank_list, crowd_list = ranks.tolist(), crowding.tolist()
+    parents = np.empty((pairs, 2), dtype=np.int64)
+    crosses = np.zeros(pairs, dtype=bool)
+    u_cross = np.zeros((pairs, n_vars))
+    mutates = np.zeros(ga.pop_size, dtype=bool)
+    u_pick = np.zeros((ga.pop_size, n_vars))
+    u_mutation = np.zeros((ga.pop_size, n_vars))
+    for p in range(pairs):
+        parents[p, 0] = _binary_tournament(rank_list, crowd_list, rng)
+        parents[p, 1] = _binary_tournament(rank_list, crowd_list, rng)
+        if rng.random() < ga.crossover_prob:
+            crosses[p] = True
+            u_cross[p] = rng.random(n_vars)
+        for child in (2 * p, 2 * p + 1):
+            if rng.random() < ga.mutation_prob:
+                mutates[child] = True
+                u_pick[child] = rng.random(n_vars)
+                u_mutation[child] = rng.random(n_vars)
+    return VariationDraws(parents, crosses, u_cross, mutates, u_pick, u_mutation)
 
 
 def _checked_bounds(bounds, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -181,76 +255,68 @@ def _checked_bounds(bounds, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sbx_crossover(
-    parent_a,
-    parent_b,
-    prob: float,
-    eta: float,
-    bounds: tuple[np.ndarray, np.ndarray],
-    rng: RngStream,
+    parents_a, parents_b, crosses, u, eta: float, bounds: tuple[np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Simulated binary crossover on two real vectors (Deb & Agrawal, 1995).
+    """Simulated binary crossover of row pairs (Deb & Agrawal, 1995).
 
-    With probability ``1 - prob`` the parents pass through as copies.
-    Otherwise each variable spawns two symmetric children from the SBX
-    spread distribution with index ``eta``; variables whose parent genes
-    coincide pass through exactly. Children are clipped into ``bounds``.
+    Row p of ``parents_a`` and ``parents_b`` (both (pairs, n)) is one parent
+    pair. Pairs with ``crosses[p]`` False pass through as copies. In a
+    crossing pair each variable spawns two symmetric children from the SBX
+    spread distribution with index ``eta``, driven by the uniform
+    ``u[p, j]``; variables whose parent genes coincide pass through exactly.
+    Crossed children are clipped into ``bounds``.
     """
-    a = np.asarray(parent_a, dtype=np.float64)
-    b = np.asarray(parent_b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ContractViolationError("parents must be equally long 1-d vectors")
-    lower, upper = _checked_bounds(bounds, a.shape[0])
-    if rng.random() >= prob:
-        return a.copy(), b.copy()
-    u = rng.random(a.shape[0])
-    exponent = 1.0 / (eta + 1.0)
-    beta = np.where(u <= 0.5, (2.0 * u) ** exponent, (0.5 / (1.0 - u)) ** exponent)
-    child_a = 0.5 * ((1.0 + beta) * a + (1.0 - beta) * b)
-    child_b = 0.5 * ((1.0 - beta) * a + (1.0 + beta) * b)
-    same = np.abs(a - b) <= 1e-14
-    child_a[same] = a[same]
-    child_b[same] = b[same]
-    return (
-        np.clip(child_a, lower, upper),
-        np.clip(child_b, lower, upper),
-    )
+    a = np.asarray(parents_a, dtype=np.float64)
+    b = np.asarray(parents_b, dtype=np.float64)
+    if a.shape != b.shape or a.ndim != 2:
+        raise ContractViolationError("parents must be equally shaped (pairs, n) matrices")
+    lower, upper = _checked_bounds(bounds, a.shape[1])
+    child_a, child_b = a.copy(), b.copy()
+    rows = np.flatnonzero(crosses)
+    if rows.size:
+        a, b, u = a[rows], b[rows], np.asarray(u)[rows]
+        exponent = 1.0 / (eta + 1.0)
+        beta = np.where(u <= 0.5, (2.0 * u) ** exponent, (0.5 / (1.0 - u)) ** exponent)
+        crossed_a = 0.5 * ((1.0 + beta) * a + (1.0 - beta) * b)
+        crossed_b = 0.5 * ((1.0 - beta) * a + (1.0 + beta) * b)
+        same = np.abs(a - b) <= 1e-14
+        crossed_a[same] = a[same]
+        crossed_b[same] = b[same]
+        child_a[rows] = np.clip(crossed_a, lower, upper)
+        child_b[rows] = np.clip(crossed_b, lower, upper)
+    return child_a, child_b
 
 
 def polynomial_mutation(
-    vector,
-    prob: float,
-    eta: float,
-    bounds: tuple[np.ndarray, np.ndarray],
-    rng: RngStream,
+    vectors, mutates, u_pick, u, eta: float, bounds: tuple[np.ndarray, np.ndarray]
 ) -> np.ndarray:
-    """Bounded polynomial mutation of a real vector (Deb & Goyal, 1996).
+    """Bounded polynomial mutation of the rows of a (b, n) matrix (Deb & Goyal, 1996).
 
-    The offspring mutates with probability ``prob``; a skipped offspring is
-    returned as an exact copy. Inside a mutating offspring each variable is
-    perturbed with probability 1/n by the bounded polynomial distribution
-    with index ``eta``, which cannot leave ``bounds``. The per-variable
-    draws are consumed regardless of which variables end up perturbed, so
-    the stream position depends only on n.
+    Rows with ``mutates[i]`` False are returned as exact copies. In a
+    mutating row, variable j is perturbed when ``u_pick[i, j] < 1/n``, by
+    the bounded polynomial distribution with index ``eta`` driven by
+    ``u[i, j]``, which cannot leave ``bounds``; mutated rows are clipped.
     """
-    x = np.asarray(vector, dtype=np.float64)
-    if x.ndim != 1:
-        raise ContractViolationError("vector must be 1-d")
-    lower, upper = _checked_bounds(bounds, x.shape[0])
-    if rng.random() >= prob:
-        return x.copy()
-    n = x.shape[0]
-    pick = rng.random(n) < (1.0 / n)
-    u = rng.random(n)
-    span = upper - lower
-    frac_low = (x - lower) / span
-    frac_high = (upper - x) / span
-    power = eta + 1.0
-    exponent = 1.0 / power
-    val_low = 2.0 * u + (1.0 - 2.0 * u) * (1.0 - frac_low) ** power
-    val_high = 2.0 * (1.0 - u) + (2.0 * u - 1.0) * (1.0 - frac_high) ** power
-    delta = np.where(u < 0.5, val_low**exponent - 1.0, 1.0 - val_high**exponent)
-    mutated = np.where(pick, x + delta * span, x)
-    return np.clip(mutated, lower, upper)
+    x = np.asarray(vectors, dtype=np.float64)
+    if x.ndim != 2:
+        raise ContractViolationError("vectors must be a (b, n) matrix")
+    n = x.shape[1]
+    lower, upper = _checked_bounds(bounds, n)
+    out = x.copy()
+    rows = np.flatnonzero(mutates)
+    if rows.size:
+        x, u = x[rows], np.asarray(u)[rows]
+        pick = np.asarray(u_pick)[rows] < (1.0 / n)
+        span = upper - lower
+        frac_low = (x - lower) / span
+        frac_high = (upper - x) / span
+        power = eta + 1.0
+        exponent = 1.0 / power
+        val_low = 2.0 * u + (1.0 - 2.0 * u) * (1.0 - frac_low) ** power
+        val_high = 2.0 * (1.0 - u) + (2.0 * u - 1.0) * (1.0 - frac_high) ** power
+        delta = np.where(u < 0.5, val_low**exponent - 1.0, 1.0 - val_high**exponent)
+        out[rows] = np.clip(np.where(pick, x + delta * span, x), lower, upper)
+    return out
 
 
 @dataclass(frozen=True)
@@ -284,35 +350,21 @@ class OptimizationResult:
 
     def to_dict(self, include_history: bool = False) -> dict:
         """JSON-ready summary of the run."""
-        def solution_entry(s: Solution) -> dict:
-            return {
-                "variables": [float(v) for v in s.variables],
-                "raw_objectives": [float(v) for v in (s.raw_objectives if s.raw_objectives is not None else s.objectives)],
-                "objectives": [float(v) for v in s.objectives],
-            }
-
         data = {
             "problem": {"variant": self.problem.variant, "n_vars": self.problem.n_vars},
             "noise_sigma": self.noise.sigma,
             "evaluator": self.evaluator_label,
-            "ga": {
-                "pop_size": self.ga.pop_size,
-                "generations": self.ga.generations,
-                "crossover_prob": self.ga.crossover_prob,
-                "mutation_prob": self.ga.mutation_prob,
-                "eta_crossover": self.ga.eta_crossover,
-                "eta_mutation": self.ga.eta_mutation,
-            },
+            "ga": asdict(self.ga),
             "seed": self.seed,
-            "nondominated": [solution_entry(s) for s in self.nondominated],
-            "trace": [
+            "nondominated": [
                 {
-                    "generation": t.generation,
-                    "front_size": t.front_size,
-                    "front_hypervolume": t.front_hypervolume,
+                    "variables": s.variables.tolist(),
+                    "raw_objectives": s.raw_objectives.tolist(),
+                    "objectives": s.objectives.tolist(),
                 }
-                for t in self.trace
+                for s in self.nondominated
             ],
+            "trace": [asdict(t) for t in self.trace],
             "history_length": len(self.history),
         }
         if include_history:
@@ -321,76 +373,50 @@ class OptimizationResult:
         return data
 
 
-def _rank_population(population: Sequence[Solution]) -> tuple[np.ndarray, np.ndarray]:
-    """Front rank and crowding distance of every population member."""
-    ranks = np.empty(len(population), dtype=np.int64)
-    crowding = np.empty(len(population))
-    for rank, front in enumerate(fast_non_dominated_sort(population)):
-        ranks[front] = rank
-        crowding[front] = crowding_distance([population[i] for i in front])
-    return ranks, crowding
-
-
-def _binary_tournament(ranks: np.ndarray, crowding: np.ndarray, rng: RngStream) -> int:
-    """Pick the better of two uniformly drawn indices: rank, crowding, coin."""
-    i, j = (int(v) for v in rng.integers(ranks.shape[0], size=2))
-    if ranks[i] != ranks[j]:
-        return i if ranks[i] < ranks[j] else j
-    if crowding[i] != crowding[j]:
-        return i if crowding[i] > crowding[j] else j
-    return i if rng.coin() else j
+def _rank_population(objectives: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Front rank and crowding distance of every population member, in order."""
+    chosen, ranks, crowding = _survival(objectives, len(objectives))
+    order = np.argsort(chosen)
+    return ranks[order], crowding[order]
 
 
 def _survival(
-    combined: list[Solution], target: int
-) -> tuple[list[Solution], np.ndarray, np.ndarray]:
+    objectives: np.ndarray, target: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Truncate parents plus offspring to ``target`` by rank, then crowding.
 
+    Returns the chosen row indices with their ranks and crowding distances.
     Whole fronts are taken while they fit; the first front that overflows is
     cut by descending crowding distance, ties broken by position, which
     keeps the truncation deterministic.
+
+    The rank-0 survivors are exactly the survivors' non-dominated members:
+    a rank-0 survivor is dominated by nobody in the larger set it was ranked
+    in, and a survivor of rank r >= 1 was only kept after every earlier
+    front was kept whole, so some survivor of rank r - 1 dominates it.
     """
-    chosen: list[int] = []
-    ranks: list[int] = []
-    crowd: list[float] = []
-    for rank, front in enumerate(fast_non_dominated_sort(combined)):
-        distances = crowding_distance([combined[i] for i in front])
-        if len(chosen) + len(front) <= target:
-            chosen.extend(front)
-            ranks.extend([rank] * len(front))
-            crowd.extend(distances)
-        else:
-            need = target - len(chosen)
-            order = np.argsort(-distances, kind="stable")[:need]
-            chosen.extend(front[j] for j in order)
-            ranks.extend([rank] * need)
-            crowd.extend(distances[j] for j in order)
-        if len(chosen) == target:
+    chosen, ranks, crowd = [], [], []
+    count = 0
+    for rank, front in enumerate(fast_non_dominated_sort(objectives)):
+        front = np.array(front)
+        distances = crowding_distance(objectives[front])
+        if count + len(front) > target:
+            keep = np.argsort(-distances, kind="stable")[: target - count]
+            front, distances = front[keep], distances[keep]
+        chosen.append(front)
+        ranks.append(np.full(len(front), rank, dtype=np.int64))
+        crowd.append(distances)
+        count += len(front)
+        if count == target:
             break
-    return (
-        [combined[i] for i in chosen],
-        np.array(ranks, dtype=np.int64),
-        np.array(crowd),
-    )
-
-
-def _first_front(population: Sequence[Solution], ranks: np.ndarray) -> list[Solution]:
-    """The rank-0 members, in population order.
-
-    Ranks come from :func:`_rank_population` or :func:`_survival`, so these
-    are exactly the population's non-dominated members: a rank-0 survivor
-    is dominated by nobody in the larger set it was ranked in, and a
-    survivor of rank r >= 1 was only kept after every earlier front was
-    kept whole, so some survivor of rank r - 1 dominates it.
-    """
-    return [s for s, rank in zip(population, ranks) if rank == 0]
+    return np.concatenate(chosen), np.concatenate(ranks), np.concatenate(crowd)
 
 
 def _generation_stats(
-    generation: int, population: Sequence[Solution], ranks: np.ndarray
+    generation: int, objectives: np.ndarray, ranks: np.ndarray
 ) -> GenerationStats:
-    front = _first_front(population, ranks)
-    hv = hypervolume_2d(objectives_matrix(front), DEFAULT_REFERENCE)
+    front = objectives[ranks == 0]
+    hv = hypervolume_2d(front, DEFAULT_REFERENCE)
     return GenerationStats(generation=generation, front_size=len(front), front_hypervolume=hv)
 
 
@@ -408,47 +434,44 @@ def run_optimization(
     each exactly once through ``evaluator``, and truncates parents plus
     offspring back to ``pop_size``. Total evaluations are therefore
     ``pop_size * (generations + 1)``, which is also the final history
-    length. Identical arguments and seed reproduce the result bitwise.
+    length. Identical arguments and seed reproduce the result bitwise; the
+    random stream is consumed in the module's draw-order contract.
     """
     lower, upper = problem.bounds
+    bounds = (lower, upper)
     history = EvaluationHistory(problem.n_vars, problem.n_objs)
     initial = lower + (upper - lower) * rng.random((ga.pop_size, problem.n_vars))
-    sampled = [evaluate_noisy(problem, noise, x, rng) for x in initial]
-    population = evaluator.evaluate(sampled, history)
-    ranks, crowding = _rank_population(population)
-    trace = [_generation_stats(0, population, ranks)]
-    bounds = (lower, upper)
+    population = evaluator.evaluate(evaluate_noisy(problem, noise, initial, rng), history)
+    ranks, crowding = _rank_population(population.objectives)
+    trace = [_generation_stats(0, population.objectives, ranks)]
     for generation in range(1, ga.generations + 1):
-        child_vars: list[np.ndarray] = []
-        for _ in range(ga.pop_size // 2):
-            a = _binary_tournament(ranks, crowding, rng)
-            b = _binary_tournament(ranks, crowding, rng)
-            child_a, child_b = sbx_crossover(
-                population[a].variables,
-                population[b].variables,
-                ga.crossover_prob,
-                ga.eta_crossover,
-                bounds,
-                rng,
-            )
-            child_vars.append(
-                polynomial_mutation(child_a, ga.mutation_prob, ga.eta_mutation, bounds, rng)
-            )
-            child_vars.append(
-                polynomial_mutation(child_b, ga.mutation_prob, ga.eta_mutation, bounds, rng)
-            )
-        sampled = [evaluate_noisy(problem, noise, x, rng) for x in child_vars]
-        offspring = evaluator.evaluate(sampled, history)
-        population, ranks, crowding = _survival(population + offspring, ga.pop_size)
-        trace.append(_generation_stats(generation, population, ranks))
+        draws = draw_variation(ranks, crowding, ga, problem.n_vars, rng)
+        child_a, child_b = sbx_crossover(
+            population.variables[draws.parents[:, 0]],
+            population.variables[draws.parents[:, 1]],
+            draws.crosses,
+            draws.u_cross,
+            ga.eta_crossover,
+            bounds,
+        )
+        # children in pair order: 2p from parent a, 2p + 1 from parent b
+        children = np.stack((child_a, child_b), axis=1).reshape(ga.pop_size, problem.n_vars)
+        children = polynomial_mutation(
+            children, draws.mutates, draws.u_pick, draws.u_mutation, ga.eta_mutation, bounds
+        )
+        offspring = evaluator.evaluate(evaluate_noisy(problem, noise, children, rng), history)
+        combined = population.concat(offspring)
+        chosen, ranks, crowding = _survival(combined.objectives, ga.pop_size)
+        population = combined.take(chosen)
+        trace.append(_generation_stats(generation, population.objectives, ranks))
     return OptimizationResult(
         problem=problem,
         noise=noise,
         evaluator_label=evaluator.label,
         ga=ga,
         seed=rng.seed,
-        population=population,
-        nondominated=_first_front(population, ranks),
+        population=list(population),
+        nondominated=list(population.take(ranks == 0)),
         history=history,
         trace=trace,
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContractViolationError, RngStream, Solution, as_count
+from .core import Batch, ContractViolationError, RngStream, Solution, as_count
 
 __all__ = [
     "ZDT_VARIANTS",
@@ -104,11 +104,12 @@ class ParetoFrontSample:
         return self.points.shape[0]
 
 
-def _checked_variables(problem: ZdtProblem, x) -> np.ndarray:
+def _checked_variables(problem: ZdtProblem, x, ndims=(1, 2)) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (problem.n_vars,):
+    if x.ndim not in ndims or x.shape[-1] != problem.n_vars:
         raise ContractViolationError(
-            f"decision vector has shape {x.shape}, expected ({problem.n_vars},)"
+            f"decision vectors have shape {x.shape}; expected {problem.n_vars} values "
+            f"per vector in an array of {' or '.join(map(str, ndims))} dimensions"
         )
     if np.any(x < 0.0) or np.any(x > 1.0):
         raise ContractViolationError("decision variables must lie in [0, 1]")
@@ -116,10 +117,15 @@ def _checked_variables(problem: ZdtProblem, x) -> np.ndarray:
 
 
 def evaluate_true(problem: ZdtProblem, x) -> np.ndarray:
-    """Noise-free objective vector (f1, f2) of ``x``."""
+    """Noise-free objectives (f1, f2) of each row of ``x``.
+
+    A (b, n) matrix gives a (b, 2) matrix, a single (n,) vector a (2,)
+    vector. Each row's values are bitwise those of evaluating it alone: g
+    sums the row's variables 2..n in numpy's pairwise order either way.
+    """
     x = _checked_variables(problem, x)
-    f1 = x[0]
-    g = 1.0 + 9.0 * np.sum(x[1:]) / (problem.n_vars - 1)
+    f1 = x[..., 0]
+    g = 1.0 + 9.0 * np.sum(x[..., 1:], axis=-1) / (problem.n_vars - 1)
     ratio = f1 / g
     if problem.variant == "zdt1":
         h = 1.0 - np.sqrt(ratio)
@@ -127,20 +133,21 @@ def evaluate_true(problem: ZdtProblem, x) -> np.ndarray:
         h = 1.0 - ratio**2
     else:  # zdt3
         h = 1.0 - np.sqrt(ratio) - ratio * np.sin(10.0 * np.pi * f1)
-    return np.array([f1, g * h])
+    return np.stack((f1, g * h), axis=-1)
 
 
-def evaluate_noisy(problem: ZdtProblem, noise: NoiseSpec, x, rng: RngStream) -> Solution:
-    """One noisy objective sample of ``x``.
+def evaluate_noisy(problem: ZdtProblem, noise: NoiseSpec, x, rng: RngStream) -> Batch:
+    """One noisy objective sample of each row of the (b, n) matrix ``x``.
 
-    Adds an independent N(0, sigma^2) draw to each true objective; exactly
-    ``problem.n_objs`` Gaussian draws are consumed per call regardless of
-    sigma, so evaluation order fully determines the stream position.
+    Adds an independent N(0, sigma^2) draw to each true objective. The
+    draws are ``standard_normal((b, 2))``: row by row, two per row
+    regardless of sigma, which consumes the stream exactly as b single-row
+    calls would, so evaluation order fully determines the stream position.
     """
-    true = evaluate_true(problem, x)
-    draws = rng.standard_normal(problem.n_objs)
-    raw = true + noise.sigma * draws
-    return Solution(variables=x, objectives=raw, raw_objectives=raw)
+    x = _checked_variables(problem, x, ndims=(2,))
+    draws = rng.standard_normal((x.shape[0], problem.n_objs))
+    raw = evaluate_true(problem, x) + noise.sigma * draws
+    return Batch(variables=x, objectives=raw, raw_objectives=raw)
 
 
 def mean_objectives(problem: ZdtProblem, solution: Solution) -> np.ndarray:

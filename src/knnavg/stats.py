@@ -194,18 +194,7 @@ def compare_setting(
     baseline_values = np.array([r.value(metric) for r in baseline_runs])
     test = wilcoxon_signed_rank(knn_values, baseline_values)
     a12 = vargha_delaney_a12(knn_values, baseline_values)
-    if not test.sufficient or not (test.p_value < alpha):
-        return ComparisonVerdict(
-            metric=metric,
-            k=k,
-            max_dist=max_dist,
-            p_value=test.p_value,
-            a12=a12,
-            verdict=Verdict.EQUIVALENT,
-            n_pairs=test.n_pairs,
-            insufficient=not test.sufficient,
-        )
-    if a12 == 0.5:
+    if not test.sufficient or not (test.p_value < alpha) or a12 == 0.5:
         verdict = Verdict.EQUIVALENT
     elif (a12 > 0.5) == HIGHER_IS_BETTER[metric]:
         verdict = Verdict.BETTER
@@ -219,4 +208,5 @@ def compare_setting(
         a12=a12,
         verdict=verdict,
         n_pairs=test.n_pairs,
+        insufficient=not test.sufficient,
     )

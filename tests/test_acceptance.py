@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from knnavg.averaging import EvaluationHistory, KnnConfig, knn_evaluate
-from knnavg.core import RngStream, Solution, non_dominated_filter
+from knnavg.core import Batch, RngStream, Solution, non_dominated_filter, objectives_matrix
 from knnavg.experiment import ExperimentGrid, report, run_grid
 from knnavg.metrics import adjusted_set, hypervolume_2d
 from knnavg.nsga2 import (
@@ -22,8 +22,9 @@ from knnavg.nsga2 import (
     fast_non_dominated_sort,
     run_optimization,
 )
-from knnavg.problems import NoiseSpec, ZdtProblem, evaluate_noisy
+from knnavg.problems import NoiseSpec, ZdtProblem
 from knnavg.stats import Verdict, wilcoxon_signed_rank
+from sampling import one_at_a_time
 
 
 def _verdict_line(criterion: str, ok: bool) -> None:
@@ -235,7 +236,8 @@ def test_ac6_oracle_suites():
                 Solution(variables=rng.random(2), objectives=rng.random(2) * 3.0)
                 for _ in range(50)
             ]
-            front_one = [population[i] for i in fast_non_dominated_sort(population)[0]]
+            first = fast_non_dominated_sort(objectives_matrix(population))[0]
+            front_one = [population[i] for i in first]
             filtered = non_dominated_filter(population)
             assert len(front_one) == len(filtered)
             assert all(a is b for a, b in zip(front_one, filtered))
@@ -266,15 +268,11 @@ def test_ac6_oracle_suites():
                 k=1 + int(rng.integers(8)), max_dist=0.1 + 1.5 * float(rng.random())
             )
             for _ in range(1 + int(rng.integers(3))):
-                batch = [
-                    evaluate_noisy(problem, noise, rng.random(3), rng)
-                    for _ in range(2 + int(rng.integers(8)))
-                ]
+                batch = one_at_a_time(problem, noise, rng, 2 + int(rng.integers(8)))
                 out = knn_evaluate(batch, history, config)
             rows = list(range(len(history) - len(batch), len(history)))
             expected = _knn_oracle(history, rows, config)
-            got = np.array([s.objectives for s in out])
-            assert np.allclose(got, expected, rtol=0.0, atol=1e-12), trial
+            assert np.allclose(out.objectives, expected, rtol=0.0, atol=1e-12), trial
 
         # (d) exact signed-rank p-value for six one-sided pairs
         result = wilcoxon_signed_rank([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [0.0] * 6)
@@ -309,14 +307,11 @@ def test_ac7_invariant_suites():
                     (plain, np.ones(3), outputs[0]),
                     (scaled, scale, outputs[1]),
                 ):
-                    batch = [
-                        Solution(
-                            variables=x * factor,
-                            objectives=r.copy(),
-                            raw_objectives=r.copy(),
-                        )
-                        for x, r in zip(variables, raws)
-                    ]
+                    batch = Batch(
+                        variables=np.array(variables) * factor,
+                        objectives=np.array(raws),
+                        raw_objectives=np.array(raws),
+                    )
                     sink.extend(knn_evaluate(batch, history, config))
             for a, b in zip(*outputs):
                 assert np.allclose(a.objectives, b.objectives, rtol=0.0, atol=1e-9)
@@ -328,7 +323,7 @@ def test_ac7_invariant_suites():
         history = EvaluationHistory(2, 2)
         config = KnnConfig(k=6, max_dist=1.0)
         for _ in range(10):
-            batch = [evaluate_noisy(problem, noise, rng.random(2), rng) for _ in range(10)]
+            batch = one_at_a_time(problem, noise, rng, 10)
             out = knn_evaluate(batch, history, config)
             raws = history.raw_matrix()
             lo = raws.min(axis=0) - 1e-12

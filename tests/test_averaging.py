@@ -16,17 +16,15 @@ from knnavg.averaging import (
     knn_evaluate,
     sed,
 )
-from knnavg.core import ContractViolationError, RngStream, Solution
-from knnavg.problems import NoiseSpec, ZdtProblem, evaluate_noisy
+from knnavg.core import Batch, ContractViolationError, RngStream
+from knnavg.problems import NoiseSpec, ZdtProblem
+from sampling import one_at_a_time
 
 
-def make_solution(variables, raw):
-    raw = np.asarray(raw, dtype=float)
-    return Solution(
-        variables=np.asarray(variables, dtype=float),
-        objectives=raw.copy(),
-        raw_objectives=raw.copy(),
-    )
+def make_batch(variables, raws):
+    """Fresh samples: one row per sample, objectives equal to the raw draws."""
+    raws = np.asarray(raws, dtype=float)
+    return Batch(variables=variables, objectives=raws, raw_objectives=raws)
 
 
 def brute_force_average(history, rows, config):
@@ -138,39 +136,40 @@ class TestEvaluationHistory:
 
     def test_append_assigns_batch_numbers(self):
         history = EvaluationHistory(2, 2)
-        history.append_batch([make_solution([0.0, 0.0], [0.0, 1.0])])
-        rows = history.append_batch(
-            [make_solution([1.0, 0.0], [1.0, 0.0]), make_solution([0.5, 0.5], [0.5, 0.5])]
-        )
+        history.append_batch([[0.0, 0.0]], [[0.0, 1.0]])
+        rows = history.append_batch([[1.0, 0.0], [0.5, 0.5]], [[1.0, 0.0], [0.5, 0.5]])
         assert rows == slice(1, 3)
         assert np.array_equal(history.batch_numbers(), [0, 1, 1])
         assert len(history) == 3
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ContractViolationError):
-            EvaluationHistory(2, 2).append_batch([])
+            EvaluationHistory(2, 2).append_batch(np.empty((0, 2)), np.empty((0, 2)))
 
     def test_missing_raw_rejected(self):
-        bad = Solution(variables=np.array([0.5]), objectives=np.array([1.0, 2.0]))
         with pytest.raises(ContractViolationError):
-            EvaluationHistory(1, 2).append_batch([bad])
+            EvaluationHistory(1, 2).append_batch([[0.5]], None)
+        with pytest.raises(ContractViolationError):
+            EvaluationHistory(1, 2).append_batch([[0.5], [0.6]], [[1.0, 2.0]])
 
     def test_dimension_mismatch_rejected(self):
         history = EvaluationHistory(2, 2)
-        history.append_batch([make_solution([0.0, 0.0], [0.0, 1.0])])
+        history.append_batch([[0.0, 0.0]], [[0.0, 1.0]])
         with pytest.raises(ContractViolationError):
-            history.append_batch([make_solution([0.0, 0.0, 0.0], [0.0, 1.0])])
+            history.append_batch([[0.0, 0.0, 0.0]], [[0.0, 1.0]])
+        with pytest.raises(ContractViolationError):
+            history.append_batch([[0.0, 0.0]], [[0.0, 1.0, 2.0]])
 
     def test_set_averaged_kept_alongside_raw(self):
         history = EvaluationHistory(2, 2)
-        rows = history.append_batch([make_solution([0.0, 0.0], [2.0, 3.0])])
+        rows = history.append_batch([[0.0, 0.0]], [[2.0, 3.0]])
         history.set_averaged(rows, np.array([[1.0, 1.5]]))
         assert np.array_equal(history.raw_matrix()[0], [2.0, 3.0])
         assert np.array_equal(history.averaged_matrix()[0], [1.0, 1.5])
 
     def test_matrices_read_only(self):
         history = EvaluationHistory(2, 2)
-        history.append_batch([make_solution([0.1, 0.2], [0.3, 0.4])])
+        history.append_batch([[0.1, 0.2]], [[0.3, 0.4]])
         with pytest.raises(ValueError):
             history.variables_matrix()[0, 0] = 9.0
         with pytest.raises(ValueError):
@@ -183,14 +182,14 @@ class TestEvaluationHistory:
     def test_handed_out_matrices_never_change(self):
         # a caller may hold a matrix across later appends and averaging
         history = EvaluationHistory(2, 2)
-        rows = history.append_batch([make_solution([0.1, 0.2], [0.3, 0.4])])
+        rows = history.append_batch([[0.1, 0.2]], [[0.3, 0.4]])
         held = [
             history.variables_matrix(), history.raw_matrix(),
             history.averaged_matrix(), history.batch_numbers(), history.variances(),
         ]
         snapshot = [m.copy() for m in held]
         history.set_averaged(rows, np.array([[9.0, 9.0]]))
-        history.append_batch([make_solution([0.5, 0.6], [0.7, 0.8])])
+        history.append_batch([[0.5, 0.6]], [[0.7, 0.8]])
         for matrix, before in zip(held, snapshot):
             assert not matrix.flags.writeable
             assert np.array_equal(matrix, before)
@@ -205,24 +204,21 @@ class TestEvaluationHistory:
 class TestHistoryVariances:
     def test_single_record_zero_variance(self):
         history = EvaluationHistory(2, 2)
-        history.append_batch([make_solution([0.3, 0.9], [1.0, 2.0])])
+        history.append_batch([[0.3, 0.9]], [[1.0, 2.0]])
         assert np.array_equal(history.variances(), [0.0, 0.0])
 
     def test_two_record_hand_value(self):
         # population variance of {0, 2} is 1 in each dimension
         history = EvaluationHistory(2, 2)
-        history.append_batch(
-            [make_solution([0.0, 0.0], [1.0, 1.0]), make_solution([2.0, 2.0], [2.0, 2.0])]
-        )
+        history.append_batch([[0.0, 0.0], [2.0, 2.0]], [[1.0, 1.0], [2.0, 2.0]])
         assert np.array_equal(history.variances(), [1.0, 1.0])
 
     def test_matches_two_pass_oracle(self):
         # independent two-pass computation over 1,000 random records
         rng = RngStream(61)
         history = EvaluationHistory(3, 2)
-        history.append_batch(
-            [make_solution(rng.random(3), rng.random(2)) for _ in range(1000)]
-        )
+        samples = [(rng.random(3), rng.random(2)) for _ in range(1000)]
+        history.append_batch([x for x, _ in samples], [r for _, r in samples])
         xs = history.variables_matrix()
         oracle = []
         for d in range(3):
@@ -261,28 +257,27 @@ class TestKnnConfig:
 
 class TestKnnEvaluate:
     def test_empty_population(self):
-        assert knn_evaluate([], EvaluationHistory(2, 2), KnnConfig(k=3, max_dist=1.0)) == []
+        history = EvaluationHistory(2, 2)
+        out = knn_evaluate(make_batch(np.empty((0, 2)), np.empty((0, 2))), history,
+                           KnnConfig(k=3, max_dist=1.0))
+        assert len(out) == 0 and len(history) == 0
 
     def test_single_record_returns_raw_bitwise(self):
         history = EvaluationHistory(2, 2)
-        s = make_solution([0.25, 0.75], [0.1234567890123456, 2.5])
-        (out,) = knn_evaluate([s], history, KnnConfig(k=5, max_dist=0.5))
+        (s,) = batch = make_batch([[0.25, 0.75]], [[0.1234567890123456, 2.5]])
+        (out,) = knn_evaluate(batch, history, KnnConfig(k=5, max_dist=0.5))
         assert np.array_equal(out.objectives, s.raw_objectives)
         assert np.array_equal(out.raw_objectives, s.raw_objectives)
 
     def test_colocated_points_average_raw_values(self):
         # three identical inputs: every SED is 0, weights equal, mean of raws
         history = EvaluationHistory(2, 2)
-        batch = [
-            make_solution([0.5, 0.5], [0.0, 0.0]),
-            make_solution([0.5, 0.5], [0.1, 0.1]),
-            make_solution([0.5, 0.5], [0.2, 0.2]),
-        ]
+        batch = make_batch([[0.5, 0.5]] * 3, [[0.0, 0.0], [0.1, 0.1], [0.2, 0.2]])
         out = knn_evaluate(batch, history, KnnConfig(k=3, max_dist=0.5))
         for s in out:
             assert np.allclose(s.objectives, [0.1, 0.1], atol=1e-12)
             # raw values are preserved untouched
-        assert np.array_equal(out[1].raw_objectives, [0.1, 0.1])
+        assert np.array_equal(out.raw_objectives[1], [0.1, 0.1])
 
     def test_k1_returns_raw_bitwise(self):
         problem = ZdtProblem("zdt1", 2)
@@ -291,7 +286,7 @@ class TestKnnEvaluate:
         history = EvaluationHistory(2, 2)
         config = KnnConfig(k=1, max_dist=2.0)
         for _ in range(5):
-            batch = [evaluate_noisy(problem, noise, rng.random(2), rng) for _ in range(8)]
+            batch = one_at_a_time(problem, noise, rng, 8)
             out = knn_evaluate(batch, history, config)
             for before, after in zip(batch, out):
                 assert np.array_equal(after.objectives, before.raw_objectives)
@@ -299,15 +294,14 @@ class TestKnnEvaluate:
     def test_k1_bitwise_with_duplicate_variables(self):
         # duplicates at distance zero must still resolve to each point's own raw
         history = EvaluationHistory(2, 2)
-        batch = [make_solution([0.5, 0.5], [1.0, 2.0]), make_solution([0.5, 0.5], [3.0, 4.0])]
+        batch = make_batch([[0.5, 0.5], [0.5, 0.5]], [[1.0, 2.0], [3.0, 4.0]])
         out = knn_evaluate(batch, history, KnnConfig(k=1, max_dist=1.0))
-        assert np.array_equal(out[0].objectives, [1.0, 2.0])
-        assert np.array_equal(out[1].objectives, [3.0, 4.0])
+        assert np.array_equal(out.objectives, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_batch_appended_before_averaging(self):
         # the batch itself is part of the history it averages over
         history = EvaluationHistory(2, 2)
-        batch = [make_solution([0.2, 0.8], [1.0, 1.0])]
+        batch = make_batch([[0.2, 0.8]], [[1.0, 1.0]])
         knn_evaluate(batch, history, KnnConfig(k=3, max_dist=1.0))
         assert len(history) == 1
         assert np.array_equal(history.averaged_matrix()[0], [1.0, 1.0])
@@ -325,17 +319,13 @@ class TestKnnEvaluate:
             rows_by_batch = []
             batches = int(rng.integers(3)) + 1
             for _ in range(batches):
-                batch = [
-                    evaluate_noisy(problem, noise, rng.random(3), rng)
-                    for _ in range(int(rng.integers(6)) + 2)
-                ]
+                batch = one_at_a_time(problem, noise, rng, int(rng.integers(6)) + 2)
                 out = knn_evaluate(batch, history, config)
                 rows_by_batch.append((out, range(len(history) - len(batch), len(history))))
             # check only the final batch: its averages used the full history state
             out, rows = rows_by_batch[-1]
             expected = brute_force_average(history, list(rows), config)
-            got = np.array([s.objectives for s in out])
-            assert np.allclose(got, expected, rtol=0.0, atol=1e-12), trial
+            assert np.allclose(out.objectives, expected, rtol=0.0, atol=1e-12), trial
 
     def test_neighbor_budget_and_radius(self):
         # every average stays within the convex hull of <= k raws inside max_dist
@@ -345,7 +335,7 @@ class TestKnnEvaluate:
         history = EvaluationHistory(2, 2)
         config = KnnConfig(k=4, max_dist=0.8)
         for _ in range(6):
-            batch = [evaluate_noisy(problem, noise, rng.random(2), rng) for _ in range(10)]
+            batch = one_at_a_time(problem, noise, rng, 10)
             out = knn_evaluate(batch, history, config)
             variances = history.variances()
             all_vars = history.variables_matrix()
@@ -369,7 +359,7 @@ class TestKnnEvaluate:
         history = EvaluationHistory(2, 2)
         config = KnnConfig(k=6, max_dist=1.2)
         for _ in range(5):
-            batch = [evaluate_noisy(problem, noise, rng.random(2), rng) for _ in range(12)]
+            batch = one_at_a_time(problem, noise, rng, 12)
             out = knn_evaluate(batch, history, config)
             raws = history.raw_matrix()
             lo, hi = raws.min(axis=0) - 1e-12, raws.max(axis=0) + 1e-12
@@ -382,20 +372,17 @@ class TestKnnEvaluate:
         outputs = []
         for _ in range(400):
             history = EvaluationHistory(2, 2)
-            batch = [
-                make_solution([0.5, 0.5], [float(rng.standard_normal(1)[0]), 0.0])
-                for _ in range(5)
-            ]
+            raws = [[float(rng.standard_normal(1)[0]), 0.0] for _ in range(5)]
+            batch = make_batch([[0.5, 0.5]] * 5, raws)
             out = knn_evaluate(batch, history, KnnConfig(k=5, max_dist=1.0))
-            outputs.append(out[0].objectives[0])
+            outputs.append(out.objectives[0, 0])
         assert np.var(outputs) < 0.5  # iid variance is 1.0; 5-way averaging cuts it
 
     def test_variables_preserved(self):
         history = EvaluationHistory(2, 2)
-        batch = [make_solution([0.31, 0.62], [1.0, 2.0]), make_solution([0.30, 0.60], [3.0, 4.0])]
+        batch = make_batch([[0.31, 0.62], [0.30, 0.60]], [[1.0, 2.0], [3.0, 4.0]])
         out = knn_evaluate(batch, history, KnnConfig(k=2, max_dist=5.0))
-        assert np.array_equal(out[0].variables, [0.31, 0.62])
-        assert np.array_equal(out[1].variables, [0.30, 0.60])
+        assert np.array_equal(out.variables, [[0.31, 0.62], [0.30, 0.60]])
 
 
 def reference_average(history, rows, config, distances):
@@ -468,14 +455,13 @@ def assert_matches_definition(x, raws, n_prior, k, pick_max_dist):
     ``pick_max_dist`` maps the full query-by-record distance matrix to the
     cutoff, so a test can place the cutoff on a distance that occurs.
     """
-    solutions = [make_solution(v, r) for v, r in zip(x, raws)]
     kernel_history = EvaluationHistory(x.shape[1], 2)
     reference_history = EvaluationHistory(x.shape[1], 2)
     if n_prior:
-        kernel_history.append_batch(solutions[:n_prior])
-        reference_history.append_batch(solutions[:n_prior])
-    batch = solutions[n_prior:]
-    rows = reference_history.append_batch(batch)
+        kernel_history.append_batch(x[:n_prior], raws[:n_prior])
+        reference_history.append_batch(x[:n_prior], raws[:n_prior])
+    batch = make_batch(x[n_prior:], raws[n_prior:])
+    rows = reference_history.append_batch(batch.variables, batch.raw_objectives)
     records = reference_history.variables_matrix()
     variances = reference_history.variances()
     distances = full_distance_matrix(records[rows], records, variances)
@@ -489,8 +475,7 @@ def assert_matches_definition(x, raws, n_prior, k, pick_max_dist):
         (int(q), int(r), float(d)) for q, r, d in within
     )
 
-    out = knn_evaluate(batch, kernel_history, config)
-    got = np.array([s.objectives for s in out])
+    got = knn_evaluate(batch, kernel_history, config).objectives
     assert got.tobytes() == expected.tobytes()
     assert kernel_history.averaged_matrix()[rows].tobytes() == expected.tobytes()
     if k == 1:
@@ -524,7 +509,7 @@ class TestKnnEvaluateMatchesDefinition:
 class TestHistoryRows:
     def test_header_and_row_layout(self):
         history = EvaluationHistory(2, 2)
-        batch = [make_solution([0.25, 0.75], [1.0, 2.0])]
+        batch = make_batch([[0.25, 0.75]], [[1.0, 2.0]])
         knn_evaluate(batch, history, KnnConfig(k=1, max_dist=1.0))
         header, rows = history_rows(history)
         assert header == ["batch", "x0", "x1", "raw_f1", "raw_f2", "avg_f1", "avg_f2"]
@@ -534,7 +519,7 @@ class TestHistoryRows:
     def test_row_count_tracks_history(self):
         history = EvaluationHistory(2, 2)
         for _ in range(3):
-            batch = [make_solution([0.5, 0.5], [1.0, 1.0]) for _ in range(4)]
+            batch = make_batch([[0.5, 0.5]] * 4, [[1.0, 1.0]] * 4)
             knn_evaluate(batch, history, KnnConfig(k=2, max_dist=1.0))
         _, rows = history_rows(history)
         assert len(rows) == 12

@@ -125,6 +125,27 @@ class TestRun:
         assert "skipped 4 already persisted runs" in out
         assert "executed 0 runs, 0 failures" in out
 
+    @pytest.mark.parametrize(
+        "changed, column",
+        [(["--base-seed", "5"], "seed"), (["--reference", "5,5"], "ref_f1/ref_f2")],
+    )
+    def test_resume_under_other_settings_rejected(self, tmp_path, capsys, changed, column):
+        # the old rows were produced under other settings: skipping them
+        # would silently report results of another experiment
+        argv = RUN_FLAGS + ["--reps", "2", "--out", str(tmp_path)]
+        assert run_cli(argv) == 0
+        before = (tmp_path / "results.csv").read_bytes()
+        capsys.readouterr()
+        assert run_cli(argv + changed) == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert "zdt1-n2-s0.2-p10-g5-baseline-r0" in captured.err
+        assert f"with {column}=" in captured.err
+        assert "skipped" not in captured.out
+        assert (tmp_path / "results.csv").read_bytes() == before
+        assert run_cli(argv) == 0
+        assert "skipped 4 already persisted runs" in capsys.readouterr().out
+
     def test_report_flag_prints_verdicts(self, tmp_path, capsys):
         argv = RUN_FLAGS + ["--reps", "5", "--out", str(tmp_path), "--report"]
         assert run_cli(argv) == 0

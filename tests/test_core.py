@@ -1,15 +1,19 @@
-"""Core types: dominance, filtering, count checks, and the seeded random stream."""
+"""Core types: solutions, batches, dominance, filtering, count checks, the random stream."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from knnavg.averaging import KnnConfig
 from knnavg.core import (
+    Batch,
     ContractViolationError,
     RngStream,
     Solution,
+    dominance_matrix,
     dominates,
     non_dominated_filter,
 )
@@ -48,6 +52,47 @@ class TestSolution:
     def test_non_numeric_rejected(self):
         with pytest.raises(ContractViolationError):
             Solution(variables=np.zeros(2), objectives=["a", "b"])
+
+
+class TestBatch:
+    def test_rows_are_solutions(self):
+        batch = Batch(
+            variables=[[0.1, 0.2], [0.3, 0.4]],
+            objectives=[[1.0, 2.0], [3.0, 4.0]],
+            raw_objectives=[[1.5, 2.5], [3.5, 4.5]],
+        )
+        assert len(batch) == 2
+        second = list(batch)[1]
+        assert isinstance(second, Solution)
+        assert np.array_equal(second.variables, [0.3, 0.4])
+        assert np.array_equal(second.objectives, [3.0, 4.0])
+        assert np.array_equal(second.raw_objectives, [3.5, 4.5])
+
+    def test_matrices_are_copied_and_frozen(self):
+        variables = np.array([[0.1, 0.2]])
+        batch = Batch(variables, np.ones((1, 2)), np.ones((1, 2)))
+        variables[0, 0] = 9.9
+        assert batch.variables[0, 0] == 0.1
+        with pytest.raises(ValueError):
+            batch.objectives[0, 0] = 5.0
+
+    def test_take_and_concat(self):
+        batch = Batch(np.arange(6.0).reshape(3, 2), np.eye(3)[:, :2], np.eye(3)[:, :2])
+        picked = batch.take(np.array([2, 0]))
+        assert np.array_equal(picked.variables, [[4.0, 5.0], [0.0, 1.0]])
+        assert np.array_equal(batch.take(np.array([True, False, True])).variables,
+                              [[0.0, 1.0], [4.0, 5.0]])
+        joined = picked.concat(batch)
+        assert len(joined) == 5
+        assert np.array_equal(joined.raw_objectives[2:], batch.raw_objectives)
+
+    def test_shapes_validated(self):
+        with pytest.raises(ContractViolationError):
+            Batch(np.zeros(2), np.zeros((1, 2)), np.zeros((1, 2)))
+        with pytest.raises(ContractViolationError):
+            Batch(np.zeros((2, 2)), np.zeros((1, 2)), np.zeros((1, 2)))
+        with pytest.raises(ContractViolationError):
+            Batch(np.zeros((1, 2)), np.zeros((1, 2)), np.zeros((1, 3)))
 
 
 def grid_with(**overrides):
@@ -171,6 +216,43 @@ class TestNonDominatedFilter:
             pop = [sol(*rng.random(2)) for _ in range(20)]
             once = non_dominated_filter(pop)
             assert non_dominated_filter(once) == once
+
+
+@st.composite
+def objective_matrices(draw):
+    """Objective matrices with ties, exact duplicates and infinities."""
+    n = draw(st.integers(0, 30))
+    m = draw(st.sampled_from([2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        objs = rng.integers(0, 3, size=(n, m)).astype(float)  # many ties
+    else:
+        objs = rng.random((n, m))
+    for _ in range(draw(st.integers(0, n))):
+        if n:
+            objs[rng.integers(n)] = objs[rng.integers(n)]
+    if n and draw(st.booleans()):
+        objs[rng.integers(n), rng.integers(m)] = np.inf
+    return objs
+
+
+class TestDominanceMatrix:
+    @given(objective_matrices())
+    def test_equals_broadcast_definition(self, objs):
+        less_eq = np.all(objs[:, None, :] <= objs[None, :, :], axis=2)
+        strict = np.any(objs[:, None, :] < objs[None, :, :], axis=2)
+        dom = dominance_matrix(objs)
+        assert dom.shape == (len(objs), len(objs))
+        assert np.array_equal(dom, less_eq & strict)
+
+    def test_agrees_with_dominates(self):
+        rng = np.random.default_rng(80)
+        objs = rng.integers(0, 3, size=(20, 2)).astype(float)
+        dom = dominance_matrix(objs)
+        pop = [sol(*row) for row in objs]
+        for i, a in enumerate(pop):
+            for j, b in enumerate(pop):
+                assert dom[i, j] == dominates(a, b)
 
 
 class TestRngStream:

@@ -197,6 +197,14 @@ class TestRunGrid:
         with (tmp_path / RESULTS_FILENAME).open(newline="") as handle:
             assert len(list(csv.DictReader(handle))) == 4
 
+    def test_resume_with_other_front_sample_size_rejected(self, tmp_path):
+        grid = tiny_grid()
+        run_grid(grid, out_dir=tmp_path)
+        with pytest.raises(ContractViolationError, match="front_sample_size"):
+            run_grid(grid, out_dir=tmp_path, front_sample_size=64)
+        # the refusal leaves the table usable: the original settings resume
+        assert run_grid(grid, out_dir=tmp_path).skipped == 4
+
     def test_partial_resume_completes_missing_runs(self, tmp_path):
         grid = tiny_grid()
         full = run_grid(grid, out_dir=tmp_path)

@@ -22,6 +22,7 @@ from knnavg.problems import (
     evaluate_true,
     true_front,
 )
+from sampling import one_at_a_time
 
 
 def monte_carlo_hv(points, reference, n_samples, seed):
@@ -198,7 +199,7 @@ class TestAdjustedSet:
         problem = ZdtProblem("zdt1", 2)
         noise = NoiseSpec(0.5)
         rng = RngStream(76)
-        batch = [evaluate_noisy(problem, noise, rng.random(2), rng) for _ in range(10)]
+        batch = list(one_at_a_time(problem, noise, rng, 10))
         adjusted = adjusted_set(batch, problem, noise)
         assert len(adjusted) == len(batch)
         for before, after in zip(batch, adjusted):
@@ -209,7 +210,7 @@ class TestAdjustedSet:
     def test_corner_point(self):
         problem = ZdtProblem("zdt1", 2)
         noise = NoiseSpec(1.0)
-        s = evaluate_noisy(problem, noise, [0.0, 0.0], RngStream(77))
+        (s,) = evaluate_noisy(problem, noise, [[0.0, 0.0]], RngStream(77))
         (adjusted,) = adjusted_set([s], problem, noise)
         assert np.array_equal(adjusted.objectives, [0.0, 1.0])
 
@@ -217,7 +218,7 @@ class TestAdjustedSet:
         problem = ZdtProblem("zdt2", 3)
         noise = NoiseSpec(0.0)
         rng = RngStream(78)
-        batch = [evaluate_noisy(problem, noise, rng.random(3), rng) for _ in range(5)]
+        batch = list(one_at_a_time(problem, noise, rng, 5))
         adjusted = adjusted_set(batch, problem, noise)
         for before, after in zip(batch, adjusted):
             assert np.array_equal(after.objectives, before.objectives)
@@ -259,7 +260,7 @@ class TestComputeReport:
         problem = ZdtProblem("zdt1", 2)
         noise = NoiseSpec(0.1)
         rng = RngStream(79)
-        batch = [evaluate_noisy(problem, noise, rng.random(2), rng) for _ in range(12)]
+        batch = list(one_at_a_time(problem, noise, rng, 12))
         report = compute_report(batch, problem, noise)
         adjusted = adjusted_set(batch, problem, noise)
         adjusted_objs = np.array([s.objectives for s in adjusted])
@@ -274,7 +275,7 @@ class TestComputeReport:
         problem = ZdtProblem("zdt1", 2)
         noise = NoiseSpec(0.0)
         rng = RngStream(80)
-        batch = [evaluate_noisy(problem, noise, rng.random(2), rng) for _ in range(5)]
+        batch = list(one_at_a_time(problem, noise, rng, 5))
         report = compute_report(batch, problem, noise, reference=(5.0, 5.0), front_sample_size=64)
         assert report.reference_point == (5.0, 5.0)
         assert report.front_sample_size == 64
@@ -289,7 +290,9 @@ class TestComputeReport:
         noise = NoiseSpec(0.0)
         rng = RngStream(81)
         batch = [
-            evaluate_noisy(problem, noise, [float(rng.random()), 0.0], rng) for _ in range(10)
+            s
+            for _ in range(10)
+            for s in evaluate_noisy(problem, noise, [[float(rng.random()), 0.0]], rng)
         ]
         report = compute_report(batch, problem, noise)
         assert report.delta_f == 0.0

@@ -6,15 +6,22 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from knnavg.averaging import EvaluationHistory, KnnConfig
-from knnavg.core import ContractViolationError, RngStream, Solution, dominates, non_dominated_filter
+from knnavg.core import (
+    ContractViolationError,
+    RngStream,
+    Solution,
+    dominates,
+    non_dominated_filter,
+    objectives_matrix,
+)
 from knnavg.metrics import hypervolume_2d
 from knnavg.nsga2 import (
     GaConfig,
     KnnAveraged,
     PlainNoisy,
-    _first_front,
     _survival,
     crowding_distance,
+    draw_variation,
     fast_non_dominated_sort,
     polynomial_mutation,
     run_optimization,
@@ -30,6 +37,10 @@ def sols(*objective_rows):
     ]
 
 
+def objs(*objective_rows):
+    return np.array(objective_rows, dtype=float).reshape(len(objective_rows), -1)
+
+
 def random_population(rng, count, spread=2.0):
     return [
         Solution(variables=rng.random(2), objectives=rng.random(2) * spread)
@@ -40,30 +51,34 @@ def random_population(rng, count, spread=2.0):
 UNIT_BOUNDS = (np.zeros(2), np.ones(2))
 
 
+def rows(*vectors):
+    return np.array(vectors, dtype=float)
+
+
 class TestFastNonDominatedSort:
     def test_chain(self):
-        fronts = fast_non_dominated_sort(sols([0.0, 0.0], [1.0, 1.0], [2.0, 2.0]))
+        fronts = fast_non_dominated_sort(objs([0.0, 0.0], [1.0, 1.0], [2.0, 2.0]))
         assert fronts == [[0], [1], [2]]
 
     def test_incomparable_pair_shares_front(self):
-        assert fast_non_dominated_sort(sols([0.0, 1.0], [1.0, 0.0])) == [[0, 1]]
+        assert fast_non_dominated_sort(objs([0.0, 1.0], [1.0, 0.0])) == [[0, 1]]
 
     def test_mixed_example(self):
-        fronts = fast_non_dominated_sort(sols([1.0, 1.0], [2.0, 2.0], [0.0, 3.0]))
+        fronts = fast_non_dominated_sort(objs([1.0, 1.0], [2.0, 2.0], [0.0, 3.0]))
         assert fronts == [[0, 2], [1]]
 
     def test_empty_population(self):
-        assert fast_non_dominated_sort([]) == []
+        assert fast_non_dominated_sort(np.empty((0, 2))) == []
 
     def test_duplicates_share_front(self):
-        fronts = fast_non_dominated_sort(sols([1.0, 1.0], [1.0, 1.0]))
+        fronts = fast_non_dominated_sort(objs([1.0, 1.0], [1.0, 1.0]))
         assert fronts == [[0, 1]]
 
     def test_partition_property(self):
         rng = RngStream(85)
         for _ in range(20):
             population = random_population(rng, 30)
-            fronts = fast_non_dominated_sort(population)
+            fronts = fast_non_dominated_sort(objectives_matrix(population))
             flat = [i for front in fronts for i in front]
             assert sorted(flat) == list(range(30))
             for front in fronts:
@@ -73,7 +88,7 @@ class TestFastNonDominatedSort:
         rng = RngStream(86)
         for _ in range(20):
             population = random_population(rng, 25)
-            fronts = fast_non_dominated_sort(population)
+            fronts = fast_non_dominated_sort(objectives_matrix(population))
             for i in fronts[0]:
                 assert not any(dominates(q, population[i]) for q in population)
 
@@ -81,7 +96,7 @@ class TestFastNonDominatedSort:
         rng = RngStream(87)
         for _ in range(20):
             population = random_population(rng, 25)
-            fronts = fast_non_dominated_sort(population)
+            fronts = fast_non_dominated_sort(objectives_matrix(population))
             for prev, front in zip(fronts, fronts[1:]):
                 for i in front:
                     assert any(dominates(population[j], population[i]) for j in prev)
@@ -90,7 +105,7 @@ class TestFastNonDominatedSort:
         rng = RngStream(88)
         for _ in range(20):
             population = random_population(rng, 25)
-            for front in fast_non_dominated_sort(population):
+            for front in fast_non_dominated_sort(objectives_matrix(population)):
                 for i in front:
                     for j in front:
                         assert not dominates(population[i], population[j])
@@ -122,44 +137,45 @@ class TestSurvival:
     @given(survival_cases())
     def test_rank0_survivors_are_the_survivors_front(self, case):
         combined, target = case
-        survivors, ranks, _ = _survival(combined, target)
-        assert len(survivors) == target
-        front = _first_front(survivors, ranks)
+        chosen, ranks, _ = _survival(objectives_matrix(combined), target)
+        assert len(chosen) == target
+        survivors = [combined[i] for i in chosen]
+        front = [s for s, rank in zip(survivors, ranks) if rank == 0]
         assert [id(s) for s in front] == [id(s) for s in non_dominated_filter(survivors)]
 
 
 class TestCrowdingDistance:
     def test_boundary_and_interior(self):
         # interior point spans the full range in both objectives: 1 + 1
-        d = crowding_distance(sols([0.0, 1.0], [0.5, 0.5], [1.0, 0.0]))
+        d = crowding_distance(objs([0.0, 1.0], [0.5, 0.5], [1.0, 0.0]))
         assert d[0] == np.inf
         assert d[2] == np.inf
         assert d[1] == pytest.approx(2.0)
 
     def test_small_fronts_all_infinite(self):
-        assert np.all(np.isposinf(crowding_distance(sols([0.0, 0.0]))))
-        assert np.all(np.isposinf(crowding_distance(sols([0.0, 1.0], [1.0, 0.0]))))
+        assert np.all(np.isposinf(crowding_distance(objs([0.0, 0.0]))))
+        assert np.all(np.isposinf(crowding_distance(objs([0.0, 1.0], [1.0, 0.0]))))
 
     def test_empty_front_rejected(self):
         with pytest.raises(ContractViolationError):
-            crowding_distance([])
+            crowding_distance(np.empty((0, 2)))
 
     def test_denser_region_scores_lower(self):
         # the point crowded by close neighbors gets a smaller distance
         d = crowding_distance(
-            sols([0.0, 1.0], [0.1, 0.9], [0.2, 0.8], [1.0, 0.0])
+            objs([0.0, 1.0], [0.1, 0.9], [0.2, 0.8], [1.0, 0.0])
         )
         assert d[1] < d[2]
 
     def test_constant_objective_contributes_nothing(self):
-        d = crowding_distance(sols([0.0, 5.0], [0.5, 5.0], [1.0, 5.0]))
+        d = crowding_distance(objs([0.0, 5.0], [0.5, 5.0], [1.0, 5.0]))
         assert d[1] == pytest.approx(1.0)
 
     def test_interior_formula(self):
         rng = RngStream(89)
         for _ in range(20):
             population = random_population(rng, 8)
-            d = crowding_distance(population)
+            d = crowding_distance(objectives_matrix(population))
             objs = np.array([s.objectives for s in population])
             expected = np.zeros(8)
             for m in range(2):
@@ -177,108 +193,197 @@ class TestCrowdingDistance:
             assert np.allclose(d[finite], expected[finite], atol=1e-12)
 
 
+# a two-member population of distinct ranks; crowding ties everywhere
+DISTINCT = (np.array([0, 1]), np.array([np.inf, np.inf]))
+
+
+def ga_pair(crossover_prob, mutation_prob):
+    return GaConfig(
+        pop_size=2, generations=1, crossover_prob=crossover_prob, mutation_prob=mutation_prob
+    )
+
+
+def replay_tournaments(probe, ranks):
+    """The two tournaments of one pair, drawn on ``probe``: rank decides,
+    and with crowding tied everywhere an equal rank tosses a coin."""
+    winners = []
+    for _ in range(2):
+        i, j = probe.integers(len(ranks), 2).tolist()
+        if ranks[i] != ranks[j]:
+            winners.append(i if ranks[i] < ranks[j] else j)
+        else:
+            winners.append(i if probe.random() < 0.5 else j)
+    return winners
+
+
+class TestDrawVariation:
+    @pytest.mark.parametrize("ranks", [[0, 1], [0, 0]])
+    def test_tournaments_toss_a_coin_only_on_a_tie(self, ranks):
+        for seed in range(103, 113):
+            used, probe = RngStream(seed), RngStream(seed)
+            crowding = np.array([np.inf, np.inf])
+            draws = draw_variation(np.array(ranks), crowding, ga_pair(0.0, 0.0), 2, used)
+            winners = replay_tournaments(probe, ranks)
+            probe.random(3)  # crossover gate, two mutation gates
+            assert draws.parents.tolist() == [winners]
+            assert used.random() == probe.random()
+
+    def test_crowding_decides_an_equal_rank(self):
+        crowding = [0.1, 0.4, 0.3, 0.2]
+        ga = GaConfig(pop_size=4, generations=1, crossover_prob=0.0, mutation_prob=0.0)
+        draws = draw_variation(np.zeros(4, dtype=np.int64), np.array(crowding), ga, 2,
+                               RngStream(113))
+        probe = RngStream(113)
+        for pair in draws.parents.tolist():
+            for winner in pair:
+                i, j = probe.integers(4, 2).tolist()
+                if i == j:  # identical candidates tie on crowding too
+                    assert winner == (i if probe.random() < 0.5 else j)
+                else:
+                    assert winner == (i if crowding[i] > crowding[j] else j)
+            probe.random(3)  # crossover gate, two mutation gates
+
+    def test_gates_follow_the_probabilities(self):
+        draws = draw_variation(
+            np.zeros(20, dtype=np.int64), np.arange(20.0),
+            GaConfig(pop_size=20, generations=1, crossover_prob=0.5, mutation_prob=0.5),
+            3, RngStream(105),
+        )
+        assert 0 < draws.crosses.sum() < 10 and 0 < draws.mutates.sum() < 20
+        # rows of skipped operators hold zeros; drawn rows hold uniforms
+        assert not draws.u_cross[~draws.crosses].any()
+        assert draws.u_cross[draws.crosses].all()
+        assert not draws.u_mutation[~draws.mutates].any()
+
+
 class TestSbxCrossover:
     def test_skipped_pair_passes_through(self):
-        a, b = np.array([0.2, 0.7]), np.array([0.9, 0.1])
-        ca, cb = sbx_crossover(a, b, 0.0, 15.0, UNIT_BOUNDS, RngStream(90))
+        a, b = rows([0.2, 0.7]), rows([0.9, 0.1])
+        ca, cb = sbx_crossover(a, b, [False], RngStream(90).random((1, 2)), 15.0, UNIT_BOUNDS)
         assert np.array_equal(ca, a) and np.array_equal(cb, b)
         assert ca is not a and cb is not b
 
     def test_identical_parents_pass_through(self):
-        a = np.array([0.3, 0.6])
-        ca, cb = sbx_crossover(a, a.copy(), 1.0, 15.0, UNIT_BOUNDS, RngStream(90))
+        a = rows([0.3, 0.6])
+        ca, cb = sbx_crossover(
+            a, a.copy(), [True], RngStream(90).random((1, 2)), 15.0, UNIT_BOUNDS
+        )
         assert np.array_equal(ca, a) and np.array_equal(cb, a)
 
     def test_children_within_bounds(self):
         rng = RngStream(91)
-        for _ in range(2000):
-            a, b = rng.random(3), rng.random(3)
-            ca, cb = sbx_crossover(a, b, 1.0, 15.0, (np.zeros(3), np.ones(3)), rng)
-            for child in (ca, cb):
-                assert np.all(child >= 0.0) and np.all(child <= 1.0)
+        a, b, u = rng.random((2000, 3)), rng.random((2000, 3)), rng.random((2000, 3))
+        ca, cb = sbx_crossover(a, b, np.ones(2000, bool), u, 15.0, (np.zeros(3), np.ones(3)))
+        for child in (ca, cb):
+            assert np.all(child >= 0.0) and np.all(child <= 1.0)
 
     def test_midpoint_preserved_without_clipping(self):
         # away from the bounds the two children always straddle the parents' mean
         wide = (np.full(3, -100.0), np.full(3, 100.0))
         rng = RngStream(92)
-        for _ in range(500):
-            a, b = rng.random(3), rng.random(3)
-            ca, cb = sbx_crossover(a, b, 1.0, 15.0, wide, rng)
-            assert np.allclose(ca + cb, a + b, atol=1e-10)
+        a, b, u = rng.random((500, 3)), rng.random((500, 3)), rng.random((500, 3))
+        ca, cb = sbx_crossover(a, b, np.ones(500, bool), u, 15.0, wide)
+        assert np.allclose(ca + cb, a + b, atol=1e-10)
 
     def test_child_mean_matches_parent_mean(self):
         rng = RngStream(93)
-        a, b = np.array([0.2]), np.array([0.8])
-        children = []
-        for _ in range(10_000):
-            ca, cb = sbx_crossover(a, b, 1.0, 15.0, (np.zeros(1), np.ones(1)), rng)
-            children.append(ca[0])
-            children.append(cb[0])
-        assert np.mean(children) == pytest.approx(0.5, abs=0.02)
+        a, b = np.full((10_000, 1), 0.2), np.full((10_000, 1), 0.8)
+        ca, cb = sbx_crossover(
+            a, b, np.ones(10_000, bool), rng.random((10_000, 1)), 15.0,
+            (np.zeros(1), np.ones(1)),
+        )
+        assert np.mean(np.concatenate((ca, cb))) == pytest.approx(0.5, abs=0.02)
 
     def test_draw_accounting_active(self):
-        # an applied crossover consumes 1 + n uniforms
+        # a crossing pair consumes its gate plus n uniforms
         used, probe = RngStream(94), RngStream(94)
-        sbx_crossover([0.2, 0.4, 0.6], [0.8, 0.5, 0.1], 1.0, 15.0,
-                      (np.zeros(3), np.ones(3)), used)
+        draws = draw_variation(*DISTINCT, ga_pair(1.0, 0.0), 3, used)
+        replay_tournaments(probe, DISTINCT[0])
         probe.random()
-        probe.random(3)
+        u = probe.random(3)
+        probe.random(2)  # the two mutation gates
+        assert draws.crosses.tolist() == [True]
+        assert np.array_equal(draws.u_cross[0], u)
         assert used.random() == probe.random()
 
     def test_draw_accounting_skipped(self):
         # a skipped crossover consumes only the gate draw
         used, probe = RngStream(95), RngStream(95)
-        sbx_crossover([0.2, 0.4], [0.8, 0.5], 0.0, 15.0, UNIT_BOUNDS, used)
+        draws = draw_variation(*DISTINCT, ga_pair(0.0, 0.0), 2, used)
+        replay_tournaments(probe, DISTINCT[0])
         probe.random()
+        probe.random(2)
+        assert draws.crosses.tolist() == [False]
         assert used.random() == probe.random()
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ContractViolationError):
-            sbx_crossover([0.2], [0.8, 0.5], 1.0, 15.0, UNIT_BOUNDS, RngStream(96))
+            sbx_crossover(
+                rows([0.2]), rows([0.8, 0.5]), [True], RngStream(96).random((1, 2)),
+                15.0, UNIT_BOUNDS,
+            )
 
 
 class TestPolynomialMutation:
     def test_skipped_offspring_copied(self):
-        x = np.array([0.3, 0.6])
-        y = polynomial_mutation(x, 0.0, 20.0, UNIT_BOUNDS, RngStream(97))
+        x = rows([0.3, 0.6])
+        u_pick, u = RngStream(97).random((2, 1, 2))
+        y = polynomial_mutation(x, [False], u_pick, u, 20.0, UNIT_BOUNDS)
         assert np.array_equal(y, x) and y is not x
 
     def test_stays_within_bounds(self):
         rng = RngStream(98)
-        for _ in range(5000):
-            x = rng.random(3)
-            y = polynomial_mutation(x, 1.0, 20.0, (np.zeros(3), np.ones(3)), rng)
-            assert np.all(y >= 0.0) and np.all(y <= 1.0)
+        x, u_pick, u = rng.random((5000, 3)), rng.random((5000, 3)), rng.random((5000, 3))
+        y = polynomial_mutation(x, np.ones(5000, bool), u_pick, u, 20.0, (np.zeros(3), np.ones(3)))
+        assert np.all(y >= 0.0) and np.all(y <= 1.0)
 
     def test_boundary_genes_stay_feasible(self):
         rng = RngStream(99)
         for x in ([0.0, 1.0], [0.0, 0.0], [1.0, 1.0]):
-            for _ in range(200):
-                y = polynomial_mutation(x, 1.0, 20.0, UNIT_BOUNDS, rng)
-                assert np.all(y >= 0.0) and np.all(y <= 1.0)
+            u_pick, u = rng.random((200, 2)), rng.random((200, 2))
+            y = polynomial_mutation(np.tile(x, (200, 1)), np.ones(200, bool), u_pick, u,
+                                    20.0, UNIT_BOUNDS)
+            assert np.all(y >= 0.0) and np.all(y <= 1.0)
+
+    def test_only_picked_variables_move(self):
+        # variable j moves only when its pick uniform falls below 1/n
+        x = rows([0.5, 0.5], [0.5, 0.5])
+        u_pick = rows([0.1, 0.9], [0.9, 0.4])
+        y = polynomial_mutation(x, [True, True], u_pick, np.full((2, 2), 0.9), 20.0, UNIT_BOUNDS)
+        assert y[0, 0] != 0.5 and y[0, 1] == 0.5
+        assert y[1, 0] == 0.5 and y[1, 1] != 0.5
 
     def test_perturbation_centered(self):
         # symmetric start, symmetric distribution: mean stays at the start
         rng = RngStream(100)
-        values = [
-            polynomial_mutation([0.5], 1.0, 20.0, (np.zeros(1), np.ones(1)), rng)[0]
-            for _ in range(50_000)
-        ]
+        values = polynomial_mutation(
+            np.full((50_000, 1), 0.5), np.ones(50_000, bool), np.zeros((50_000, 1)),
+            rng.random((50_000, 1)), 20.0, (np.zeros(1), np.ones(1)),
+        )
         assert np.mean(values) == pytest.approx(0.5, abs=0.005)
 
     def test_draw_accounting_active(self):
-        # a mutating offspring consumes 1 + n + n uniforms
+        # a mutating offspring consumes its gate plus n + n uniforms
         used, probe = RngStream(101), RngStream(101)
-        polynomial_mutation([0.2, 0.4, 0.6], 1.0, 20.0, (np.zeros(3), np.ones(3)), used)
+        draws = draw_variation(*DISTINCT, ga_pair(0.0, 1.0), 3, used)
+        replay_tournaments(probe, DISTINCT[0])
+        probe.random()  # crossover gate
+        probe.random()
+        pick, u = probe.random(3), probe.random(3)
         probe.random()
         probe.random(3)
         probe.random(3)
+        assert draws.mutates.tolist() == [True, True]
+        assert np.array_equal(draws.u_pick[0], pick)
+        assert np.array_equal(draws.u_mutation[0], u)
         assert used.random() == probe.random()
 
     def test_draw_accounting_skipped(self):
         used, probe = RngStream(102), RngStream(102)
-        polynomial_mutation([0.2, 0.4], 0.0, 20.0, UNIT_BOUNDS, used)
-        probe.random()
+        draws = draw_variation(*DISTINCT, ga_pair(0.0, 0.0), 2, used)
+        replay_tournaments(probe, DISTINCT[0])
+        probe.random(3)
+        assert draws.mutates.tolist() == [False, False]
         assert used.random() == probe.random()
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from knnavg.core import ContractViolationError, RngStream
 from knnavg.problems import (
@@ -84,6 +86,14 @@ class TestEvaluateTrue:
     def test_wrong_length_rejected(self):
         with pytest.raises(ContractViolationError):
             evaluate_true(ZdtProblem("zdt1", 3), [0.5, 0.5])
+        with pytest.raises(ContractViolationError):
+            evaluate_true(ZdtProblem("zdt1", 3), [[0.5, 0.5]])
+
+    def test_matrix_gives_one_row_per_vector(self):
+        problem = ZdtProblem("zdt1", 2)
+        f = evaluate_true(problem, [[0.0, 0.0], [1.0, 0.0], [0.25, 0.5]])
+        assert f.shape == (3, 2)
+        assert np.array_equal(f[2], evaluate_true(problem, [0.25, 0.5]))
 
 
 class TestNoiseSpec:
@@ -95,9 +105,9 @@ class TestNoiseSpec:
         # the one sigma scales the draw of every objective
         problem = ZdtProblem("zdt1", 2)
         x = np.array([0.3, 0.6])
-        sample = evaluate_noisy(problem, NoiseSpec(0.5), x, RngStream(8))
+        sample = evaluate_noisy(problem, NoiseSpec(0.5), [x], RngStream(8))
         draws = RngStream(8).standard_normal(2)
-        assert np.array_equal(sample.raw_objectives, evaluate_true(problem, x) + 0.5 * draws)
+        assert np.array_equal(sample.raw_objectives, [evaluate_true(problem, x) + 0.5 * draws])
 
     def test_sigma_stored_as_float(self):
         for value in (1, np.float32(0.5), np.int64(2)):
@@ -118,23 +128,28 @@ class TestEvaluateNoisy:
         rng = RngStream(11)
         for _ in range(20):
             x = rng.random(3)
-            s = evaluate_noisy(problem, NoiseSpec(0.0), x, rng)
+            (s,) = evaluate_noisy(problem, NoiseSpec(0.0), [x], rng)
             assert np.array_equal(s.objectives, evaluate_true(problem, x))
             assert np.array_equal(s.raw_objectives, s.objectives)
 
     def test_seeded_reproducibility(self):
         problem = ZdtProblem("zdt1", 2)
-        a = evaluate_noisy(problem, NoiseSpec(0.1), [0.0, 0.0], RngStream(4))
-        b = evaluate_noisy(problem, NoiseSpec(0.1), [0.0, 0.0], RngStream(4))
+        a = evaluate_noisy(problem, NoiseSpec(0.1), [[0.0, 0.0]], RngStream(4))
+        b = evaluate_noisy(problem, NoiseSpec(0.1), [[0.0, 0.0]], RngStream(4))
         assert np.array_equal(a.objectives, b.objectives)
 
     def test_draw_count_independent_of_sigma(self):
         # sigma=0 and sigma>0 must advance the stream identically
         problem = ZdtProblem("zdt1", 2)
         quiet, loud = RngStream(21), RngStream(21)
-        evaluate_noisy(problem, NoiseSpec(0.0), [0.5, 0.5], quiet)
-        evaluate_noisy(problem, NoiseSpec(0.5), [0.5, 0.5], loud)
+        evaluate_noisy(problem, NoiseSpec(0.0), [[0.5, 0.5]], quiet)
+        evaluate_noisy(problem, NoiseSpec(0.5), [[0.5, 0.5]], loud)
         assert quiet.random() == loud.random()
+
+    def test_single_vector_rejected(self):
+        # noisy evaluation takes a (b, n) matrix, even for one point
+        with pytest.raises(ContractViolationError):
+            evaluate_noisy(ZdtProblem("zdt1", 2), NoiseSpec(0.1), [0.5, 0.5], RngStream(5))
 
     def test_sample_mean_close_to_truth(self):
         problem = ZdtProblem("zdt1", 2)
@@ -142,9 +157,7 @@ class TestEvaluateNoisy:
         rng = RngStream(31)
         x = np.array([0.25, 0.5])
         true = evaluate_true(problem, x)
-        samples = np.array(
-            [evaluate_noisy(problem, noise, x, rng).raw_objectives for _ in range(10_000)]
-        )
+        samples = evaluate_noisy(problem, noise, np.tile(x, (10_000, 1)), rng).raw_objectives
         bound = 4 * 0.1 / np.sqrt(10_000)
         assert np.all(np.abs(samples.mean(axis=0) - true) < bound)
 
@@ -154,11 +167,43 @@ class TestEvaluateNoisy:
         rng = RngStream(32)
         x = np.array([0.5, 0.5])
         true = evaluate_true(problem, x)
-        deltas = np.array(
-            [evaluate_noisy(problem, noise, x, rng).raw_objectives - true for _ in range(10_000)]
-        )
+        deltas = evaluate_noisy(problem, noise, np.tile(x, (10_000, 1)), rng).raw_objectives - true
         corr = np.corrcoef(deltas[:, 0], deltas[:, 1])[0, 1]
         assert abs(corr) < 0.05
+
+
+@st.composite
+def evaluation_cases(draw):
+    """A (b, n) matrix of decision vectors, with exact 0 and 1 coordinates."""
+    n = draw(st.sampled_from([2, 30]))
+    b = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.random((b, n))
+    x[rng.random((b, n)) < 0.1] = 0.0
+    x[rng.random((b, n)) < 0.1] = 1.0
+    variant = draw(st.sampled_from(["zdt1", "zdt2", "zdt3"]))
+    sigma = draw(st.sampled_from([0.0, 0.1, 0.5]))
+    return ZdtProblem(variant, n), NoiseSpec(sigma), x, draw(st.integers(0, 2**32 - 1))
+
+
+class TestBatchedEvaluation:
+    @given(evaluation_cases())
+    def test_matrix_equals_row_by_row(self, case):
+        # one (b, n) call: the same bits and the same stream position as b
+        # single-point evaluations, each the true objectives plus two draws
+        problem, noise, x, seed = case
+        batched_rng, row_rng = RngStream(seed), RngStream(seed)
+        batch = evaluate_noisy(problem, noise, x, batched_rng)
+        expected = np.array(
+            [evaluate_true(problem, row) + noise.sigma * row_rng.standard_normal(2) for row in x]
+        )
+        assert batch.raw_objectives.tobytes() == expected.tobytes()
+        assert batch.objectives.tobytes() == expected.tobytes()
+        assert batch.variables.tobytes() == x.tobytes()
+        assert batched_rng.random() == row_rng.random()
+        one_row_rng = RngStream(seed)
+        one_row = [evaluate_noisy(problem, noise, row[None], one_row_rng) for row in x]
+        assert np.concatenate([s.raw_objectives for s in one_row]).tobytes() == expected.tobytes()
 
 
 class TestMeanObjectives:
@@ -166,7 +211,7 @@ class TestMeanObjectives:
         problem = ZdtProblem("zdt2", 3)
         rng = RngStream(41)
         for _ in range(20):
-            s = evaluate_noisy(problem, NoiseSpec(0.3), rng.random(3), rng)
+            (s,) = evaluate_noisy(problem, NoiseSpec(0.3), [rng.random(3)], rng)
             assert np.array_equal(mean_objectives(problem, s), evaluate_true(problem, s.variables))
 
     def test_matches_resampling_average(self):
@@ -174,10 +219,8 @@ class TestMeanObjectives:
         noise = NoiseSpec(0.2)
         rng = RngStream(42)
         x = np.array([0.1, 0.9])
-        s = evaluate_noisy(problem, noise, x, rng)
-        resampled = np.array(
-            [evaluate_noisy(problem, noise, x, rng).raw_objectives for _ in range(10_000)]
-        )
+        (s,) = evaluate_noisy(problem, noise, [x], rng)
+        resampled = evaluate_noisy(problem, noise, np.tile(x, (10_000, 1)), rng).raw_objectives
         bound = 4 * 0.2 / np.sqrt(10_000)
         assert np.all(np.abs(resampled.mean(axis=0) - mean_objectives(problem, s)) < bound)
 
