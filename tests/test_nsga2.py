@@ -37,8 +37,9 @@ def sols(*objective_rows):
     ]
 
 
-def objs(*objective_rows):
-    return np.array(objective_rows, dtype=float).reshape(len(objective_rows), -1)
+def rows(*vectors):
+    """Objective or decision vectors as the rows of a matrix."""
+    return np.array(vectors, dtype=float)
 
 
 def random_population(rng, count, spread=2.0):
@@ -51,27 +52,23 @@ def random_population(rng, count, spread=2.0):
 UNIT_BOUNDS = (np.zeros(2), np.ones(2))
 
 
-def rows(*vectors):
-    return np.array(vectors, dtype=float)
-
-
 class TestFastNonDominatedSort:
     def test_chain(self):
-        fronts = fast_non_dominated_sort(objs([0.0, 0.0], [1.0, 1.0], [2.0, 2.0]))
+        fronts = fast_non_dominated_sort(rows([0.0, 0.0], [1.0, 1.0], [2.0, 2.0]))
         assert fronts == [[0], [1], [2]]
 
     def test_incomparable_pair_shares_front(self):
-        assert fast_non_dominated_sort(objs([0.0, 1.0], [1.0, 0.0])) == [[0, 1]]
+        assert fast_non_dominated_sort(rows([0.0, 1.0], [1.0, 0.0])) == [[0, 1]]
 
     def test_mixed_example(self):
-        fronts = fast_non_dominated_sort(objs([1.0, 1.0], [2.0, 2.0], [0.0, 3.0]))
+        fronts = fast_non_dominated_sort(rows([1.0, 1.0], [2.0, 2.0], [0.0, 3.0]))
         assert fronts == [[0, 2], [1]]
 
     def test_empty_population(self):
         assert fast_non_dominated_sort(np.empty((0, 2))) == []
 
     def test_duplicates_share_front(self):
-        fronts = fast_non_dominated_sort(objs([1.0, 1.0], [1.0, 1.0]))
+        fronts = fast_non_dominated_sort(rows([1.0, 1.0], [1.0, 1.0]))
         assert fronts == [[0, 1]]
 
     def test_partition_property(self):
@@ -147,14 +144,14 @@ class TestSurvival:
 class TestCrowdingDistance:
     def test_boundary_and_interior(self):
         # interior point spans the full range in both objectives: 1 + 1
-        d = crowding_distance(objs([0.0, 1.0], [0.5, 0.5], [1.0, 0.0]))
+        d = crowding_distance(rows([0.0, 1.0], [0.5, 0.5], [1.0, 0.0]))
         assert d[0] == np.inf
         assert d[2] == np.inf
         assert d[1] == pytest.approx(2.0)
 
     def test_small_fronts_all_infinite(self):
-        assert np.all(np.isposinf(crowding_distance(objs([0.0, 0.0]))))
-        assert np.all(np.isposinf(crowding_distance(objs([0.0, 1.0], [1.0, 0.0]))))
+        assert np.all(np.isposinf(crowding_distance(rows([0.0, 0.0]))))
+        assert np.all(np.isposinf(crowding_distance(rows([0.0, 1.0], [1.0, 0.0]))))
 
     def test_empty_front_rejected(self):
         with pytest.raises(ContractViolationError):
@@ -163,12 +160,12 @@ class TestCrowdingDistance:
     def test_denser_region_scores_lower(self):
         # the point crowded by close neighbors gets a smaller distance
         d = crowding_distance(
-            objs([0.0, 1.0], [0.1, 0.9], [0.2, 0.8], [1.0, 0.0])
+            rows([0.0, 1.0], [0.1, 0.9], [0.2, 0.8], [1.0, 0.0])
         )
         assert d[1] < d[2]
 
     def test_constant_objective_contributes_nothing(self):
-        d = crowding_distance(objs([0.0, 5.0], [0.5, 5.0], [1.0, 5.0]))
+        d = crowding_distance(rows([0.0, 5.0], [0.5, 5.0], [1.0, 5.0]))
         assert d[1] == pytest.approx(1.0)
 
     def test_interior_formula(self):
