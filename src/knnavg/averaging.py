@@ -22,6 +22,17 @@ Numerics contract, which seeded runs depend on bit for bit:
 - Among kept records the solution itself comes first, then records by
   ascending distance, equal distances in insertion order.
 
+A screen finds the candidate pairs with one matrix product. Over the k
+dimensions with spread, it writes a squared distance as
+|q'|^2 + |r'|^2 - 2 q'.r', on coordinates centred on the history mean and
+scaled by 1/sqrt(var), and keeps a pair when that is at most
+``max_dist**2`` plus a slack of 16 (k + 8) 2**-53 (|q'|^2 + |r'|^2). The
+slack is over twice a first-order bound on the screen's rounding error
+against the exact distance (derived in :func:`_neighbor_pairs`), so the
+screen never drops a pair within ``max_dist``. Only the exact distance
+decides which pairs are kept, so results depend neither on how the BLAS
+orders its sums nor on its thread count.
+
 Averaging a batch of b solutions over a history of n records holds
 O(b * n) memory, independent of the number of dimensions.
 """
@@ -31,7 +42,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .core import Batch, ContractViolationError, as_count
 
@@ -203,18 +213,52 @@ def _neighbor_pairs(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every (query, record) pair within ``max_dist``, with its exact distance.
 
-    ``cdist`` screens all pairs first. It sums the same non-negative terms
-    as :func:`_pair_distances`, possibly in another order, so the two agree
-    to a few ulps and the relative margin keeps every true neighbor. The
-    survivors are then measured exactly and cut at ``max_dist``.
+    A screen first keeps every pair that may lie within ``max_dist``; the
+    survivors are then measured exactly and cut at ``max_dist``. Over the k
+    dimensions with spread, coordinates are centred on the history mean and
+    scaled by 1/sqrt(var), giving q' and r', and the screen evaluates the
+    product form |q'|^2 + |r'|^2 - 2 q'.r' with one matrix product. A pair
+    passes when this is at most ``max_dist**2`` plus a slack
+    ``c * (|q'|^2 + |r'|^2)``, c = 16 (k + 8) u with u = 2**-53.
+
+    Why the slack suffices. Let S be the exact standardized squared
+    distance and N = |q'|^2 + |r'|^2. Since S <= 2N (to first order), a
+    pair with ``max_dist**2 > 3N`` passes outright, so take
+    ``max_dist**2 <= 3N``. To first order in u:
+
+    - The exact distance sums k non-negative terms of three roundings each
+      and takes a sqrt, so ``distance <= max_dist`` gives
+      S <= max_dist**2 (1 + (k + 6) u) <= max_dist**2 + 3 (k + 6) u N.
+    - Each scaled coordinate carries at most four roundings and the shared
+      centre cancels in q' - r', so |q' - r'|^2 <= S + 16 u N.
+    - The two squared norms err by at most k u N together and the doubled
+      product by at most k u N, whatever summation order or fused
+      multiply-add the BLAS uses; the five remaining roundings of the test
+      add at most 5 u (2N + max_dist**2) <= 25 u N.
+
+    The screen therefore errs by at most (5k + 59) u N, under half the
+    slack, which leaves room for the second-order terms. An absolute
+    ``k * tiny`` covers subnormal intermediates. No pair within
+    ``max_dist`` is dropped, whatever the BLAS thread count, and the exact
+    pass alone decides the result.
     """
-    mask = variances >= ZERO_VARIANCE_EPS
-    if np.any(mask):
-        coarse = cdist(queries[:, mask], records[:, mask], "seuclidean", V=variances[mask])
-    else:
-        # no dimension carries spread: every pair sits at distance zero
-        coarse = np.zeros((queries.shape[0], records.shape[0]))
-    q_idx, r_idx = np.nonzero(coarse <= max_dist * (1.0 + 1e-9))
+    spread = variances >= ZERO_VARIANCE_EPS
+    k = int(np.count_nonzero(spread))
+    # a dimension without spread gets scale 0 and drops out of the screen
+    scale = np.zeros_like(variances)
+    scale[spread] = 1.0 / np.sqrt(variances[spread])
+    center = records.mean(axis=0)
+    qs = (queries - center) * scale
+    rs = records - center
+    rs *= scale
+    shrink = 1.0 - 16.0 * (k + 8) * (np.finfo(np.float64).eps / 2.0)
+    limit = max_dist * max_dist + k * np.finfo(np.float64).tiny
+    # (1 - c)|r'|^2 - limit - 2 q'.r' <= -(1 - c)|q'|^2; scaling by -2 is exact
+    test = (-2.0 * qs) @ rs.T
+    test += shrink * np.einsum("ij,ij->i", rs, rs) - limit
+    bound = -shrink * np.einsum("ij,ij->i", qs, qs)
+    # row-major like np.nonzero, which is several times slower on a 2-d mask
+    q_idx, r_idx = np.divmod(np.flatnonzero(test <= bound[:, None]), records.shape[0])
     dist = _pair_distances(queries[q_idx], records[r_idx], variances)
     keep = dist <= max_dist
     return q_idx[keep], r_idx[keep], dist[keep]

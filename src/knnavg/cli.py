@@ -7,7 +7,8 @@ JSON result; ``report`` builds verdict tables from persisted results;
 ``front`` samples a problem's true Pareto front.
 
 Exit codes: 0 on success, 1 on a contract violation (including bad
-arguments), 2 when a grid finished but some runs failed.
+arguments or an output file that cannot be written), 2 when a grid
+finished but some runs failed.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .experiment import (
     run_grid,
     write_report_files,
 )
-from .metrics import DEFAULT_FRONT_SAMPLE_SIZE, DEFAULT_REFERENCE
+from .metrics import DEFAULT_FRONT_SAMPLE_SIZE, DEFAULT_REFERENCE, as_reference
 from .problems import ZdtProblem, true_front
 
 __all__ = ["main", "build_parser"]
@@ -115,10 +116,9 @@ def _grid_from_config(path: str | None, args: argparse.Namespace) -> tuple[Exper
         generations=pick(args.generations, "run", "generations", int, 100),
         base_seed=pick(args.base_seed, "run", "base_seed", int, 0),
     )
-    reference = pick(args.reference, "metrics", "reference_point", _floats, DEFAULT_REFERENCE)
-    reference = tuple(float(v) for v in reference)
-    if len(reference) != 2:
-        raise ContractViolationError("reference point needs exactly two coordinates")
+    reference = as_reference(
+        pick(args.reference, "metrics", "reference_point", _floats, DEFAULT_REFERENCE)
+    )
     front_samples = pick(
         args.front_samples, "metrics", "front_sample_size", int, DEFAULT_FRONT_SAMPLE_SIZE
     )
@@ -208,7 +208,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 2 if outcome.failures else 0
 
 
+def _emit(text: str, path: str | None) -> None:
+    """Print ``text``, or write it to the file ``path``."""
+    if path is None:
+        print(text, end="")
+        return
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ContractViolationError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _cmd_single(args: argparse.Namespace) -> int:
+    if args.out and not Path(args.out).parent.is_dir():
+        # checked up front so a run is not wasted on output that cannot be kept
+        raise ContractViolationError(f"cannot write {args.out}: no such directory")
     if (args.k is None) != (args.max_dist is None):
         raise ContractViolationError("--k and --max-dist must be given together")
     arm = "baseline" if args.k is None else "knn"
@@ -229,11 +243,7 @@ def _cmd_single(args: argparse.Namespace) -> int:
     payload["fingerprint"] = config.fingerprint
     payload["metrics"] = dataclasses.asdict(result.metrics)
     payload["duration_s"] = result.duration_s
-    text = json.dumps(payload, indent=2)
-    if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
-    else:
-        print(text)
+    _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return 0
 
 
@@ -250,11 +260,7 @@ def _cmd_front(args: argparse.Namespace) -> int:
     # Front shape does not depend on n_vars; the minimal instance suffices.
     sample = true_front(ZdtProblem(args.problem, 2), args.count)
     lines = ["f1,f2"] + [f"{float(p[0])!r},{float(p[1])!r}" for p in sample.points]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        print(text, end="")
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 

@@ -36,6 +36,7 @@ from .metrics import (
     DEFAULT_FRONT_SAMPLE_SIZE,
     DEFAULT_REFERENCE,
     MetricReport,
+    as_reference,
     compute_report,
 )
 from .nsga2 import GaConfig, KnnAveraged, OptimizationResult, PlainNoisy, run_optimization
@@ -266,6 +267,7 @@ def execute_run(
     keep_optimization: bool = False,
 ) -> RunResult:
     """Execute one run from scratch and score it."""
+    reference = as_reference(reference)
     problem = ZdtProblem(config.problem, config.n_vars)
     noise = NoiseSpec(config.sigma)
     if config.arm == ARM_BASELINE:
@@ -429,7 +431,7 @@ def _check_resumable(
             ) from exc
         for column, old, new in (
             ("seed", stored.config.seed, config.seed),
-            ("ref_f1/ref_f2", stored.metrics.reference_point, tuple(map(float, reference))),
+            ("ref_f1/ref_f2", stored.metrics.reference_point, reference),
             ("front_sample_size", stored.metrics.front_sample_size, front_sample_size),
         ):
             if old != new:
@@ -494,6 +496,7 @@ def run_grid(
     """
     if parallelism < 1:
         raise ContractViolationError("parallelism must be at least 1")
+    reference = as_reference(reference)
     if include_histories and out_dir is None:
         raise ContractViolationError("history dumps need an output directory")
     configs = expand_grid(grid)

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .core import ContractViolationError, Solution, objectives_matrix
 from .problems import NoiseSpec, ParetoFrontSample, ZdtProblem, mean_objectives, true_front
@@ -21,6 +20,7 @@ __all__ = [
     "DEFAULT_REFERENCE",
     "DEFAULT_FRONT_SAMPLE_SIZE",
     "MetricReport",
+    "as_reference",
     "adjusted_set",
     "hypervolume_2d",
     "igd",
@@ -33,6 +33,14 @@ __all__ = [
 # silently clipped to nothing.
 DEFAULT_REFERENCE = (11.0, 11.0)
 DEFAULT_FRONT_SAMPLE_SIZE = 1000
+
+
+def as_reference(reference) -> tuple[float, float]:
+    """A hypervolume reference point as two finite floats, or a contract violation."""
+    ref = tuple(float(v) for v in reference)
+    if len(ref) != 2 or not all(np.isfinite(ref)):
+        raise ContractViolationError(f"reference point needs two finite coordinates, got {ref}")
+    return ref
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,10 +65,7 @@ class MetricReport:
             if not np.isfinite(value) or value < 0.0:
                 raise ContractViolationError(f"{field} must be finite and non-negative")
             object.__setattr__(self, field, value)
-        ref = tuple(float(v) for v in self.reference_point)
-        if len(ref) != 2:
-            raise ContractViolationError("reference_point must have two coordinates")
-        object.__setattr__(self, "reference_point", ref)
+        object.__setattr__(self, "reference_point", as_reference(self.reference_point))
         object.__setattr__(self, "front_sample_size", int(self.front_sample_size))
 
     def value(self, metric: str) -> float:
@@ -130,7 +135,10 @@ def igd(front: ParetoFrontSample, objectives) -> float:
 
     The mean, over the front sample, of each front point's Euclidean
     distance to its nearest solution. Lower is better; zero means every
-    front point coincides with some solution.
+    front point coincides with some solution. Each distance sums the
+    squared coordinate differences left to right before the square root,
+    as ``scipy.spatial.distance.cdist`` does, so the value is bitwise the
+    same as ``cdist(front, objectives).min(axis=1).mean()``.
     """
     objs = np.asarray(objectives, dtype=np.float64)
     if objs.size == 0:
@@ -139,7 +147,12 @@ def igd(front: ParetoFrontSample, objectives) -> float:
         raise ContractViolationError(
             f"objective matrix shape {objs.shape} does not match front dimension"
         )
-    return float(cdist(front.points, objs).min(axis=1).mean())
+    squared = np.zeros((front.points.shape[0], objs.shape[0]))
+    for j in range(objs.shape[1]):
+        diff = front.points[:, j, None] - objs[None, :, j]
+        squared += diff * diff
+    # sqrt is monotone and correctly rounded, so it commutes with the minimum
+    return float(np.sqrt(squared.min(axis=1)).mean())
 
 
 def delta_f(solutions: Sequence[Solution], adjusted: Sequence[Solution]) -> float:

@@ -15,7 +15,6 @@ from enum import Enum
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .core import ContractViolationError
 from .metrics import MetricReport
@@ -82,6 +81,21 @@ class ComparisonVerdict:
     insufficient: bool = False
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """Ranks 1..n of ``values``, ties sharing the mean of their ranks.
+
+    A tie group occupying sorted positions i..j-1 gets (i + 1 + j) / 2,
+    an exact integer or half, as ``scipy.stats.rankdata`` gives.
+    """
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    ends = np.append(starts[1:], values.shape[0])
+    ranks = np.empty(values.shape[0])
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
+
+
 def _exact_two_sided_p(w_plus: float, ranks: np.ndarray) -> float:
     """Exact p-value by enumerating the signed-rank null distribution.
 
@@ -128,12 +142,14 @@ def wilcoxon_signed_rank(sample_a, sample_b) -> WilcoxonResult:
     non-zero pairs the p-value comes from the exact null distribution;
     above that from the normal approximation with continuity correction and
     tie-corrected variance. Fewer than ``MIN_PAIRS`` non-zero pairs yield a
-    flagged, untested result rather than an error.
+    flagged, untested result rather than an error. Values must be finite.
     """
     a = np.asarray(sample_a, dtype=np.float64)
     b = np.asarray(sample_b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
         raise ContractViolationError("samples must be equally long 1-d vectors")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ContractViolationError("samples must be finite")
     if a.shape[0] < MIN_PAIRS:
         raise ContractViolationError(f"need at least {MIN_PAIRS} pairs")
     diff = a - b
@@ -141,7 +157,7 @@ def wilcoxon_signed_rank(sample_a, sample_b) -> WilcoxonResult:
     n = diff.shape[0]
     if n < MIN_PAIRS:
         return WilcoxonResult(p_value=float("nan"), statistic=float("nan"), n_pairs=n, sufficient=False)
-    ranks = rankdata(np.abs(diff))
+    ranks = _average_ranks(np.abs(diff))
     w_plus = float(ranks[diff > 0.0].sum())
     if n <= EXACT_LIMIT:
         p = _exact_two_sided_p(w_plus, ranks)

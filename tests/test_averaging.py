@@ -497,9 +497,9 @@ class TestKnnEvaluateMatchesDefinition:
         assert_matches_definition(x, raws, n_prior, k, pick)
 
     def test_records_exactly_at_the_cutoff_are_kept(self):
-        # At d=30 the pre-filter's cdist rounds above the exact distance for
-        # about a fifth of all pairs; its margin must keep those on the
-        # cutoff, which the kept-pair comparison sees directly.
+        # At d=30 the screen's product form rounds above the exact distance
+        # for many pairs; its slack must keep those on the cutoff, which the
+        # kept-pair comparison sees directly.
         rng = RngStream(67)
         x, raws = rng.random((40, 30)), rng.random((40, 2))
         for record in range(30):

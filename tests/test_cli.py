@@ -7,11 +7,16 @@ from pathlib import Path
 
 import pytest
 
+from knnavg import experiment
 from knnavg.cli import build_parser, main
 
 
 def run_cli(argv):
     return main(argv)
+
+
+def refuse_to_run(*args, **kwargs):
+    raise AssertionError("an optimization ran although the command should fail first")
 
 
 class TestFront:
@@ -39,6 +44,12 @@ class TestFront:
         with pytest.raises(SystemExit) as err:
             run_cli(["front", "--problem", "dtlz2"])
         assert err.value.code == 1
+
+    def test_out_into_missing_directory(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "front.csv"
+        assert run_cli(["front", "--problem", "zdt1", "--out", str(target)]) == 1
+        assert f"error: cannot write {target}" in capsys.readouterr().err
+        assert not target.parent.exists()
 
 
 SINGLE_BASE = [
@@ -98,6 +109,20 @@ class TestSingle:
             run_cli(["single", "--problem", "zdt1"])
         assert err.value.code == 1
 
+    def test_out_into_missing_directory(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(experiment, "run_optimization", refuse_to_run)
+        target = tmp_path / "missing" / "run.json"
+        assert run_cli(SINGLE_BASE + ["--out", str(target)]) == 1
+        assert f"error: cannot write {target}" in capsys.readouterr().err
+        assert not target.parent.exists()
+
+    def test_non_finite_reference_rejected_before_the_run(self, capsys, monkeypatch):
+        monkeypatch.setattr(experiment, "run_optimization", refuse_to_run)
+        assert run_cli(SINGLE_BASE + ["--reference", "inf,inf"]) == 1
+        captured = capsys.readouterr()
+        assert "error: reference point needs two finite coordinates" in captured.err
+        assert captured.out == ""
+
 
 RUN_FLAGS = [
     "run", "--problems", "zdt1", "--n-vars", "2", "--sigmas", "0.2",
@@ -152,6 +177,16 @@ class TestRun:
         out = capsys.readouterr().out
         assert "Verdicts versus baseline" in out
         assert "knn(3, 0.25)" in out
+
+    def test_non_finite_reference_rejected_before_any_run(self, tmp_path, capsys, monkeypatch):
+        # nan != nan: persisted, such rows could never be reported together
+        monkeypatch.setattr(experiment, "run_optimization", refuse_to_run)
+        out = tmp_path / "grid"
+        assert run_cli(RUN_FLAGS + ["--reps", "2", "--reference", "1,nan", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "error: reference point needs two finite coordinates" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_incomplete_grid_rejected(self, capsys):
         assert run_cli(["run", "--problems", "zdt1"]) == 1

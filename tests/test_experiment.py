@@ -205,6 +205,21 @@ class TestRunGrid:
         # the refusal leaves the table usable: the original settings resume
         assert run_grid(grid, out_dir=tmp_path).skipped == 4
 
+    @pytest.mark.parametrize("reference", [(1.0, float("nan")), (float("inf"), 11.0)])
+    def test_non_finite_reference_rejected_before_anything_runs(
+        self, tmp_path, monkeypatch, reference
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a run executed")
+
+        monkeypatch.setattr(experiment, "run_optimization", refuse)
+        out = tmp_path / "grid"
+        with pytest.raises(ContractViolationError, match="two finite coordinates"):
+            run_grid(tiny_grid(), out_dir=out, reference=reference)
+        with pytest.raises(ContractViolationError, match="two finite coordinates"):
+            execute_run(expand_grid(tiny_grid())[0], reference=reference)
+        assert not out.exists()
+
     def test_partial_resume_completes_missing_runs(self, tmp_path):
         grid = tiny_grid()
         full = run_grid(grid, out_dir=tmp_path)

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from knnavg.core import ContractViolationError, RngStream, Solution
 from knnavg.metrics import (
@@ -9,6 +12,7 @@ from knnavg.metrics import (
     DEFAULT_REFERENCE,
     MetricReport,
     adjusted_set,
+    as_reference,
     compute_report,
     delta_f,
     hypervolume_2d,
@@ -143,6 +147,28 @@ class TestIgd:
         with pytest.raises(ContractViolationError):
             igd(front, [[0.0, 0.0, 0.0]])
 
+    @given(
+        st.sampled_from(["zdt1", "zdt2", "zdt3"]),
+        st.integers(2, 60),
+        st.integers(1, 40),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 10),
+        st.booleans(),
+    )
+    def test_bitwise_equal_to_cdist(self, variant, n_front, n_objs, seed, copies, coarse):
+        # scipy stays the oracle: the same value to the last bit, with
+        # duplicate solutions and solutions lying exactly on the front
+        front = true_front(ZdtProblem(variant, 2), n_front)
+        rng = np.random.default_rng(seed)
+        objs = rng.random((n_objs, 2)) * 1.5
+        if coarse:
+            objs = np.round(objs * 4.0) / 4.0
+        for _ in range(copies):
+            source = front.points if rng.random() < 0.5 else objs
+            objs[rng.integers(n_objs)] = source[rng.integers(source.shape[0])]
+        expected = float(cdist(front.points, objs).min(axis=1).mean())
+        assert igd(front, objs).hex() == expected.hex()
+
 
 def make_pair(reported, expected):
     reported = np.asarray(reported, dtype=float)
@@ -253,6 +279,25 @@ class TestMetricReport:
     def test_reference_point_shape(self):
         with pytest.raises(ContractViolationError):
             MetricReport(1.0, 0.5, 0.25, (11.0,), 1000)
+
+    @pytest.mark.parametrize("bad", [(1.0, float("nan")), (float("inf"), 11.0)])
+    def test_non_finite_reference_point_rejected(self, bad):
+        with pytest.raises(ContractViolationError, match="finite"):
+            MetricReport(1.0, 0.5, 0.25, bad, 1000)
+
+
+class TestAsReference:
+    def test_two_finite_coordinates_become_floats(self):
+        ref = as_reference([np.float32(11.0), 5])
+        assert ref == (11.0, 5.0)
+        assert all(type(v) is float for v in ref)
+
+    @pytest.mark.parametrize(
+        "bad", [(1.0, float("nan")), (float("inf"), float("inf")), (11.0,), (1.0, 2.0, 3.0)]
+    )
+    def test_rejected(self, bad):
+        with pytest.raises(ContractViolationError, match="two finite coordinates"):
+            as_reference(bad)
 
 
 class TestComputeReport:

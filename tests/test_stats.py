@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given
+from hypothesis import strategies as st
 
 from knnavg.core import ContractViolationError, RngStream
 from knnavg.metrics import MetricReport
@@ -14,6 +16,7 @@ from knnavg.stats import (
     ComparisonVerdict,
     Verdict,
     WilcoxonResult,
+    _average_ranks,
     compare_setting,
     vargha_delaney_a12,
     wilcoxon_signed_rank,
@@ -130,6 +133,35 @@ class TestWilcoxonSignedRank:
         assert wilcoxon_signed_rank(a, b).p_value == pytest.approx(
             wilcoxon_signed_rank(b, a).p_value, abs=1e-14
         )
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_samples_rejected(self, bad):
+        with pytest.raises(ContractViolationError, match="finite"):
+            wilcoxon_signed_rank([1.0, 2.0, 3.0, 4.0, bad], [0.0] * 5)
+
+
+class TestAverageRanks:
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([0.0, 0.5, 1.0, 2.5]),
+                st.floats(0.0, 1e6, allow_nan=False),
+            ),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    def test_bitwise_equal_to_rankdata(self, values):
+        # scipy stays the oracle; the small pool forces ties and duplicates,
+        # and one-element lists cover a single value
+        values = np.array(values)
+        got = _average_ranks(values)
+        assert got.tobytes() == scipy.stats.rankdata(values).tobytes()
+        assert np.all(got * 2.0 == np.rint(got * 2.0))
+
+    def test_hand_value_with_ties(self):
+        ranks = _average_ranks(np.array([3.0, 1.0, 3.0, 2.0, 3.0]))
+        assert ranks.tolist() == [4.0, 1.0, 4.0, 2.0, 4.0]
 
 
 class TestVarghaDelaneyA12:
