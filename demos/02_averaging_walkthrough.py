@@ -32,9 +32,9 @@ batch0 = samples(
 )
 config = KnnConfig(k=3, max_dist=2.0)
 out0 = knn_evaluate(batch0, history, config)
-for s in out0:
-    print(f"  x={s.variables.tolist()} raw={s.raw_objectives.tolist()}"
-          f" -> averaged={np.round(s.objectives, 4).tolist()}")
+for x, raw, f in zip(out0.variables, out0.raw_objectives, out0.objectives):
+    print(f"  x={x.tolist()} raw={raw.tolist()}"
+          f" -> averaged={np.round(f, 4).tolist()}")
 
 print()
 print("=== the standardized distances behind that ===")

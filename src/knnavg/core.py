@@ -1,17 +1,18 @@
-"""Core domain types: solutions, batches, dominance, seeded RNG, count checks.
+"""Core domain types: batches, dominance, seeded RNG, count and seed checks.
 
 Everything downstream (benchmark functions, neighbor averaging, the search
 engine, the quality indicators) is built on the small value types defined
-here. A ``Batch`` holds many solutions as the rows of three matrices and is
-what the search loop works on; a ``Solution`` is one row, handed out at the
-API edge. All of them are immutable after construction; ``RngStream`` is
-the one stateful object and is owned by exactly one run.
+here. A ``Batch`` holds solutions as the rows of three matrices; the search
+loop, its results and the scoring all work on batches. A ``Solution`` is
+one row, built only when a batch is iterated. All of them are immutable
+after construction; ``RngStream`` is the one stateful object and is owned
+by exactly one run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 from scipy.special import ndtri
@@ -23,10 +24,8 @@ __all__ = [
     "Batch",
     "RngStream",
     "as_count",
+    "as_seed",
     "dominance_matrix",
-    "dominates",
-    "non_dominated_filter",
-    "objectives_matrix",
 ]
 
 
@@ -59,6 +58,14 @@ def as_count(value, name: str, minimum: int) -> int:
     return count
 
 
+def as_seed(value, name: str = "seed") -> int:
+    """``value`` as a seed: an integral count that fits in 64 unsigned bits."""
+    seed = as_count(value, name, 0)
+    if seed >= 2**64:
+        raise ContractViolationError(f"{name} must fit in an unsigned 64-bit integer")
+    return seed
+
+
 def _frozen_array(values, context: str, ndim: int = 1) -> np.ndarray:
     """Copy ``values`` into a read-only float array of ``ndim`` dimensions."""
     try:
@@ -79,7 +86,8 @@ class Solution:
     ``objectives`` is what the search ranks on, which neighbor averaging may
     replace. For plain evaluation the two coincide. All arrays are copied
     and frozen, so a solution can be shared freely between populations and
-    the evaluation history.
+    the evaluation history. Iterating a :class:`Batch` yields its rows as
+    solutions; nothing else in the package builds one.
     """
 
     variables: np.ndarray
@@ -155,23 +163,17 @@ class RngStream:
 
     The generator algorithm is pinned so that one seed identifies one draw
     sequence on every platform; two streams built from the same seed produce
-    bitwise-identical values. A stream belongs to a single run. Derive
-    independent streams for sub-tasks with :meth:`child` instead of sharing
-    one stream across concurrent consumers.
+    bitwise-identical values. A stream belongs to a single run. The seed is
+    an integral count below 2**64; anything else is rejected, not truncated.
 
     Gaussian draws are produced by the inverse normal CDF applied to one
     uniform draw each, so every call consumes an exact, documented number of
     underlying draws.
     """
 
-    def __init__(self, seed: int, _spawn_key: tuple[int, ...] = ()) -> None:
-        seed = int(seed)
-        if not 0 <= seed < 2**64:
-            raise ContractViolationError("seed must fit in an unsigned 64-bit integer")
-        self.seed = seed
-        self._spawn_key = tuple(int(i) for i in _spawn_key)
-        seq = np.random.SeedSequence(seed, spawn_key=self._spawn_key)
-        self._gen = np.random.Generator(np.random.PCG64(seq))
+    def __init__(self, seed: int) -> None:
+        self.seed = as_seed(seed)
+        self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
     def random(self, size: int | tuple[int, ...] | None = None):
         """Uniform floats in [0, 1)."""
@@ -196,39 +198,6 @@ class RngStream:
         """Fair coin flip, consuming one uniform."""
         return bool(self._gen.random() < 0.5)
 
-    def child(self, index: int) -> "RngStream":
-        """Independent stream derived from this stream's seed and ``index``.
-
-        Children are split off through the seed sequence's spawn key, so
-        distinct indices give statistically independent streams and the
-        same (seed, index) always gives the same child.
-        """
-        if index < 0:
-            raise ContractViolationError("child index must be non-negative")
-        return RngStream(self.seed, _spawn_key=self._spawn_key + (int(index),))
-
-
-def objectives_matrix(solutions: Sequence[Solution]) -> np.ndarray:
-    """Stack the objective vectors of ``solutions`` into an (n, m) matrix."""
-    dims = {s.objectives.shape for s in solutions}
-    if len(dims) > 1:
-        raise ContractViolationError(f"mixed objective dimensions: {sorted(dims)}")
-    return np.array([s.objectives for s in solutions])
-
-
-def dominates(a: Solution, b: Solution) -> bool:
-    """Pareto dominance for minimization.
-
-    ``a`` dominates ``b`` when it is nowhere worse and strictly better in at
-    least one objective. Equal vectors do not dominate each other.
-    """
-    fa, fb = a.objectives, b.objectives
-    if fa.shape != fb.shape:
-        raise ContractViolationError(
-            f"objective dimension mismatch: {fa.shape[0]} vs {fb.shape[0]}"
-        )
-    return bool(np.all(fa <= fb) and np.any(fa < fb))
-
 
 def dominance_matrix(objs: np.ndarray) -> np.ndarray:
     """``dom[i, j]`` is True when row i of ``objs`` Pareto-dominates row j.
@@ -244,16 +213,3 @@ def dominance_matrix(objs: np.ndarray) -> np.ndarray:
         less_eq &= column[:, None] <= column[None, :]
         strict |= column[:, None] < column[None, :]
     return less_eq & strict
-
-
-def non_dominated_filter(solutions: Iterable[Solution]) -> list[Solution]:
-    """Members of ``solutions`` not dominated by any other member.
-
-    Input order is preserved. Solutions with identical objective vectors do
-    not dominate one another, so duplicates survive together.
-    """
-    sols = list(solutions)
-    if not sols:
-        return []
-    dominated = dominance_matrix(objectives_matrix(sols)).any(axis=0)
-    return [s for s, dead in zip(sols, dominated) if not dead]

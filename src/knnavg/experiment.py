@@ -8,10 +8,13 @@ the averaging parameters out, so arm j of repetition r sees exactly the
 same stream as the baseline of repetition r; that pairing is what the
 signed-rank comparison relies on.
 
-Results persist as an append-only CSV, one row per finished run, which
-makes interrupted grids resumable: already persisted fingerprints are
-skipped on the next invocation, provided their rows were produced under the
-same seed, reference point and front sample size.
+A finished run carries its final non-dominated set as a
+:class:`~knnavg.core.Batch`, scored directly on its matrices. Results
+persist as an append-only CSV, one row per finished run holding the
+indicators and the final set's size, not the set itself. That makes
+interrupted grids resumable: already persisted fingerprints are skipped on
+the next invocation, provided their rows were produced under the same seed,
+reference point and front sample size.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .averaging import KnnConfig, history_rows
-from .core import ContractViolationError, RngStream, Solution, as_count
+from .core import Batch, ContractViolationError, RngStream, as_count, as_seed
 from .metrics import (
     DEFAULT_FRONT_SAMPLE_SIZE,
     DEFAULT_REFERENCE,
@@ -141,10 +144,7 @@ class ExperimentGrid:
                 raise ContractViolationError("every max_dist must be finite and positive")
         object.__setattr__(self, "repetitions", as_count(self.repetitions, "repetitions", 1))
         object.__setattr__(self, "generations", as_count(self.generations, "generations", 1))
-        seed = int(self.base_seed)
-        if not 0 <= seed < 2**64:
-            raise ContractViolationError("base_seed must fit in an unsigned 64-bit integer")
-        object.__setattr__(self, "base_seed", seed)
+        object.__setattr__(self, "base_seed", as_seed(self.base_seed, "base_seed"))
 
     @property
     def cell_count(self) -> int:
@@ -249,12 +249,13 @@ def expand_grid(grid: ExperimentGrid) -> list[RunConfig]:
 class RunResult:
     """One finished run: its config, final solution set, and indicators.
 
-    Results loaded back from CSV carry an empty ``final_set`` because only
-    the indicator values are persisted in the results table.
+    Results loaded back from CSV carry ``final_set=None``: the results table
+    persists the indicator values and ``final_set_size``, not the set.
     """
 
     config: RunConfig
-    final_set: list[Solution]
+    final_set: Batch | None
+    final_set_size: int
     metrics: MetricReport
     duration_s: float
     optimization: OptimizationResult | None = None
@@ -285,6 +286,7 @@ def execute_run(
     return RunResult(
         config=config,
         final_set=outcome.nondominated,
+        final_set_size=len(outcome.nondominated),
         metrics=metrics,
         duration_s=duration,
         optimization=outcome if keep_optimization else None,
@@ -312,7 +314,7 @@ def _result_row(result: RunResult) -> dict[str, str]:
         "ref_f1": repr(m.reference_point[0]),
         "ref_f2": repr(m.reference_point[1]),
         "front_sample_size": str(m.front_sample_size),
-        "final_set_size": str(len(result.final_set)),
+        "final_set_size": str(result.final_set_size),
         "duration_s": repr(result.duration_s),
     }
 
@@ -334,7 +336,8 @@ def _row_to_result(row: dict[str, str]) -> RunResult:
     )
     return RunResult(
         config=config,
-        final_set=[],
+        final_set=None,
+        final_set_size=int(row["final_set_size"]),
         metrics=metrics,
         duration_s=float(row["duration_s"]),
     )

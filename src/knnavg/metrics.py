@@ -1,27 +1,25 @@
 """Quality indicators for solution sets: hypervolume, IGD, objective error.
 
-All indicators are computed on the expectation-adjusted set: each found
-solution is re-expressed by its expected (noise-free) objectives, so runs
-are judged by where their solutions truly lie rather than by what the noisy
-samples claimed.
+All indicators are computed on the expectation-adjusted set: each row of a
+final :class:`~knnavg.core.Batch` is re-expressed by its expected
+(noise-free) objectives, so runs are judged by where their solutions truly
+lie rather than by what the noisy samples claimed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .core import ContractViolationError, Solution, objectives_matrix
-from .problems import NoiseSpec, ParetoFrontSample, ZdtProblem, mean_objectives, true_front
+from .core import Batch, ContractViolationError
+from .problems import NoiseSpec, ParetoFrontSample, ZdtProblem, evaluate_true, true_front
 
 __all__ = [
     "DEFAULT_REFERENCE",
     "DEFAULT_FRONT_SAMPLE_SIZE",
     "MetricReport",
     "as_reference",
-    "adjusted_set",
     "hypervolume_2d",
     "igd",
     "delta_f",
@@ -80,27 +78,6 @@ class MetricReport:
             raise ContractViolationError(f"unknown metric {metric!r}") from None
 
 
-def adjusted_set(
-    solutions: Sequence[Solution], problem: ZdtProblem, noise: NoiseSpec
-) -> list[Solution]:
-    """Replace each solution's objectives by its expected objectives.
-
-    Under the additive zero-mean noise model the expectation is the
-    noise-free evaluation, so the adjustment is analytic; ``noise`` takes
-    part only through that zero-mean contract. Variables and raw samples
-    are preserved, and the result is aligned index by index with the input.
-    """
-    del noise  # zero-mean: the expectation is the noise-free evaluation
-    return [
-        Solution(
-            variables=s.variables,
-            objectives=mean_objectives(problem, s),
-            raw_objectives=s.raw_objectives,
-        )
-        for s in solutions
-    ]
-
-
 def hypervolume_2d(points, reference) -> float:
     """Exact area dominated by ``points`` up to the reference point.
 
@@ -155,39 +132,45 @@ def igd(front: ParetoFrontSample, objectives) -> float:
     return float(np.sqrt(squared.min(axis=1)).mean())
 
 
-def delta_f(solutions: Sequence[Solution], adjusted: Sequence[Solution]) -> float:
+def delta_f(reported, expected) -> float:
     """Mean Euclidean distance between reported and expected objectives.
 
-    ``adjusted`` must be the index-aligned expectation-adjusted counterpart
-    of ``solutions``. Zero means the reported objectives were exact; large
+    ``reported`` and ``expected`` are (n, m) matrices whose rows are paired
+    index by index. Zero means the reported objectives were exact; large
     values mean the search believed numbers far from the truth.
     """
-    if len(solutions) != len(adjusted) or not solutions:
-        raise ContractViolationError("need equally sized, non-empty paired sets")
-    reported = objectives_matrix(solutions)
-    expected = objectives_matrix(adjusted)
-    if reported.shape != expected.shape:
-        raise ContractViolationError("paired sets have mismatching objective dimensions")
+    reported = np.asarray(reported, dtype=np.float64)
+    expected = np.asarray(expected, dtype=np.float64)
+    if reported.shape != expected.shape or reported.ndim != 2 or not reported.size:
+        raise ContractViolationError(
+            f"need equally shaped, non-empty (n, m) matrices, got {reported.shape} "
+            f"and {expected.shape}"
+        )
     return float(np.linalg.norm(reported - expected, axis=1).mean())
 
 
 def compute_report(
-    solutions: Sequence[Solution],
+    solutions: Batch,
     problem: ZdtProblem,
     noise: NoiseSpec,
     reference: tuple[float, float] = DEFAULT_REFERENCE,
     front_sample_size: int = DEFAULT_FRONT_SAMPLE_SIZE,
 ) -> MetricReport:
-    """All three indicators of a final solution set, in one report."""
-    if not solutions:
+    """All three indicators of a final solution set, in one report.
+
+    The noise is additive with mean zero, so the expected objectives of
+    each row are its noise-free evaluation; ``noise`` takes part only
+    through that contract.
+    """
+    del noise
+    if not len(solutions):
         raise ContractViolationError("cannot score an empty solution set")
-    adjusted = adjusted_set(solutions, problem, noise)
-    adjusted_objs = objectives_matrix(adjusted)
+    expected = evaluate_true(problem, solutions.variables)
     front = true_front(problem, front_sample_size)
     return MetricReport(
-        hv_mean_adjusted=hypervolume_2d(adjusted_objs, reference),
-        igd_mean_adjusted=igd(front, adjusted_objs),
-        delta_f=delta_f(solutions, adjusted),
+        hv_mean_adjusted=hypervolume_2d(expected, reference),
+        igd_mean_adjusted=igd(front, expected),
+        delta_f=delta_f(solutions.objectives, expected),
         reference_point=tuple(float(v) for v in reference),
         front_sample_size=front_sample_size,
     )

@@ -9,11 +9,10 @@ the selection machinery never sees is how objectives were obtained: an
 passing the noisy sample through or replacing it with a neighborhood
 average over the run's evaluation history.
 
-Inside the loop, populations and offspring are :class:`~knnavg.core.Batch`
-matrices; the ``Solution`` objects of :class:`OptimizationResult` are built
-once, at the end. Each generation first draws all of its randomness in one
-lean loop (:func:`draw_variation`), then runs crossover, mutation and
-evaluation once on whole matrices.
+Populations and offspring are :class:`~knnavg.core.Batch` matrices, in the
+loop and in the :class:`OptimizationResult` it returns. Each generation
+first draws all of its randomness in one lean loop (:func:`draw_variation`),
+then runs crossover, mutation and evaluation once on whole matrices.
 
 Draw-order contract of ``STREAM_VERSION`` 1. The initial population takes
 ``random((pop_size, n))``, then its evaluation noise. Every generation then
@@ -46,7 +45,6 @@ from .core import (
     Batch,
     ContractViolationError,
     RngStream,
-    Solution,
     as_count,
     dominance_matrix,
 )
@@ -333,9 +331,9 @@ class OptimizationResult:
     """Everything one finished run produced.
 
     ``population`` is the final population, ``nondominated`` its
-    non-dominated subset (the run's answer), ``history`` every sample the
-    run ever drew, and ``trace`` one stats entry per generation including
-    the initial one.
+    non-dominated subset (the run's answer) in population order, both as
+    batches; ``history`` is every sample the run ever drew, and ``trace``
+    one stats entry per generation including the initial one.
     """
 
     problem: ZdtProblem
@@ -343,13 +341,14 @@ class OptimizationResult:
     evaluator_label: str
     ga: GaConfig
     seed: int
-    population: list[Solution]
-    nondominated: list[Solution]
+    population: Batch
+    nondominated: Batch
     history: EvaluationHistory
     trace: list[GenerationStats] = field(default_factory=list)
 
     def to_dict(self, include_history: bool = False) -> dict:
         """JSON-ready summary of the run."""
+        front = self.nondominated
         data = {
             "problem": {"variant": self.problem.variant, "n_vars": self.problem.n_vars},
             "noise_sigma": self.noise.sigma,
@@ -357,12 +356,12 @@ class OptimizationResult:
             "ga": asdict(self.ga),
             "seed": self.seed,
             "nondominated": [
-                {
-                    "variables": s.variables.tolist(),
-                    "raw_objectives": s.raw_objectives.tolist(),
-                    "objectives": s.objectives.tolist(),
-                }
-                for s in self.nondominated
+                {"variables": x, "raw_objectives": raw, "objectives": f}
+                for x, raw, f in zip(
+                    front.variables.tolist(),
+                    front.raw_objectives.tolist(),
+                    front.objectives.tolist(),
+                )
             ],
             "trace": [asdict(t) for t in self.trace],
             "history_length": len(self.history),
@@ -470,8 +469,8 @@ def run_optimization(
         evaluator_label=evaluator.label,
         ga=ga,
         seed=rng.seed,
-        population=list(population),
-        nondominated=list(population.take(ranks == 0)),
+        population=population,
+        nondominated=population.take(ranks == 0),
         history=history,
         trace=trace,
     )

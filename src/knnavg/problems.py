@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Batch, ContractViolationError, RngStream, Solution, as_count
+from .core import Batch, ContractViolationError, RngStream, as_count
 
 __all__ = [
     "ZDT_VARIANTS",
@@ -24,7 +24,6 @@ __all__ = [
     "evaluate_true",
     "evaluate_noisy",
     "true_front",
-    "mean_objectives",
 ]
 
 ZDT_VARIANTS = ("zdt1", "zdt2", "zdt3")
@@ -119,9 +118,11 @@ def _checked_variables(problem: ZdtProblem, x, ndims=(1, 2)) -> np.ndarray:
 def evaluate_true(problem: ZdtProblem, x) -> np.ndarray:
     """Noise-free objectives (f1, f2) of each row of ``x``.
 
-    A (b, n) matrix gives a (b, 2) matrix, a single (n,) vector a (2,)
-    vector. Each row's values are bitwise those of evaluating it alone: g
-    sums the row's variables 2..n in numpy's pairwise order either way.
+    The noise is additive with mean zero, so these are also the expected
+    objectives of a noisy sample. A (b, n) matrix gives a (b, 2) matrix, a
+    single (n,) vector a (2,) vector. Each row's values are bitwise those
+    of evaluating it alone: g sums the row's variables 2..n in numpy's
+    pairwise order either way.
     """
     x = _checked_variables(problem, x)
     f1 = x[..., 0]
@@ -148,15 +149,6 @@ def evaluate_noisy(problem: ZdtProblem, noise: NoiseSpec, x, rng: RngStream) -> 
     draws = rng.standard_normal((x.shape[0], problem.n_objs))
     raw = evaluate_true(problem, x) + noise.sigma * draws
     return Batch(variables=x, objectives=raw, raw_objectives=raw)
-
-
-def mean_objectives(problem: ZdtProblem, solution: Solution) -> np.ndarray:
-    """Expected objective vector of a solution under zero-mean noise.
-
-    The noise is additive with mean zero, so the expectation is the
-    noise-free evaluation of the solution's variables.
-    """
-    return evaluate_true(problem, solution.variables)
 
 
 @functools.cache

@@ -12,9 +12,9 @@ import time
 import numpy as np
 
 from knnavg.averaging import EvaluationHistory, KnnConfig, knn_evaluate
-from knnavg.core import Batch, RngStream, Solution, non_dominated_filter, objectives_matrix
+from knnavg.core import Batch, RngStream
 from knnavg.experiment import ExperimentGrid, report, run_grid
-from knnavg.metrics import adjusted_set, hypervolume_2d
+from knnavg.metrics import compute_report, delta_f, hypervolume_2d
 from knnavg.nsga2 import (
     GaConfig,
     KnnAveraged,
@@ -22,8 +22,9 @@ from knnavg.nsga2 import (
     fast_non_dominated_sort,
     run_optimization,
 )
-from knnavg.problems import NoiseSpec, ZdtProblem
+from knnavg.problems import NoiseSpec, ZdtProblem, evaluate_true
 from knnavg.stats import Verdict, wilcoxon_signed_rank
+from oracles import dominates
 from sampling import one_at_a_time
 
 
@@ -110,9 +111,12 @@ def test_ac4_noisy_baseline_appears_to_beat_the_front():
         ga = GaConfig(pop_size=10, generations=100)
         for seed in range(8):
             result = run_optimization(problem, noise, PlainNoisy(), ga, RngStream(seed))
-            reported = np.array([s.objectives for s in result.nondominated])
-            adjusted = adjusted_set(result.nondominated, problem, noise)
-            expected = np.array([s.objectives for s in adjusted])
+            reported = result.nondominated.objectives
+            expected = evaluate_true(problem, result.nondominated.variables)
+            # the scored set is the expectation-adjusted one
+            assert compute_report(result.nondominated, problem, noise).delta_f == delta_f(
+                reported, expected
+            ), seed
             with np.errstate(invalid="ignore"):
                 below_reported = np.mean(
                     reported[:, 1] < 1.0 - np.sqrt(reported[:, 0])
@@ -151,9 +155,8 @@ def test_ac5_k1_reproduces_baseline_bitwise():
             assert np.array_equal(
                 base.history.raw_matrix(), knn.history.raw_matrix()
             ), seed
-            for s, t in zip(base.population, knn.population):
-                assert np.array_equal(s.variables, t.variables), seed
-                assert np.array_equal(s.objectives, t.objectives), seed
+            assert np.array_equal(base.population.variables, knn.population.variables), seed
+            assert np.array_equal(base.population.objectives, knn.population.objectives), seed
             assert [t.front_hypervolume for t in base.trace] == [
                 t.front_hypervolume for t in knn.trace
             ], seed
@@ -229,18 +232,14 @@ def _knn_oracle(history, rows, config):
 def test_ac6_oracle_suites():
     ok = False
     try:
-        # (a) first front of the full sort equals the plain filter
+        # (a) first front of the full sort equals a brute-force filter
         rng = RngStream(3001)
         for _ in range(1000):
-            population = [
-                Solution(variables=rng.random(2), objectives=rng.random(2) * 3.0)
-                for _ in range(50)
-            ]
-            first = fast_non_dominated_sort(objectives_matrix(population))[0]
-            front_one = [population[i] for i in first]
-            filtered = non_dominated_filter(population)
-            assert len(front_one) == len(filtered)
-            assert all(a is b for a, b in zip(front_one, filtered))
+            objs = rng.random((50, 2)) * 3.0
+            rows = objs.tolist()
+            first = fast_non_dominated_sort(objs)[0]
+            filtered = [i for i, s in enumerate(rows) if not any(dominates(o, s) for o in rows)]
+            assert first == filtered
 
         # (b) exact hypervolume within 3 standard errors of Monte Carlo, and
         # equal to a staircase integral to 1e-12. The MC seed base is frozen
@@ -312,9 +311,9 @@ def test_ac7_invariant_suites():
                         objectives=np.array(raws),
                         raw_objectives=np.array(raws),
                     )
-                    sink.extend(knn_evaluate(batch, history, config))
+                    sink.append(knn_evaluate(batch, history, config).objectives)
             for a, b in zip(*outputs):
-                assert np.allclose(a.objectives, b.objectives, rtol=0.0, atol=1e-9)
+                assert np.allclose(a, b, rtol=0.0, atol=1e-9)
 
         # weighted-mean convexity: averages stay inside the raw range
         rng = RngStream(3005)
@@ -328,8 +327,7 @@ def test_ac7_invariant_suites():
             raws = history.raw_matrix()
             lo = raws.min(axis=0) - 1e-12
             hi = raws.max(axis=0) + 1e-12
-            for s in out:
-                assert np.all(s.objectives >= lo) and np.all(s.objectives <= hi)
+            assert np.all(out.objectives >= lo) and np.all(out.objectives <= hi)
 
         # evaluation-budget accounting: one evaluation per drawn solution
         ga = GaConfig(pop_size=10, generations=30)
@@ -352,9 +350,8 @@ def test_ac7_invariant_suites():
         assert np.array_equal(
             result.history.averaged_matrix(), again.history.averaged_matrix()
         )
-        for s, t in zip(result.population, again.population):
-            assert np.array_equal(s.variables, t.variables)
-            assert np.array_equal(s.objectives, t.objectives)
+        assert np.array_equal(result.population.variables, again.population.variables)
+        assert np.array_equal(result.population.objectives, again.population.objectives)
 
         ok = True
     finally:

@@ -1,4 +1,4 @@
-"""Core types: solutions, batches, dominance, filtering, count checks, the random stream."""
+"""Core types: solutions, batches, dominance, filtering, count and seed checks, the random stream."""
 
 import math
 
@@ -14,16 +14,11 @@ from knnavg.core import (
     RngStream,
     Solution,
     dominance_matrix,
-    dominates,
-    non_dominated_filter,
 )
 from knnavg.experiment import ExperimentGrid
 from knnavg.nsga2 import GaConfig
 from knnavg.problems import ZdtProblem
-
-
-def sol(*objectives):
-    return Solution(variables=np.zeros(2), objectives=np.array(objectives, dtype=float))
+from oracles import dominates
 
 
 class TestSolution:
@@ -44,7 +39,7 @@ class TestSolution:
             )
 
     def test_raw_objectives_optional(self):
-        s = sol(1.0, 2.0)
+        s = Solution(variables=np.zeros(2), objectives=np.array([1.0, 2.0]))
         assert s.raw_objectives is None
         assert s.n_vars == 2
         assert s.n_objs == 2
@@ -115,6 +110,8 @@ COUNTS = {
     "ExperimentGrid.ks": lambda v: grid_with(ks=(v,)).ks[0],
     "ExperimentGrid.repetitions": lambda v: grid_with(repetitions=v).repetitions,
     "ExperimentGrid.generations": lambda v: grid_with(generations=v).generations,
+    "ExperimentGrid.base_seed": lambda v: grid_with(base_seed=v).base_seed,
+    "RngStream.seed": lambda v: RngStream(v).seed,
 }
 
 
@@ -138,64 +135,83 @@ class TestCounts:
                 COUNTS[field](value)
 
 
+def pair_dominance(a, b) -> tuple[bool, bool]:
+    """(a dominates b, b dominates a), read off a two-row dominance matrix."""
+    dom = dominance_matrix(np.array([a, b], dtype=float))
+    return bool(dom[0, 1]), bool(dom[1, 0])
+
+
 class TestDominates:
     def test_strict_improvement_everywhere(self):
-        assert dominates(sol(1, 1), sol(2, 2))
+        assert pair_dominance([1, 1], [2, 2]) == (True, False)
 
     def test_equal_vectors_do_not_dominate(self):
-        assert not dominates(sol(1, 1), sol(1, 1))
+        assert pair_dominance([1, 1], [1, 1]) == (False, False)
 
     def test_incomparable_pair(self):
-        assert not dominates(sol(1, 3), sol(3, 1))
-        assert not dominates(sol(3, 1), sol(1, 3))
+        assert pair_dominance([1, 3], [3, 1]) == (False, False)
+        assert pair_dominance([3, 1], [1, 3]) == (False, False)
 
     def test_weak_improvement_with_one_strict(self):
-        assert dominates(sol(1, 2), sol(1, 3))
+        assert pair_dominance([1, 2], [1, 3]) == (True, False)
 
     def test_dimension_mismatch(self):
-        a = Solution(variables=np.zeros(2), objectives=np.array([1.0, 2.0]))
-        b = Solution(variables=np.zeros(2), objectives=np.array([1.0, 2.0, 3.0]))
+        # objective vectors of different lengths cannot share a batch
+        ragged = [[1.0, 2.0], [1.0, 2.0, 3.0]]
         with pytest.raises(ContractViolationError):
-            dominates(a, b)
+            Batch(np.zeros((2, 2)), ragged, ragged)
 
     def test_irreflexive_asymmetric_transitive(self):
         # property sweep over random objective vectors
         rng = np.random.default_rng(101)
         for _ in range(400):
-            a, b, c = (sol(*rng.random(2)) for _ in range(3))
-            assert not dominates(a, a)
-            if dominates(a, b):
-                assert not dominates(b, a)
-            if dominates(a, b) and dominates(b, c):
-                assert dominates(a, c)
+            dom = dominance_matrix(rng.random((3, 2)))
+            assert not dom.diagonal().any()
+            assert not (dom & dom.T).any()
+            for a, b, c in ((0, 1, 2), (2, 1, 0), (1, 0, 2), (0, 2, 1)):
+                if dom[a, b] and dom[b, c]:
+                    assert dom[a, c]
+
+
+def numbered_batch(objectives) -> Batch:
+    """A batch of (n, m) objectives whose variables hold each row's number."""
+    objs = np.asarray(objectives, dtype=float)
+    numbers = np.arange(len(objs), dtype=float)
+    return Batch(np.column_stack((numbers, numbers)), objs, objs)
+
+
+def front_of(batch: Batch) -> Batch:
+    """The rows no other row dominates, in order, as the search loop takes them."""
+    return batch.take(~dominance_matrix(batch.objectives).any(axis=0))
+
+
+def row_numbers(batch: Batch) -> list[int]:
+    return batch.variables[:, 0].astype(int).tolist()
 
 
 class TestNonDominatedFilter:
     def test_singleton(self):
-        s = sol(1, 1)
-        assert non_dominated_filter([s]) == [s]
+        assert row_numbers(front_of(numbered_batch([[1, 1]]))) == [0]
 
     def test_hand_checked_mix(self):
-        a, b, c = sol(1, 1), sol(2, 2), sol(0, 3)
-        assert non_dominated_filter([a, b, c]) == [a, c]
+        front = front_of(numbered_batch([[1, 1], [2, 2], [0, 3]]))
+        assert row_numbers(front) == [0, 2]
+        assert np.array_equal(front.objectives, [[1, 1], [0, 3]])
 
     def test_duplicates_survive_together(self):
-        a, b = sol(1, 1), sol(1, 1)
-        assert non_dominated_filter([a, b]) == [a, b]
+        assert row_numbers(front_of(numbered_batch([[1, 1], [1, 1]]))) == [0, 1]
 
     def test_empty_input(self):
-        assert non_dominated_filter([]) == []
+        assert len(front_of(numbered_batch(np.empty((0, 2))))) == 0
 
     def test_order_preserved(self):
-        points = [sol(0, 3), sol(3, 0), sol(1, 1), sol(5, 5)]
-        survivors = non_dominated_filter(points)
-        assert survivors == [points[0], points[1], points[2]]
+        front = front_of(numbered_batch([[0, 3], [3, 0], [1, 1], [5, 5]]))
+        assert row_numbers(front) == [0, 1, 2]
 
     def test_no_survivor_dominates_another(self):
         rng = np.random.default_rng(77)
         for _ in range(200):
-            pop = [sol(*rng.random(2)) for _ in range(30)]
-            survivors = non_dominated_filter(pop)
+            survivors = front_of(numbered_batch(rng.random((30, 2)))).objectives.tolist()
             assert survivors
             for x in survivors:
                 for y in survivors:
@@ -204,18 +220,17 @@ class TestNonDominatedFilter:
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(78)
         for _ in range(200):
-            pop = [sol(*rng.random(3)) for _ in range(25)]
+            objs = rng.random((25, 3)).tolist()
             expected = [
-                s for s in pop if not any(dominates(other, s) for other in pop)
+                i for i, s in enumerate(objs) if not any(dominates(other, s) for other in objs)
             ]
-            assert non_dominated_filter(pop) == expected
+            assert row_numbers(front_of(numbered_batch(objs))) == expected
 
     def test_idempotent(self):
         rng = np.random.default_rng(79)
         for _ in range(50):
-            pop = [sol(*rng.random(2)) for _ in range(20)]
-            once = non_dominated_filter(pop)
-            assert non_dominated_filter(once) == once
+            once = front_of(numbered_batch(rng.random((20, 2))))
+            assert row_numbers(front_of(once)) == row_numbers(once)
 
 
 @st.composite
@@ -249,9 +264,9 @@ class TestDominanceMatrix:
         rng = np.random.default_rng(80)
         objs = rng.integers(0, 3, size=(20, 2)).astype(float)
         dom = dominance_matrix(objs)
-        pop = [sol(*row) for row in objs]
-        for i, a in enumerate(pop):
-            for j, b in enumerate(pop):
+        rows = objs.tolist()
+        for i, a in enumerate(rows):
+            for j, b in enumerate(rows):
                 assert dom[i, j] == dominates(a, b)
 
 
@@ -278,20 +293,10 @@ class TestRngStream:
         with pytest.raises(ContractViolationError):
             RngStream(2**64)
         RngStream(2**64 - 1)  # boundary accepted
-
-    def test_children_deterministic_and_distinct(self):
-        parent = RngStream(42)
-        c0 = parent.child(0).random(50)
-        c0_again = RngStream(42).child(0).random(50)
-        c1 = RngStream(42).child(1).random(50)
-        assert np.array_equal(c0, c0_again)
-        assert not np.array_equal(c0, c1)
-        assert not np.array_equal(c0, RngStream(42).random(50))
-
-    def test_grandchildren_distinct(self):
-        a = RngStream(7).child(0).child(1).random(20)
-        b = RngStream(7).child(1).child(0).random(20)
-        assert not np.array_equal(a, b)
+        # non-integral, boolean and string seeds are rejected, not truncated
+        for bad in (2.7, True, "3"):
+            with pytest.raises(ContractViolationError):
+                RngStream(bad)
 
     def test_standard_normal_moments(self):
         draws = RngStream(2024).standard_normal(200_000)

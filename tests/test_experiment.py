@@ -1,11 +1,13 @@
 """Grid expansion, execution, persistence, and the verdict report."""
 
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
 
 import knnavg.experiment as experiment
+from knnavg import core
 from knnavg.core import ContractViolationError
 from knnavg.experiment import (
     ARM_BASELINE,
@@ -23,7 +25,8 @@ from knnavg.experiment import (
     run_grid,
     write_report_files,
 )
-from knnavg.metrics import MetricReport
+from knnavg.metrics import MetricReport, compute_report
+from knnavg.problems import NoiseSpec, ZdtProblem
 from knnavg.stats import METRICS
 
 
@@ -169,9 +172,26 @@ class TestExecuteRun:
     def test_final_set_scored(self):
         config = expand_grid(tiny_grid())[0]
         result = execute_run(config)
-        assert result.final_set
+        assert result.final_set_size == len(result.final_set) > 0
         assert result.duration_s > 0.0
         assert result.metrics.reference_point == (11.0, 11.0)
+
+    def test_no_run_path_builds_a_solution(self, monkeypatch, tmp_path):
+        # Solution objects exist only for iterating a Batch row by row; runs,
+        # scoring, persistence and the JSON summary work on the matrices
+        def refuse(solution):
+            raise AssertionError("a Solution was built")
+
+        monkeypatch.setattr(core.Solution, "__post_init__", refuse)
+        for config in expand_grid(tiny_grid(repetitions=1)):  # baseline arm, k-NN arm
+            result = execute_run(config, keep_optimization=True)
+            result.optimization.to_dict(include_history=True)
+            problem = ZdtProblem(config.problem, config.n_vars)
+            again = compute_report(result.final_set, problem, NoiseSpec(config.sigma))
+            assert [again.value(m) for m in METRICS] == [result.metrics.value(m) for m in METRICS]
+        outcome = run_grid(tiny_grid(repetitions=5), out_dir=tmp_path)
+        assert not outcome.failures
+        report(load_results(tmp_path))
 
 
 class TestRunGrid:
@@ -287,6 +307,8 @@ class TestRunGrid:
             assert fresh.metrics.hv_mean_adjusted == loaded.metrics.hv_mean_adjusted
             assert fresh.metrics.igd_mean_adjusted == loaded.metrics.igd_mean_adjusted
             assert fresh.metrics.delta_f == loaded.metrics.delta_f
+            assert loaded.final_set is None
+            assert experiment._result_row(loaded) == experiment._result_row(fresh)
 
     def test_memory_only_run(self):
         outcome = run_grid(tiny_grid())
@@ -405,9 +427,8 @@ class TestReport:
     def test_mixed_reference_points_rejected(self, tmp_path):
         results = grid_results(tmp_path)
         clone = results[0]
-        moved = experiment.RunResult(
-            config=clone.config,
-            final_set=[],
+        moved = dataclasses.replace(
+            clone,
             metrics=MetricReport(
                 clone.metrics.hv_mean_adjusted,
                 clone.metrics.igd_mean_adjusted,
@@ -415,7 +436,6 @@ class TestReport:
                 (9.0, 9.0),
                 clone.metrics.front_sample_size,
             ),
-            duration_s=clone.duration_s,
         )
         with pytest.raises(ContractViolationError):
             report([moved] + list(results[1:]))

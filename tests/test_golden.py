@@ -104,8 +104,10 @@ def run_digest(name: str) -> str:
         RngStream(case.seed),
     )
     h = hashlib.sha256()
-    for s in result.population:
-        h.update(_f8(s.variables) + _f8(s.objectives) + _f8(s.raw_objectives))
+    population = result.population
+    # the recorded digests hash each row's variables, objectives and raw objectives in turn
+    h.update(_f8(np.hstack((population.variables, population.objectives,
+                            population.raw_objectives))))
     history = result.history
     h.update(_f8(history.variables_matrix()))
     h.update(_f8(history.raw_matrix()))

@@ -1,4 +1,4 @@
-"""Quality indicators: hypervolume, IGD, objective error, adjusted sets."""
+"""Quality indicators: hypervolume, IGD, objective error, expectation-adjusted scoring."""
 
 import numpy as np
 import pytest
@@ -6,12 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-from knnavg.core import ContractViolationError, RngStream, Solution
+from knnavg.core import Batch, ContractViolationError, RngStream
 from knnavg.metrics import (
     DEFAULT_FRONT_SAMPLE_SIZE,
     DEFAULT_REFERENCE,
     MetricReport,
-    adjusted_set,
     as_reference,
     compute_report,
     delta_f,
@@ -171,32 +170,21 @@ class TestIgd:
 
 
 def make_pair(reported, expected):
-    reported = np.asarray(reported, dtype=float)
-    expected = np.asarray(expected, dtype=float)
-    n_vars = 2
-    sols = [
-        Solution(variables=np.zeros(n_vars), objectives=r, raw_objectives=r.copy())
-        for r in reported
-    ]
-    adj = [
-        Solution(variables=np.zeros(n_vars), objectives=e, raw_objectives=r.copy())
-        for e, r in zip(expected, reported)
-    ]
-    return sols, adj
+    return np.asarray(reported, dtype=float), np.asarray(expected, dtype=float)
 
 
 class TestDeltaF:
     def test_hand_value_single_pair(self):
-        sols, adj = make_pair([[3.0, 4.0]], [[0.0, 0.0]])
-        assert delta_f(sols, adj) == 5.0
+        reported, expected = make_pair([[3.0, 4.0]], [[0.0, 0.0]])
+        assert delta_f(reported, expected) == 5.0
 
     def test_hand_value_mean_over_pairs(self):
-        sols, adj = make_pair([[1.0, 0.0], [0.0, 3.0]], [[0.0, 0.0], [0.0, 0.0]])
-        assert delta_f(sols, adj) == 2.0
+        reported, expected = make_pair([[1.0, 0.0], [0.0, 3.0]], [[0.0, 0.0], [0.0, 0.0]])
+        assert delta_f(reported, expected) == 2.0
 
     def test_zero_for_identical_sets(self):
-        sols, adj = make_pair([[0.5, 0.5], [1.0, 2.0]], [[0.5, 0.5], [1.0, 2.0]])
-        assert delta_f(sols, adj) == 0.0
+        reported, expected = make_pair([[0.5, 0.5], [1.0, 2.0]], [[0.5, 0.5], [1.0, 2.0]])
+        assert delta_f(reported, expected) == 0.0
 
     def test_translation_invariance(self):
         rng = RngStream(75)
@@ -204,50 +192,57 @@ class TestDeltaF:
             reported = rng.random(5 * 2).reshape(5, 2)
             expected = rng.random(5 * 2).reshape(5, 2)
             shift = rng.random(2) * 10.0
-            sols, adj = make_pair(reported, expected)
-            sols2, adj2 = make_pair(reported + shift, expected + shift)
-            assert delta_f(sols2, adj2) == pytest.approx(delta_f(sols, adj), abs=1e-12)
+            assert delta_f(reported + shift, expected + shift) == pytest.approx(
+                delta_f(reported, expected), abs=1e-12
+            )
 
     def test_symmetric_in_roles(self):
-        sols, adj = make_pair([[1.0, 2.0]], [[4.0, 6.0]])
-        assert delta_f(sols, adj) == delta_f(adj, sols)
+        reported, expected = make_pair([[1.0, 2.0]], [[4.0, 6.0]])
+        assert delta_f(reported, expected) == delta_f(expected, reported)
 
     def test_size_mismatch_rejected(self):
-        sols, adj = make_pair([[1.0, 2.0], [3.0, 4.0]], [[0.0, 0.0], [0.0, 0.0]])
+        reported, expected = make_pair([[1.0, 2.0], [3.0, 4.0]], [[0.0, 0.0], [0.0, 0.0]])
         with pytest.raises(ContractViolationError):
-            delta_f(sols, adj[:1])
+            delta_f(reported, expected[:1])
         with pytest.raises(ContractViolationError):
-            delta_f([], [])
+            delta_f(reported, expected[:, :1])
+        with pytest.raises(ContractViolationError):
+            delta_f(np.empty((0, 2)), np.empty((0, 2)))
 
 
 class TestAdjustedSet:
+    """Scoring replaces each row's objectives by its expected objectives."""
+
     def test_replaces_objectives_with_expectation(self):
         problem = ZdtProblem("zdt1", 2)
         noise = NoiseSpec(0.5)
         rng = RngStream(76)
-        batch = list(one_at_a_time(problem, noise, rng, 10))
-        adjusted = adjusted_set(batch, problem, noise)
-        assert len(adjusted) == len(batch)
-        for before, after in zip(batch, adjusted):
-            assert np.array_equal(after.variables, before.variables)
-            assert np.array_equal(after.raw_objectives, before.raw_objectives)
-            assert np.array_equal(after.objectives, evaluate_true(problem, before.variables))
+        batch = one_at_a_time(problem, noise, rng, 10)
+        expected = evaluate_true(problem, batch.variables)
+        assert expected.shape == batch.objectives.shape
+        for x, row in zip(batch.variables, expected):
+            assert np.array_equal(row, evaluate_true(problem, x))
+        report = compute_report(batch, problem, noise)
+        assert report.delta_f == delta_f(batch.objectives, expected)
+        assert report.hv_mean_adjusted == hypervolume_2d(expected, DEFAULT_REFERENCE)
 
     def test_corner_point(self):
         problem = ZdtProblem("zdt1", 2)
         noise = NoiseSpec(1.0)
-        (s,) = evaluate_noisy(problem, noise, [[0.0, 0.0]], RngStream(77))
-        (adjusted,) = adjusted_set([s], problem, noise)
-        assert np.array_equal(adjusted.objectives, [0.0, 1.0])
+        batch = evaluate_noisy(problem, noise, [[0.0, 0.0]], RngStream(77))
+        report = compute_report(batch, problem, noise)
+        # the expected corner point (0, 1) lies on the front, 10 x 10 inside the reference
+        assert report.hv_mean_adjusted == 110.0
+        diff = batch.objectives[0] - [0.0, 1.0]
+        assert report.delta_f == float(np.sqrt(np.sum(diff * diff)))
 
     def test_noise_free_run_is_fixed_point(self):
         problem = ZdtProblem("zdt2", 3)
         noise = NoiseSpec(0.0)
         rng = RngStream(78)
-        batch = list(one_at_a_time(problem, noise, rng, 5))
-        adjusted = adjusted_set(batch, problem, noise)
-        for before, after in zip(batch, adjusted):
-            assert np.array_equal(after.objectives, before.objectives)
+        batch = one_at_a_time(problem, noise, rng, 5)
+        assert np.array_equal(evaluate_true(problem, batch.variables), batch.objectives)
+        assert compute_report(batch, problem, noise).delta_f == 0.0
 
 
 class TestMetricReport:
@@ -305,14 +300,13 @@ class TestComputeReport:
         problem = ZdtProblem("zdt1", 2)
         noise = NoiseSpec(0.1)
         rng = RngStream(79)
-        batch = list(one_at_a_time(problem, noise, rng, 12))
+        batch = one_at_a_time(problem, noise, rng, 12)
         report = compute_report(batch, problem, noise)
-        adjusted = adjusted_set(batch, problem, noise)
-        adjusted_objs = np.array([s.objectives for s in adjusted])
+        adjusted_objs = evaluate_true(problem, batch.variables)
         front = true_front(problem, DEFAULT_FRONT_SAMPLE_SIZE)
         assert report.hv_mean_adjusted == hypervolume_2d(adjusted_objs, DEFAULT_REFERENCE)
         assert report.igd_mean_adjusted == igd(front, adjusted_objs)
-        assert report.delta_f == delta_f(batch, adjusted)
+        assert report.delta_f == delta_f(batch.objectives, adjusted_objs)
         assert report.reference_point == DEFAULT_REFERENCE
         assert report.front_sample_size == DEFAULT_FRONT_SAMPLE_SIZE
 
@@ -320,24 +314,23 @@ class TestComputeReport:
         problem = ZdtProblem("zdt1", 2)
         noise = NoiseSpec(0.0)
         rng = RngStream(80)
-        batch = list(one_at_a_time(problem, noise, rng, 5))
+        batch = one_at_a_time(problem, noise, rng, 5)
         report = compute_report(batch, problem, noise, reference=(5.0, 5.0), front_sample_size=64)
         assert report.reference_point == (5.0, 5.0)
         assert report.front_sample_size == 64
 
     def test_empty_set_rejected(self):
         with pytest.raises(ContractViolationError):
-            compute_report([], ZdtProblem("zdt1", 2), NoiseSpec(0.0))
+            empty = Batch(np.empty((0, 2)), np.empty((0, 2)), np.empty((0, 2)))
+            compute_report(empty, ZdtProblem("zdt1", 2), NoiseSpec(0.0))
 
     def test_noise_free_front_set_has_zero_error(self):
         # variables on the front (x2..xn = 0) with no noise: delta_f must be 0
         problem = ZdtProblem("zdt1", 2)
         noise = NoiseSpec(0.0)
         rng = RngStream(81)
-        batch = [
-            s
-            for _ in range(10)
-            for s in evaluate_noisy(problem, noise, [[float(rng.random()), 0.0]], rng)
-        ]
+        batch = evaluate_noisy(problem, noise, [[float(rng.random()), 0.0]], rng)
+        for _ in range(9):
+            batch = batch.concat(evaluate_noisy(problem, noise, [[float(rng.random()), 0.0]], rng))
         report = compute_report(batch, problem, noise)
         assert report.delta_f == 0.0

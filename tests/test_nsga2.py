@@ -6,14 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from knnavg.averaging import EvaluationHistory, KnnConfig
-from knnavg.core import (
-    ContractViolationError,
-    RngStream,
-    Solution,
-    dominates,
-    non_dominated_filter,
-    objectives_matrix,
-)
+from knnavg.core import ContractViolationError, RngStream, dominance_matrix
 from knnavg.metrics import hypervolume_2d
 from knnavg.nsga2 import (
     GaConfig,
@@ -28,13 +21,7 @@ from knnavg.nsga2 import (
     sbx_crossover,
 )
 from knnavg.problems import NoiseSpec, ZdtProblem
-
-
-def sols(*objective_rows):
-    return [
-        Solution(variables=np.zeros(2), objectives=np.asarray(row, dtype=float))
-        for row in objective_rows
-    ]
+from oracles import dominates
 
 
 def rows(*vectors):
@@ -42,11 +29,8 @@ def rows(*vectors):
     return np.array(vectors, dtype=float)
 
 
-def random_population(rng, count, spread=2.0):
-    return [
-        Solution(variables=rng.random(2), objectives=rng.random(2) * spread)
-        for _ in range(count)
-    ]
+def random_objectives(rng, count, spread=2.0):
+    return rng.random((count, 2)) * spread
 
 
 UNIT_BOUNDS = (np.zeros(2), np.ones(2))
@@ -74,8 +58,7 @@ class TestFastNonDominatedSort:
     def test_partition_property(self):
         rng = RngStream(85)
         for _ in range(20):
-            population = random_population(rng, 30)
-            fronts = fast_non_dominated_sort(objectives_matrix(population))
+            fronts = fast_non_dominated_sort(random_objectives(rng, 30))
             flat = [i for front in fronts for i in front]
             assert sorted(flat) == list(range(30))
             for front in fronts:
@@ -84,28 +67,28 @@ class TestFastNonDominatedSort:
     def test_first_front_members_undominated(self):
         rng = RngStream(86)
         for _ in range(20):
-            population = random_population(rng, 25)
-            fronts = fast_non_dominated_sort(objectives_matrix(population))
+            objs = random_objectives(rng, 25).tolist()
+            fronts = fast_non_dominated_sort(np.array(objs))
             for i in fronts[0]:
-                assert not any(dominates(q, population[i]) for q in population)
+                assert not any(dominates(q, objs[i]) for q in objs)
 
     def test_later_fronts_dominated_by_previous(self):
         rng = RngStream(87)
         for _ in range(20):
-            population = random_population(rng, 25)
-            fronts = fast_non_dominated_sort(objectives_matrix(population))
+            objs = random_objectives(rng, 25).tolist()
+            fronts = fast_non_dominated_sort(np.array(objs))
             for prev, front in zip(fronts, fronts[1:]):
                 for i in front:
-                    assert any(dominates(population[j], population[i]) for j in prev)
+                    assert any(dominates(objs[j], objs[i]) for j in prev)
 
     def test_within_front_mutual_nondomination(self):
         rng = RngStream(88)
         for _ in range(20):
-            population = random_population(rng, 25)
-            for front in fast_non_dominated_sort(objectives_matrix(population)):
+            objs = random_objectives(rng, 25).tolist()
+            for front in fast_non_dominated_sort(np.array(objs)):
                 for i in front:
                     for j in front:
-                        assert not dominates(population[i], population[j])
+                        assert not dominates(objs[i], objs[j])
 
 
 @st.composite
@@ -127,18 +110,17 @@ def survival_cases(draw):
         objs = rng.random((n, m))
     for _ in range(draw(st.integers(0, n // 2))):
         objs[rng.integers(n)] = objs[rng.integers(n)]
-    return sols(*objs), draw(st.integers(1, n))
+    return objs, draw(st.integers(1, n))
 
 
 class TestSurvival:
     @given(survival_cases())
     def test_rank0_survivors_are_the_survivors_front(self, case):
         combined, target = case
-        chosen, ranks, _ = _survival(objectives_matrix(combined), target)
+        chosen, ranks, _ = _survival(combined, target)
         assert len(chosen) == target
-        survivors = [combined[i] for i in chosen]
-        front = [s for s, rank in zip(survivors, ranks) if rank == 0]
-        assert [id(s) for s in front] == [id(s) for s in non_dominated_filter(survivors)]
+        undominated = ~dominance_matrix(combined[chosen]).any(axis=0)
+        assert np.array_equal(ranks == 0, undominated)
 
 
 class TestCrowdingDistance:
@@ -171,9 +153,8 @@ class TestCrowdingDistance:
     def test_interior_formula(self):
         rng = RngStream(89)
         for _ in range(20):
-            population = random_population(rng, 8)
-            d = crowding_distance(objectives_matrix(population))
-            objs = np.array([s.objectives for s in population])
+            objs = random_objectives(rng, 8)
+            d = crowding_distance(objs)
             expected = np.zeros(8)
             for m in range(2):
                 order = np.argsort(objs[:, m], kind="stable")
@@ -437,9 +418,8 @@ class TestRunOptimization:
     def test_deterministic(self):
         a = small_run(seed=3)
         b = small_run(seed=3)
-        for s, t in zip(a.population, b.population):
-            assert np.array_equal(s.variables, t.variables)
-            assert np.array_equal(s.objectives, t.objectives)
+        assert np.array_equal(a.population.variables, b.population.variables)
+        assert np.array_equal(a.population.objectives, b.population.objectives)
         assert [t.front_hypervolume for t in a.trace] == [
             t.front_hypervolume for t in b.trace
         ]
@@ -447,10 +427,7 @@ class TestRunOptimization:
     def test_seeds_differ(self):
         a = small_run(seed=4)
         b = small_run(seed=5)
-        assert not np.array_equal(
-            np.array([s.variables for s in a.population]),
-            np.array([s.variables for s in b.population]),
-        )
+        assert not np.array_equal(a.population.variables, b.population.variables)
 
     def test_population_size_constant(self):
         result = small_run(seed=6)
@@ -458,8 +435,8 @@ class TestRunOptimization:
 
     def test_nondominated_is_filter_of_population(self):
         result = small_run(seed=7)
-        objs = np.array([s.objectives for s in result.nondominated])
-        pop_objs = np.array([s.objectives for s in result.population])
+        objs = result.nondominated.objectives
+        pop_objs = result.population.objectives
         for o in objs:
             le = np.all(pop_objs <= o, axis=1)
             lt = np.any(pop_objs < o, axis=1)
@@ -500,19 +477,15 @@ class TestRunOptimization:
             knn = small_run(
                 seed=seed, sigma=0.3, evaluator=KnnAveraged(KnnConfig(k=1, max_dist=0.25))
             )
-            for s, t in zip(base.population, knn.population):
-                assert np.array_equal(s.variables, t.variables)
-                assert np.array_equal(s.objectives, t.objectives)
+            assert np.array_equal(base.population.variables, knn.population.variables)
+            assert np.array_equal(base.population.objectives, knn.population.objectives)
 
     def test_averaging_changes_search_path(self):
         base = small_run(seed=16, sigma=0.3)
         knn = small_run(
             seed=16, sigma=0.3, evaluator=KnnAveraged(KnnConfig(k=10, max_dist=0.25))
         )
-        assert not np.array_equal(
-            np.array([s.variables for s in base.population]),
-            np.array([s.variables for s in knn.population]),
-        )
+        assert not np.array_equal(base.population.variables, knn.population.variables)
 
     def test_evaluator_label_recorded(self):
         result = small_run(seed=17)
@@ -522,7 +495,7 @@ class TestRunOptimization:
 
     def test_trace_hypervolume_matches_recomputation(self):
         result = small_run(seed=18)
-        objs = np.array([s.objectives for s in result.nondominated])
+        objs = result.nondominated.objectives
         assert result.trace[-1].front_hypervolume == hypervolume_2d(objs, (11.0, 11.0))
 
 

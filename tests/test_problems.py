@@ -6,13 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from knnavg.core import ContractViolationError, RngStream
+from knnavg.metrics import compute_report
 from knnavg.problems import (
     NoiseSpec,
     ParetoFrontSample,
     ZdtProblem,
     evaluate_noisy,
     evaluate_true,
-    mean_objectives,
     true_front,
 )
 
@@ -207,22 +207,28 @@ class TestBatchedEvaluation:
 
 
 class TestMeanObjectives:
+    """The expected objectives of a noisy sample are its noise-free evaluation."""
+
     def test_equals_true_evaluation(self):
         problem = ZdtProblem("zdt2", 3)
         rng = RngStream(41)
         for _ in range(20):
-            (s,) = evaluate_noisy(problem, NoiseSpec(0.3), [rng.random(3)], rng)
-            assert np.array_equal(mean_objectives(problem, s), evaluate_true(problem, s.variables))
+            batch = evaluate_noisy(problem, NoiseSpec(0.3), [rng.random(3)], rng)
+            expected = evaluate_true(problem, batch.variables[0])
+            # scoring measures the sample's error against exactly that expectation
+            diff = batch.objectives[0] - expected
+            error = float(np.sqrt(np.sum(diff * diff)))
+            assert compute_report(batch, problem, NoiseSpec(0.3)).delta_f == error
 
     def test_matches_resampling_average(self):
         problem = ZdtProblem("zdt1", 2)
         noise = NoiseSpec(0.2)
         rng = RngStream(42)
         x = np.array([0.1, 0.9])
-        (s,) = evaluate_noisy(problem, noise, [x], rng)
+        evaluate_noisy(problem, noise, [x], rng)
         resampled = evaluate_noisy(problem, noise, np.tile(x, (10_000, 1)), rng).raw_objectives
         bound = 4 * 0.2 / np.sqrt(10_000)
-        assert np.all(np.abs(resampled.mean(axis=0) - mean_objectives(problem, s)) < bound)
+        assert np.all(np.abs(resampled.mean(axis=0) - evaluate_true(problem, x)) < bound)
 
 
 class TestTrueFront:

@@ -34,7 +34,7 @@ def run_bytes(result) -> bytes:
     history = result.history
     parts = [
         history.variables_matrix(), history.raw_matrix(), history.averaged_matrix(),
-        np.array([s.objectives for s in result.population]),
+        result.population.objectives,
         np.array([t.front_hypervolume for t in result.trace]),
     ]
     return b"".join(np.ascontiguousarray(p).tobytes() for p in parts)
