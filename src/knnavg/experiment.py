@@ -14,7 +14,8 @@ persist as an append-only CSV, one row per finished run holding the
 indicators and the final set's size, not the set itself. That makes
 interrupted grids resumable: already persisted fingerprints are skipped on
 the next invocation, provided their rows were produced under the same seed,
-reference point and front sample size.
+reference point and front sample size, and under the random stream that
+the directory's ``grid.json`` manifest records.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import csv
 import dataclasses
 import hashlib
 import itertools
+import json
 import logging
 import os
 import time
@@ -34,7 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .averaging import KnnConfig, history_rows
-from .core import Batch, ContractViolationError, RngStream, as_count, as_seed
+from .core import STREAM_VERSION, Batch, ContractViolationError, RngStream, as_count, as_seed
 from .metrics import (
     DEFAULT_FRONT_SAMPLE_SIZE,
     DEFAULT_REFERENCE,
@@ -51,6 +53,7 @@ __all__ = [
     "ARM_KNN",
     "RESULTS_FILENAME",
     "FAILURES_FILENAME",
+    "MANIFEST_FILENAME",
     "HISTORY_DIRNAME",
     "ExperimentGrid",
     "RunConfig",
@@ -73,6 +76,7 @@ ARM_KNN = "knn"
 
 RESULTS_FILENAME = "results.csv"
 FAILURES_FILENAME = "failures.csv"
+MANIFEST_FILENAME = "grid.json"
 HISTORY_DIRNAME = "histories"
 
 _RESULT_COLUMNS = [
@@ -269,6 +273,7 @@ def execute_run(
 ) -> RunResult:
     """Execute one run from scratch and score it."""
     reference = as_reference(reference)
+    front_sample_size = as_count(front_sample_size, "front sample size", 2)
     problem = ZdtProblem(config.problem, config.n_vars)
     noise = NoiseSpec(config.sigma)
     if config.arm == ARM_BASELINE:
@@ -445,6 +450,36 @@ def _check_resumable(
                 )
 
 
+def _check_manifest(out_dir: Path, has_runs: bool) -> None:
+    """Refuse to mix random streams in one directory; ``grid.json`` names its stream.
+
+    A directory that holds runs but no manifest was written under stream 1.
+    """
+    path = out_dir / MANIFEST_FILENAME
+    current = {"stream_version": STREAM_VERSION, "numpy": np.__version__}
+    if not path.exists():
+        if has_runs:
+            raise ContractViolationError(
+                f"{out_dir} holds runs but no {MANIFEST_FILENAME}: they were drawn under "
+                "stream version 1; write to another output directory (--out)"
+            )
+        path.write_text(json.dumps(current, indent=2) + "\n")
+        return
+    try:
+        stored = json.loads(path.read_text())
+        if not isinstance(stored, dict):
+            raise ValueError("not a JSON object")
+    except (OSError, ValueError) as exc:
+        raise ContractViolationError(f"{path}: unreadable manifest ({exc})") from exc
+    differ = sorted(k for k in current.keys() | stored.keys() if stored.get(k) != current.get(k))
+    if differ:
+        raise ContractViolationError(
+            f"{path} differs from this package in {', '.join(differ)} ("
+            + "; ".join(f"{k} {stored.get(k)!r} there, {current.get(k)!r} here" for k in differ)
+            + "); write to another output directory (--out)"
+        )
+
+
 def _grid_worker(
     config: RunConfig,
     reference: tuple[float, float],
@@ -492,14 +527,15 @@ def run_grid(
     lose at most the in-flight runs; on re-invocation, runs whose
     fingerprints are already persisted are skipped. A persisted run whose
     seed, reference point or front sample size differs from this grid's is
-    a contract violation, raised before anything runs. A failing run is
-    recorded and does not stop the rest of the grid. ``include_histories``
-    additionally writes one history CSV per run and requires an output
-    directory.
+    a contract violation, raised before anything runs, as is a directory
+    whose manifest names another stream. A failing run is recorded and
+    does not stop the rest of the grid. ``include_histories`` additionally
+    writes one history CSV per run and requires an output directory.
     """
     if parallelism < 1:
         raise ContractViolationError("parallelism must be at least 1")
     reference = as_reference(reference)
+    front_sample_size = as_count(front_sample_size, "front sample size", 2)
     if include_histories and out_dir is None:
         raise ContractViolationError("history dumps need an output directory")
     configs = expand_grid(grid)
@@ -514,6 +550,7 @@ def run_grid(
         out_path = Path(out_dir)
         writer = _ResultsWriter(out_path)
         try:
+            _check_manifest(out_path, bool(writer.persisted))
             _check_resumable(writer.persisted, configs, reference, front_sample_size, writer.path)
         except ContractViolationError:
             writer.close()

@@ -114,8 +114,8 @@ def igd(front: ParetoFrontSample, objectives) -> float:
     distance to its nearest solution. Lower is better; zero means every
     front point coincides with some solution. Each distance sums the
     squared coordinate differences left to right before the square root,
-    as ``scipy.spatial.distance.cdist`` does, so the value is bitwise the
-    same as ``cdist(front, objectives).min(axis=1).mean()``.
+    so the value is bitwise that of a plain front-by-solution distance
+    matrix, minimised per front point and averaged.
     """
     objs = np.asarray(objectives, dtype=np.float64)
     if objs.size == 0:

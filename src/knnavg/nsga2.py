@@ -10,27 +10,13 @@ passing the noisy sample through or replacing it with a neighborhood
 average over the run's evaluation history.
 
 Populations and offspring are :class:`~knnavg.core.Batch` matrices, in the
-loop and in the :class:`OptimizationResult` it returns. Each generation
-first draws all of its randomness in one lean loop (:func:`draw_variation`),
-then runs crossover, mutation and evaluation once on whole matrices.
-
-Draw-order contract of ``STREAM_VERSION`` 1. The initial population takes
-``random((pop_size, n))``, then its evaluation noise. Every generation then
-consumes, for each parent pair p = 0, 1, ... in turn:
-
-1. the first tournament: ``integers(pop_size, 2)``, plus one coin (one
-   uniform) only when the two candidates tie on rank and on crowding;
-2. the second tournament, drawn the same way;
-3. the crossover gate (one uniform), plus ``random(n)`` when the pair
-   crosses;
-4. the mutation gate of child 2p (one uniform), plus ``random(n)`` twice
-   (which variables mutate, then their perturbations) when it mutates;
-5. the mutation gate of child 2p + 1, drawn the same way;
-
-and after the last pair the evaluation noise of all children,
-``standard_normal((pop_size, 2))``, child 0 first. This is the order in
-which a loop over individuals that applies the operators one pair at a time
-consumes the stream, so both produce bitwise-identical runs.
+loop and in the :class:`OptimizationResult` it returns. Draw order of
+``STREAM_VERSION`` 2: the initial population takes ``random((pop_size,
+n))``, then its evaluation noise. Every generation then draws the
+fixed-shape blocks of :func:`draw_variation`, whatever the ranks, ties and
+gates turn out to be, then its children's evaluation noise, so all arms of
+a repetition stay at one stream position. Selection, crossover, mutation
+and evaluation then run once on whole matrices.
 """
 
 from __future__ import annotations
@@ -61,6 +47,7 @@ __all__ = [
     "VariationDraws",
     "fast_non_dominated_sort",
     "crowding_distance",
+    "tournament_winners",
     "draw_variation",
     "sbx_crossover",
     "polynomial_mutation",
@@ -191,7 +178,7 @@ def crowding_distance(front: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class VariationDraws:
-    """One generation's variation draws; rows of skipped operators hold zeros."""
+    """One generation's parents and variation draws; rows a gate skips are drawn too."""
 
     parents: np.ndarray  # (pop_size / 2, 2): the two tournament winners of pair p
     crosses: np.ndarray  # (pop_size / 2,): pair p crosses
@@ -201,44 +188,37 @@ class VariationDraws:
     u_mutation: np.ndarray  # (pop_size, n): how far they move
 
 
-def _binary_tournament(ranks: list, crowding: list, rng: RngStream) -> int:
-    """Pick the better of two uniformly drawn indices: rank, crowding, coin."""
-    i, j = rng.integers(len(ranks), 2).tolist()
-    if ranks[i] != ranks[j]:
-        return i if ranks[i] < ranks[j] else j
-    if crowding[i] != crowding[j]:
-        return i if crowding[i] > crowding[j] else j
-    return i if rng.coin() else j
+def tournament_winners(
+    candidates: np.ndarray, coins: np.ndarray, ranks: np.ndarray, crowding: np.ndarray
+) -> np.ndarray:
+    """Winners of binary tournaments between ``candidates[..., 0]`` and ``[..., 1]``.
+
+    The lower front rank wins, then the larger crowding distance; when both
+    tie, the first candidate wins if its coin is below 0.5. ``coins`` has
+    the shape of the result.
+    """
+    i, j = candidates[..., 0], candidates[..., 1]
+    first = np.where(
+        ranks[i] != ranks[j],
+        ranks[i] < ranks[j],
+        np.where(crowding[i] != crowding[j], crowding[i] > crowding[j], coins < 0.5),
+    )
+    return np.where(first, i, j)
 
 
 def draw_variation(
     ranks: np.ndarray, crowding: np.ndarray, ga: GaConfig, n_vars: int, rng: RngStream
 ) -> VariationDraws:
-    """Draw one generation's tournaments, crossover and mutation randomness.
-
-    Consumes the stream in the module's draw-order contract, pair by pair;
-    the arithmetic happens afterwards in :func:`sbx_crossover` and
-    :func:`polynomial_mutation`, on whole matrices.
-    """
+    """Draw one generation's fixed-shape blocks, in the order written here; pick parents."""
     pairs = ga.pop_size // 2
-    rank_list, crowd_list = ranks.tolist(), crowding.tolist()
-    parents = np.empty((pairs, 2), dtype=np.int64)
-    crosses = np.zeros(pairs, dtype=bool)
-    u_cross = np.zeros((pairs, n_vars))
-    mutates = np.zeros(ga.pop_size, dtype=bool)
-    u_pick = np.zeros((ga.pop_size, n_vars))
-    u_mutation = np.zeros((ga.pop_size, n_vars))
-    for p in range(pairs):
-        parents[p, 0] = _binary_tournament(rank_list, crowd_list, rng)
-        parents[p, 1] = _binary_tournament(rank_list, crowd_list, rng)
-        if rng.random() < ga.crossover_prob:
-            crosses[p] = True
-            u_cross[p] = rng.random(n_vars)
-        for child in (2 * p, 2 * p + 1):
-            if rng.random() < ga.mutation_prob:
-                mutates[child] = True
-                u_pick[child] = rng.random(n_vars)
-                u_mutation[child] = rng.random(n_vars)
+    candidates = rng.integers(ga.pop_size, (pairs, 2, 2))
+    coins = rng.random((pairs, 2))
+    crosses = rng.random(pairs) < ga.crossover_prob
+    u_cross = rng.random((pairs, n_vars))
+    mutates = rng.random(ga.pop_size) < ga.mutation_prob
+    u_pick = rng.random((ga.pop_size, n_vars))
+    u_mutation = rng.random((ga.pop_size, n_vars))
+    parents = tournament_winners(candidates, coins, ranks, crowding)
     return VariationDraws(parents, crosses, u_cross, mutates, u_pick, u_mutation)
 
 
@@ -261,28 +241,21 @@ def sbx_crossover(
     pair. Pairs with ``crosses[p]`` False pass through as copies. In a
     crossing pair each variable spawns two symmetric children from the SBX
     spread distribution with index ``eta``, driven by the uniform
-    ``u[p, j]``; variables whose parent genes coincide pass through exactly.
-    Crossed children are clipped into ``bounds``.
+    ``u[p, j]``, clipped into ``bounds``; variables whose parent genes
+    coincide pass through exactly.
     """
     a = np.asarray(parents_a, dtype=np.float64)
     b = np.asarray(parents_b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 2:
         raise ContractViolationError("parents must be equally shaped (pairs, n) matrices")
     lower, upper = _checked_bounds(bounds, a.shape[1])
-    child_a, child_b = a.copy(), b.copy()
-    rows = np.flatnonzero(crosses)
-    if rows.size:
-        a, b, u = a[rows], b[rows], np.asarray(u)[rows]
-        exponent = 1.0 / (eta + 1.0)
-        beta = np.where(u <= 0.5, (2.0 * u) ** exponent, (0.5 / (1.0 - u)) ** exponent)
-        crossed_a = 0.5 * ((1.0 + beta) * a + (1.0 - beta) * b)
-        crossed_b = 0.5 * ((1.0 - beta) * a + (1.0 + beta) * b)
-        same = np.abs(a - b) <= 1e-14
-        crossed_a[same] = a[same]
-        crossed_b[same] = b[same]
-        child_a[rows] = np.clip(crossed_a, lower, upper)
-        child_b[rows] = np.clip(crossed_b, lower, upper)
-    return child_a, child_b
+    u = np.asarray(u)
+    exponent = 1.0 / (eta + 1.0)
+    beta = np.where(u <= 0.5, (2.0 * u) ** exponent, (0.5 / (1.0 - u)) ** exponent)
+    child_a = np.clip(0.5 * ((1.0 + beta) * a + (1.0 - beta) * b), lower, upper)
+    child_b = np.clip(0.5 * ((1.0 - beta) * a + (1.0 + beta) * b), lower, upper)
+    keep = ~np.asarray(crosses, dtype=bool)[:, None] | (np.abs(a - b) <= 1e-14)
+    return np.where(keep, a, child_a), np.where(keep, b, child_b)
 
 
 def polynomial_mutation(
@@ -293,28 +266,24 @@ def polynomial_mutation(
     Rows with ``mutates[i]`` False are returned as exact copies. In a
     mutating row, variable j is perturbed when ``u_pick[i, j] < 1/n``, by
     the bounded polynomial distribution with index ``eta`` driven by
-    ``u[i, j]``, which cannot leave ``bounds``; mutated rows are clipped.
+    ``u[i, j]``, which cannot leave ``bounds``; perturbed values are clipped.
     """
     x = np.asarray(vectors, dtype=np.float64)
     if x.ndim != 2:
         raise ContractViolationError("vectors must be a (b, n) matrix")
     n = x.shape[1]
     lower, upper = _checked_bounds(bounds, n)
-    out = x.copy()
-    rows = np.flatnonzero(mutates)
-    if rows.size:
-        x, u = x[rows], np.asarray(u)[rows]
-        pick = np.asarray(u_pick)[rows] < (1.0 / n)
-        span = upper - lower
-        frac_low = (x - lower) / span
-        frac_high = (upper - x) / span
-        power = eta + 1.0
-        exponent = 1.0 / power
-        val_low = 2.0 * u + (1.0 - 2.0 * u) * (1.0 - frac_low) ** power
-        val_high = 2.0 * (1.0 - u) + (2.0 * u - 1.0) * (1.0 - frac_high) ** power
-        delta = np.where(u < 0.5, val_low**exponent - 1.0, 1.0 - val_high**exponent)
-        out[rows] = np.clip(np.where(pick, x + delta * span, x), lower, upper)
-    return out
+    u = np.asarray(u)
+    pick = np.asarray(mutates, dtype=bool)[:, None] & (np.asarray(u_pick) < (1.0 / n))
+    span = upper - lower
+    frac_low = (x - lower) / span
+    frac_high = (upper - x) / span
+    power = eta + 1.0
+    exponent = 1.0 / power
+    val_low = 2.0 * u + (1.0 - 2.0 * u) * (1.0 - frac_low) ** power
+    val_high = 2.0 * (1.0 - u) + (2.0 * u - 1.0) * (1.0 - frac_high) ** power
+    delta = np.where(u < 0.5, val_low**exponent - 1.0, 1.0 - val_high**exponent)
+    return np.where(pick, np.clip(x + delta * span, lower, upper), x)
 
 
 @dataclass(frozen=True)

@@ -85,7 +85,7 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
     """Ranks 1..n of ``values``, ties sharing the mean of their ranks.
 
     A tie group occupying sorted positions i..j-1 gets (i + 1 + j) / 2,
-    an exact integer or half, as ``scipy.stats.rankdata`` gives.
+    an exact integer or half: the usual "average" method for ties.
     """
     order = np.argsort(values, kind="stable")
     ordered = values[order]

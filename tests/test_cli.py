@@ -123,6 +123,13 @@ class TestSingle:
         assert "error: reference point needs two finite coordinates" in captured.err
         assert captured.out == ""
 
+    def test_front_samples_below_two_rejected_before_the_run(self, capsys, monkeypatch):
+        monkeypatch.setattr(experiment, "run_optimization", refuse_to_run)
+        assert run_cli(SINGLE_BASE + ["--front-samples", "1"]) == 1
+        captured = capsys.readouterr()
+        assert "error: front sample size must be at least 2" in captured.err
+        assert captured.out == ""
+
 
 RUN_FLAGS = [
     "run", "--problems", "zdt1", "--n-vars", "2", "--sigmas", "0.2",
@@ -187,6 +194,33 @@ class TestRun:
         assert "error: reference point needs two finite coordinates" in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+    def test_front_samples_below_two_rejected_before_any_run(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(experiment, "run_optimization", refuse_to_run)
+        out = tmp_path / "grid"
+        assert run_cli(RUN_FLAGS + ["--reps", "2", "--front-samples", "1", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "error: front sample size must be at least 2" in captured.err
+        assert "executed" not in captured.out
+        assert not out.exists()
+
+    def test_resume_into_another_stream_rejected(self, tmp_path, capsys):
+        argv = RUN_FLAGS + ["--reps", "2", "--out", str(tmp_path)]
+        assert run_cli(argv) == 0
+        manifest = tmp_path / "grid.json"
+        written = manifest.read_text()
+        manifest.write_text(json.dumps({**json.loads(written), "stream_version": 1}))
+        capsys.readouterr()
+        assert run_cli(argv) == 1
+        assert "differs from this package in stream_version" in capsys.readouterr().err
+        # a table persisted before manifests existed: stream 1, use another --out
+        manifest.unlink()
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert "stream version 1" in err and "--out" in err
+        manifest.write_text(written)
+        assert run_cli(argv) == 0
+        assert "skipped 4 already persisted runs" in capsys.readouterr().out
 
     def test_incomplete_grid_rejected(self, capsys):
         assert run_cli(["run", "--problems", "zdt1"]) == 1

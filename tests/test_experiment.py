@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from knnavg.experiment import (
     ARM_KNN,
     FAILURES_FILENAME,
     HISTORY_DIRNAME,
+    MANIFEST_FILENAME,
     POOLED_SCOPE,
     RESULTS_FILENAME,
     ExperimentGrid,
@@ -28,6 +30,10 @@ from knnavg.experiment import (
 from knnavg.metrics import MetricReport, compute_report
 from knnavg.problems import NoiseSpec, ZdtProblem
 from knnavg.stats import METRICS
+
+
+def refuse_to_run(*args, **kwargs):
+    raise AssertionError("a run executed")
 
 
 def tiny_grid(**overrides):
@@ -229,16 +235,63 @@ class TestRunGrid:
     def test_non_finite_reference_rejected_before_anything_runs(
         self, tmp_path, monkeypatch, reference
     ):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a run executed")
-
-        monkeypatch.setattr(experiment, "run_optimization", refuse)
+        monkeypatch.setattr(experiment, "run_optimization", refuse_to_run)
         out = tmp_path / "grid"
         with pytest.raises(ContractViolationError, match="two finite coordinates"):
             run_grid(tiny_grid(), out_dir=out, reference=reference)
         with pytest.raises(ContractViolationError, match="two finite coordinates"):
             execute_run(expand_grid(tiny_grid())[0], reference=reference)
         assert not out.exists()
+
+    @pytest.mark.parametrize("size", [1, 0, 2.5])
+    def test_front_sample_size_below_two_rejected_before_anything_runs(
+        self, tmp_path, monkeypatch, size
+    ):
+        monkeypatch.setattr(experiment, "run_optimization", refuse_to_run)
+        out = tmp_path / "grid"
+        with pytest.raises(ContractViolationError, match="front sample size"):
+            run_grid(tiny_grid(), out_dir=out, front_sample_size=size)
+        with pytest.raises(ContractViolationError, match="front sample size"):
+            execute_run(expand_grid(tiny_grid())[0], front_sample_size=size)
+        assert not out.exists()
+
+    def test_manifest_records_the_stream(self, tmp_path):
+        run_grid(tiny_grid(), out_dir=tmp_path)
+        manifest = (tmp_path / MANIFEST_FILENAME).read_text()
+        assert json.loads(manifest) == {
+            "stream_version": core.STREAM_VERSION, "numpy": np.__version__,
+        }
+        # an ordinary resume proceeds and leaves the manifest as it was
+        assert run_grid(tiny_grid(), out_dir=tmp_path).skipped == 4
+        assert (tmp_path / MANIFEST_FILENAME).read_text() == manifest
+
+    @pytest.mark.parametrize("key, value", [("stream_version", 1), ("numpy", "1.26.4")])
+    def test_resume_under_another_stream_rejected(self, tmp_path, monkeypatch, key, value):
+        grid = tiny_grid()
+        run_grid(grid, out_dir=tmp_path)
+        manifest = tmp_path / MANIFEST_FILENAME
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()), key: value}))
+        table = (tmp_path / RESULTS_FILENAME).read_bytes()
+        monkeypatch.setattr(experiment, "run_optimization", refuse_to_run)
+        with pytest.raises(ContractViolationError, match=f"differs from this package in {key} "):
+            run_grid(grid, out_dir=tmp_path)
+        assert (tmp_path / RESULTS_FILENAME).read_bytes() == table
+
+    def test_runs_without_manifest_rejected(self, tmp_path, monkeypatch):
+        # results persisted before manifests existed were drawn from stream 1
+        grid = tiny_grid()
+        run_grid(grid, out_dir=tmp_path)
+        (tmp_path / MANIFEST_FILENAME).unlink()
+        monkeypatch.setattr(experiment, "run_optimization", refuse_to_run)
+        with pytest.raises(ContractViolationError, match="stream version 1.*another output"):
+            run_grid(grid, out_dir=tmp_path)
+        assert not (tmp_path / MANIFEST_FILENAME).exists()
+        # a table without rows mixes nothing: it is adopted
+        path = tmp_path / RESULTS_FILENAME
+        path.write_text(path.read_text().splitlines(keepends=True)[0])
+        monkeypatch.undo()
+        assert len(run_grid(grid, out_dir=tmp_path).results) == 4
+        assert (tmp_path / MANIFEST_FILENAME).exists()
 
     def test_partial_resume_completes_missing_runs(self, tmp_path):
         grid = tiny_grid()

@@ -19,6 +19,7 @@ from knnavg.nsga2 import (
     polynomial_mutation,
     run_optimization,
     sbx_crossover,
+    tournament_winners,
 )
 from knnavg.problems import NoiseSpec, ZdtProblem
 from oracles import dominates
@@ -175,51 +176,81 @@ class TestCrowdingDistance:
 DISTINCT = (np.array([0, 1]), np.array([np.inf, np.inf]))
 
 
-def ga_pair(crossover_prob, mutation_prob):
+def ga_pair(crossover_prob, mutation_prob, pop_size=2):
     return GaConfig(
-        pop_size=2, generations=1, crossover_prob=crossover_prob, mutation_prob=mutation_prob
+        pop_size=pop_size, generations=1, crossover_prob=crossover_prob,
+        mutation_prob=mutation_prob,
     )
 
 
-def replay_tournaments(probe, ranks):
-    """The two tournaments of one pair, drawn on ``probe``: rank decides,
-    and with crowding tied everywhere an equal rank tosses a coin."""
-    winners = []
-    for _ in range(2):
-        i, j = probe.integers(len(ranks), 2).tolist()
-        if ranks[i] != ranks[j]:
-            winners.append(i if ranks[i] < ranks[j] else j)
-        else:
-            winners.append(i if probe.random() < 0.5 else j)
-    return winners
+def contract_blocks(probe, pop_size, n):
+    """One generation's blocks, drawn on ``probe`` in the contract's order."""
+    pairs = pop_size // 2
+    return {
+        "candidates": probe.integers(pop_size, (pairs, 2, 2)),
+        "coins": probe.random((pairs, 2)),
+        "cross_gates": probe.random(pairs),
+        "u_cross": probe.random((pairs, n)),
+        "mutation_gates": probe.random(pop_size),
+        "u_pick": probe.random((pop_size, n)),
+        "u_mutation": probe.random((pop_size, n)),
+    }
 
 
 class TestDrawVariation:
     @pytest.mark.parametrize("ranks", [[0, 1], [0, 0]])
     def test_tournaments_toss_a_coin_only_on_a_tie(self, ranks):
-        for seed in range(103, 113):
-            used, probe = RngStream(seed), RngStream(seed)
-            crowding = np.array([np.inf, np.inf])
-            draws = draw_variation(np.array(ranks), crowding, ga_pair(0.0, 0.0), 2, used)
-            winners = replay_tournaments(probe, ranks)
-            probe.random(3)  # crossover gate, two mutation gates
-            assert draws.parents.tolist() == [winners]
-            assert used.random() == probe.random()
+        # every tournament draws a coin; it decides only a tie on rank and
+        # crowding, and identical candidates (i == j) tie with themselves
+        candidates = np.array([[0, 1], [1, 0], [0, 0], [1, 1]])
+        crowding = np.array([np.inf, np.inf])
+        heads = tournament_winners(candidates, np.zeros(4), np.array(ranks), crowding)
+        tails = tournament_winners(candidates, np.full(4, 0.5), np.array(ranks), crowding)
+        if ranks == [0, 1]:
+            assert heads.tolist() == tails.tolist() == [0, 0, 0, 1]
+        else:
+            assert heads.tolist() == [0, 1, 0, 1]
+            assert tails.tolist() == [1, 0, 0, 1]
 
     def test_crowding_decides_an_equal_rank(self):
-        crowding = [0.1, 0.4, 0.3, 0.2]
-        ga = GaConfig(pop_size=4, generations=1, crossover_prob=0.0, mutation_prob=0.0)
-        draws = draw_variation(np.zeros(4, dtype=np.int64), np.array(crowding), ga, 2,
-                               RngStream(113))
-        probe = RngStream(113)
-        for pair in draws.parents.tolist():
-            for winner in pair:
-                i, j = probe.integers(4, 2).tolist()
-                if i == j:  # identical candidates tie on crowding too
-                    assert winner == (i if probe.random() < 0.5 else j)
-                else:
-                    assert winner == (i if crowding[i] > crowding[j] else j)
-            probe.random(3)  # crossover gate, two mutation gates
+        ranks = np.array([0, 0, 0, 1])
+        crowding = np.array([0.1, 0.4, 0.3, 0.9])
+        candidates = np.array([[[0, 1], [2, 1]], [[2, 0], [3, 0]]])
+        coins = np.array([[0.0, 0.0], [0.9, 0.9]])
+        winners = tournament_winners(candidates, coins, ranks, crowding)
+        # rank beats crowding: member 3 loses to member 0 despite more room
+        assert winners.tolist() == [[1, 1], [2, 0]]
+
+    def test_blocks_in_contract_order(self):
+        used, probe = RngStream(113), RngStream(113)
+        ranks = np.array([0, 1, 0, 2, 1, 0])
+        crowding = np.array([1.0, np.inf, 2.0, 0.5, 3.0, 1.0])
+        draws = draw_variation(ranks, crowding, ga_pair(0.5, 0.5, pop_size=6), 3, used)
+        blocks = contract_blocks(probe, 6, 3)
+        expected = tournament_winners(blocks["candidates"], blocks["coins"], ranks, crowding)
+        assert np.array_equal(draws.parents, expected)
+        assert np.array_equal(draws.crosses, blocks["cross_gates"] < 0.5)
+        assert np.array_equal(draws.mutates, blocks["mutation_gates"] < 0.5)
+        for name in ("u_cross", "u_pick", "u_mutation"):
+            assert np.array_equal(getattr(draws, name), blocks[name])
+        assert used.random() == probe.random()
+
+    def test_same_draws_whatever_the_gates_and_ranks(self):
+        # the stream advances by the same blocks for every population state
+        # and gate setting, so all arms of a repetition stay in lockstep
+        states = [
+            (np.zeros(8, dtype=np.int64), np.full(8, np.inf)),
+            (np.arange(8), np.arange(8.0)),
+            (np.array([0, 0, 1, 1, 2, 2, 3, 3]), np.array([np.inf, 1.0] * 4)),
+        ]
+        after = set()
+        for seed in range(120, 130):
+            for ranks, crowding in states:
+                for pc, pm in ((0.0, 0.0), (1.0, 1.0), (0.9, 0.3)):
+                    rng = RngStream(seed)
+                    draws = draw_variation(ranks, crowding, ga_pair(pc, pm, pop_size=8), 4, rng)
+                    after.add((seed, rng.random(), draws.u_mutation.tobytes()))
+        assert len(after) == 10
 
     def test_gates_follow_the_probabilities(self):
         draws = draw_variation(
@@ -228,10 +259,9 @@ class TestDrawVariation:
             3, RngStream(105),
         )
         assert 0 < draws.crosses.sum() < 10 and 0 < draws.mutates.sum() < 20
-        # rows of skipped operators hold zeros; drawn rows hold uniforms
-        assert not draws.u_cross[~draws.crosses].any()
-        assert draws.u_cross[draws.crosses].all()
-        assert not draws.u_mutation[~draws.mutates].any()
+        # rows a gate skips hold uniforms too: the blocks are drawn whole
+        for u in (draws.u_cross, draws.u_pick, draws.u_mutation):
+            assert np.all((u > 0.0) & (u < 1.0))
 
 
 class TestSbxCrossover:
@@ -273,25 +303,21 @@ class TestSbxCrossover:
         assert np.mean(np.concatenate((ca, cb))) == pytest.approx(0.5, abs=0.02)
 
     def test_draw_accounting_active(self):
-        # a crossing pair consumes its gate plus n uniforms
+        # a crossing pair's uniforms are its row of the crossover block
         used, probe = RngStream(94), RngStream(94)
         draws = draw_variation(*DISTINCT, ga_pair(1.0, 0.0), 3, used)
-        replay_tournaments(probe, DISTINCT[0])
-        probe.random()
-        u = probe.random(3)
-        probe.random(2)  # the two mutation gates
+        blocks = contract_blocks(probe, 2, 3)
         assert draws.crosses.tolist() == [True]
-        assert np.array_equal(draws.u_cross[0], u)
+        assert np.array_equal(draws.u_cross, blocks["u_cross"])
         assert used.random() == probe.random()
 
     def test_draw_accounting_skipped(self):
-        # a skipped crossover consumes only the gate draw
-        used, probe = RngStream(95), RngStream(95)
-        draws = draw_variation(*DISTINCT, ga_pair(0.0, 0.0), 2, used)
-        replay_tournaments(probe, DISTINCT[0])
-        probe.random()
-        probe.random(2)
+        # a skipped crossover still draws its row: same draws, same position
+        used, probe = RngStream(94), RngStream(94)
+        draws = draw_variation(*DISTINCT, ga_pair(0.0, 0.0), 3, used)
+        blocks = contract_blocks(probe, 2, 3)
         assert draws.crosses.tolist() == [False]
+        assert np.array_equal(draws.u_cross, blocks["u_cross"])
         assert used.random() == probe.random()
 
     def test_length_mismatch_rejected(self):
@@ -341,27 +367,23 @@ class TestPolynomialMutation:
         assert np.mean(values) == pytest.approx(0.5, abs=0.005)
 
     def test_draw_accounting_active(self):
-        # a mutating offspring consumes its gate plus n + n uniforms
+        # a mutating offspring's picks and perturbations are its rows of the blocks
         used, probe = RngStream(101), RngStream(101)
         draws = draw_variation(*DISTINCT, ga_pair(0.0, 1.0), 3, used)
-        replay_tournaments(probe, DISTINCT[0])
-        probe.random()  # crossover gate
-        probe.random()
-        pick, u = probe.random(3), probe.random(3)
-        probe.random()
-        probe.random(3)
-        probe.random(3)
+        blocks = contract_blocks(probe, 2, 3)
         assert draws.mutates.tolist() == [True, True]
-        assert np.array_equal(draws.u_pick[0], pick)
-        assert np.array_equal(draws.u_mutation[0], u)
+        assert np.array_equal(draws.u_pick, blocks["u_pick"])
+        assert np.array_equal(draws.u_mutation, blocks["u_mutation"])
         assert used.random() == probe.random()
 
     def test_draw_accounting_skipped(self):
-        used, probe = RngStream(102), RngStream(102)
-        draws = draw_variation(*DISTINCT, ga_pair(0.0, 0.0), 2, used)
-        replay_tournaments(probe, DISTINCT[0])
-        probe.random(3)
+        # offspring that skip mutation still draw their rows: same position
+        used, probe = RngStream(101), RngStream(101)
+        draws = draw_variation(*DISTINCT, ga_pair(0.0, 0.0), 3, used)
+        blocks = contract_blocks(probe, 2, 3)
         assert draws.mutates.tolist() == [False, False]
+        assert np.array_equal(draws.u_pick, blocks["u_pick"])
+        assert np.array_equal(draws.u_mutation, blocks["u_mutation"])
         assert used.random() == probe.random()
 
 
@@ -479,6 +501,26 @@ class TestRunOptimization:
             )
             assert np.array_equal(base.population.variables, knn.population.variables)
             assert np.array_equal(base.population.objectives, knn.population.objectives)
+
+    def test_arms_and_gates_end_at_one_stream_position(self):
+        # every arm of a repetition draws the same blocks in every generation,
+        # whatever its ranks and ties, so its noise is the baseline's noise
+        problem = ZdtProblem("zdt1", 2)
+        arms = [
+            (PlainNoisy(), 0.9),
+            (KnnAveraged(KnnConfig(k=10, max_dist=0.25)), 0.9),
+            (KnnAveraged(KnnConfig(k=3, max_dist=1.0)), 0.9),
+            (PlainNoisy(), 0.0),
+            (PlainNoisy(), 1.0),
+        ]
+        for seed in (1, 2, 3):
+            positions = set()
+            for evaluator, crossover_prob in arms:
+                rng = RngStream(seed)
+                ga = GaConfig(pop_size=10, generations=30, crossover_prob=crossover_prob)
+                run_optimization(problem, NoiseSpec(0.2), evaluator, ga, rng)
+                positions.add(rng.random())
+            assert len(positions) == 1
 
     def test_averaging_changes_search_path(self):
         base = small_run(seed=16, sigma=0.3)
