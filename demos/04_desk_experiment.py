@@ -9,8 +9,10 @@ the persisted runs, so it doubles as a resume demonstration.
 """
 
 import pathlib
+import sys
 import time
 
+from knnavg.core import ContractViolationError
 from knnavg.experiment import (
     ExperimentGrid,
     load_results,
@@ -40,7 +42,15 @@ print(f"results are persisted under {OUT}")
 print()
 
 started = time.monotonic()
-outcome = run_grid(grid, out_dir=OUT)
+try:
+    outcome = run_grid(grid, out_dir=OUT)
+except ContractViolationError as exc:
+    # typically a directory left by an older checkout, whose random stream
+    # differs from this one: its runs cannot be mixed with new ones
+    print(f"error: {exc}", file=sys.stderr)
+    print(f"this demo always writes to {OUT}: delete it and run the demo again",
+          file=sys.stderr)
+    sys.exit(1)
 elapsed = time.monotonic() - started
 print(f"executed {len(outcome.results)} new runs, "
       f"skipped {outcome.skipped} already persisted, "

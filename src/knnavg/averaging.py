@@ -7,13 +7,22 @@ far. Distances are standardized per dimension by the history's variance so
 that no variable dominates the neighborhood. A neighbor at distance d
 weighs ``max(max_dist - d**2, 0)``.
 
-The history keeps every sample as rows of read-only matrices (variables,
-raw objectives, averaged objectives, batch numbers). Appending a batch or
-storing averages builds new matrices, so a matrix handed out earlier never
-changes.
+The history keeps every sample as rows of capacity-doubling buffers
+(variables, raw objectives, averaged objectives) and hands out read-only
+views of their filled rows, so appending a batch costs
+O(batch), not O(history). A view handed out earlier never changes: appends
+write past its end, a full buffer is replaced by a larger copy, and storing
+averages under rows an averaged view already covers writes into a copy.
 
 Numerics contract, which seeded runs depend on bit for bit:
 
+- The variances are population variances per dimension, merged batch by
+  batch in batch order (Chan, Golub & LeVeque, 1979): a batch of b rows
+  with mean ``mean_b = block.mean(axis=0)`` and ``m2_b = ((block -
+  mean_b)**2).sum(axis=0)`` joins n earlier rows with column sums ``s`` as
+  ``m2 + m2_b + delta**2 * (n * b / (n + b))``, ``delta = mean_b - s / n``,
+  and the variance is ``m2 / (n + b)``. The column sums add the rows one
+  at a time in insertion order.
 - The standardized distance is ``sqrt`` of the left-to-right sum over
   dimensions ``j = 0, 1, ...`` of ``(a_j - b_j)**2 / var_j``, skipping
   dimensions with ``var_j < ZERO_VARIANCE_EPS``. :func:`sed` and
@@ -21,6 +30,10 @@ Numerics contract, which seeded runs depend on bit for bit:
 - ``max_dist`` is inclusive: a record at exactly ``max_dist`` is kept.
 - Among kept records the solution itself comes first, then records by
   ascending distance, equal distances in insertion order.
+- The average over the kept neighbors ``j = 0, 1, ...``, in that order, is
+  ``(0 + w_0 r_0 + w_1 r_1 + ...) / (0 + w_0 + w_1 + ...)``, both sums
+  taken strictly left to right in elementwise floating point. A solution
+  whose only kept neighbor is itself keeps its raw sample bitwise.
 
 A screen finds the candidate pairs with one matrix product. Over the k
 dimensions with spread, it writes a squared distance as
@@ -30,8 +43,9 @@ scaled by 1/sqrt(var), and keeps a pair when that is at most
 slack is over twice a first-order bound on the screen's rounding error
 against the exact distance (derived in :func:`_neighbor_pairs`), so the
 screen never drops a pair within ``max_dist``. Only the exact distance
-decides which pairs are kept, so results depend neither on how the BLAS
-orders its sums nor on its thread count.
+decides which pairs are kept, and the weighting uses no BLAS call, so
+results depend neither on how the BLAS orders its sums nor on its thread
+count or CPU kernel.
 
 Averaging a batch of b solutions over a history of n records holds
 O(b * n) memory, independent of the number of dimensions.
@@ -82,6 +96,12 @@ def _read_only(matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
+def _grown(buffer: np.ndarray, capacity: int) -> np.ndarray:
+    grown = np.empty((capacity,) + buffer.shape[1:], dtype=buffer.dtype)
+    grown[: buffer.shape[0]] = buffer
+    return grown
+
+
 class EvaluationHistory:
     """Append-only record of every noisy sample drawn during one run.
 
@@ -89,8 +109,10 @@ class EvaluationHistory:
     averaged objectives assigned afterwards (initially the raw sample), and
     the batch number it arrived in. Records are never mutated or removed;
     assigning averaged values stores them alongside the raw sample, never in
-    its place. The per-dimension variances are cached between appends
-    because averaging reads them once per batch.
+    its place. Column sums and squared deviations of the variables are
+    merged in batch by batch, lazily, when :meth:`means` or
+    :meth:`variances` is called, so a history nobody asks for moments never
+    pays for them.
     """
 
     def __init__(self, n_vars: int, n_objs: int) -> None:
@@ -98,18 +120,22 @@ class EvaluationHistory:
             raise ContractViolationError("history dimensions must be positive")
         self.n_vars = int(n_vars)
         self.n_objs = int(n_objs)
-        self._vars = _read_only(np.empty((0, self.n_vars)))
-        self._raws = _read_only(np.empty((0, self.n_objs)))
-        self._avgs = self._raws
-        self._batches = _read_only(np.empty(0, dtype=np.int64))
-        self._var_cache: np.ndarray | None = None
+        self._size = 0
+        self._vars = np.empty((0, self.n_vars))
+        self._raws = np.empty((0, self.n_objs))
+        self._avgs = np.empty((0, self.n_objs))
+        self._starts: list[int] = []  # first row of every batch
+        self._avgs_lent = 0  # rows covered by the longest averaged view handed out
+        self._folded = 0  # batches merged into the running moments
+        self._sum = np.zeros(self.n_vars)
+        self._m2 = np.zeros(self.n_vars)
 
     def __len__(self) -> int:
-        return self._vars.shape[0]
+        return self._size
 
     @property
     def batch_count(self) -> int:
-        return int(self._batches[-1]) + 1 if len(self) else 0
+        return len(self._starts)
 
     def append_batch(self, variables: np.ndarray, raw_objectives: np.ndarray) -> slice:
         """Append one batch of samples, given as matrices; returns their index range.
@@ -126,50 +152,81 @@ class EvaluationHistory:
                 f"need a non-empty batch of (b, {self.n_vars}) variables and (b, "
                 f"{self.n_objs}) raw objectives, got {variables.shape} and {raws.shape}"
             )
-        start = len(self)
-        numbers = np.full(len(variables), self.batch_count, dtype=np.int64)
-        self._vars = _read_only(np.concatenate((self._vars, variables)))
-        self._raws = _read_only(np.concatenate((self._raws, raws)))
-        self._avgs = _read_only(np.concatenate((self._avgs, raws)))
-        self._batches = _read_only(np.concatenate((self._batches, numbers)))
-        self._var_cache = None
-        return slice(start, len(self))
+        start, stop = self._size, self._size + b
+        if stop > self._vars.shape[0]:
+            capacity = max(stop, 2 * self._vars.shape[0])
+            self._vars = _grown(self._vars[:start], capacity)
+            self._raws = _grown(self._raws[:start], capacity)
+            self._avgs = _grown(self._avgs[:start], capacity)
+            self._avgs_lent = 0
+        self._vars[start:stop] = variables
+        self._raws[start:stop] = raws
+        self._avgs[start:stop] = raws
+        self._starts.append(start)
+        self._size = stop
+        return slice(start, stop)
 
     def set_averaged(self, rows: slice, values: np.ndarray) -> None:
         """Store the averaged objectives computed for the records in ``rows``."""
         values = np.asarray(values, dtype=np.float64)
-        count = len(range(*rows.indices(len(self))))
-        if values.shape != (count, self.n_objs):
+        indices = range(*rows.indices(len(self)))
+        if values.shape != (len(indices), self.n_objs):
             raise ContractViolationError(
-                f"averaged block has shape {values.shape}, expected ({count}, {self.n_objs})"
+                f"averaged block has shape {values.shape}, expected ({len(indices)}, {self.n_objs})"
             )
-        avgs = self._avgs.copy()
-        avgs[rows] = values
-        self._avgs = _read_only(avgs)
+        if indices and min(indices) < self._avgs_lent:
+            # an averaged view handed out covers these rows: write into a copy
+            self._avgs = self._avgs.copy()
+            self._avgs_lent = 0
+        self._avgs[: len(self)][rows] = values
 
     def variables_matrix(self) -> np.ndarray:
         """All recorded decision vectors as a read-only (n, d) matrix."""
-        return self._vars
+        return _read_only(self._vars[: len(self)])
 
     def raw_matrix(self) -> np.ndarray:
         """All raw sampled objectives as a read-only (n, m) matrix."""
-        return self._raws
+        return _read_only(self._raws[: len(self)])
 
     def averaged_matrix(self) -> np.ndarray:
         """All averaged objectives as a read-only (n, m) matrix."""
-        return self._avgs
+        self._avgs_lent = len(self)
+        return _read_only(self._avgs[: len(self)])
 
     def batch_numbers(self) -> np.ndarray:
         """The batch number of every record, in insertion order (read-only)."""
-        return self._batches
+        sizes = np.diff(self._starts + [len(self)])
+        return _read_only(np.repeat(np.arange(len(sizes), dtype=np.int64), sizes))
+
+    def means(self) -> np.ndarray:
+        """Mean of each variable dimension over all records.
+
+        The column sums add the rows one at a time in insertion order, the
+        order in which ``records.mean(axis=0)`` sums two or more columns.
+        """
+        self._fold()
+        return _read_only(self._sum / len(self))
 
     def variances(self) -> np.ndarray:
         """Population variance of each variable dimension over all records."""
+        self._fold()
+        return _read_only(self._m2 / len(self))
+
+    def _fold(self) -> None:
+        """Merge the batches appended since the last fold, one at a time in batch order."""
         if not len(self):
-            raise ContractViolationError("history is empty; variances are undefined")
-        if self._var_cache is None:
-            self._var_cache = _read_only(self._vars.var(axis=0))
-        return self._var_cache
+            raise ContractViolationError("history is empty; moments are undefined")
+        bounds = self._starts[self._folded :] + [len(self)]
+        for start, stop in zip(bounds, bounds[1:]):
+            block = self._vars[start:stop]
+            mean = block.mean(axis=0)
+            m2 = ((block - mean) ** 2).sum(axis=0)
+            if start:
+                delta = mean - self._sum / start
+                m2 = self._m2 + m2 + delta * delta * (start * (stop - start) / stop)
+            self._m2 = m2
+            self._sum = np.cumsum(np.vstack((self._sum, block)), axis=0)[-1]
+        self._folded = len(self._starts)
 
 
 def sed(a, b, variances) -> float:
@@ -209,13 +266,16 @@ def _pair_distances(a: np.ndarray, b: np.ndarray, variances: np.ndarray) -> np.n
 
 
 def _neighbor_pairs(
-    queries: np.ndarray, records: np.ndarray, variances: np.ndarray, max_dist: float
+    queries: np.ndarray, records: np.ndarray, center: np.ndarray, variances: np.ndarray,
+    max_dist: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every (query, record) pair within ``max_dist``, with its exact distance.
 
     A screen first keeps every pair that may lie within ``max_dist``; the
     survivors are then measured exactly and cut at ``max_dist``. Over the k
-    dimensions with spread, coordinates are centred on the history mean and
+    dimensions with spread, coordinates are centred on ``center`` (the
+    history mean; any shared centre is exact enough, it only steers how
+    large the norms below get) and
     scaled by 1/sqrt(var), giving q' and r', and the screen evaluates the
     product form |q'|^2 + |r'|^2 - 2 q'.r' with one matrix product. A pair
     passes when this is at most ``max_dist**2`` plus a slack
@@ -247,7 +307,6 @@ def _neighbor_pairs(
     # a dimension without spread gets scale 0 and drops out of the screen
     scale = np.zeros_like(variances)
     scale[spread] = 1.0 / np.sqrt(variances[spread])
-    center = records.mean(axis=0)
     qs = (queries - center) * scale
     rs = records - center
     rs *= scale
@@ -269,15 +328,15 @@ def knn_evaluate(batch: Batch, history: EvaluationHistory, config: KnnConfig) ->
 
     The incoming batch is appended to ``history`` first, so each solution
     finds itself at distance zero and always takes part in its own average.
-    Standardization variances are computed once from the post-append
-    history. Per solution: records farther than ``config.max_dist`` are
-    discarded (a record at exactly ``max_dist`` is kept), the ``config.k``
-    closest survivors are kept (distance ties keep the solution itself
-    first, then earlier-appended records), and their raw objectives are
-    combined with weights ``max(max_dist - d**2, 0)``. A solution whose
-    only kept neighbor is itself keeps its raw sample bitwise unchanged.
-    Distances follow the module's numerics contract, and memory stays
-    within O(batch * history) whatever the number of dimensions.
+    Standardization variances are those of the post-append history. Per
+    solution: records farther than ``config.max_dist`` are discarded (a
+    record at exactly ``max_dist`` is kept), the ``config.k`` closest
+    survivors are kept (distance ties keep the solution itself first, then
+    earlier-appended records), and their raw objectives are combined with
+    weights ``max(max_dist - d**2, 0)``. A solution whose only kept neighbor
+    is itself keeps its raw sample bitwise unchanged. Distances, variances
+    and weighted means follow the module's numerics contract, and memory
+    stays within O(batch * history) whatever the number of dimensions.
 
     Returns a batch in input order with the averaged objectives and the
     original raw objectives; the averages are also stored in the history.
@@ -287,9 +346,8 @@ def knn_evaluate(batch: Batch, history: EvaluationHistory, config: KnnConfig) ->
     raws = batch.raw_objectives
     rows = history.append_batch(batch.variables, raws)
     record_vars = history.variables_matrix()
-    record_raws = history.raw_matrix()
     q_idx, r_idx, dist = _neighbor_pairs(
-        record_vars[rows], record_vars, history.variances(), config.max_dist
+        record_vars[rows], record_vars, history.means(), history.variances(), config.max_dist
     )
     # Group by query; within a query self first, then by distance, then by
     # record index: a stable sort by distance with the solution moved first.
@@ -297,17 +355,23 @@ def knn_evaluate(batch: Batch, history: EvaluationHistory, config: KnnConfig) ->
     r_idx, dist = r_idx[order], dist[order]
     starts = np.searchsorted(q_idx[order], np.arange(len(batch) + 1))
 
-    averaged = raws.copy()
-    for i in range(len(batch)):
-        lo = starts[i]
-        hi = min(starts[i + 1], lo + config.k)
-        # Only the solution itself kept: averaging would reproduce the raw
-        # sample up to rounding; keep it exact instead.
-        if hi - lo > 1:
-            weights = np.maximum(config.max_dist - dist[lo:hi] ** 2, 0.0)
-            total = weights.sum()
-            if total > 0.0:
-                averaged[i] = weights @ record_raws[r_idx[lo:hi]] / total
+    # The kept neighbors as a padded (b, width) table, self in column 0.
+    # Padding weighs 0 against a raw of 0, so it adds exactly +0.0 to sums
+    # that start from +0.0 and therefore never hold -0.0.
+    counts = np.minimum(np.diff(starts), config.k)
+    columns = np.arange(counts.max())
+    kept = columns < counts[:, None]
+    pair = np.where(kept, starts[:-1, None] + columns, 0)
+    weights = np.where(kept, np.maximum(config.max_dist - dist[pair] ** 2, 0.0), 0.0)
+    neighbor_raws = np.where(kept[:, :, None], history.raw_matrix()[r_idx[pair]], 0.0)
+    total = np.zeros((len(batch), 1))
+    weighted = np.zeros_like(raws)
+    for j in columns:
+        total += weights[:, j, None]
+        weighted += weights[:, j, None] * neighbor_raws[:, j]
+    # Only the solution itself kept: averaging would reproduce the raw
+    # sample up to rounding; keep it exact instead.
+    averaged = np.where(counts[:, None] > 1, weighted / total, raws)
     history.set_averaged(rows, averaged)
     return Batch(variables=batch.variables, objectives=averaged, raw_objectives=raws)
 

@@ -8,7 +8,7 @@ JSON result; ``report`` builds verdict tables from persisted results;
 
 Exit codes: 0 on success, 1 on a contract violation (including bad
 arguments or an output file that cannot be written), 2 when a grid
-finished but some runs failed.
+finished but some runs failed, or stopped because a worker process died.
 """
 
 from __future__ import annotations
@@ -200,6 +200,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if outcome.skipped:
         print(f"skipped {outcome.skipped} already persisted runs")
     print(f"executed {len(outcome.results)} runs, {len(outcome.failures)} failures")
+    if outcome.unfinished:
+        return 2  # run_grid has logged the count; a report would lack those runs
     if args.report and (outcome.results or args.out):
         results = load_results(args.out) if args.out else outcome.results
         bundle = report(results)

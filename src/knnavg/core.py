@@ -33,7 +33,10 @@ __all__ = [
 # deliberately alters random draw order or result numerics bumps it and
 # re-records the digests in tests/test_golden.py. numpy does not promise to
 # keep its Generator methods' output across releases, so grids record both.
-STREAM_VERSION = 2
+# 2: fixed-shape block draws per generation and numpy's normals. 3: the
+# averaging variances are running moments merged per batch, and weighted
+# means are summed left to right without BLAS (plain runs are unchanged).
+STREAM_VERSION = 3
 
 
 class ContractViolationError(ValueError):

@@ -29,6 +29,7 @@ import logging
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -502,12 +503,15 @@ class GridOutcome:
 
     ``results`` holds only the runs executed by this invocation; runs
     skipped on resume stay on disk and come back via ``load_results``.
+    ``unfinished`` counts the runs left without a result because a worker
+    process died and broke the pool; a resume runs them.
     """
 
     results: list[RunResult]
     failures: list[tuple[RunConfig, str]] = field(default_factory=list)
     skipped: int = 0
     total: int = 0
+    unfinished: int = 0
 
 
 def run_grid(
@@ -529,7 +533,10 @@ def run_grid(
     seed, reference point or front sample size differs from this grid's is
     a contract violation, raised before anything runs, as is a directory
     whose manifest names another stream. A failing run is recorded and
-    does not stop the rest of the grid. ``include_histories`` additionally
+    does not stop the rest of the grid. A worker process that dies (killed
+    by the OS, say) breaks the pool: the runs finished until then stay
+    persisted, the others are counted as unfinished, not as failures, and
+    one log line says how many there are. ``include_histories`` additionally
     writes one history CSV per run and requires an output directory.
     """
     if parallelism < 1:
@@ -569,6 +576,7 @@ def run_grid(
     order = {c.fingerprint: i for i, c in enumerate(configs)}
     results: list[RunResult] = []
     failures: list[tuple[RunConfig, str]] = []
+    unfinished = 0
 
     def record(result: RunResult) -> None:
         results.append(result)
@@ -613,13 +621,24 @@ def run_grid(
                         config = futures[future]
                         try:
                             record(future.result())
+                        except BrokenProcessPool:
+                            unfinished += 1
                         except Exception as exc:  # noqa: BLE001 - grid isolation
                             record_failure(config, f"{type(exc).__name__}: {exc}")
+            if unfinished:
+                logger.error(
+                    "a worker process died and broke the pool: %d runs were not attempted or "
+                    "did not finish; finished runs are persisted and a resume runs the rest",
+                    unfinished,
+                )
     finally:
         if writer is not None:
             writer.close()
     results.sort(key=lambda r: order[r.config.fingerprint])
-    return GridOutcome(results=results, failures=failures, skipped=skipped, total=len(configs))
+    return GridOutcome(
+        results=results, failures=failures, skipped=skipped, total=len(configs),
+        unfinished=unfinished,
+    )
 
 
 @dataclass(eq=False)

@@ -10,9 +10,9 @@ passing the noisy sample through or replacing it with a neighborhood
 average over the run's evaluation history.
 
 Populations and offspring are :class:`~knnavg.core.Batch` matrices, in the
-loop and in the :class:`OptimizationResult` it returns. Draw order of
-``STREAM_VERSION`` 2: the initial population takes ``random((pop_size,
-n))``, then its evaluation noise. Every generation then draws the
+loop and in the :class:`OptimizationResult` it returns. Draw order, the
+same since ``STREAM_VERSION`` 2: the initial population takes
+``random((pop_size, n))``, then its evaluation noise. Every generation then draws the
 fixed-shape blocks of :func:`draw_variation`, whatever the ranks, ties and
 gates turn out to be, then its children's evaluation noise, so all arms of
 a repetition stay at one stream position. Selection, crossover, mutation

@@ -201,6 +201,19 @@ class TestEvaluationHistory:
             EvaluationHistory(2, 2).variances()
 
 
+@st.composite
+def batch_splits(draw):
+    """Records in batches of arbitrary sizes, and after which appends to ask for moments."""
+    d = draw(st.sampled_from([1, 2, 5, 30]))
+    sizes = draw(st.lists(st.integers(1, 40), min_size=1, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    offset = draw(st.floats(-10.0, 10.0)) * scale
+    x = offset + scale * rng.standard_normal((sum(sizes), d))
+    asked = draw(st.lists(st.booleans(), min_size=len(sizes), max_size=len(sizes)))
+    return x, sizes, asked
+
+
 class TestHistoryVariances:
     def test_single_record_zero_variance(self):
         history = EvaluationHistory(2, 2)
@@ -227,6 +240,29 @@ class TestHistoryVariances:
             oracle.append(sum((v - mean) ** 2 for v in column) / len(column))
         got = history.variances()
         assert np.allclose(got, oracle, rtol=1e-12, atol=0.0)
+
+    @given(batch_splits())
+    def test_running_moments_over_any_batch_split(self, case):
+        x, sizes, asked = case
+        eager, lazy = EvaluationHistory(x.shape[1], 1), EvaluationHistory(x.shape[1], 1)
+        for block, ask in zip(np.split(x, np.cumsum(sizes)[:-1]), asked):
+            for history in (eager, lazy):
+                history.append_batch(block, np.zeros((len(block), 1)))
+            if ask:
+                eager.variances(), eager.means()
+        # the moments do not depend on when they were asked for
+        assert eager.variances().tobytes() == lazy.variances().tobytes()
+        assert eager.means().tobytes() == lazy.means().tobytes()
+        oracle = []
+        for column in x.T.tolist():
+            mean = math.fsum(column) / len(column)
+            oracle.append(math.fsum((v - mean) ** 2 for v in column) / len(column))
+        assert np.allclose(lazy.variances(), oracle, rtol=1e-12, atol=0.0)
+        # the centre sums rows one at a time in insertion order; numpy's mean
+        # does too over two or more columns, but sums a lone column pairwise
+        assert lazy.means().tobytes() == (np.cumsum(x, axis=0)[-1] / len(x)).tobytes()
+        if x.shape[1] > 1:
+            assert lazy.means().tobytes() == x.mean(axis=0).tobytes()
 
 
 class TestKnnConfig:
@@ -390,7 +426,9 @@ def reference_average(history, rows, config, distances):
 
     ``distances`` is the full query-by-record matrix. Per query: a stable
     sort by distance, the query itself moved first, records beyond
-    ``max_dist`` dropped, the first k kept and their raws weighted.
+    ``max_dist`` dropped, the first k kept and their raws weighted, the
+    weights and the weighted raws each summed from zero strictly left to
+    right in that order.
     """
     raws = history.raw_matrix()
     out = []
@@ -403,8 +441,11 @@ def reference_average(history, rows, config, distances):
             out.append(raws[row].copy())
             continue
         weights = np.maximum(config.max_dist - d[chosen] ** 2, 0.0)
-        total = weights.sum()
-        out.append(raws[row].copy() if total <= 0.0 else weights @ raws[chosen] / total)
+        total, weighted = 0.0, np.zeros(raws.shape[1])
+        for j, weight in zip(chosen, weights):
+            total += weight
+            weighted = weighted + weight * raws[j]
+        out.append(weighted / total)
     return np.array(out)
 
 
@@ -468,7 +509,9 @@ def assert_matches_definition(x, raws, n_prior, k, pick_max_dist):
     config = KnnConfig(k=k, max_dist=pick_max_dist(distances))
     expected = reference_average(reference_history, rows, config, distances)
 
-    kept = zip(*_neighbor_pairs(records[rows], records, variances, config.max_dist))
+    kept = zip(*_neighbor_pairs(
+        records[rows], records, reference_history.means(), variances, config.max_dist
+    ))
     q_idx, r_idx = np.nonzero(distances <= config.max_dist)
     within = zip(q_idx, r_idx, distances[q_idx, r_idx])
     assert sorted((int(q), int(r), float(d)) for q, r, d in kept) == sorted(

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import shlex
 from pathlib import Path
 
@@ -136,6 +137,25 @@ RUN_FLAGS = [
     "--pop-sizes", "10", "--ks", "3", "--max-dists", "0.25",
     "--generations", "5",
 ]
+
+REAL_GRID_WORKER = experiment._grid_worker
+DOOMED_RUN = "zdt1-n2-s0.2-p10-g5-baseline-r3"
+
+
+def die_on_one_run(config, *args):
+    """Grid worker whose process dies without a word on one run, as when the OS kills it."""
+    if config.fingerprint == DOOMED_RUN:
+        os._exit(1)
+    return REAL_GRID_WORKER(config, *args)
+
+
+def results_table(out_dir):
+    """Persisted rows by fingerprint, without the wall-clock column."""
+    with (out_dir / "results.csv").open(newline="") as handle:
+        return {
+            row["fingerprint"]: {k: v for k, v in row.items() if k != "duration_s"}
+            for row in csv.DictReader(handle)
+        }
 
 
 class TestRun:
@@ -316,6 +336,26 @@ class TestRun:
         argv = RUN_FLAGS + ["--reps", "2", "--out", str(tmp_path), "--parallelism", "2"]
         assert run_cli(argv) == 0
         assert "executed 4 runs, 0 failures" in capsys.readouterr().out
+
+    def test_dead_worker_stops_the_grid_and_resumes(self, tmp_path, capsys, caplog, monkeypatch):
+        out = tmp_path / "grid"
+        argv = RUN_FLAGS + ["--reps", "5", "--out", str(out), "--parallelism", "2", "--report"]
+        monkeypatch.setattr(experiment, "_grid_worker", die_on_one_run)
+        assert run_cli(argv) == 2
+        persisted = results_table(out)
+        unfinished = 10 - len(persisted)
+        assert DOOMED_RUN not in persisted and unfinished >= 1
+        # the runs the dead pool could not finish are not failures
+        assert not (out / "failures.csv").exists()
+        assert "Verdicts" not in capsys.readouterr().out
+        stops = [r.getMessage() for r in caplog.records if "broke the pool" in r.getMessage()]
+        assert len(stops) == 1 and f": {unfinished} runs were not attempted" in stops[0]
+
+        monkeypatch.undo()
+        assert run_cli(argv) == 0
+        assert f"skipped {10 - unfinished} already persisted runs" in capsys.readouterr().out
+        assert run_cli(RUN_FLAGS + ["--reps", "5", "--out", str(tmp_path / "serial")]) == 0
+        assert results_table(out) == results_table(tmp_path / "serial")
 
 
 class TestReport:

@@ -18,12 +18,17 @@ prints the fresh digests in the layout of ``GOLDEN`` below.
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
+import knnavg
 from knnavg.averaging import KnnConfig
 from knnavg.core import STREAM_VERSION, RngStream
 from knnavg.nsga2 import GaConfig, KnnAveraged, PlainNoisy, run_optimization
@@ -65,23 +70,23 @@ CASES = {
     "zdt2-pop2-knn": Case("zdt2", 2, 2, 60, 3, 0.5, 19),
 }
 
-GOLDEN_STREAM_VERSION = 2
+GOLDEN_STREAM_VERSION = 3
 GOLDEN = {
-    "zdt1-d30-knn": "6a33575b567af03caf5976a089ddc4d8658c1429e18fe6f53fe2a028b2a66530",
-    "zdt1-knn": "1dba22bc34345728aafed4c3358d9a0003fe8355d43535889bb79e4f24efcde3",
+    "zdt1-d30-knn": "ec3e37397ff1947cc648fde091156fb05369d11d0b5b7a3e27cfa0b08fd2a059",
+    "zdt1-knn": "349d0befde92b87c71d8920b5292470328431cb33af88b90b7fde1d9caae75e0",
     "zdt1-knn-k1": "9aafa9d4834c6324103e9deabfedf1ba85212c571db1c48c3da78bd557046f3e",
     "zdt1-pc0-plain": "f8acc3eb52cc409dd101fedc21a38e41ffd918ef97dcd833547d306d135f58e7",
-    "zdt1-pc1-knn": "924f7af3c7e4dcf16115feca3d1e3944d9085b9e0299268ea097e1fcdc759784",
+    "zdt1-pc1-knn": "46fb46c9fe99180d52a73fb7a50e06b3a8ac3edc99861688582afe384461c73d",
     "zdt1-plain": "9aafa9d4834c6324103e9deabfedf1ba85212c571db1c48c3da78bd557046f3e",
-    "zdt1-pm0.5-knn": "5ed329d0ed2b623acf6f4b2cce746617e44f15f27554daf9d3e373ecb6800d24",
+    "zdt1-pm0.5-knn": "217f4c3b8465ab7c1f6702e08f70f5053192e6d355bbf48685d392442d302905",
     "zdt1-pm0.5-plain": "c2d9f0552a58a522453798c23f7058f979caa7aeb1ad838faf8b218073b66721",
     "zdt1-pop2-plain": "f92f943483fe35d24e8c48711ffa7147a60481e0eae61a18cb8844c98e998ccc",
     "zdt2-d30-plain": "dbb68817783380fcf5591f44d06cbea9d3700dd835baf7d04e99f08e8f6f052e",
-    "zdt2-knn": "4cefbc0200f7d5e56374f6d4c11c84353922e16875b304528423b48b3fb2fa9f",
+    "zdt2-knn": "b1f091050067ee7d57542d6062c60c75634358031246cbbcdb721e4ca4849dfd",
     "zdt2-plain": "10d47f6bb1136b75812306c2c3c556ba31fc799f72d6a064ca0ac58ae70f331d",
-    "zdt2-pop2-knn": "f3b61f053d5bc9ff3128a1a879b06710377e48313daf4a21bcafcb47194b5dce",
-    "zdt3-d30-knn": "e131710478decbf11b97292534b070915eddb0b0df9a884025b11a0871a4d420",
-    "zdt3-knn": "1b1605c5749d1908127b3a0d5babfe28dd382351a46a3576af83fa0a9ddaeb20",
+    "zdt2-pop2-knn": "b9e46a1aa18c397c4cd92570351482ab7744f40252b6dbcb1f8fc1c32869f056",
+    "zdt3-d30-knn": "524cb15729374c634787ce2f20131c244db01d0e99bbd80fd740644ef18ce003",
+    "zdt3-knn": "ae0f812acc11dcc9dfc153a67f8df4f275b2e3fb6a6ffee95b0b0ff98a596b28",
     "zdt3-plain": "de1da525578e29a4ca1ada52b4ce34f5af4e40f9bd5795bf9741904ca43c678c",
 }
 
@@ -131,6 +136,25 @@ def test_golden_digest(name):
 def test_k1_digest_equals_plain():
     # k=1 replays the baseline bitwise, so their whole-run digests coincide.
     assert GOLDEN["zdt1-knn-k1"] == GOLDEN["zdt1-plain"]
+
+
+@pytest.mark.parametrize("kernel", ["Prescott", "Haswell"])
+def test_knn_digests_independent_of_blas_kernel(kernel):
+    # OpenBLAS picks its CPU kernel once, when it loads, and
+    # OPENBLAS_CORETYPE overrides that pick, so the k-NN cells are recomputed
+    # in a fresh process. A numpy built on another BLAS ignores the variable.
+    names = sorted(name for name, case in CASES.items() if case.k is not None)
+    paths = [str(Path(__file__).parent), str(Path(knnavg.__file__).parents[1])]
+    env = dict(
+        os.environ, OPENBLAS_CORETYPE=kernel,
+        PYTHONPATH=os.pathsep.join(paths + [os.environ.get("PYTHONPATH", "")]),
+    )
+    script = "import sys, test_golden; print(*map(test_golden.run_digest, sys.argv[1:]))"
+    out = subprocess.run(
+        [sys.executable, "-c", script, *names], env=env, capture_output=True, text=True,
+        check=True,
+    ).stdout
+    assert dict(zip(names, out.split())) == {name: GOLDEN[name] for name in names}
 
 
 if __name__ == "__main__":
