@@ -2,10 +2,15 @@
 
 import csv
 import dataclasses
+import functools
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import knnavg.experiment as experiment
 from knnavg import core
@@ -50,6 +55,39 @@ def tiny_grid(**overrides):
     )
     params.update(overrides)
     return ExperimentGrid(**params)
+
+
+def table_rows(path):
+    """Rows of a persisted table in file order, without the wall-clock column."""
+    with path.open(newline="") as handle:
+        return [
+            {key: value for key, value in row.items() if key != "duration_s"}
+            for row in csv.DictReader(handle)
+        ]
+
+
+REAL_GRID_WORKER = experiment._grid_worker
+FAULTY_RUN = expand_grid(tiny_grid())[1].fingerprint
+
+
+def fail_one_run(config, *args):
+    """Grid worker that raises on one run; importable, so pool workers can run it."""
+    if config.fingerprint == FAULTY_RUN:
+        raise RuntimeError("synthetic fault")
+    return REAL_GRID_WORKER(config, *args)
+
+
+CUT_GRID = tiny_grid(repetitions=1, generations=2)
+
+
+@functools.cache
+def uninterrupted_grid():
+    """Results table, its rows and the manifest of one uninterrupted run of ``CUT_GRID``."""
+    with tempfile.TemporaryDirectory() as out:
+        out = Path(out)
+        run_grid(CUT_GRID, out_dir=out, front_sample_size=50)
+        table = out / RESULTS_FILENAME
+        return table.read_bytes(), table_rows(table), (out / MANIFEST_FILENAME).read_bytes()
 
 
 class TestExperimentGrid:
@@ -311,13 +349,6 @@ class TestRunGrid:
     def test_torn_last_row_is_dropped_and_run_again(self, tmp_path):
         # a crash mid-write leaves a partial last row; it used to count as
         # persisted on resume and to crash loading
-        def table_rows(path):
-            with path.open(newline="") as handle:
-                return [
-                    {key: value for key, value in row.items() if key != "duration_s"}
-                    for row in csv.DictReader(handle)
-                ]
-
         grid = tiny_grid(repetitions=1, generations=2)
         run_grid(grid, out_dir=tmp_path / "clean", front_sample_size=50)
         expected = table_rows(tmp_path / "clean" / RESULTS_FILENAME)
@@ -331,6 +362,21 @@ class TestRunGrid:
             outcome = run_grid(grid, out_dir=path.parent, front_sample_size=50)
             assert outcome.skipped + len(outcome.results) == len(expected)
             assert table_rows(path) == expected, cut
+
+    @settings(max_examples=25)
+    @given(st.data())
+    def test_resume_after_a_cut_at_any_byte_equals_an_uninterrupted_grid(self, data):
+        # the hypothesis counterpart of the torn-row test: the cut may also
+        # land on a line end, between rows, or inside the header
+        table, expected, manifest = uninterrupted_grid()
+        cut = data.draw(st.integers(min_value=0, max_value=len(table)), label="cut")
+        with tempfile.TemporaryDirectory() as out:
+            out = Path(out)
+            (out / MANIFEST_FILENAME).write_bytes(manifest)
+            (out / RESULTS_FILENAME).write_bytes(table[:cut])
+            outcome = run_grid(CUT_GRID, out_dir=out, front_sample_size=50)
+            assert outcome.skipped + len(outcome.results) == CUT_GRID.total_run_count
+            assert table_rows(out / RESULTS_FILENAME) == expected
 
     def test_unparsable_row_names_its_line(self, tmp_path):
         run_grid(tiny_grid(), out_dir=tmp_path)
@@ -350,6 +396,24 @@ class TestRunGrid:
             assert s.metrics.hv_mean_adjusted == p.metrics.hv_mean_adjusted
             assert s.metrics.igd_mean_adjusted == p.metrics.igd_mean_adjusted
             assert s.metrics.delta_f == p.metrics.delta_f
+
+    def test_failing_run_recorded_alike_serial_and_pooled(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(experiment, "_grid_worker", fail_one_run)
+        tables = []
+        for parallelism in (1, 2):
+            out = tmp_path / f"p{parallelism}"
+            outcome = run_grid(tiny_grid(), parallelism=parallelism, out_dir=out)
+            assert [c.fingerprint for c, _ in outcome.failures] == [FAULTY_RUN]
+            tables.append([
+                {row["fingerprint"]: row for row in table_rows(out / name)}
+                for name in (RESULTS_FILENAME, FAILURES_FILENAME)
+            ])
+        serial, pooled = tables
+        assert serial == pooled
+        assert len(serial[0]) == 3
+        assert serial[1] == {
+            FAULTY_RUN: {"fingerprint": FAULTY_RUN, "error": "RuntimeError: synthetic fault"}
+        }
 
     def test_round_trip_preserves_metrics_exactly(self, tmp_path):
         outcome = run_grid(tiny_grid(), out_dir=tmp_path)
