@@ -8,11 +8,12 @@ that no variable dominates the neighborhood. A neighbor at distance d
 weighs ``max(max_dist - d**2, 0)``.
 
 The history keeps every sample as rows of capacity-doubling buffers
-(variables, raw objectives, averaged objectives) and hands out read-only
-views of their filled rows, so appending a batch costs
-O(batch), not O(history). A view handed out earlier never changes: appends
-write past its end, a full buffer is replaced by a larger copy, and storing
-averages under rows an averaged view already covers writes into a copy.
+(variables, raw objectives, averaged objectives), so appending a batch
+costs O(batch), not O(history). It hands out read-only views of the
+variables and raw objectives, which never change: appends write past their
+end and a full buffer is replaced by a larger copy. Averages are stored
+after their batch is appended, so the averaged objectives are handed out as
+a read-only copy.
 
 Numerics contract, which seeded runs depend on bit for bit:
 
@@ -125,7 +126,6 @@ class EvaluationHistory:
         self._raws = np.empty((0, self.n_objs))
         self._avgs = np.empty((0, self.n_objs))
         self._starts: list[int] = []  # first row of every batch
-        self._avgs_lent = 0  # rows covered by the longest averaged view handed out
         self._folded = 0  # batches merged into the running moments
         self._sum = np.zeros(self.n_vars)
         self._m2 = np.zeros(self.n_vars)
@@ -158,7 +158,6 @@ class EvaluationHistory:
             self._vars = _grown(self._vars[:start], capacity)
             self._raws = _grown(self._raws[:start], capacity)
             self._avgs = _grown(self._avgs[:start], capacity)
-            self._avgs_lent = 0
         self._vars[start:stop] = variables
         self._raws[start:stop] = raws
         self._avgs[start:stop] = raws
@@ -174,10 +173,6 @@ class EvaluationHistory:
             raise ContractViolationError(
                 f"averaged block has shape {values.shape}, expected ({len(indices)}, {self.n_objs})"
             )
-        if indices and min(indices) < self._avgs_lent:
-            # an averaged view handed out covers these rows: write into a copy
-            self._avgs = self._avgs.copy()
-            self._avgs_lent = 0
         self._avgs[: len(self)][rows] = values
 
     def variables_matrix(self) -> np.ndarray:
@@ -189,9 +184,8 @@ class EvaluationHistory:
         return _read_only(self._raws[: len(self)])
 
     def averaged_matrix(self) -> np.ndarray:
-        """All averaged objectives as a read-only (n, m) matrix."""
-        self._avgs_lent = len(self)
-        return _read_only(self._avgs[: len(self)])
+        """All averaged objectives as a read-only (n, m) copy."""
+        return _read_only(self._avgs[: len(self)].copy())
 
     def batch_numbers(self) -> np.ndarray:
         """The batch number of every record, in insertion order (read-only)."""

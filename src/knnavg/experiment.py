@@ -15,7 +15,9 @@ indicators and the final set's size, not the set itself. That makes
 interrupted grids resumable: already persisted fingerprints are skipped on
 the next invocation, provided their rows were produced under the same seed,
 reference point and front sample size, and under the random stream that
-the directory's ``grid.json`` manifest records.
+the directory's ``grid.json`` manifest records. A resume checks all of that
+before it writes anything, so a refused resume leaves the directory as it
+was.
 """
 
 from __future__ import annotations
@@ -28,11 +30,12 @@ import json
 import logging
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from contextlib import ExitStack
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -349,6 +352,20 @@ def _row_to_result(row: dict[str, str]) -> RunResult:
     )
 
 
+def _parse_results(path: Path, lines: Iterable[str]) -> list[RunResult]:
+    """Parse the lines of a results table; a row that does not parse names its line."""
+    results: list[RunResult] = []
+    reader = csv.DictReader(lines)
+    for row in reader:
+        try:
+            results.append(_row_to_result(row))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ContractViolationError(
+                f"{path}: line {reader.line_num}: unparsable row ({exc})"
+            ) from exc
+    return results
+
+
 def load_results(out_dir: str | Path) -> list[RunResult]:
     """Load all persisted results from a grid output directory.
 
@@ -358,17 +375,8 @@ def load_results(out_dir: str | Path) -> list[RunResult]:
     path = Path(out_dir) / RESULTS_FILENAME
     if not path.exists():
         raise ContractViolationError(f"no results table at {path}")
-    results: list[RunResult] = []
     with path.open(newline="") as handle:
-        reader = csv.DictReader(handle)
-        for row in reader:
-            try:
-                results.append(_row_to_result(row))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ContractViolationError(
-                    f"{path}: line {reader.line_num}: unparsable row ({exc})"
-                ) from exc
-    return results
+        return _parse_results(path, handle)
 
 
 def write_history_csv(path: str | Path, optimization: OptimizationResult) -> None:
@@ -383,102 +391,103 @@ def write_history_csv(path: str | Path, optimization: OptimizationResult) -> Non
             writer.writerow([repr(v) for v in row])
 
 
-class _ResultsWriter:
-    """Single append-only writer for the shared results table.
+class _OutputDir:
+    """The output directory of one ``run_grid`` invocation.
 
-    ``persisted`` maps the fingerprints already in the table to their rows.
-    A crash mid-write can leave a partial last line. Opening cuts the table
-    back to its last line end, so that run counts as not persisted and runs
-    again; a table with nothing left starts over with its header.
+    Opening reads and checks everything before it writes anything, so a
+    refused directory is left as it was. ``grid.json`` must name this
+    package's stream, every complete row of the results table must parse,
+    and each persisted run this grid would skip must carry the seed,
+    reference point and front sample size this grid would run it with (the
+    fingerprint names the cell, arm and repetition only). Only then does it
+    write the manifest and cut a last row torn off by a crash mid-write, so
+    that run counts as not persisted and runs again; a table with nothing
+    left starts over with its header. ``persisted`` maps the fingerprints
+    in the table to their results.
     """
 
-    def __init__(self, out_dir: Path) -> None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        self.path = out_dir / RESULTS_FILENAME
-        data = self.path.read_bytes() if self.path.exists() else b""
+    def __init__(
+        self, path: Path, configs: Sequence[RunConfig], reference: tuple[float, float],
+        front_sample_size: int, include_histories: bool,
+    ) -> None:
+        self.path = path
+        self._include_histories = include_histories
+        table = path / RESULTS_FILENAME
+        data = table.read_bytes() if table.exists() else b""
         keep = data.rfind(b"\n") + 1
+        lines = data[:keep].decode().splitlines()
+        manifest = self._check_manifest(has_runs=len(lines) > 1)
+        self.persisted = {r.config.fingerprint: r for r in _parse_results(table, lines)}
+        for config in configs:
+            stored = self.persisted.get(config.fingerprint)
+            if stored is None:
+                continue
+            for column, old, new in (
+                ("seed", stored.config.seed, config.seed),
+                ("ref_f1/ref_f2", stored.metrics.reference_point, reference),
+                ("front_sample_size", stored.metrics.front_sample_size, front_sample_size),
+            ):
+                if old != new:
+                    raise ContractViolationError(
+                        f"{table} holds run {config.fingerprint} with {column}={old}, but this "
+                        f"grid would run it with {column}={new}; resume with the original "
+                        "settings or write to another output directory"
+                    )
+        path.mkdir(parents=True, exist_ok=True)
+        if manifest is not None:
+            (path / MANIFEST_FILENAME).write_text(json.dumps(manifest, indent=2) + "\n")
         if keep < len(data):
-            logger.warning("dropping a torn last row of %s", self.path)
-            os.truncate(self.path, keep)
-        self.persisted = {
-            row["fingerprint"]: row
-            for row in csv.DictReader(data[:keep].decode().splitlines())
-        }
-        self._handle = self.path.open("a", newline="")
-        self._writer = csv.DictWriter(self._handle, fieldnames=_RESULT_COLUMNS)
+            logger.warning("dropping a torn last row of %s", table)
+            os.truncate(table, keep)
         if keep == 0:
-            self._writer.writeheader()
-            self._handle.flush()
+            self._append(RESULTS_FILENAME, _RESULT_COLUMNS)
+
+    def _check_manifest(self, has_runs: bool) -> dict | None:
+        """Refuse a manifest that names another stream; returns the manifest still to write."""
+        path = self.path / MANIFEST_FILENAME
+        current = {"stream_version": STREAM_VERSION, "numpy": np.__version__}
+        if not path.exists():
+            if has_runs:
+                raise ContractViolationError(
+                    f"{self.path} holds runs but no {MANIFEST_FILENAME}: they were drawn under "
+                    "stream version 1; write to another output directory (--out)"
+                )
+            return current
+        try:
+            stored = json.loads(path.read_text())
+            if not isinstance(stored, dict):
+                raise ValueError("not a JSON object")
+        except (OSError, ValueError) as exc:
+            raise ContractViolationError(f"{path}: unreadable manifest ({exc})") from exc
+        differ = sorted(
+            k for k in current.keys() | stored.keys() if stored.get(k) != current.get(k)
+        )
+        if differ:
+            raise ContractViolationError(
+                f"{path} differs from this package in {', '.join(differ)} ("
+                + "; ".join(f"{k} {stored.get(k)!r} there, {current.get(k)!r} here" for k in differ)
+                + "); write to another output directory (--out)"
+            )
+        return None
+
+    def _append(self, name: str, row: Iterable[str], header: Sequence[str] = ()) -> None:
+        """Append one row to a table of the directory, after ``header`` if the table is new."""
+        with (self.path / name).open("a", newline="") as handle:
+            writer = csv.writer(handle)
+            if header and not handle.tell():
+                writer.writerow(header)
+            writer.writerow(row)
 
     def append(self, result: RunResult) -> None:
-        self._writer.writerow(_result_row(result))
-        self._handle.flush()
+        self._append(RESULTS_FILENAME, _result_row(result).values())
 
-    def close(self) -> None:
-        self._handle.close()
+    def append_failure(self, config: RunConfig, message: str) -> None:
+        self._append(FAILURES_FILENAME, [config.fingerprint, message], ["fingerprint", "error"])
 
-
-def _check_resumable(
-    persisted: dict[str, dict[str, str]], configs: Sequence[RunConfig],
-    reference: tuple[float, float], front_sample_size: int, path: Path,
-) -> None:
-    """Refuse to skip a persisted run that was produced under other settings.
-
-    The fingerprint names the cell, arm and repetition only; the seed (from
-    the base seed), the reference point and the front sample size stored
-    with the run must equal what this grid would run it with.
-    """
-    for config in configs:
-        row = persisted.get(config.fingerprint)
-        if row is None:
-            continue
-        try:
-            stored = _row_to_result(row)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ContractViolationError(
-                f"{path}: run {config.fingerprint}: unparsable row ({exc})"
-            ) from exc
-        for column, old, new in (
-            ("seed", stored.config.seed, config.seed),
-            ("ref_f1/ref_f2", stored.metrics.reference_point, reference),
-            ("front_sample_size", stored.metrics.front_sample_size, front_sample_size),
-        ):
-            if old != new:
-                raise ContractViolationError(
-                    f"{path} holds run {config.fingerprint} with {column}={old}, but this grid "
-                    f"would run it with {column}={new}; resume with the original settings or "
-                    "write to another output directory"
-                )
-
-
-def _check_manifest(out_dir: Path, has_runs: bool) -> None:
-    """Refuse to mix random streams in one directory; ``grid.json`` names its stream.
-
-    A directory that holds runs but no manifest was written under stream 1.
-    """
-    path = out_dir / MANIFEST_FILENAME
-    current = {"stream_version": STREAM_VERSION, "numpy": np.__version__}
-    if not path.exists():
-        if has_runs:
-            raise ContractViolationError(
-                f"{out_dir} holds runs but no {MANIFEST_FILENAME}: they were drawn under "
-                "stream version 1; write to another output directory (--out)"
-            )
-        path.write_text(json.dumps(current, indent=2) + "\n")
-        return
-    try:
-        stored = json.loads(path.read_text())
-        if not isinstance(stored, dict):
-            raise ValueError("not a JSON object")
-    except (OSError, ValueError) as exc:
-        raise ContractViolationError(f"{path}: unreadable manifest ({exc})") from exc
-    differ = sorted(k for k in current.keys() | stored.keys() if stored.get(k) != current.get(k))
-    if differ:
-        raise ContractViolationError(
-            f"{path} differs from this package in {', '.join(differ)} ("
-            + "; ".join(f"{k} {stored.get(k)!r} there, {current.get(k)!r} here" for k in differ)
-            + "); write to another output directory (--out)"
-        )
+    def history_path(self, config: RunConfig) -> str | None:
+        if not self._include_histories:
+            return None
+        return str(self.path / HISTORY_DIRNAME / f"{config.fingerprint}.csv")
 
 
 def _grid_worker(
@@ -495,6 +504,14 @@ def _grid_worker(
         write_history_csv(history_path, result.optimization)
         result.optimization = None  # keep the cross-process payload small
     return result
+
+
+def _attempt(*task) -> RunResult | Exception:
+    """Run one grid task in this process; what it raises is its outcome, as from a pool."""
+    try:
+        return _grid_worker(*task)
+    except Exception as exc:  # noqa: BLE001 - grid isolation
+        return exc
 
 
 @dataclass(eq=False)
@@ -521,23 +538,25 @@ def run_grid(
     reference: tuple[float, float] = DEFAULT_REFERENCE,
     front_sample_size: int = DEFAULT_FRONT_SAMPLE_SIZE,
     include_histories: bool = False,
-    on_result: Callable[[RunResult], None] | None = None,
 ) -> GridOutcome:
     """Execute every pending run of the grid.
 
     The total run count is logged before execution starts. With an output
-    directory, every finished run is appended to the results table
-    immediately (a single writer in the coordinating process), so crashes
-    lose at most the in-flight runs; on re-invocation, runs whose
-    fingerprints are already persisted are skipped. A persisted run whose
-    seed, reference point or front sample size differs from this grid's is
-    a contract violation, raised before anything runs, as is a directory
-    whose manifest names another stream. A failing run is recorded and
-    does not stop the rest of the grid. A worker process that dies (killed
-    by the OS, say) breaks the pool: the runs finished until then stay
-    persisted, the others are counted as unfinished, not as failures, and
-    one log line says how many there are. ``include_histories`` additionally
-    writes one history CSV per run and requires an output directory.
+    directory, its checks come before its writes: a manifest naming another
+    stream, an unparsable row, or a persisted run whose seed, reference
+    point or front sample size differs from this grid's is a contract
+    violation, raised before anything runs or is written. Every finished
+    run is appended to the results table at once (a single writer in the
+    coordinating process), so crashes lose at most the in-flight runs; on
+    re-invocation, runs whose fingerprints are already persisted are
+    skipped. Runs execute in this process at ``parallelism`` 1, otherwise
+    on at most one worker process per pending run. A failing run is
+    recorded and does not stop the rest of the grid. A worker process that
+    dies (killed by the OS, say) breaks the pool: the runs finished until
+    then stay persisted, the others are counted as unfinished, not as
+    failures, and one log line says how many there are.
+    ``include_histories`` additionally writes one history CSV per run and
+    requires an output directory.
     """
     if parallelism < 1:
         raise ContractViolationError("parallelism must be at least 1")
@@ -550,90 +569,53 @@ def run_grid(
         "expanded grid: %d runs (%d cells x %d averaging settings + baseline, %d repetitions)",
         len(configs), grid.cell_count, grid.settings_per_cell, grid.repetitions,
     )
-    writer: _ResultsWriter | None = None
-    done: set[str] = set()
-    out_path: Path | None = None
+    directory = None
     if out_dir is not None:
-        out_path = Path(out_dir)
-        writer = _ResultsWriter(out_path)
-        try:
-            _check_manifest(out_path, bool(writer.persisted))
-            _check_resumable(writer.persisted, configs, reference, front_sample_size, writer.path)
-        except ContractViolationError:
-            writer.close()
-            raise
-        done = set(writer.persisted)
-    pending = [c for c in configs if c.fingerprint not in done]
+        directory = _OutputDir(
+            Path(out_dir), configs, reference, front_sample_size, include_histories
+        )
+    pending = [c for c in configs if directory is None or c.fingerprint not in directory.persisted]
     skipped = len(configs) - len(pending)
     if skipped:
         logger.info("resume: %d runs already persisted, %d to go", skipped, len(pending))
-
-    def history_path(config: RunConfig) -> str | None:
-        if not include_histories or out_path is None:
-            return None
-        return str(out_path / HISTORY_DIRNAME / f"{config.fingerprint}.csv")
-
-    order = {c.fingerprint: i for i, c in enumerate(configs)}
+    tasks = [
+        (c, reference, front_sample_size, directory.history_path(c) if directory else None)
+        for c in pending
+    ]
     results: list[RunResult] = []
     failures: list[tuple[RunConfig, str]] = []
     unfinished = 0
-
-    def record(result: RunResult) -> None:
-        results.append(result)
-        if writer is not None:
-            writer.append(result)
-        if on_result is not None:
-            on_result(result)
-
-    def record_failure(config: RunConfig, message: str) -> None:
-        failures.append((config, message))
-        logger.error("run %s failed: %s", config.fingerprint, message)
-        if out_path is not None:
-            failure_path = out_path / FAILURES_FILENAME
-            fresh = not failure_path.exists()
-            with failure_path.open("a", newline="") as handle:
-                fw = csv.writer(handle)
-                if fresh:
-                    fw.writerow(["fingerprint", "error"])
-                fw.writerow([config.fingerprint, message])
-
-    try:
-        if parallelism == 1:
-            for config in pending:
-                try:
-                    record(
-                        _grid_worker(config, reference, front_sample_size, history_path(config))
-                    )
-                except Exception as exc:  # noqa: BLE001 - grid isolation
-                    record_failure(config, f"{type(exc).__name__}: {exc}")
+    with ExitStack() as stack:
+        if parallelism == 1 or not tasks:
+            outcomes = ((task[0], _attempt(*task)) for task in tasks)
         else:
-            with ProcessPoolExecutor(max_workers=parallelism) as pool:
-                futures = {
-                    pool.submit(
-                        _grid_worker, config, reference, front_sample_size, history_path(config)
-                    ): config
-                    for config in pending
-                }
-                remaining = set(futures)
-                while remaining:
-                    finished, remaining = wait(remaining, return_when=FIRST_COMPLETED)
-                    for future in finished:
-                        config = futures[future]
-                        try:
-                            record(future.result())
-                        except BrokenProcessPool:
-                            unfinished += 1
-                        except Exception as exc:  # noqa: BLE001 - grid isolation
-                            record_failure(config, f"{type(exc).__name__}: {exc}")
-            if unfinished:
-                logger.error(
-                    "a worker process died and broke the pool: %d runs were not attempted or "
-                    "did not finish; finished runs are persisted and a resume runs the rest",
-                    unfinished,
-                )
-    finally:
-        if writer is not None:
-            writer.close()
+            workers = min(parallelism, len(tasks))
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            futures = {pool.submit(_grid_worker, *task): task[0] for task in tasks}
+            # a future holds either its result or what the worker raised
+            outcomes = ((futures[f], f.exception() or f.result()) for f in as_completed(futures))
+        for config, outcome in outcomes:
+            if isinstance(outcome, RunResult):
+                results.append(outcome)
+                if directory is not None:
+                    directory.append(outcome)
+            elif isinstance(outcome, BrokenProcessPool):
+                unfinished += 1
+            elif isinstance(outcome, Exception):
+                message = f"{type(outcome).__name__}: {outcome}"
+                failures.append((config, message))
+                logger.error("run %s failed: %s", config.fingerprint, message)
+                if directory is not None:
+                    directory.append_failure(config, message)
+            else:
+                raise outcome  # a worker stopped by KeyboardInterrupt or SystemExit
+    if unfinished:
+        logger.error(
+            "a worker process died and broke the pool: %d runs were not attempted or "
+            "did not finish; finished runs are persisted and a resume runs the rest",
+            unfinished,
+        )
+    order = {c.fingerprint: i for i, c in enumerate(configs)}
     results.sort(key=lambda r: order[r.config.fingerprint])
     return GridOutcome(
         results=results, failures=failures, skipped=skipped, total=len(configs),

@@ -32,7 +32,7 @@ from knnavg.experiment import (
     run_grid,
     write_report_files,
 )
-from knnavg.metrics import MetricReport, compute_report
+from knnavg.metrics import DEFAULT_FRONT_SAMPLE_SIZE, MetricReport, compute_report
 from knnavg.problems import NoiseSpec, ZdtProblem
 from knnavg.stats import METRICS
 
@@ -315,6 +315,43 @@ class TestRunGrid:
             run_grid(grid, out_dir=tmp_path)
         assert (tmp_path / RESULTS_FILENAME).read_bytes() == table
 
+    @pytest.mark.parametrize(
+        "case, refusal",
+        [
+            ("torn table, foreign manifest", "stream_version"),
+            ("foreign manifest only", "stream_version"),
+            ("torn table, settings", "front_sample_size"),
+            ("unparsable row of another grid", "line 6: unparsable row"),
+        ],
+        ids=["torn-foreign-manifest", "foreign-manifest-only", "torn-settings", "unparsable-row"],
+    )
+    def test_refused_resume_leaves_the_directory_as_it_was(
+        self, tmp_path, monkeypatch, case, refusal
+    ):
+        # the checks used to run after the table was opened: a refusal still
+        # cut a torn last row, or gave a directory without a table its header;
+        # an unparsable row of no run in this grid used to pass unchecked
+        grid = tiny_grid()
+        out = tmp_path / "grid"
+        run_grid(grid, out_dir=out)
+        manifest = out / MANIFEST_FILENAME
+        table = out / RESULTS_FILENAME
+        if "manifest" in case:
+            stored = json.loads(manifest.read_text())
+            manifest.write_text(json.dumps({**stored, "stream_version": 2}))
+        if case == "foreign manifest only":
+            table.unlink()
+        elif case == "unparsable row of another grid":
+            table.write_bytes(table.read_bytes() + b"zdt9-n2,zdt9\r\n")
+        else:
+            table.write_bytes(table.read_bytes()[:-40])
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        monkeypatch.setattr(experiment, "run_optimization", refuse_to_run)
+        size = 64 if "settings" in case else DEFAULT_FRONT_SAMPLE_SIZE
+        with pytest.raises(ContractViolationError, match=refusal):
+            run_grid(grid, out_dir=out, front_sample_size=size)
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
     def test_runs_without_manifest_rejected(self, tmp_path, monkeypatch):
         # results persisted before manifests existed were drawn from stream 1
         grid = tiny_grid()
@@ -415,6 +452,23 @@ class TestRunGrid:
             FAULTY_RUN: {"fingerprint": FAULTY_RUN, "error": "RuntimeError: synthetic fault"}
         }
 
+    def test_no_more_pool_workers_than_pending_runs(self, tmp_path, monkeypatch):
+        sizes = []
+
+        class RecordingPool(experiment.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        grid = tiny_grid()
+        run_grid(grid, out_dir=tmp_path)
+        path = tmp_path / RESULTS_FILENAME
+        path.write_bytes(b"".join(path.read_bytes().splitlines(keepends=True)[:4]))
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+        assert len(run_grid(grid, parallelism=8, out_dir=tmp_path).results) == 1
+        assert run_grid(grid, parallelism=8, out_dir=tmp_path).skipped == 4
+        assert sizes == [1]  # one worker for one pending run, no pool for none
+
     def test_round_trip_preserves_metrics_exactly(self, tmp_path):
         outcome = run_grid(tiny_grid(), out_dir=tmp_path)
         reloaded = load_results(tmp_path)
@@ -430,11 +484,6 @@ class TestRunGrid:
     def test_memory_only_run(self):
         outcome = run_grid(tiny_grid())
         assert len(outcome.results) == 4
-
-    def test_on_result_callback(self):
-        seen = []
-        run_grid(tiny_grid(), on_result=lambda r: seen.append(r.config.fingerprint))
-        assert len(seen) == 4
 
     def test_history_dumps(self, tmp_path):
         grid = tiny_grid(repetitions=1)
