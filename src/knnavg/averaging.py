@@ -133,10 +133,6 @@ class EvaluationHistory:
     def __len__(self) -> int:
         return self._size
 
-    @property
-    def batch_count(self) -> int:
-        return len(self._starts)
-
     def append_batch(self, variables: np.ndarray, raw_objectives: np.ndarray) -> slice:
         """Append one batch of samples, given as matrices; returns their index range.
 

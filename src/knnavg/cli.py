@@ -21,8 +21,7 @@ import logging
 import sys
 from pathlib import Path
 
-from .core import ContractViolationError, RngStream
-from .averaging import KnnConfig
+from .core import ContractViolationError
 from .experiment import (
     ExperimentGrid,
     RunConfig,
@@ -74,9 +73,9 @@ def _grid_from_config(path: str | None, args: argparse.Namespace) -> tuple[Exper
         "pop_sizes": _ints, "ks": _ints, "max_dists": _floats,
     }
     known = {
-        "grid": set(axes),
-        "run": {"repetitions", "generations", "base_seed"},
-        "metrics": {"reference_point", "front_sample_size"},
+        "grid": tuple(axes),
+        "run": ("repetitions", "generations", "base_seed"),
+        "metrics": ("reference_point", "front_sample_size"),
     }
     for name, section in sections.items():
         if name not in known:
@@ -110,11 +109,9 @@ def _grid_from_config(path: str | None, args: argparse.Namespace) -> tuple[Exper
             + " (provide them in the [grid] section or as flags)"
         )
     levels["n_vars_list"] = levels.pop("n_vars")
+    given = {key: pick(getattr(args, key), "run", key, int) for key in known["run"]}
     grid = ExperimentGrid(
-        **{key: tuple(values) for key, values in levels.items()},
-        repetitions=pick(args.repetitions, "run", "repetitions", int, 30),
-        generations=pick(args.generations, "run", "generations", int, 100),
-        base_seed=pick(args.base_seed, "run", "base_seed", int, 0),
+        **levels, **{key: value for key, value in given.items() if value is not None}
     )
     reference = as_reference(
         pick(args.reference, "metrics", "reference_point", _floats, DEFAULT_REFERENCE)
@@ -189,14 +186,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
         f"({grid.settings_per_cell} averaging settings + baseline) x "
         f"{grid.repetitions} repetitions"
     )
-    outcome = run_grid(
-        grid,
-        parallelism=args.parallelism,
-        out_dir=args.out,
-        reference=metric_opts["reference"],
-        front_sample_size=metric_opts["front_sample_size"],
-        include_histories=args.include_histories,
-    )
+    try:
+        outcome = run_grid(
+            grid,
+            parallelism=args.parallelism,
+            out_dir=args.out,
+            reference=metric_opts["reference"],
+            front_sample_size=metric_opts["front_sample_size"],
+            include_histories=args.include_histories,
+        )
+    except ContractViolationError as exc:
+        # the library's refusals of a directory end so; naming the flag is ours
+        if str(exc).endswith("write to another output directory"):
+            raise ContractViolationError(f"{exc} (--out)") from exc
+        raise
     if outcome.skipped:
         print(f"skipped {outcome.skipped} already persisted runs")
     print(f"executed {len(outcome.results)} runs, {len(outcome.failures)} failures")
@@ -227,13 +230,10 @@ def _cmd_single(args: argparse.Namespace) -> int:
         raise ContractViolationError(f"cannot write {args.out}: no such directory")
     if (args.k is None) != (args.max_dist is None):
         raise ContractViolationError("--k and --max-dist must be given together")
-    arm = "baseline" if args.k is None else "knn"
-    if arm == "knn":
-        KnnConfig(k=args.k, max_dist=args.max_dist)  # validates early
     config = RunConfig(
         problem=args.problem, n_vars=args.n_vars, sigma=args.sigma, pop_size=args.pop_size,
-        generations=args.generations, arm=arm, k=args.k, max_dist=args.max_dist, rep=0,
-        seed=RngStream(args.seed).seed,
+        generations=args.generations, arm="baseline" if args.k is None else "knn",
+        k=args.k, max_dist=args.max_dist, rep=0, seed=args.seed,
     )
     result = execute_run(
         config,

@@ -108,14 +108,6 @@ class Solution:
                 )
             object.__setattr__(self, "raw_objectives", raw)
 
-    @property
-    def n_vars(self) -> int:
-        return self.variables.shape[0]
-
-    @property
-    def n_objs(self) -> int:
-        return self.objectives.shape[0]
-
 
 @dataclass(frozen=True, eq=False)
 class Batch:

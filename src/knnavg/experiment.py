@@ -115,6 +115,9 @@ class ExperimentGrid:
     Every combination of problem, dimension, noise level and population
     size forms a cell; each cell runs one baseline arm and one arm per
     (k, max_dist) averaging setting, each repeated ``repetitions`` times.
+    Each level is checked by the type that runs it and stored in that
+    type's canonical form: problem names are lower-cased, so ``"ZDT1"`` and
+    ``"zdt1"`` name one cell with one seed.
     """
 
     problems: tuple[str, ...]
@@ -128,30 +131,23 @@ class ExperimentGrid:
     base_seed: int = 0
 
     def __post_init__(self) -> None:
-        def as_tuple(name, cast):
-            raw = getattr(self, name)
-            values = tuple(cast(v) for v in raw)
+        generations = as_count(self.generations, "generations", 1)
+        # the other argument of each type is any value it accepts
+        canonical = {
+            "problems": lambda p: ZdtProblem(p, 2).variant,
+            "n_vars_list": lambda n: ZdtProblem("zdt1", n).n_vars,
+            "sigmas": lambda s: NoiseSpec(s).sigma,
+            "pop_sizes": lambda p: GaConfig(pop_size=p, generations=generations).pop_size,
+            "ks": lambda k: KnnConfig(k=k, max_dist=1.0).k,
+            "max_dists": lambda m: KnnConfig(k=1, max_dist=m).max_dist,
+        }
+        for name, cast in canonical.items():
+            values = tuple(cast(v) for v in getattr(self, name))
             if not values:
                 raise ContractViolationError(f"{name} must be non-empty")
             object.__setattr__(self, name, values)
-            return values
-
-        problems = as_tuple("problems", str)
-        for p in problems:
-            ZdtProblem(p, 2)  # validates the variant name
-        as_tuple("n_vars_list", lambda n: as_count(n, "every n_vars", 2))
-        for s in as_tuple("sigmas", float):
-            if s < 0.0 or not np.isfinite(s):
-                raise ContractViolationError("every sigma must be finite and non-negative")
-        for p in as_tuple("pop_sizes", lambda p: as_count(p, "every pop_size", 2)):
-            if p % 2 != 0:
-                raise ContractViolationError("every pop_size must be even and at least 2")
-        as_tuple("ks", lambda k: as_count(k, "every k", 1))
-        for m in as_tuple("max_dists", float):
-            if m <= 0.0 or not np.isfinite(m):
-                raise ContractViolationError("every max_dist must be finite and positive")
         object.__setattr__(self, "repetitions", as_count(self.repetitions, "repetitions", 1))
-        object.__setattr__(self, "generations", as_count(self.generations, "generations", 1))
+        object.__setattr__(self, "generations", generations)
         object.__setattr__(self, "base_seed", as_seed(self.base_seed, "base_seed"))
 
     @property
@@ -163,11 +159,6 @@ class ExperimentGrid:
     @property
     def settings_per_cell(self) -> int:
         return len(self.ks) * len(self.max_dists)
-
-    @property
-    def knn_run_count(self) -> int:
-        """Averaging-arm runs only, the usual headline number."""
-        return self.cell_count * self.settings_per_cell * self.repetitions
 
     @property
     def total_run_count(self) -> int:
@@ -450,7 +441,7 @@ class _OutputDir:
             if has_runs:
                 raise ContractViolationError(
                     f"{self.path} holds runs but no {MANIFEST_FILENAME}: they were drawn under "
-                    "stream version 1; write to another output directory (--out)"
+                    "stream version 1; write to another output directory"
                 )
             return current
         try:
@@ -466,7 +457,7 @@ class _OutputDir:
             raise ContractViolationError(
                 f"{path} differs from this package in {', '.join(differ)} ("
                 + "; ".join(f"{k} {stored.get(k)!r} there, {current.get(k)!r} here" for k in differ)
-                + "); write to another output directory (--out)"
+                + "); write to another output directory"
             )
         return None
 
@@ -527,7 +518,6 @@ class GridOutcome:
     results: list[RunResult]
     failures: list[tuple[RunConfig, str]] = field(default_factory=list)
     skipped: int = 0
-    total: int = 0
     unfinished: int = 0
 
 
@@ -618,8 +608,7 @@ def run_grid(
     order = {c.fingerprint: i for i, c in enumerate(configs)}
     results.sort(key=lambda r: order[r.config.fingerprint])
     return GridOutcome(
-        results=results, failures=failures, skipped=skipped, total=len(configs),
-        unfinished=unfinished,
+        results=results, failures=failures, skipped=skipped, unfinished=unfinished
     )
 
 
@@ -701,12 +690,8 @@ def report(results: Sequence[RunResult], alpha: float = 0.05) -> ReportBundle:
             paired_baselines = [baselines[r.config.cell + (r.config.rep,)] for r in runs]
             scope_table[setting] = {
                 metric: compare_setting(
-                    [r.metrics for r in runs],
-                    [r.metrics for r in paired_baselines],
-                    metric,
+                    [r.metrics for r in runs], [r.metrics for r in paired_baselines], metric,
                     alpha=alpha,
-                    k=setting[0],
-                    max_dist=setting[1],
                 )
                 for metric in METRICS
             }

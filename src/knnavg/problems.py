@@ -55,10 +55,6 @@ class ZdtProblem:
         return 2
 
     @property
-    def name(self) -> str:
-        return f"{self.variant}-n{self.n_vars}"
-
-    @property
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         return np.zeros(self.n_vars), np.ones(self.n_vars)
 
@@ -98,9 +94,6 @@ class ParetoFrontSample:
             raise ContractViolationError("front sample must be a non-empty (n, m) matrix")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
 
 
 def _checked_variables(problem: ZdtProblem, x, ndims=(1, 2)) -> np.ndarray:

@@ -69,11 +69,11 @@ class WilcoxonResult:
 
 @dataclass(frozen=True)
 class ComparisonVerdict:
-    """Verdict of one averaging setting against the baseline on one metric."""
+    """Verdict of one averaging setting against the baseline on one metric.
 
-    metric: str
-    k: int | None
-    max_dist: float | None
+    The setting and the metric are the keys it is stored under.
+    """
+
     p_value: float
     a12: float
     verdict: Verdict
@@ -186,8 +186,6 @@ def compare_setting(
     baseline_runs: Sequence[MetricReport],
     metric: str,
     alpha: float = 0.05,
-    k: int | None = None,
-    max_dist: float | None = None,
 ) -> ComparisonVerdict:
     """Verdict of an averaging setting against its seed-paired baseline.
 
@@ -217,9 +215,6 @@ def compare_setting(
     else:
         verdict = Verdict.WORSE
     return ComparisonVerdict(
-        metric=metric,
-        k=k,
-        max_dist=max_dist,
         p_value=test.p_value,
         a12=a12,
         verdict=verdict,

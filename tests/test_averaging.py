@@ -126,7 +126,7 @@ class TestEvaluationHistory:
     def test_empty_history(self):
         history = EvaluationHistory(2, 2)
         assert len(history) == 0
-        assert history.batch_count == 0
+        assert history.batch_numbers().size == 0
 
     def test_dimensions_validated(self):
         with pytest.raises(ContractViolationError):

@@ -124,6 +124,18 @@ class TestSingle:
         assert "error: reference point needs two finite coordinates" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "changed, message",
+        [(["--seed", "-1"], "seed must be at least 0"),
+         (["--k", "0", "--max-dist", "0.25"], "k must be at least 1")],
+    )
+    def test_bad_seed_or_k_rejected_before_the_run(self, capsys, monkeypatch, changed, message):
+        monkeypatch.setattr(experiment, "run_optimization", refuse_to_run)
+        assert run_cli(SINGLE_BASE + changed) == 1  # a repeated flag's last value wins
+        captured = capsys.readouterr()
+        assert f"error: {message}" in captured.err
+        assert captured.out == ""
+
     def test_front_samples_below_two_rejected_before_the_run(self, capsys, monkeypatch):
         monkeypatch.setattr(experiment, "run_optimization", refuse_to_run)
         assert run_cli(SINGLE_BASE + ["--front-samples", "1"]) == 1
@@ -196,6 +208,14 @@ class TestRun:
         assert "skipped" not in captured.out
         assert (tmp_path / "results.csv").read_bytes() == before
         assert run_cli(argv) == 0
+        assert "skipped 4 already persisted runs" in capsys.readouterr().out
+
+    def test_resume_under_another_spelling_of_the_problem(self, tmp_path, capsys, monkeypatch):
+        argv = RUN_FLAGS + ["--reps", "2", "--out", str(tmp_path)]
+        assert run_cli(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(experiment, "run_optimization", refuse_to_run)
+        assert run_cli(["ZDT1" if arg == "zdt1" else arg for arg in argv]) == 0
         assert "skipped 4 already persisted runs" in capsys.readouterr().out
 
     def test_report_flag_prints_verdicts(self, tmp_path, capsys):

@@ -41,8 +41,7 @@ class TestSolution:
     def test_raw_objectives_optional(self):
         s = Solution(variables=np.zeros(2), objectives=np.array([1.0, 2.0]))
         assert s.raw_objectives is None
-        assert s.n_vars == 2
-        assert s.n_objs == 2
+        assert s.variables.shape == s.objectives.shape == (2,)
 
     def test_non_numeric_rejected(self):
         with pytest.raises(ContractViolationError):

@@ -95,12 +95,10 @@ class TestExperimentGrid:
         grid = tiny_grid()
         assert grid.cell_count == 1
         assert grid.settings_per_cell == 1
-        assert grid.knn_run_count == 2
         assert grid.total_run_count == 4
 
     def test_counts_full_campaign(self):
-        # the headline number counts averaging runs only; the runner also
-        # executes one baseline arm per cell and repetition
+        # 67,500 averaging runs, and one baseline run per cell and repetition
         grid = ExperimentGrid(
             problems=("zdt1", "zdt2", "zdt3"),
             n_vars_list=(2, 5, 10),
@@ -112,8 +110,7 @@ class TestExperimentGrid:
         )
         assert grid.cell_count == 90
         assert grid.settings_per_cell == 25
-        assert grid.knn_run_count == 67_500
-        assert grid.total_run_count == 70_200
+        assert grid.total_run_count == 67_500 + 90 * 30
 
     def test_validation(self):
         with pytest.raises(ContractViolationError):
@@ -174,6 +171,14 @@ class TestExpandGrid:
         b = expand_grid(tiny_grid())
         assert [c.fingerprint for c in a] == [c.fingerprint for c in b]
         assert [c.seed for c in a] == [c.seed for c in b]
+
+    def test_problem_names_are_case_insensitive(self):
+        # one problem is one cell with one seed, however it is spelled
+        upper = tiny_grid(problems=("ZDT1",))
+        assert upper.problems == ("zdt1",)
+        assert [(c.fingerprint, c.seed) for c in expand_grid(upper)] == [
+            (c.fingerprint, c.seed) for c in expand_grid(tiny_grid())
+        ]
 
     def test_base_seed_changes_seeds(self):
         a = expand_grid(tiny_grid())
@@ -242,7 +247,6 @@ class TestRunGrid:
     def test_serial_execution_and_persistence(self, tmp_path):
         grid = tiny_grid()
         outcome = run_grid(grid, out_dir=tmp_path)
-        assert outcome.total == 4
         assert outcome.skipped == 0
         assert not outcome.failures
         assert len(outcome.results) == 4

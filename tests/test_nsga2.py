@@ -431,7 +431,7 @@ class TestRunOptimization:
     def test_evaluation_budget(self):
         result = small_run(seed=1, pop=10, gens=20)
         assert len(result.history) == 10 * 21
-        assert result.history.batch_count == 21
+        assert result.history.batch_numbers()[-1] == 20
 
     def test_trace_covers_every_generation(self):
         result = small_run(seed=2, gens=15)

@@ -224,12 +224,10 @@ class TestCompareSetting:
         rng = RngStream(116)
         base = shifted_reports(rng, 30)
         knn = shifted_reports(rng, 30, df_shift=-0.5)
-        verdict = compare_setting(knn, base, "delta_f", k=10, max_dist=0.25)
+        verdict = compare_setting(knn, base, "delta_f")
         assert verdict.verdict is Verdict.BETTER
         assert verdict.p_value < 0.05
         assert verdict.a12 < 0.5
-        assert verdict.k == 10
-        assert verdict.max_dist == 0.25
 
     def test_consistent_increase_loses(self):
         rng = RngStream(117)
