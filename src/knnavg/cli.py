@@ -32,7 +32,7 @@ from .experiment import (
     write_report_files,
 )
 from .metrics import DEFAULT_FRONT_SAMPLE_SIZE, DEFAULT_REFERENCE, as_reference
-from .problems import ZdtProblem, true_front
+from .problems import ZDT_VARIANTS, ZdtProblem, true_front
 
 __all__ = ["main", "build_parser"]
 
@@ -152,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     single_p = sub.add_parser("single", help="execute one run, print JSON")
-    single_p.add_argument("--problem", required=True, choices=("zdt1", "zdt2", "zdt3"))
+    single_p.add_argument("--problem", required=True, type=str.lower, choices=ZDT_VARIANTS)
     single_p.add_argument("--n-vars", dest="n_vars", type=int, required=True)
     single_p.add_argument("--sigma", type=float, required=True)
     single_p.add_argument("--pop", dest="pop_size", type=int, required=True)
@@ -172,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     report_p.add_argument("--out", help="also write verdicts.txt/.csv and metrics_long.csv here")
 
     front_p = sub.add_parser("front", help="sample a problem's true Pareto front")
-    front_p.add_argument("--problem", required=True, choices=("zdt1", "zdt2", "zdt3"))
+    front_p.add_argument("--problem", required=True, type=str.lower, choices=ZDT_VARIANTS)
     front_p.add_argument("--count", type=int, default=DEFAULT_FRONT_SAMPLE_SIZE)
     front_p.add_argument("--out", help="write CSV here instead of stdout")
 

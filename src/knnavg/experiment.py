@@ -378,8 +378,7 @@ def write_history_csv(path: str | Path, optimization: OptimizationResult) -> Non
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) for v in row])
+        writer.writerows(rows)
 
 
 class _OutputDir:

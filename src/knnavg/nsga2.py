@@ -54,6 +54,11 @@ __all__ = [
     "run_optimization",
 ]
 
+# Distribution indices of SBX and polynomial mutation, the values commonly
+# used with real-coded operators.
+ETA_CROSSOVER = 15.0
+ETA_MUTATION = 20.0
+
 
 @dataclass(frozen=True)
 class GaConfig:
@@ -62,16 +67,13 @@ class GaConfig:
     ``pop_size`` must be even because parents are consumed in pairs by the
     crossover. ``crossover_prob`` applies per parent pair and
     ``mutation_prob`` per offspring; inside a mutating offspring each
-    variable is perturbed with probability 1/n. The distribution indices
-    default to the values commonly used with real-coded operators.
+    variable is perturbed with probability 1/n.
     """
 
     pop_size: int
     generations: int
     crossover_prob: float = 0.9
     mutation_prob: float = 1.0
-    eta_crossover: float = 15.0
-    eta_mutation: float = 20.0
 
     def __post_init__(self) -> None:
         pop_size = as_count(self.pop_size, "pop_size", 2)
@@ -84,11 +86,6 @@ class GaConfig:
             if not 0.0 <= p <= 1.0:
                 raise ContractViolationError(f"{name} must lie in [0, 1]")
             object.__setattr__(self, name, p)
-        for name in ("eta_crossover", "eta_mutation"):
-            eta = float(getattr(self, name))
-            if not np.isfinite(eta) or eta <= 0.0:
-                raise ContractViolationError(f"{name} must be positive")
-            object.__setattr__(self, name, eta)
 
 
 class Evaluator(abc.ABC):
@@ -222,68 +219,50 @@ def draw_variation(
     return VariationDraws(parents, crosses, u_cross, mutates, u_pick, u_mutation)
 
 
-def _checked_bounds(bounds, n: int) -> tuple[np.ndarray, np.ndarray]:
-    lower = np.asarray(bounds[0], dtype=np.float64)
-    upper = np.asarray(bounds[1], dtype=np.float64)
-    if lower.shape != (n,) or upper.shape != (n,):
-        raise ContractViolationError("bounds must match the vector length")
-    if not np.all(lower < upper):
-        raise ContractViolationError("lower bounds must be strictly below upper bounds")
-    return lower, upper
-
-
-def sbx_crossover(
-    parents_a, parents_b, crosses, u, eta: float, bounds: tuple[np.ndarray, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
+def sbx_crossover(parents_a, parents_b, crosses, u) -> tuple[np.ndarray, np.ndarray]:
     """Simulated binary crossover of row pairs (Deb & Agrawal, 1995).
 
     Row p of ``parents_a`` and ``parents_b`` (both (pairs, n)) is one parent
     pair. Pairs with ``crosses[p]`` False pass through as copies. In a
     crossing pair each variable spawns two symmetric children from the SBX
-    spread distribution with index ``eta``, driven by the uniform
-    ``u[p, j]``, clipped into ``bounds``; variables whose parent genes
-    coincide pass through exactly.
+    spread distribution with index ``ETA_CROSSOVER``, driven by the uniform
+    ``u[p, j]``, clipped into [0, 1]; variables whose parent genes coincide
+    pass through exactly.
     """
     a = np.asarray(parents_a, dtype=np.float64)
     b = np.asarray(parents_b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 2:
         raise ContractViolationError("parents must be equally shaped (pairs, n) matrices")
-    lower, upper = _checked_bounds(bounds, a.shape[1])
     u = np.asarray(u)
-    exponent = 1.0 / (eta + 1.0)
+    exponent = 1.0 / (ETA_CROSSOVER + 1.0)
     beta = np.where(u <= 0.5, (2.0 * u) ** exponent, (0.5 / (1.0 - u)) ** exponent)
-    child_a = np.clip(0.5 * ((1.0 + beta) * a + (1.0 - beta) * b), lower, upper)
-    child_b = np.clip(0.5 * ((1.0 - beta) * a + (1.0 + beta) * b), lower, upper)
+    child_a = np.clip(0.5 * ((1.0 + beta) * a + (1.0 - beta) * b), 0.0, 1.0)
+    child_b = np.clip(0.5 * ((1.0 - beta) * a + (1.0 + beta) * b), 0.0, 1.0)
     keep = ~np.asarray(crosses, dtype=bool)[:, None] | (np.abs(a - b) <= 1e-14)
     return np.where(keep, a, child_a), np.where(keep, b, child_b)
 
 
-def polynomial_mutation(
-    vectors, mutates, u_pick, u, eta: float, bounds: tuple[np.ndarray, np.ndarray]
-) -> np.ndarray:
+def polynomial_mutation(vectors, mutates, u_pick, u) -> np.ndarray:
     """Bounded polynomial mutation of the rows of a (b, n) matrix (Deb & Goyal, 1996).
 
     Rows with ``mutates[i]`` False are returned as exact copies. In a
     mutating row, variable j is perturbed when ``u_pick[i, j] < 1/n``, by
-    the bounded polynomial distribution with index ``eta`` driven by
-    ``u[i, j]``, which cannot leave ``bounds``; perturbed values are clipped.
+    the bounded polynomial distribution with index ``ETA_MUTATION`` driven
+    by ``u[i, j]``, which cannot leave [0, 1]; perturbed values are clipped.
     """
     x = np.asarray(vectors, dtype=np.float64)
     if x.ndim != 2:
         raise ContractViolationError("vectors must be a (b, n) matrix")
-    n = x.shape[1]
-    lower, upper = _checked_bounds(bounds, n)
     u = np.asarray(u)
-    pick = np.asarray(mutates, dtype=bool)[:, None] & (np.asarray(u_pick) < (1.0 / n))
-    span = upper - lower
-    frac_low = (x - lower) / span
-    frac_high = (upper - x) / span
-    power = eta + 1.0
+    pick = np.asarray(mutates, dtype=bool)[:, None] & (np.asarray(u_pick) < (1.0 / x.shape[1]))
+    # 1 - (1 - x) is not always x in floating point; the recorded bits need both forms
+    frac_high = 1.0 - x
+    power = ETA_MUTATION + 1.0
     exponent = 1.0 / power
-    val_low = 2.0 * u + (1.0 - 2.0 * u) * (1.0 - frac_low) ** power
+    val_low = 2.0 * u + (1.0 - 2.0 * u) * (1.0 - x) ** power
     val_high = 2.0 * (1.0 - u) + (2.0 * u - 1.0) * (1.0 - frac_high) ** power
     delta = np.where(u < 0.5, val_low**exponent - 1.0, 1.0 - val_high**exponent)
-    return np.where(pick, np.clip(x + delta * span, lower, upper), x)
+    return np.where(pick, np.clip(x + delta, 0.0, 1.0), x)
 
 
 @dataclass(frozen=True)
@@ -397,7 +376,7 @@ def run_optimization(
 ) -> OptimizationResult:
     """Run the full generational loop and return its result.
 
-    The initial population is sampled uniformly from the problem's box.
+    The initial population is sampled uniformly from the unit box.
     Every generation draws exactly ``ga.pop_size`` new solutions, evaluates
     each exactly once through ``evaluator``, and truncates parents plus
     offspring back to ``pop_size``. Total evaluations are therefore
@@ -405,10 +384,8 @@ def run_optimization(
     length. Identical arguments and seed reproduce the result bitwise; the
     random stream is consumed in the module's draw-order contract.
     """
-    lower, upper = problem.bounds
-    bounds = (lower, upper)
     history = EvaluationHistory(problem.n_vars, problem.n_objs)
-    initial = lower + (upper - lower) * rng.random((ga.pop_size, problem.n_vars))
+    initial = rng.random((ga.pop_size, problem.n_vars))
     population = evaluator.evaluate(evaluate_noisy(problem, noise, initial, rng), history)
     ranks, crowding = _rank_population(population.objectives)
     trace = [_generation_stats(0, population.objectives, ranks)]
@@ -419,14 +396,10 @@ def run_optimization(
             population.variables[draws.parents[:, 1]],
             draws.crosses,
             draws.u_cross,
-            ga.eta_crossover,
-            bounds,
         )
         # children in pair order: 2p from parent a, 2p + 1 from parent b
         children = np.stack((child_a, child_b), axis=1).reshape(ga.pop_size, problem.n_vars)
-        children = polynomial_mutation(
-            children, draws.mutates, draws.u_pick, draws.u_mutation, ga.eta_mutation, bounds
-        )
+        children = polynomial_mutation(children, draws.mutates, draws.u_pick, draws.u_mutation)
         offspring = evaluator.evaluate(evaluate_noisy(problem, noise, children, rng), history)
         combined = population.concat(offspring)
         chosen, ranks, crowding = _survival(combined.objectives, ga.pop_size)

@@ -54,10 +54,6 @@ class ZdtProblem:
     def n_objs(self) -> int:
         return 2
 
-    @property
-    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.zeros(self.n_vars), np.ones(self.n_vars)
-
 
 @dataclass(frozen=True, eq=False)
 class NoiseSpec:
@@ -96,12 +92,12 @@ class ParetoFrontSample:
         object.__setattr__(self, "points", pts)
 
 
-def _checked_variables(problem: ZdtProblem, x, ndims=(1, 2)) -> np.ndarray:
+def _checked_variables(problem: ZdtProblem, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in ndims or x.shape[-1] != problem.n_vars:
+    if x.ndim not in (1, 2) or x.shape[-1] != problem.n_vars:
         raise ContractViolationError(
             f"decision vectors have shape {x.shape}; expected {problem.n_vars} values "
-            f"per vector in an array of {' or '.join(map(str, ndims))} dimensions"
+            "per vector in an array of 1 or 2 dimensions"
         )
     if np.any(x < 0.0) or np.any(x > 1.0):
         raise ContractViolationError("decision variables must lie in [0, 1]")
@@ -138,9 +134,14 @@ def evaluate_noisy(problem: ZdtProblem, noise: NoiseSpec, x, rng: RngStream) -> 
     regardless of sigma, which consumes the stream exactly as b single-row
     calls would, so evaluation order fully determines the stream position.
     """
-    x = _checked_variables(problem, x, ndims=(2,))
+    x = np.asarray(x, dtype=np.float64)
+    expected = evaluate_true(problem, x)
+    if expected.ndim != 2:
+        raise ContractViolationError(
+            f"noisy evaluation takes a (b, {problem.n_vars}) matrix; got shape {x.shape}"
+        )
     draws = rng.standard_normal((x.shape[0], problem.n_objs))
-    raw = evaluate_true(problem, x) + noise.sigma * draws
+    raw = expected + noise.sigma * draws
     return Batch(variables=x, objectives=raw, raw_objectives=raw)
 
 

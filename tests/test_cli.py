@@ -46,6 +46,12 @@ class TestFront:
             run_cli(["front", "--problem", "dtlz2"])
         assert err.value.code == 1
 
+    def test_problem_name_is_case_insensitive(self, capsys):
+        assert run_cli(["front", "--problem", "zdt3", "--count", "5"]) == 0
+        lower = capsys.readouterr().out
+        assert run_cli(["front", "--problem", "ZDT3", "--count", "5"]) == 0
+        assert capsys.readouterr().out == lower
+
     def test_out_into_missing_directory(self, tmp_path, capsys):
         target = tmp_path / "missing" / "front.csv"
         assert run_cli(["front", "--problem", "zdt1", "--out", str(target)]) == 1
@@ -66,6 +72,9 @@ class TestSingle:
         assert payload["problem"] == {"variant": "zdt1", "n_vars": 2}
         assert payload["evaluator"] == "plain"
         assert payload["seed"] == 3
+        assert payload["ga"] == {
+            "pop_size": 10, "generations": 5, "crossover_prob": 0.9, "mutation_prob": 1.0,
+        }
         assert payload["history_length"] == 60
         assert payload["fingerprint"] == "zdt1-n2-s0.1-p10-g5-baseline-r0"
         assert len(payload["trace"]) == 6
@@ -80,6 +89,15 @@ class TestSingle:
         payload = json.loads(capsys.readouterr().out)
         assert payload["evaluator"] == "knn(k=5, max_dist=0.25)"
         assert payload["fingerprint"] == "zdt1-n2-s0.1-p10-g5-knn-k5-md0.25-r0"
+
+    def test_problem_name_is_case_insensitive(self, capsys):
+        assert run_cli(SINGLE_BASE) == 0
+        lower = json.loads(capsys.readouterr().out)
+        argv = [arg.upper() if arg == "zdt1" else arg for arg in SINGLE_BASE]
+        assert run_cli(argv) == 0
+        upper = json.loads(capsys.readouterr().out)
+        del lower["duration_s"], upper["duration_s"]
+        assert upper == lower
 
     def test_k_without_max_dist_rejected(self, capsys):
         assert run_cli(SINGLE_BASE + ["--k", "5"]) == 1

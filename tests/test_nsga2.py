@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knnavg.averaging import EvaluationHistory, KnnConfig
 from knnavg.core import ContractViolationError, RngStream, dominance_matrix
 from knnavg.metrics import hypervolume_2d
 from knnavg.nsga2 import (
+    ETA_CROSSOVER,
+    ETA_MUTATION,
     GaConfig,
     KnnAveraged,
     PlainNoisy,
@@ -21,7 +23,7 @@ from knnavg.nsga2 import (
     sbx_crossover,
     tournament_winners,
 )
-from knnavg.problems import NoiseSpec, ZdtProblem
+from knnavg.problems import ZDT_VARIANTS, NoiseSpec, ZdtProblem
 from oracles import dominates
 
 
@@ -32,9 +34,6 @@ def rows(*vectors):
 
 def random_objectives(rng, count, spread=2.0):
     return rng.random((count, 2)) * spread
-
-
-UNIT_BOUNDS = (np.zeros(2), np.ones(2))
 
 
 class TestFastNonDominatedSort:
@@ -267,39 +266,35 @@ class TestDrawVariation:
 class TestSbxCrossover:
     def test_skipped_pair_passes_through(self):
         a, b = rows([0.2, 0.7]), rows([0.9, 0.1])
-        ca, cb = sbx_crossover(a, b, [False], RngStream(90).random((1, 2)), 15.0, UNIT_BOUNDS)
+        ca, cb = sbx_crossover(a, b, [False], RngStream(90).random((1, 2)))
         assert np.array_equal(ca, a) and np.array_equal(cb, b)
         assert ca is not a and cb is not b
 
     def test_identical_parents_pass_through(self):
         a = rows([0.3, 0.6])
-        ca, cb = sbx_crossover(
-            a, a.copy(), [True], RngStream(90).random((1, 2)), 15.0, UNIT_BOUNDS
-        )
+        ca, cb = sbx_crossover(a, a.copy(), [True], RngStream(90).random((1, 2)))
         assert np.array_equal(ca, a) and np.array_equal(cb, a)
 
     def test_children_within_bounds(self):
         rng = RngStream(91)
         a, b, u = rng.random((2000, 3)), rng.random((2000, 3)), rng.random((2000, 3))
-        ca, cb = sbx_crossover(a, b, np.ones(2000, bool), u, 15.0, (np.zeros(3), np.ones(3)))
+        ca, cb = sbx_crossover(a, b, np.ones(2000, bool), u)
         for child in (ca, cb):
             assert np.all(child >= 0.0) and np.all(child <= 1.0)
 
     def test_midpoint_preserved_without_clipping(self):
-        # away from the bounds the two children always straddle the parents' mean
-        wide = (np.full(3, -100.0), np.full(3, 100.0))
+        # children the box does not clip always straddle the parents' mean
         rng = RngStream(92)
         a, b, u = rng.random((500, 3)), rng.random((500, 3)), rng.random((500, 3))
-        ca, cb = sbx_crossover(a, b, np.ones(500, bool), u, 15.0, wide)
-        assert np.allclose(ca + cb, a + b, atol=1e-10)
+        ca, cb = sbx_crossover(a, b, np.ones(500, bool), u)
+        inside = (ca > 0.0) & (ca < 1.0) & (cb > 0.0) & (cb < 1.0)
+        assert inside.mean() > 0.8
+        assert np.allclose((ca + cb)[inside], (a + b)[inside], atol=1e-10)
 
     def test_child_mean_matches_parent_mean(self):
         rng = RngStream(93)
         a, b = np.full((10_000, 1), 0.2), np.full((10_000, 1), 0.8)
-        ca, cb = sbx_crossover(
-            a, b, np.ones(10_000, bool), rng.random((10_000, 1)), 15.0,
-            (np.zeros(1), np.ones(1)),
-        )
+        ca, cb = sbx_crossover(a, b, np.ones(10_000, bool), rng.random((10_000, 1)))
         assert np.mean(np.concatenate((ca, cb))) == pytest.approx(0.5, abs=0.02)
 
     def test_draw_accounting_active(self):
@@ -322,38 +317,34 @@ class TestSbxCrossover:
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ContractViolationError):
-            sbx_crossover(
-                rows([0.2]), rows([0.8, 0.5]), [True], RngStream(96).random((1, 2)),
-                15.0, UNIT_BOUNDS,
-            )
+            sbx_crossover(rows([0.2]), rows([0.8, 0.5]), [True], RngStream(96).random((1, 2)))
 
 
 class TestPolynomialMutation:
     def test_skipped_offspring_copied(self):
         x = rows([0.3, 0.6])
         u_pick, u = RngStream(97).random((2, 1, 2))
-        y = polynomial_mutation(x, [False], u_pick, u, 20.0, UNIT_BOUNDS)
+        y = polynomial_mutation(x, [False], u_pick, u)
         assert np.array_equal(y, x) and y is not x
 
     def test_stays_within_bounds(self):
         rng = RngStream(98)
         x, u_pick, u = rng.random((5000, 3)), rng.random((5000, 3)), rng.random((5000, 3))
-        y = polynomial_mutation(x, np.ones(5000, bool), u_pick, u, 20.0, (np.zeros(3), np.ones(3)))
+        y = polynomial_mutation(x, np.ones(5000, bool), u_pick, u)
         assert np.all(y >= 0.0) and np.all(y <= 1.0)
 
     def test_boundary_genes_stay_feasible(self):
         rng = RngStream(99)
         for x in ([0.0, 1.0], [0.0, 0.0], [1.0, 1.0]):
             u_pick, u = rng.random((200, 2)), rng.random((200, 2))
-            y = polynomial_mutation(np.tile(x, (200, 1)), np.ones(200, bool), u_pick, u,
-                                    20.0, UNIT_BOUNDS)
+            y = polynomial_mutation(np.tile(x, (200, 1)), np.ones(200, bool), u_pick, u)
             assert np.all(y >= 0.0) and np.all(y <= 1.0)
 
     def test_only_picked_variables_move(self):
         # variable j moves only when its pick uniform falls below 1/n
         x = rows([0.5, 0.5], [0.5, 0.5])
         u_pick = rows([0.1, 0.9], [0.9, 0.4])
-        y = polynomial_mutation(x, [True, True], u_pick, np.full((2, 2), 0.9), 20.0, UNIT_BOUNDS)
+        y = polynomial_mutation(x, [True, True], u_pick, np.full((2, 2), 0.9))
         assert y[0, 0] != 0.5 and y[0, 1] == 0.5
         assert y[1, 0] == 0.5 and y[1, 1] != 0.5
 
@@ -362,7 +353,7 @@ class TestPolynomialMutation:
         rng = RngStream(100)
         values = polynomial_mutation(
             np.full((50_000, 1), 0.5), np.ones(50_000, bool), np.zeros((50_000, 1)),
-            rng.random((50_000, 1)), 20.0, (np.zeros(1), np.ones(1)),
+            rng.random((50_000, 1)),
         )
         assert np.mean(values) == pytest.approx(0.5, abs=0.005)
 
@@ -404,16 +395,42 @@ class TestGaConfig:
         with pytest.raises(ContractViolationError):
             GaConfig(pop_size=10, generations=10, mutation_prob=-0.1)
 
-    def test_eta_positive(self):
-        with pytest.raises(ContractViolationError):
-            GaConfig(pop_size=10, generations=10, eta_crossover=0.0)
-
     def test_defaults(self):
         ga = GaConfig(pop_size=10, generations=5)
         assert ga.crossover_prob == 0.9
         assert ga.mutation_prob == 1.0
-        assert ga.eta_crossover == 15.0
-        assert ga.eta_mutation == 20.0
+        assert (ETA_CROSSOVER, ETA_MUTATION) == (15.0, 20.0)
+
+
+@st.composite
+def run_cases(draw):
+    """A small run's problem, noise, GA configuration and seed."""
+    problem = ZdtProblem(
+        draw(st.sampled_from(ZDT_VARIANTS)), draw(st.sampled_from([2, 3, 4, 5, 6, 30]))
+    )
+    gate = st.sampled_from([0.0, 0.5, 0.9, 1.0])
+    ga = GaConfig(
+        pop_size=2 * draw(st.integers(1, 6)), generations=draw(st.integers(1, 8)),
+        crossover_prob=draw(gate), mutation_prob=draw(gate),
+    )
+    noise = NoiseSpec(draw(st.sampled_from([0.0, 0.1, 1.0])))
+    return problem, noise, ga, draw(st.integers(0, 2**64 - 1))
+
+
+def run_bytes(result) -> list[bytes]:
+    """Bytes of everything a run returns: final sets, history matrices and trace."""
+    history = result.history
+    parts = [
+        getattr(batch, name)
+        for batch in (result.population, result.nondominated)
+        for name in ("variables", "objectives", "raw_objectives")
+    ]
+    parts += [
+        history.variables_matrix(), history.raw_matrix(), history.averaged_matrix(),
+        history.batch_numbers(),
+        np.array([(t.generation, t.front_size, t.front_hypervolume) for t in result.trace]),
+    ]
+    return [np.ascontiguousarray(part).tobytes() for part in parts]
 
 
 def small_run(seed, evaluator=None, sigma=0.1, pop=10, gens=20, variant="zdt1"):
@@ -501,6 +518,16 @@ class TestRunOptimization:
             )
             assert np.array_equal(base.population.variables, knn.population.variables)
             assert np.array_equal(base.population.objectives, knn.population.objectives)
+
+    @settings(max_examples=40)
+    @given(run_cases(), st.sampled_from([0.05, 0.25, 1.0, 5.0]))
+    def test_k1_averaging_replays_baseline_over_drawn_configurations(self, case, max_dist):
+        problem, noise, ga, seed = case
+        base = run_optimization(problem, noise, PlainNoisy(), ga, RngStream(seed))
+        knn = run_optimization(
+            problem, noise, KnnAveraged(KnnConfig(k=1, max_dist=max_dist)), ga, RngStream(seed)
+        )
+        assert run_bytes(knn) == run_bytes(base)
 
     def test_arms_and_gates_end_at_one_stream_position(self):
         # every arm of a repetition draws the same blocks in every generation,

@@ -30,11 +30,13 @@ class TestZdtProblem:
             ZdtProblem("zdt1", 1)
 
     def test_unit_box_bounds(self):
+        # the decision space is the unit box that evaluation enforces, corners included
         problem = ZdtProblem("zdt2", 4)
-        lower, upper = problem.bounds
-        assert np.array_equal(lower, np.zeros(4))
-        assert np.array_equal(upper, np.ones(4))
         assert problem.n_objs == 2
+        assert evaluate_true(problem, np.stack((np.zeros(4), np.ones(4)))).shape == (2, 2)
+        for outside in (-np.nextafter(0.0, 1.0), np.nextafter(1.0, 2.0)):
+            with pytest.raises(ContractViolationError):
+                evaluate_true(problem, np.full(4, outside))
 
 
 class TestEvaluateTrue:
@@ -146,9 +148,12 @@ class TestEvaluateNoisy:
         assert quiet.random() == loud.random()
 
     def test_single_vector_rejected(self):
-        # noisy evaluation takes a (b, n) matrix, even for one point
+        # noisy evaluation takes a (b, n) matrix, even for one point, and
+        # refuses anything else before it draws
+        rng, probe = RngStream(5), RngStream(5)
         with pytest.raises(ContractViolationError):
-            evaluate_noisy(ZdtProblem("zdt1", 2), NoiseSpec(0.1), [0.5, 0.5], RngStream(5))
+            evaluate_noisy(ZdtProblem("zdt1", 2), NoiseSpec(0.1), [0.5, 0.5], rng)
+        assert rng.random() == probe.random()
 
     def test_sample_mean_close_to_truth(self):
         problem = ZdtProblem("zdt1", 2)
