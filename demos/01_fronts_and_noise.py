@@ -28,15 +28,14 @@ OUT.mkdir(exist_ok=True)
 print("=== true Pareto fronts ===")
 fronts = {}
 for name in ("zdt1", "zdt2", "zdt3"):
-    sample = true_front(ZdtProblem(name, 2), 400)
-    fronts[name] = sample.points
-    f1 = sample.points[:, 0]
-    print(f"{name}: {len(sample.points)} points, f1 spans "
+    front = fronts[name] = true_front(ZdtProblem(name, 2), 400)
+    f1 = front[:, 0]
+    print(f"{name}: {len(front)} points, f1 spans "
           f"[{f1.min():.3f}, {f1.max():.3f}]")
     with open(OUT / f"front_{name}.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["f1", "f2"])
-        writer.writerows(sample.points.tolist())
+        writer.writerows(front.tolist())
 
 # zdt3 is the interesting one: its front is five disconnected arcs. Large
 # jumps in consecutive f1 values mark the gaps.

@@ -36,17 +36,13 @@ Numerics contract, which seeded runs depend on bit for bit:
   taken strictly left to right in elementwise floating point. A solution
   whose only kept neighbor is itself keeps its raw sample bitwise.
 
-A screen finds the candidate pairs with one matrix product. Over the k
-dimensions with spread, it writes a squared distance as
-|q'|^2 + |r'|^2 - 2 q'.r', on coordinates centred on the history mean and
-scaled by 1/sqrt(var), and keeps a pair when that is at most
-``max_dist**2`` plus a slack of 16 (k + 8) 2**-53 (|q'|^2 + |r'|^2). The
-slack is over twice a first-order bound on the screen's rounding error
-against the exact distance (derived in :func:`_neighbor_pairs`), so the
-screen never drops a pair within ``max_dist``. Only the exact distance
-decides which pairs are kept, and the weighting uses no BLAS call, so
-results depend neither on how the BLAS orders its sums nor on its thread
-count or CPU kernel.
+A screen finds the candidate pairs with one matrix product on the
+history's coordinates scaled by 1/sqrt(var), with a slack over twice a
+first-order bound on its rounding error (derived in
+:func:`_neighbor_pairs`), so it never drops a pair within ``max_dist``.
+Only the exact distance decides which pairs are kept, and the weighting
+uses no BLAS call, so results depend neither on how the BLAS orders its
+sums nor on its thread count or CPU kernel.
 
 Averaging a batch of b solutions over a history of n records holds
 O(b * n) memory, independent of the number of dimensions.
@@ -58,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Batch, ContractViolationError, as_count
+from .core import Batch, ContractViolationError, as_count, as_real
 
 __all__ = [
     "ZERO_VARIANCE_EPS",
@@ -83,7 +79,7 @@ class KnnConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "k", as_count(self.k, "k", 1))
-        md = float(self.max_dist)
+        md = as_real(self.max_dist, "max_dist")
         if not np.isfinite(md) or md <= 0.0:
             raise ContractViolationError("max_dist must be finite and positive")
         object.__setattr__(self, "max_dist", md)
@@ -111,9 +107,8 @@ class EvaluationHistory:
     the batch number it arrived in. Records are never mutated or removed;
     assigning averaged values stores them alongside the raw sample, never in
     its place. Column sums and squared deviations of the variables are
-    merged in batch by batch, lazily, when :meth:`means` or
-    :meth:`variances` is called, so a history nobody asks for moments never
-    pays for them.
+    merged in batch by batch, lazily, when :meth:`variances` is called, so a
+    history nobody asks for variances never pays for them.
     """
 
     def __init__(self, n_vars: int, n_objs: int) -> None:
@@ -188,15 +183,6 @@ class EvaluationHistory:
         sizes = np.diff(self._starts + [len(self)])
         return _read_only(np.repeat(np.arange(len(sizes), dtype=np.int64), sizes))
 
-    def means(self) -> np.ndarray:
-        """Mean of each variable dimension over all records.
-
-        The column sums add the rows one at a time in insertion order, the
-        order in which ``records.mean(axis=0)`` sums two or more columns.
-        """
-        self._fold()
-        return _read_only(self._sum / len(self))
-
     def variances(self) -> np.ndarray:
         """Population variance of each variable dimension over all records."""
         self._fold()
@@ -215,6 +201,8 @@ class EvaluationHistory:
                 delta = mean - self._sum / start
                 m2 = self._m2 + m2 + delta * delta * (start * (stop - start) / stop)
             self._m2 = m2
+            # Row by row, not numpy's pairwise sum: delta reads these sums, so
+            # STREAM_VERSION 3's variance bits depend on this order.
             self._sum = np.cumsum(np.vstack((self._sum, block)), axis=0)[-1]
         self._folded = len(self._starts)
 
@@ -256,20 +244,18 @@ def _pair_distances(a: np.ndarray, b: np.ndarray, variances: np.ndarray) -> np.n
 
 
 def _neighbor_pairs(
-    queries: np.ndarray, records: np.ndarray, center: np.ndarray, variances: np.ndarray,
-    max_dist: float,
+    records: np.ndarray, rows: slice, variances: np.ndarray, max_dist: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every (query, record) pair within ``max_dist``, with its exact distance.
 
-    A screen first keeps every pair that may lie within ``max_dist``; the
+    The queries are ``records[rows]``, indexed by position in ``rows``. A
+    screen first keeps every pair that may lie within ``max_dist``; the
     survivors are then measured exactly and cut at ``max_dist``. Over the k
-    dimensions with spread, coordinates are centred on ``center`` (the
-    history mean; any shared centre is exact enough, it only steers how
-    large the norms below get) and
-    scaled by 1/sqrt(var), giving q' and r', and the screen evaluates the
-    product form |q'|^2 + |r'|^2 - 2 q'.r' with one matrix product. A pair
-    passes when this is at most ``max_dist**2`` plus a slack
-    ``c * (|q'|^2 + |r'|^2)``, c = 16 (k + 8) u with u = 2**-53.
+    dimensions with spread, coordinates are scaled by 1/sqrt(var), giving
+    q' and r', and the screen evaluates the product form
+    |q'|^2 + |r'|^2 - 2 q'.r' with one matrix product. A pair passes when
+    this is at most ``max_dist**2`` plus a slack ``c * (|q'|^2 + |r'|^2)``,
+    c = 16 (k + 8) u with u = 2**-53.
 
     Why the slack suffices. Let S be the exact standardized squared
     distance and N = |q'|^2 + |r'|^2. Since S <= 2N (to first order), a
@@ -279,36 +265,36 @@ def _neighbor_pairs(
     - The exact distance sums k non-negative terms of three roundings each
       and takes a sqrt, so ``distance <= max_dist`` gives
       S <= max_dist**2 (1 + (k + 6) u) <= max_dist**2 + 3 (k + 6) u N.
-    - Each scaled coordinate carries at most four roundings and the shared
-      centre cancels in q' - r', so |q' - r'|^2 <= S + 16 u N.
+    - Each scaled coordinate x_j s_j carries three roundings (sqrt,
+      reciprocal, product) and q'_j, r'_j share s_j: |q' - r'|^2 <= S + 16 u N.
     - The two squared norms err by at most k u N together and the doubled
       product by at most k u N, whatever summation order or fused
       multiply-add the BLAS uses; the five remaining roundings of the test
       add at most 5 u (2N + max_dist**2) <= 25 u N.
 
     The screen therefore errs by at most (5k + 59) u N, under half the
-    slack, which leaves room for the second-order terms. An absolute
-    ``k * tiny`` covers subnormal intermediates. No pair within
-    ``max_dist`` is dropped, whatever the BLAS thread count, and the exact
-    pass alone decides the result.
+    slack, which leaves room for the second-order terms. The slack grows
+    with the norms, so records far from the origin cost the screen
+    selectivity, never a pair. An absolute ``k * tiny`` covers subnormal
+    intermediates. No pair within ``max_dist`` is dropped, whatever the
+    BLAS thread count, and the exact pass alone decides the result.
     """
     spread = variances >= ZERO_VARIANCE_EPS
     k = int(np.count_nonzero(spread))
     # a dimension without spread gets scale 0 and drops out of the screen
     scale = np.zeros_like(variances)
     scale[spread] = 1.0 / np.sqrt(variances[spread])
-    qs = (queries - center) * scale
-    rs = records - center
-    rs *= scale
+    rs = records * scale
+    norms = np.einsum("ij,ij->i", rs, rs)
     shrink = 1.0 - 16.0 * (k + 8) * (np.finfo(np.float64).eps / 2.0)
     limit = max_dist * max_dist + k * np.finfo(np.float64).tiny
     # (1 - c)|r'|^2 - limit - 2 q'.r' <= -(1 - c)|q'|^2; scaling by -2 is exact
-    test = (-2.0 * qs) @ rs.T
-    test += shrink * np.einsum("ij,ij->i", rs, rs) - limit
-    bound = -shrink * np.einsum("ij,ij->i", qs, qs)
+    test = (-2.0 * rs[rows]) @ rs.T
+    test += shrink * norms - limit
+    bound = -shrink * norms[rows]
     # row-major like np.nonzero, which is several times slower on a 2-d mask
     q_idx, r_idx = np.divmod(np.flatnonzero(test <= bound[:, None]), records.shape[0])
-    dist = _pair_distances(queries[q_idx], records[r_idx], variances)
+    dist = _pair_distances(records[rows.start + q_idx], records[r_idx], variances)
     keep = dist <= max_dist
     return q_idx[keep], r_idx[keep], dist[keep]
 
@@ -335,9 +321,8 @@ def knn_evaluate(batch: Batch, history: EvaluationHistory, config: KnnConfig) ->
         return batch
     raws = batch.raw_objectives
     rows = history.append_batch(batch.variables, raws)
-    record_vars = history.variables_matrix()
     q_idx, r_idx, dist = _neighbor_pairs(
-        record_vars[rows], record_vars, history.means(), history.variances(), config.max_dist
+        history.variables_matrix(), rows, history.variances(), config.max_dist
     )
     # Group by query; within a query self first, then by distance, then by
     # record index: a stable sort by distance with the solution moved first.

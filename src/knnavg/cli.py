@@ -260,8 +260,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_front(args: argparse.Namespace) -> int:
     # Front shape does not depend on n_vars; the minimal instance suffices.
-    sample = true_front(ZdtProblem(args.problem, 2), args.count)
-    lines = ["f1,f2"] + [f"{float(p[0])!r},{float(p[1])!r}" for p in sample.points]
+    front = true_front(ZdtProblem(args.problem, 2), args.count)
+    lines = ["f1,f2"] + [f"{f1!r},{f2!r}" for f1, f2 in front.tolist()]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -11,6 +11,7 @@ by exactly one run.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -23,6 +24,7 @@ __all__ = [
     "Batch",
     "RngStream",
     "as_count",
+    "as_real",
     "as_seed",
     "dominance_matrix",
 ]
@@ -59,6 +61,13 @@ def as_count(value, name: str, minimum: int) -> int:
     if count < minimum:
         raise ContractViolationError(f"{name} must be at least {minimum}")
     return count
+
+
+def as_real(value, name: str) -> float:
+    """``value`` as a float; bools, None, strings and non-numbers are rejected, not converted."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise ContractViolationError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def as_seed(value, name: str = "seed") -> int:

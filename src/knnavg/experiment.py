@@ -547,8 +547,7 @@ def run_grid(
     ``include_histories`` additionally writes one history CSV per run and
     requires an output directory.
     """
-    if parallelism < 1:
-        raise ContractViolationError("parallelism must be at least 1")
+    parallelism = as_count(parallelism, "parallelism", 1)
     reference = as_reference(reference)
     front_sample_size = as_count(front_sample_size, "front sample size", 2)
     if include_histories and out_dir is None:

@@ -8,12 +8,13 @@ lie rather than by what the noisy samples claimed.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Batch, ContractViolationError
-from .problems import NoiseSpec, ParetoFrontSample, ZdtProblem, evaluate_true, true_front
+from .core import Batch, ContractViolationError, as_count, as_real
+from .problems import NoiseSpec, ZdtProblem, evaluate_true, true_front
 
 __all__ = [
     "DEFAULT_REFERENCE",
@@ -35,7 +36,9 @@ DEFAULT_FRONT_SAMPLE_SIZE = 1000
 
 def as_reference(reference) -> tuple[float, float]:
     """A hypervolume reference point as two finite floats, or a contract violation."""
-    ref = tuple(float(v) for v in reference)
+    if not isinstance(reference, Iterable):
+        raise ContractViolationError(f"reference point needs two coordinates, got {reference!r}")
+    ref = tuple(as_real(v, "reference coordinate") for v in reference)
     if len(ref) != 2 or not all(np.isfinite(ref)):
         raise ContractViolationError(f"reference point needs two finite coordinates, got {ref}")
     return ref
@@ -59,12 +62,13 @@ class MetricReport:
 
     def __post_init__(self) -> None:
         for field in ("hv_mean_adjusted", "igd_mean_adjusted", "delta_f"):
-            value = float(getattr(self, field))
+            value = as_real(getattr(self, field), field)
             if not np.isfinite(value) or value < 0.0:
                 raise ContractViolationError(f"{field} must be finite and non-negative")
             object.__setattr__(self, field, value)
         object.__setattr__(self, "reference_point", as_reference(self.reference_point))
-        object.__setattr__(self, "front_sample_size", int(self.front_sample_size))
+        size = as_count(self.front_sample_size, "front_sample_size", 2)
+        object.__setattr__(self, "front_sample_size", size)
 
     def value(self, metric: str) -> float:
         """Look up an indicator by its short name: hv, igd or delta_f."""
@@ -107,26 +111,29 @@ def hypervolume_2d(points, reference) -> float:
     return float(area)
 
 
-def igd(front: ParetoFrontSample, objectives) -> float:
+def igd(front, objectives) -> float:
     """Inverted generational distance from the true front to a solution set.
 
-    The mean, over the front sample, of each front point's Euclidean
-    distance to its nearest solution. Lower is better; zero means every
-    front point coincides with some solution. Each distance sums the
+    The mean, over the rows of the (n, m) front sample, of each point's
+    Euclidean distance to its nearest solution. Lower is better; zero means
+    every front point coincides with some solution. Each distance sums the
     squared coordinate differences left to right before the square root,
     so the value is bitwise that of a plain front-by-solution distance
     matrix, minimised per front point and averaged.
     """
+    front = np.asarray(front, dtype=np.float64)
+    if front.ndim != 2 or not front.shape[0]:
+        raise ContractViolationError("front sample must be a non-empty (n, m) matrix")
     objs = np.asarray(objectives, dtype=np.float64)
     if objs.size == 0:
         raise ContractViolationError("solution set must be non-empty")
-    if objs.ndim != 2 or objs.shape[1] != front.points.shape[1]:
+    if objs.ndim != 2 or objs.shape[1] != front.shape[1]:
         raise ContractViolationError(
             f"objective matrix shape {objs.shape} does not match front dimension"
         )
-    squared = np.zeros((front.points.shape[0], objs.shape[0]))
+    squared = np.zeros((front.shape[0], objs.shape[0]))
     for j in range(objs.shape[1]):
-        diff = front.points[:, j, None] - objs[None, :, j]
+        diff = front[:, j, None] - objs[None, :, j]
         squared += diff * diff
     # sqrt is monotone and correctly rounded, so it commutes with the minimum
     return float(np.sqrt(squared.min(axis=1)).mean())
@@ -163,6 +170,7 @@ def compute_report(
     through that contract.
     """
     del noise
+    reference = as_reference(reference)
     if not len(solutions):
         raise ContractViolationError("cannot score an empty solution set")
     expected = evaluate_true(problem, solutions.variables)
@@ -171,6 +179,6 @@ def compute_report(
         hv_mean_adjusted=hypervolume_2d(expected, reference),
         igd_mean_adjusted=igd(front, expected),
         delta_f=delta_f(solutions.objectives, expected),
-        reference_point=tuple(float(v) for v in reference),
+        reference_point=reference,
         front_sample_size=front_sample_size,
     )

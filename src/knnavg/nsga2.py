@@ -32,6 +32,7 @@ from .core import (
     ContractViolationError,
     RngStream,
     as_count,
+    as_real,
     dominance_matrix,
 )
 from .metrics import DEFAULT_REFERENCE, hypervolume_2d
@@ -82,7 +83,7 @@ class GaConfig:
         object.__setattr__(self, "pop_size", pop_size)
         object.__setattr__(self, "generations", as_count(self.generations, "generations", 1))
         for name in ("crossover_prob", "mutation_prob"):
-            p = float(getattr(self, name))
+            p = as_real(getattr(self, name), name)
             if not 0.0 <= p <= 1.0:
                 raise ContractViolationError(f"{name} must lie in [0, 1]")
             object.__setattr__(self, name, p)

@@ -14,13 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Batch, ContractViolationError, RngStream, as_count
+from .core import Batch, ContractViolationError, RngStream, as_count, as_real
 
 __all__ = [
     "ZDT_VARIANTS",
     "ZdtProblem",
     "NoiseSpec",
-    "ParetoFrontSample",
     "evaluate_true",
     "evaluate_noisy",
     "true_front",
@@ -69,27 +68,10 @@ class NoiseSpec:
     sigma: float = 0.0
 
     def __post_init__(self) -> None:
-        try:
-            value = float(self.sigma)
-        except (TypeError, ValueError) as exc:
-            raise ContractViolationError(f"sigma must be a number, got {self.sigma!r}") from exc
+        value = as_real(self.sigma, "sigma")
         if not np.isfinite(value) or value < 0.0:
             raise ContractViolationError("sigma must be finite and non-negative")
         object.__setattr__(self, "sigma", value)
-
-
-@dataclass(frozen=True, eq=False)
-class ParetoFrontSample:
-    """A finite sample of a problem's true Pareto front in objective space."""
-
-    points: np.ndarray
-
-    def __post_init__(self) -> None:
-        pts = np.array(self.points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[0] < 1:
-            raise ContractViolationError("front sample must be a non-empty (n, m) matrix")
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
 
 
 def _checked_variables(problem: ZdtProblem, x) -> np.ndarray:
@@ -182,16 +164,15 @@ def _sample_intervals(intervals: tuple[tuple[float, float], ...], count: int) ->
     return np.array([intervals[j][0] + (ti - cum[j]) for j, ti in zip(idx, t)])
 
 
-def true_front(problem: ZdtProblem, count: int) -> ParetoFrontSample:
-    """``count`` points sampled from the problem's true Pareto front.
+def true_front(problem: ZdtProblem, count: int) -> np.ndarray:
+    """``count`` points of the problem's true Pareto front, as a read-only (count, 2) matrix.
 
     zdt1 and zdt2 have connected fronts (f2 = 1 - sqrt(f1) and 1 - f1^2 on
     f1 in [0, 1]); zdt3's front is disconnected and is sampled from its
     numerically derived f1 intervals, proportionally to interval length.
     Every returned point is non-dominated with respect to every other.
     """
-    if count < 2:
-        raise ContractViolationError("front sample size must be at least 2")
+    count = as_count(count, "front sample size", 2)
     if problem.variant == "zdt1":
         f1 = np.linspace(0.0, 1.0, count)
         f2 = 1.0 - np.sqrt(f1)
@@ -201,4 +182,6 @@ def true_front(problem: ZdtProblem, count: int) -> ParetoFrontSample:
     else:
         f1 = _sample_intervals(_zdt3_front_intervals(), count)
         f2 = 1.0 - np.sqrt(f1) - f1 * np.sin(10.0 * np.pi * f1)
-    return ParetoFrontSample(np.column_stack((f1, f2)))
+    front = np.column_stack((f1, f2))
+    front.setflags(write=False)
+    return front

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from knnavg import averaging
 from knnavg.averaging import (
     ZERO_VARIANCE_EPS,
     EvaluationHistory,
@@ -17,6 +18,7 @@ from knnavg.averaging import (
     sed,
 )
 from knnavg.core import Batch, ContractViolationError, RngStream
+from knnavg.nsga2 import GaConfig, KnnAveraged, run_optimization
 from knnavg.problems import NoiseSpec, ZdtProblem
 from sampling import one_at_a_time
 
@@ -249,20 +251,14 @@ class TestHistoryVariances:
             for history in (eager, lazy):
                 history.append_batch(block, np.zeros((len(block), 1)))
             if ask:
-                eager.variances(), eager.means()
+                eager.variances()
         # the moments do not depend on when they were asked for
         assert eager.variances().tobytes() == lazy.variances().tobytes()
-        assert eager.means().tobytes() == lazy.means().tobytes()
         oracle = []
         for column in x.T.tolist():
             mean = math.fsum(column) / len(column)
             oracle.append(math.fsum((v - mean) ** 2 for v in column) / len(column))
         assert np.allclose(lazy.variances(), oracle, rtol=1e-12, atol=0.0)
-        # the centre sums rows one at a time in insertion order; numpy's mean
-        # does too over two or more columns, but sums a lone column pairwise
-        assert lazy.means().tobytes() == (np.cumsum(x, axis=0)[-1] / len(x)).tobytes()
-        if x.shape[1] > 1:
-            assert lazy.means().tobytes() == x.mean(axis=0).tobytes()
 
 
 class TestKnnConfig:
@@ -475,11 +471,15 @@ def averaging_cases(draw):
     # exact duplicates inside the batch and copies of earlier records
     for _ in range(draw(st.integers(0, n_batch))):
         x[n_prior + rng.integers(n_batch)] = x[rng.integers(total)]
-    spread = draw(st.sampled_from(["full", "one-constant", "all-constant"]))
+    spread = draw(st.sampled_from(["full", "one-constant", "all-constant", "narrow"]))
     if spread == "one-constant":
         x[:, rng.integers(d)] = 0.375
     elif spread == "all-constant":
         x[:] = x[0]
+    elif spread == "narrow":
+        # a narrow band far from the origin: the screen's norms dwarf the
+        # distances it has to keep
+        x = 1.0 - 1e-3 * x
     raws = rng.standard_normal((total, 2))
     k = draw(st.integers(1, 12))
     boundary = draw(st.booleans())
@@ -509,9 +509,7 @@ def assert_matches_definition(x, raws, n_prior, k, pick_max_dist):
     config = KnnConfig(k=k, max_dist=pick_max_dist(distances))
     expected = reference_average(reference_history, rows, config, distances)
 
-    kept = zip(*_neighbor_pairs(
-        records[rows], records, reference_history.means(), variances, config.max_dist
-    ))
+    kept = zip(*_neighbor_pairs(records, rows, variances, config.max_dist))
     q_idx, r_idx = np.nonzero(distances <= config.max_dist)
     within = zip(q_idx, r_idx, distances[q_idx, r_idx])
     assert sorted((int(q), int(r), float(d)) for q, r, d in kept) == sorted(
@@ -541,12 +539,36 @@ class TestKnnEvaluateMatchesDefinition:
 
     def test_records_exactly_at_the_cutoff_are_kept(self):
         # At d=30 the screen's product form rounds above the exact distance
-        # for many pairs; its slack must keep those on the cutoff, which the
+        # for many pairs, and far more so in a narrow band far from the
+        # origin; its slack must keep those on the cutoff, which the
         # kept-pair comparison sees directly.
         rng = RngStream(67)
         x, raws = rng.random((40, 30)), rng.random((40, 2))
-        for record in range(30):
-            assert_matches_definition(x, raws, 30, 40, lambda dist: float(dist[0, record]))
+        for band in (x, 1.0 - 1e-3 * x):
+            for record in range(30):
+                assert_matches_definition(band, raws, 30, 40, lambda dist: float(dist[0, record]))
+
+
+class TestScreenSelectivity:
+    def test_screen_passes_few_pairs_beyond_the_cutoff(self, monkeypatch):
+        # Every result would stay right if the screen passed every pair; only
+        # the exact pass would slow down. Count what reaches it over one run.
+        config = KnnConfig(k=10, max_dist=0.25)
+        exact = averaging._pair_distances
+        candidates, kept = [], []
+
+        def counting(a, b, variances):
+            dist = exact(a, b, variances)
+            candidates.append(dist.size)
+            kept.append(int(np.count_nonzero(dist <= config.max_dist)))
+            return dist
+
+        monkeypatch.setattr(averaging, "_pair_distances", counting)
+        run_optimization(ZdtProblem("zdt1", 30), NoiseSpec(0.1), KnnAveraged(config),
+                         GaConfig(pop_size=20, generations=15), RngStream(1))
+        # 16 batches of 20, and every solution keeps at least itself
+        assert len(candidates) == 16 and sum(kept) >= 320
+        assert sum(candidates) <= 1.01 * sum(kept)
 
 
 class TestHistoryRows:

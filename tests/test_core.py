@@ -16,8 +16,9 @@ from knnavg.core import (
     dominance_matrix,
 )
 from knnavg.experiment import ExperimentGrid
+from knnavg.metrics import MetricReport, as_reference, compute_report
 from knnavg.nsga2 import GaConfig
-from knnavg.problems import NoiseSpec, ZdtProblem, evaluate_noisy
+from knnavg.problems import NoiseSpec, ZdtProblem, evaluate_noisy, true_front
 from oracles import dominates
 
 
@@ -98,6 +99,15 @@ def grid_with(**overrides):
     return ExperimentGrid(**fields)
 
 
+def metric_report_with(**overrides):
+    fields = dict(
+        hv_mean_adjusted=1.0, igd_mean_adjusted=1.0, delta_f=1.0,
+        reference_point=(11.0, 11.0), front_sample_size=10,
+    )
+    fields.update(overrides)
+    return MetricReport(**fields)
+
+
 # Every count of the public configuration types, read back after validation.
 COUNTS = {
     "KnnConfig.k": lambda v: KnnConfig(k=v, max_dist=1.0).k,
@@ -111,6 +121,9 @@ COUNTS = {
     "ExperimentGrid.generations": lambda v: grid_with(generations=v).generations,
     "ExperimentGrid.base_seed": lambda v: grid_with(base_seed=v).base_seed,
     "RngStream.seed": lambda v: RngStream(v).seed,
+    "true_front.count": lambda v: len(true_front(ZdtProblem("zdt1", 2), v)),
+    "MetricReport.front_sample_size":
+        lambda v: metric_report_with(front_sample_size=v).front_sample_size,
 }
 
 
@@ -132,6 +145,57 @@ class TestCounts:
         else:
             with pytest.raises(ContractViolationError):
                 COUNTS[field](value)
+
+
+# Every real-valued input of the public configuration and result types.
+REALS = {
+    "NoiseSpec.sigma": lambda v: NoiseSpec(v).sigma,
+    "KnnConfig.max_dist": lambda v: KnnConfig(k=1, max_dist=v).max_dist,
+    "GaConfig.crossover_prob": lambda v: GaConfig(10, 1, crossover_prob=v).crossover_prob,
+    "GaConfig.mutation_prob": lambda v: GaConfig(10, 1, mutation_prob=v).mutation_prob,
+    "ExperimentGrid.sigmas": lambda v: grid_with(sigmas=(v,)).sigmas[0],
+    "ExperimentGrid.max_dists": lambda v: grid_with(max_dists=(v,)).max_dists[0],
+    "MetricReport.hv_mean_adjusted":
+        lambda v: metric_report_with(hv_mean_adjusted=v).hv_mean_adjusted,
+    "MetricReport.igd_mean_adjusted":
+        lambda v: metric_report_with(igd_mean_adjusted=v).igd_mean_adjusted,
+    "MetricReport.delta_f": lambda v: metric_report_with(delta_f=v).delta_f,
+    "MetricReport.reference_point":
+        lambda v: metric_report_with(reference_point=(v, 11.0)).reference_point[0],
+    "as_reference": lambda v: as_reference((11.0, v))[1],
+    "compute_report.reference": lambda v: compute_report(
+        Batch(np.full((1, 2), 0.5), np.ones((1, 2)), np.ones((1, 2))), ZdtProblem("zdt1", 2),
+        NoiseSpec(0.0), reference=(v, 11.0), front_sample_size=2,
+    ).reference_point[0],
+}
+
+
+class TestReals:
+    @pytest.mark.parametrize("field", sorted(REALS))
+    @pytest.mark.parametrize(
+        "value, accepted",
+        [
+            (0.5, True), (np.float64(0.5), True), (np.float32(0.5), True), (1, True),
+            (np.int64(1), True),
+            # each of these used to be converted (True -> 1.0, "0.5" -> 0.5)
+            # or to escape as TypeError or a plain ValueError
+            (True, False), (np.True_, False), ("0.5", False), ("x", False), (None, False),
+            ([0.5], False), (math.nan, False),
+        ],
+    )
+    def test_reals_are_numbers(self, field, value, accepted):
+        if accepted:
+            real = REALS[field](value)
+            assert real == float(value) and type(real) is float
+        else:
+            with pytest.raises(ContractViolationError):
+                REALS[field](value)
+
+    def test_reference_point_must_be_a_sequence(self):
+        # 5 used to raise TypeError while iterating
+        for bad in (5, None, 5.0):
+            with pytest.raises(ContractViolationError):
+                as_reference(bad)
 
 
 def pair_dominance(a, b) -> tuple[bool, bool]:

@@ -504,8 +504,10 @@ class TestRunGrid:
             run_grid(tiny_grid(), include_histories=True)
 
     def test_parallelism_validated(self):
-        with pytest.raises(ContractViolationError):
-            run_grid(tiny_grid(), parallelism=0)
+        # "2" used to raise TypeError from the comparison with 1
+        for bad in (0, "2", True, 1.5, None):
+            with pytest.raises(ContractViolationError):
+                run_grid(tiny_grid(), parallelism=bad)
 
     def test_failure_isolation(self, tmp_path, monkeypatch):
         grid = tiny_grid()

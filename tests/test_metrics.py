@@ -19,7 +19,6 @@ from knnavg.metrics import (
 )
 from knnavg.problems import (
     NoiseSpec,
-    ParetoFrontSample,
     ZdtProblem,
     evaluate_noisy,
     evaluate_true,
@@ -100,7 +99,7 @@ class TestHypervolume2d:
     def test_zdt1_front_value_at_standard_reference(self):
         # analytic value: 11*11 - integral of (1 - sqrt(f1)) related terms;
         # a dense front sample converges to 120.6667 from below
-        pts = true_front(ZdtProblem("zdt1", 2), 100_000).points
+        pts = true_front(ZdtProblem("zdt1", 2), 100_000)
         assert hypervolume_2d(pts, DEFAULT_REFERENCE) == pytest.approx(
             120.66666666666667, abs=1e-3
         )
@@ -116,7 +115,7 @@ class TestHypervolume2d:
 
 class TestIgd:
     def test_hand_value(self):
-        front = ParetoFrontSample(np.array([[0.0, 0.0], [1.0, 1.0]]))
+        front = np.array([[0.0, 0.0], [1.0, 1.0]])
         # nearest to (0,0) is itself; nearest to (1,1) is (0,0) at sqrt(2)
         assert igd(front, [[0.0, 0.0]]) == pytest.approx(
             (0.0 + np.sqrt(2.0)) / 2.0, abs=1e-15
@@ -124,7 +123,7 @@ class TestIgd:
 
     def test_zero_when_set_covers_front(self):
         front = true_front(ZdtProblem("zdt1", 2), 50)
-        assert igd(front, front.points) == 0.0
+        assert igd(front, front) == 0.0
 
     def test_adding_a_point_never_increases(self):
         front = true_front(ZdtProblem("zdt2", 2), 100)
@@ -146,6 +145,11 @@ class TestIgd:
         with pytest.raises(ContractViolationError):
             igd(front, [[0.0, 0.0, 0.0]])
 
+    def test_front_shape_validated(self):
+        for front in (np.zeros((0, 2)), np.zeros(2), np.zeros((1, 2, 1))):
+            with pytest.raises(ContractViolationError):
+                igd(front, [[0.0, 0.0]])
+
     @given(
         st.sampled_from(["zdt1", "zdt2", "zdt3"]),
         st.integers(2, 60),
@@ -163,9 +167,9 @@ class TestIgd:
         if coarse:
             objs = np.round(objs * 4.0) / 4.0
         for _ in range(copies):
-            source = front.points if rng.random() < 0.5 else objs
+            source = front if rng.random() < 0.5 else objs
             objs[rng.integers(n_objs)] = source[rng.integers(source.shape[0])]
-        expected = float(cdist(front.points, objs).min(axis=1).mean())
+        expected = float(cdist(front, objs).min(axis=1).mean())
         assert igd(front, objs).hex() == expected.hex()
 
 

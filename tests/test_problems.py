@@ -9,7 +9,6 @@ from knnavg.core import ContractViolationError, RngStream
 from knnavg.metrics import compute_report
 from knnavg.problems import (
     NoiseSpec,
-    ParetoFrontSample,
     ZdtProblem,
     evaluate_noisy,
     evaluate_true,
@@ -241,34 +240,34 @@ class TestTrueFront:
             true_front(ZdtProblem("zdt1", 2), 1)
 
     def test_zdt1_endpoints(self):
-        sample = true_front(ZdtProblem("zdt1", 2), 2)
-        assert np.allclose(sample.points, [[0.0, 1.0], [1.0, 0.0]])
+        front = true_front(ZdtProblem("zdt1", 2), 2)
+        assert np.allclose(front, [[0.0, 1.0], [1.0, 0.0]])
 
     def test_zdt2_formula(self):
-        sample = true_front(ZdtProblem("zdt2", 2), 3)
-        assert sample.points[1][0] == pytest.approx(0.5)
-        assert sample.points[1][1] == pytest.approx(0.75)
+        front = true_front(ZdtProblem("zdt2", 2), 3)
+        assert front[1][0] == pytest.approx(0.5)
+        assert front[1][1] == pytest.approx(0.75)
 
     def test_requested_count_returned(self):
         for variant in ("zdt1", "zdt2", "zdt3"):
-            assert true_front(ZdtProblem(variant, 2), 257).points.shape[0] == 257
+            assert true_front(ZdtProblem(variant, 2), 257).shape == (257, 2)
 
     def test_zdt3_points_on_curve(self):
-        sample = true_front(ZdtProblem("zdt3", 2), 500)
-        f1 = sample.points[:, 0]
+        front = true_front(ZdtProblem("zdt3", 2), 500)
+        f1 = front[:, 0]
         expected = 1.0 - np.sqrt(f1) - f1 * np.sin(10.0 * np.pi * f1)
-        assert np.allclose(sample.points[:, 1], expected, atol=1e-12)
+        assert np.allclose(front[:, 1], expected, atol=1e-12)
 
     def test_zdt3_front_is_disconnected(self):
         # the non-dominated part of the curve has five separate f1 bands
-        sample = true_front(ZdtProblem("zdt3", 2), 2000)
-        gaps = np.diff(np.sort(sample.points[:, 0]))
+        front = true_front(ZdtProblem("zdt3", 2), 2000)
+        gaps = np.diff(np.sort(front[:, 0]))
         typical = np.median(gaps)
         assert np.sum(gaps > 20 * typical) == 4
 
     def test_mutual_non_domination_all_variants(self):
         for variant in ("zdt1", "zdt2", "zdt3"):
-            pts = true_front(ZdtProblem(variant, 2), 300).points
+            pts = true_front(ZdtProblem(variant, 2), 300)
             le = np.all(pts[:, None, :] <= pts[None, :, :], axis=2)
             lt = np.any(pts[:, None, :] < pts[None, :, :], axis=2)
             assert not np.any(le & lt)
@@ -283,25 +282,18 @@ class TestTrueFront:
             (f1, 1.0 - np.sqrt(f1) - f1 * np.sin(10.0 * np.pi * f1))
         )
         for variant, sweep in sweeps.items():
-            pts = true_front(ZdtProblem(variant, 2), 200).points
+            pts = true_front(ZdtProblem(variant, 2), 200)
             le = np.all(sweep[:, None, :] <= pts[None, :, :], axis=2)
             lt = np.any(sweep[:, None, :] < pts[None, :, :], axis=2)
             assert not np.any(le & lt), variant
 
     def test_front_independent_of_n_vars(self):
-        a = true_front(ZdtProblem("zdt3", 2), 100).points
-        b = true_front(ZdtProblem("zdt3", 10), 100).points
+        a = true_front(ZdtProblem("zdt3", 2), 100)
+        b = true_front(ZdtProblem("zdt3", 10), 100)
         assert np.array_equal(a, b)
 
-
-class TestParetoFrontSample:
-    def test_shape_validated(self):
-        with pytest.raises(ContractViolationError):
-            ParetoFrontSample(np.zeros((0, 2)))
-        with pytest.raises(ContractViolationError):
-            ParetoFrontSample(np.zeros(3))
-
-    def test_points_frozen(self):
-        sample = ParetoFrontSample(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    def test_matrix_frozen(self):
+        front = true_front(ZdtProblem("zdt1", 2), 2)
+        assert front.dtype == np.float64
         with pytest.raises(ValueError):
-            sample.points[0, 0] = 5.0
+            front[0, 0] = 5.0
