@@ -94,13 +94,13 @@ def _read_only(matrix: np.ndarray) -> np.ndarray:
 
 
 def _grown(buffer: np.ndarray, capacity: int) -> np.ndarray:
-    grown = np.empty((capacity,) + buffer.shape[1:], dtype=buffer.dtype)
-    grown[: buffer.shape[0]] = buffer
+    grown = np.empty(buffer.shape[:1] + (capacity,) + buffer.shape[2:], dtype=buffer.dtype)
+    grown[:, : buffer.shape[1]] = buffer
     return grown
 
 
 class EvaluationHistory:
-    """Append-only record of every noisy sample drawn during one run.
+    """Append-only record of every noisy sample drawn during one run, or each run of a stack.
 
     Each record keeps the decision vector, the raw sampled objectives, the
     averaged objectives assigned afterwards (initially the raw sample), and
@@ -109,21 +109,26 @@ class EvaluationHistory:
     its place. Column sums and squared deviations of the variables are
     merged in batch by batch, lazily, when :meth:`variances` is called, so a
     history nobody asks for variances never pays for them.
+
+    With ``runs`` > 1 the buffers are (runs, capacity, .): batches arrive
+    run by run, ``len`` counts one run's records, handed-out matrices have a
+    leading run axis, and :meth:`split` gives each run's own history.
     """
 
-    def __init__(self, n_vars: int, n_objs: int) -> None:
+    def __init__(self, n_vars: int, n_objs: int, runs: int = 1) -> None:
         if n_vars < 1 or n_objs < 1:
             raise ContractViolationError("history dimensions must be positive")
         self.n_vars = int(n_vars)
         self.n_objs = int(n_objs)
+        self.runs = as_count(runs, "runs", 1)
         self._size = 0
-        self._vars = np.empty((0, self.n_vars))
-        self._raws = np.empty((0, self.n_objs))
-        self._avgs = np.empty((0, self.n_objs))
+        self._vars = np.empty((self.runs, 0, self.n_vars))
+        self._raws = np.empty((self.runs, 0, self.n_objs))
+        self._avgs = np.empty((self.runs, 0, self.n_objs))
         self._starts: list[int] = []  # first row of every batch
         self._folded = 0  # batches merged into the running moments
-        self._sum = np.zeros(self.n_vars)
-        self._m2 = np.zeros(self.n_vars)
+        self._sum = np.zeros((self.runs, self.n_vars))
+        self._m2 = np.zeros((self.runs, self.n_vars))
 
     def __len__(self) -> int:
         return self._size
@@ -131,52 +136,54 @@ class EvaluationHistory:
     def append_batch(self, variables: np.ndarray, raw_objectives: np.ndarray) -> slice:
         """Append one batch of samples, given as matrices; returns their index range.
 
-        ``variables`` is (b, n_vars) and ``raw_objectives`` (b, n_objs) with
-        b >= 1. The batch is tagged with the next batch number, which under
-        the generational loop is the generation index.
+        ``variables`` is (runs * b, n_vars) and ``raw_objectives`` (runs * b,
+        n_objs), b >= 1, run by run. The batch is tagged with the next batch
+        number, which under the generational loop is the generation index.
         """
         variables = np.asarray(variables, dtype=np.float64)
         raws = np.asarray(raw_objectives, dtype=np.float64)
-        b = len(variables) if variables.ndim == 2 else 0
-        if b < 1 or variables.shape != (b, self.n_vars) or raws.shape != (b, self.n_objs):
+        b = len(variables) // self.runs if variables.ndim == 2 else 0
+        rows = self.runs * b
+        if b < 1 or variables.shape != (rows, self.n_vars) or raws.shape != (rows, self.n_objs):
             raise ContractViolationError(
-                f"need a non-empty batch of (b, {self.n_vars}) variables and (b, "
-                f"{self.n_objs}) raw objectives, got {variables.shape} and {raws.shape}"
+                f"need a non-empty batch of (b, {self.n_vars}) variables and (b, {self.n_objs}) "
+                f"raw objectives per run, {self.runs} runs: got {variables.shape}, {raws.shape}"
             )
         start, stop = self._size, self._size + b
-        if stop > self._vars.shape[0]:
-            capacity = max(stop, 2 * self._vars.shape[0])
-            self._vars = _grown(self._vars[:start], capacity)
-            self._raws = _grown(self._raws[:start], capacity)
-            self._avgs = _grown(self._avgs[:start], capacity)
-        self._vars[start:stop] = variables
-        self._raws[start:stop] = raws
-        self._avgs[start:stop] = raws
+        if stop > self._vars.shape[1]:
+            capacity = max(stop, 2 * self._vars.shape[1])
+            self._vars = _grown(self._vars[:, :start], capacity)
+            self._raws = _grown(self._raws[:, :start], capacity)
+            self._avgs = _grown(self._avgs[:, :start], capacity)
+        self._vars[:, start:stop] = variables.reshape(self.runs, b, self.n_vars)
+        self._raws[:, start:stop] = raws.reshape(self.runs, b, self.n_objs)
+        self._avgs[:, start:stop] = self._raws[:, start:stop]
         self._starts.append(start)
         self._size = stop
         return slice(start, stop)
 
     def set_averaged(self, rows: slice, values: np.ndarray) -> None:
-        """Store the averaged objectives computed for the records in ``rows``."""
+        """Store the averaged objectives computed for the records in ``rows``, run by run."""
         values = np.asarray(values, dtype=np.float64)
-        indices = range(*rows.indices(len(self)))
-        if values.shape != (len(indices), self.n_objs):
-            raise ContractViolationError(
-                f"averaged block has shape {values.shape}, expected ({len(indices)}, {self.n_objs})"
-            )
-        self._avgs[: len(self)][rows] = values
+        expected = (self.runs * len(range(*rows.indices(len(self)))), self.n_objs)
+        if values.shape != expected:
+            raise ContractViolationError(f"averaged block has shape {values.shape}, not {expected}")
+        self._avgs[:, : len(self)][:, rows] = values.reshape(self.runs, -1, self.n_objs)
+
+    def _handed_out(self, stacked: np.ndarray) -> np.ndarray:
+        return _read_only(stacked[0] if self.runs == 1 else stacked)
 
     def variables_matrix(self) -> np.ndarray:
         """All recorded decision vectors as a read-only (n, d) matrix."""
-        return _read_only(self._vars[: len(self)])
+        return self._handed_out(self._vars[:, : len(self)])
 
     def raw_matrix(self) -> np.ndarray:
         """All raw sampled objectives as a read-only (n, m) matrix."""
-        return _read_only(self._raws[: len(self)])
+        return self._handed_out(self._raws[:, : len(self)])
 
     def averaged_matrix(self) -> np.ndarray:
         """All averaged objectives as a read-only (n, m) copy."""
-        return _read_only(self._avgs[: len(self)].copy())
+        return self._handed_out(self._avgs[:, : len(self)].copy())
 
     def batch_numbers(self) -> np.ndarray:
         """The batch number of every record, in insertion order (read-only)."""
@@ -186,7 +193,18 @@ class EvaluationHistory:
     def variances(self) -> np.ndarray:
         """Population variance of each variable dimension over all records."""
         self._fold()
-        return _read_only(self._m2 / len(self))
+        return self._handed_out(self._m2 / len(self))
+
+    def split(self) -> list["EvaluationHistory"]:
+        """Each run's history; it shares this history's buffers."""
+        parts = []
+        for run in range(self.runs):
+            part = EvaluationHistory(self.n_vars, self.n_objs)
+            part._size, part._starts, part._folded = self._size, list(self._starts), self._folded
+            for name in ("_vars", "_raws", "_avgs", "_sum", "_m2"):
+                setattr(part, name, getattr(self, name)[run : run + 1])
+            parts.append(part)
+        return parts
 
     def _fold(self) -> None:
         """Merge the batches appended since the last fold, one at a time in batch order."""
@@ -194,16 +212,17 @@ class EvaluationHistory:
             raise ContractViolationError("history is empty; moments are undefined")
         bounds = self._starts[self._folded :] + [len(self)]
         for start, stop in zip(bounds, bounds[1:]):
-            block = self._vars[start:stop]
-            mean = block.mean(axis=0)
-            m2 = ((block - mean) ** 2).sum(axis=0)
+            block = self._vars[:, start:stop]
+            mean = block.mean(axis=1)
+            m2 = ((block - mean[:, None]) ** 2).sum(axis=1)
             if start:
                 delta = mean - self._sum / start
                 m2 = self._m2 + m2 + delta * delta * (start * (stop - start) / stop)
             self._m2 = m2
             # Row by row, not numpy's pairwise sum: delta reads these sums, so
             # STREAM_VERSION 3's variance bits depend on this order.
-            self._sum = np.cumsum(np.vstack((self._sum, block)), axis=0)[-1]
+            rows = np.concatenate((self._sum[:, None], block), axis=1)
+            self._sum = np.cumsum(rows, axis=1)[:, -1]
         self._folded = len(self._starts)
 
 
@@ -233,29 +252,40 @@ def sed(a, b, variances) -> float:
 def _pair_distances(a: np.ndarray, b: np.ndarray, variances: np.ndarray) -> np.ndarray:
     """Standardized distance between row i of ``a`` and row i of ``b``.
 
+    ``variances`` is one (d,) vector for every pair or one row per pair.
     The sum over dimensions runs strictly left to right, one dimension at a
-    time; this is the distance definition every result depends on.
+    time; this is the distance definition every result depends on. A
+    dimension without spread adds exactly +0.0, as if skipped.
     """
+    spread = variances >= ZERO_VARIANCE_EPS
+    variances = np.where(spread, variances, 1.0)
     acc = np.zeros(a.shape[0])
-    for j in np.flatnonzero(variances >= ZERO_VARIANCE_EPS):
-        dj = a[:, j] - b[:, j]
-        acc += dj * dj / variances[j]
+    for j in range(a.shape[1]):
+        dj = (a[:, j] - b[:, j]) * spread[..., j]
+        acc += dj * dj / variances[..., j]
     return np.sqrt(acc)
+
+
+# Elements of the screen's product and scaled records one step may hold (32
+# MiB of float64): a larger stack is screened a few runs at a time.
+SCREEN_BUDGET = 1 << 22
 
 
 def _neighbor_pairs(
     records: np.ndarray, rows: slice, variances: np.ndarray, max_dist: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every (query, record) pair within ``max_dist``, with its exact distance.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every (run, query, record) triple within ``max_dist``, with its exact distance.
 
-    The queries are ``records[rows]``, indexed by position in ``rows``. A
-    screen first keeps every pair that may lie within ``max_dist``; the
-    survivors are then measured exactly and cut at ``max_dist``. Over the k
-    dimensions with spread, coordinates are scaled by 1/sqrt(var), giving
-    q' and r', and the screen evaluates the product form
-    |q'|^2 + |r'|^2 - 2 q'.r' with one matrix product. A pair passes when
-    this is at most ``max_dist**2`` plus a slack ``c * (|q'|^2 + |r'|^2)``,
-    c = 16 (k + 8) u with u = 2**-53.
+    ``records`` is (runs, n, d) and ``variances`` (runs, d); a run's queries
+    are its ``records[rows]``, indexed by position in ``rows``, and its
+    history ends with them: rows past ``rows.stop`` are ignored. A screen
+    first keeps every pair that may lie within ``max_dist``; the survivors
+    are then measured exactly and cut at ``max_dist``. Over the k dimensions
+    with spread, coordinates are scaled by 1/sqrt(var), giving q' and r',
+    and the screen evaluates the product form |q'|^2 + |r'|^2 - 2 q'.r'
+    with one matrix product per run. A pair passes when this is at most
+    ``max_dist**2`` plus a slack ``c * (|q'|^2 + |r'|^2)``, c = 16 (k + 8) u
+    with u = 2**-53.
 
     Why the slack suffices. Let S be the exact standardized squared
     distance and N = |q'|^2 + |r'|^2. Since S <= 2N (to first order), a
@@ -278,25 +308,37 @@ def _neighbor_pairs(
     selectivity, never a pair. An absolute ``k * tiny`` covers subnormal
     intermediates. No pair within ``max_dist`` is dropped, whatever the
     BLAS thread count, and the exact pass alone decides the result.
+    Runs are screened and measured in groups that fit ``SCREEN_BUDGET``.
     """
+    runs, capacity, dims = records.shape
+    size = rows.stop
     spread = variances >= ZERO_VARIANCE_EPS
-    k = int(np.count_nonzero(spread))
+    k = np.count_nonzero(spread, axis=1)
     # a dimension without spread gets scale 0 and drops out of the screen
     scale = np.zeros_like(variances)
     scale[spread] = 1.0 / np.sqrt(variances[spread])
-    rs = records * scale
-    norms = np.einsum("ij,ij->i", rs, rs)
     shrink = 1.0 - 16.0 * (k + 8) * (np.finfo(np.float64).eps / 2.0)
     limit = max_dist * max_dist + k * np.finfo(np.float64).tiny
-    # (1 - c)|r'|^2 - limit - 2 q'.r' <= -(1 - c)|q'|^2; scaling by -2 is exact
-    test = (-2.0 * rs[rows]) @ rs.T
-    test += shrink * norms - limit
-    bound = -shrink * norms[rows]
-    # row-major like np.nonzero, which is several times slower on a 2-d mask
-    q_idx, r_idx = np.divmod(np.flatnonzero(test <= bound[:, None]), records.shape[0])
-    dist = _pair_distances(records[rows.start + q_idx], records[r_idx], variances)
-    keep = dist <= max_dist
-    return q_idx[keep], r_idx[keep], dist[keep]
+    step = max(1, SCREEN_BUDGET // (size * (rows.stop - rows.start + dims)))
+    found = []
+    for group in (slice(first, first + step) for first in range(0, runs, step)):
+        rs = records[group, :size] * scale[group, None]
+        norms = np.einsum("gij,gij->gi", rs, rs)
+        # (1 - c)|r'|^2 - limit - 2 q'.r' <= -(1 - c)|q'|^2; scaling by -2 is exact
+        test = (-2.0 * rs[:, rows]) @ rs.transpose(0, 2, 1)
+        test += (shrink[group, None] * norms - limit[group, None])[:, None]
+        bound = -shrink[group, None] * norms[:, rows]
+        # row-major like np.nonzero, which is several times slower on a 3-d mask
+        run_q, r_idx = np.divmod(np.flatnonzero(test <= bound[..., None]), size)
+        run, q_idx = np.divmod(run_q, test.shape[1])
+        # np.take gathers rows several times faster than fancy indexing
+        flat, at = records[group].reshape(-1, dims), run * capacity
+        run += group.start
+        a, b = np.take(flat, [at + rows.start + q_idx, at + r_idx], axis=0)
+        dist = _pair_distances(a, b, np.take(variances, run, axis=0))
+        keep = dist <= max_dist
+        found.append((run[keep], q_idx[keep], r_idx[keep], dist[keep]))
+    return tuple(np.concatenate(column) for column in zip(*found))
 
 
 def knn_evaluate(batch: Batch, history: EvaluationHistory, config: KnnConfig) -> Batch:
@@ -314,6 +356,9 @@ def knn_evaluate(batch: Batch, history: EvaluationHistory, config: KnnConfig) ->
     and weighted means follow the module's numerics contract, and memory
     stays within O(batch * history) whatever the number of dimensions.
 
+    With a stacked history each run's rows form one block of the batch and
+    are averaged over that run's history only.
+
     Returns a batch in input order with the averaged objectives and the
     original raw objectives; the averages are also stored in the history.
     """
@@ -321,29 +366,38 @@ def knn_evaluate(batch: Batch, history: EvaluationHistory, config: KnnConfig) ->
         return batch
     raws = batch.raw_objectives
     rows = history.append_batch(batch.variables, raws)
-    q_idx, r_idx, dist = _neighbor_pairs(
-        history.variables_matrix(), rows, history.variances(), config.max_dist
-    )
-    # Group by query; within a query self first, then by distance, then by
-    # record index: a stable sort by distance with the solution moved first.
-    order = np.lexsort((r_idx, dist, r_idx != rows.start + q_idx, q_idx))
-    r_idx, dist = r_idx[order], dist[order]
-    starts = np.searchsorted(q_idx[order], np.arange(len(batch) + 1))
+    # the whole buffer, so that its rows are gathered without a copy
+    variances = np.atleast_2d(history.variances())
+    run, q_idx, r_idx, dist = _neighbor_pairs(history._vars, rows, variances, config.max_dist)
+    # Pairs arrive by query, then record. Within a query: self (at distance
+    # 0) first, then by distance, then by record. A non-negative float's bits
+    # order like its value, so one key (distance, not self) and a stable sort do.
+    query = run * (rows.stop - rows.start) + q_idx
+    key = dist.view(np.uint64) << np.uint64(1) | (r_idx != rows.start + q_idx).astype(np.uint64)
+    starts = np.searchsorted(query, np.arange(len(batch) + 1))
+    # Only pairs up to a query's k-th smallest key can be kept; sort just those.
+    table = np.full((len(batch), np.diff(starts).max()), np.iinfo(np.uint64).max)
+    table[query, np.arange(len(query)) - starts[query]] = key
+    kth = min(config.k, table.shape[1]) - 1
+    near = np.flatnonzero(key <= np.partition(table, kth, axis=1)[query, kth])
+    order = near[np.lexsort((key[near], query[near]))]
+    run, r_idx, dist = run[order], r_idx[order], dist[order]
+    starts = np.searchsorted(query[order], np.arange(len(batch) + 1))
 
     # The kept neighbors as a padded (b, width) table, self in column 0.
     # Padding weighs 0 against a raw of 0, so it adds exactly +0.0 to sums
     # that start from +0.0 and therefore never hold -0.0.
     counts = np.minimum(np.diff(starts), config.k)
-    columns = np.arange(counts.max())
-    kept = columns < counts[:, None]
-    pair = np.where(kept, starts[:-1, None] + columns, 0)
+    kept = np.arange(counts.max()) < counts[:, None]
+    pair = np.where(kept, starts[:-1, None] + np.arange(counts.max()), 0)
     weights = np.where(kept, np.maximum(config.max_dist - dist[pair] ** 2, 0.0), 0.0)
-    neighbor_raws = np.where(kept[:, :, None], history.raw_matrix()[r_idx[pair]], 0.0)
-    total = np.zeros((len(batch), 1))
-    weighted = np.zeros_like(raws)
-    for j in columns:
-        total += weights[:, j, None]
-        weighted += weights[:, j, None] * neighbor_raws[:, j]
+    raw_rows = history._raws.reshape(-1, history.n_objs)  # buffer rows, run by run
+    at = run[pair] * history._raws.shape[1] + r_idx[pair]
+    neighbor_raws = np.where(kept[:, :, None], np.take(raw_rows, at, axis=0), 0.0)
+    # Both sums strictly left to right along the neighbors: cumsum never
+    # reorders its additions, and its first partial sum 0 + w_0 is w_0.
+    total = np.cumsum(weights, axis=1)[:, -1:]
+    weighted = np.cumsum(weights[:, :, None] * neighbor_raws, axis=1)[:, -1]
     # Only the solution itself kept: averaging would reproduce the raw
     # sample up to rounding; keep it exact instead.
     averaged = np.where(counts[:, None] > 1, weighted / total, raws)

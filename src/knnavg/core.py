@@ -26,6 +26,7 @@ __all__ = [
     "as_count",
     "as_real",
     "as_seed",
+    "as_streams",
     "dominance_matrix",
 ]
 
@@ -195,17 +196,23 @@ class RngStream:
         return self._gen.standard_normal(size)
 
 
-def dominance_matrix(objs: np.ndarray) -> np.ndarray:
-    """``dom[i, j]`` is True when row i of ``objs`` Pareto-dominates row j.
+def as_streams(rng) -> tuple[RngStream, ...]:
+    """The streams of a stack of runs: one ``RngStream``, or a sequence with one per run."""
+    return (rng,) if isinstance(rng, RngStream) else tuple(rng)
 
-    Minimization: nowhere worse and strictly better somewhere. Equal rows
-    do not dominate each other. The comparisons are accumulated one
-    objective at a time on (n, n) matrices, never on an (n, n, m) tensor.
+
+def dominance_matrix(objs: np.ndarray) -> np.ndarray:
+    """``dom[..., i, j]`` is True when row i of ``objs`` Pareto-dominates row j.
+
+    ``objs`` is one (n, m) matrix or a stack (..., n, m) of them; rows are
+    compared only within their matrix. Minimization: nowhere worse and
+    strictly better somewhere. Equal rows do not dominate each other. The
+    comparisons are accumulated one objective at a time on (..., n, n)
+    matrices, never on an (n, n, m) tensor. Row i nowhere worse than row j
+    is better somewhere exactly when row j is not nowhere worse than row i.
     """
-    n = objs.shape[0]
-    less_eq = np.ones((n, n), dtype=bool)
-    strict = np.zeros((n, n), dtype=bool)
-    for column in objs.T:
-        less_eq &= column[:, None] <= column[None, :]
-        strict |= column[:, None] < column[None, :]
-    return less_eq & strict
+    less_eq = np.ones(objs.shape[:-1] + objs.shape[-2:-1], dtype=bool)
+    for j in range(objs.shape[-1]):
+        column = objs[..., j]
+        less_eq &= column[..., :, None] <= column[..., None, :]
+    return less_eq & ~np.swapaxes(less_eq, -1, -2)

@@ -48,7 +48,7 @@ from .metrics import (
     as_reference,
     compute_report,
 )
-from .nsga2 import GaConfig, KnnAveraged, OptimizationResult, PlainNoisy, run_optimization
+from .nsga2 import GaConfig, KnnAveraged, OptimizationResult, PlainNoisy, run_stack
 from .problems import NoiseSpec, ZdtProblem
 from .stats import METRICS, ComparisonVerdict, Verdict, compare_setting
 
@@ -66,6 +66,7 @@ __all__ = [
     "ReportBundle",
     "expand_grid",
     "execute_run",
+    "execute_stack",
     "run_grid",
     "load_results",
     "write_history_csv",
@@ -218,6 +219,11 @@ class RunConfig:
     def cell(self) -> tuple:
         return (self.problem, self.n_vars, self.sigma, self.pop_size, self.generations)
 
+    @property
+    def stack(self) -> tuple:
+        """What the runs of one stack share: the cell and the arm setting."""
+        return self.cell + (self.arm, self.k, self.max_dist)
+
 
 def expand_grid(grid: ExperimentGrid) -> list[RunConfig]:
     """All runs of the grid in a deterministic order.
@@ -266,31 +272,43 @@ def execute_run(
     front_sample_size: int = DEFAULT_FRONT_SAMPLE_SIZE,
     keep_optimization: bool = False,
 ) -> RunResult:
-    """Execute one run from scratch and score it."""
+    """Execute one run from scratch and score it: a stack of one run."""
+    (result,) = execute_stack([config], reference, front_sample_size, keep_optimization)
+    return result
+
+
+def execute_stack(
+    configs: Sequence[RunConfig],
+    reference: tuple[float, float] = DEFAULT_REFERENCE,
+    front_sample_size: int = DEFAULT_FRONT_SAMPLE_SIZE,
+    keep_optimization: bool = False,
+) -> list[RunResult]:
+    """Execute runs of one cell and arm setting as one stack, and score each.
+
+    Each result is bitwise that of executing its run alone; its
+    ``duration_s`` is its share of the stack's loop time (time / runs).
+    """
     reference = as_reference(reference)
     front_sample_size = as_count(front_sample_size, "front sample size", 2)
-    problem = ZdtProblem(config.problem, config.n_vars)
-    noise = NoiseSpec(config.sigma)
-    if config.arm == ARM_BASELINE:
-        evaluator = PlainNoisy()
-    else:
-        evaluator = KnnAveraged(KnnConfig(k=config.k, max_dist=config.max_dist))
-    ga = GaConfig(pop_size=config.pop_size, generations=config.generations)
+    if not configs or any(c.stack != configs[0].stack for c in configs):
+        raise ContractViolationError("a stack needs runs that share one cell and arm setting")
+    first = configs[0]
+    problem = ZdtProblem(first.problem, first.n_vars)
+    noise = NoiseSpec(first.sigma)
+    knn = first.arm == ARM_KNN
+    evaluator = KnnAveraged(KnnConfig(first.k, first.max_dist)) if knn else PlainNoisy()
+    ga = GaConfig(pop_size=first.pop_size, generations=first.generations)
     started = time.perf_counter()
-    outcome = run_optimization(problem, noise, evaluator, ga, RngStream(config.seed))
-    duration = time.perf_counter() - started
-    metrics = compute_report(
-        outcome.nondominated, problem, noise,
-        reference=reference, front_sample_size=front_sample_size,
-    )
-    return RunResult(
-        config=config,
-        final_set=outcome.nondominated,
-        final_set_size=len(outcome.nondominated),
-        metrics=metrics,
-        duration_s=duration,
-        optimization=outcome if keep_optimization else None,
-    )
+    outcomes = run_stack(problem, noise, evaluator, ga, [RngStream(c.seed) for c in configs])
+    duration = (time.perf_counter() - started) / len(configs)
+    return [
+        RunResult(
+            config, outcome.nondominated, len(outcome.nondominated),
+            compute_report(outcome.nondominated, problem, noise, reference, front_sample_size),
+            duration, outcome if keep_optimization else None,
+        )
+        for config, outcome in zip(configs, outcomes)
+    ]
 
 
 def _result_row(result: RunResult) -> dict[str, str]:
@@ -371,14 +389,17 @@ def load_results(out_dir: str | Path) -> list[RunResult]:
 
 
 def write_history_csv(path: str | Path, optimization: OptimizationResult) -> None:
-    """Dump a run's full evaluation history as CSV."""
+    """Dump a run's full evaluation history as CSV, in the bytes ``csv.writer`` writes.
+
+    No field needs quoting and ints and floats are written as their
+    round-tripping ``repr``, so the fields are joined directly.
+    """
     header, rows = history_rows(optimization.history)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
+        handle.write(",".join(header) + "\r\n")
+        handle.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
 
 
 class _OutputDir:
@@ -481,27 +502,47 @@ class _OutputDir:
 
 
 def _grid_worker(
-    config: RunConfig,
+    configs: list[RunConfig],
     reference: tuple[float, float],
     front_sample_size: int,
-    history_path: str | None,
-) -> RunResult:
-    result = execute_run(
-        config, reference=reference, front_sample_size=front_sample_size,
-        keep_optimization=history_path is not None,
+    history_paths: list[str | None],
+) -> list[RunResult]:
+    """Execute one stack of a grid and write the history CSV of each of its runs."""
+    results = execute_stack(
+        configs, reference=reference, front_sample_size=front_sample_size,
+        keep_optimization=history_paths[0] is not None,
     )
-    if history_path is not None and result.optimization is not None:
-        write_history_csv(history_path, result.optimization)
+    for result, path in zip(results, history_paths):
+        if path is not None:
+            write_history_csv(path, result.optimization)
         result.optimization = None  # keep the cross-process payload small
-    return result
+    return results
 
 
-def _attempt(*task) -> RunResult | Exception:
+def _attempt(*task) -> list[RunResult] | Exception:
     """Run one grid task in this process; what it raises is its outcome, as from a pool."""
     try:
         return _grid_worker(*task)
     except Exception as exc:  # noqa: BLE001 - grid isolation
         return exc
+
+
+def _per_run(task: tuple, outcome) -> list[tuple[RunConfig, object]]:
+    """Each run of a stack task with its result, or with what stopped it.
+
+    A stack that raised is rerun here one run at a time, so a failure
+    stays with its run; a broken pool leaves every run unfinished.
+    """
+    configs, reference, front_sample_size, paths = task
+    if isinstance(outcome, list):
+        return list(zip(configs, outcome))
+    raised = isinstance(outcome, Exception) and not isinstance(outcome, BrokenProcessPool)
+    if len(configs) == 1 or not raised:
+        return [(config, outcome) for config in configs]
+    logger.warning("a stack of %d runs failed (%r); running them one at a time",
+                   len(configs), outcome)
+    singles = [([c], reference, front_sample_size, [p]) for c, p in zip(configs, paths)]
+    return [run for single in singles for run in _per_run(single, _attempt(*single))]
 
 
 @dataclass(eq=False)
@@ -534,16 +575,20 @@ def run_grid(
     directory, its checks come before its writes: a manifest naming another
     stream, an unparsable row, or a persisted run whose seed, reference
     point or front sample size differs from this grid's is a contract
-    violation, raised before anything runs or is written. Every finished
-    run is appended to the results table at once (a single writer in the
-    coordinating process), so crashes lose at most the in-flight runs; on
+    violation, raised before anything runs or is written. The pending runs
+    of one cell and arm setting form a stack, which :func:`execute_stack`
+    advances as one array program, each run bitwise as if alone. Stacks
+    execute in this process at ``parallelism`` 1, otherwise on at most one
+    worker process per pending stack. The runs of a finished stack are
+    appended to the results table at once (a single writer in the
+    coordinating process), so crashes lose at most the in-flight stacks; on
     re-invocation, runs whose fingerprints are already persisted are
-    skipped. Runs execute in this process at ``parallelism`` 1, otherwise
-    on at most one worker process per pending run. A failing run is
-    recorded and does not stop the rest of the grid. A worker process that
-    dies (killed by the OS, say) breaks the pool: the runs finished until
-    then stay persisted, the others are counted as unfinished, not as
-    failures, and one log line says how many there are.
+    skipped. A stack that raises is rerun one run at a time in this
+    process, so a failing run is recorded on its own and does not stop the
+    rest of the grid. A worker process that dies (killed by the OS, say)
+    breaks the pool: the runs finished until then stay persisted, the
+    others are counted as unfinished, not as failures, and one log line
+    says how many there are.
     ``include_histories`` additionally writes one history CSV per run and
     requires an output directory.
     """
@@ -566,23 +611,27 @@ def run_grid(
     skipped = len(configs) - len(pending)
     if skipped:
         logger.info("resume: %d runs already persisted, %d to go", skipped, len(pending))
+    # expansion order keeps the runs of one cell and arm setting together
+    stacks = [list(runs) for _, runs in itertools.groupby(pending, key=lambda c: c.stack)]
     tasks = [
-        (c, reference, front_sample_size, directory.history_path(c) if directory else None)
-        for c in pending
+        (runs, reference, front_sample_size,
+         [directory.history_path(c) if directory else None for c in runs])
+        for runs in stacks
     ]
     results: list[RunResult] = []
     failures: list[tuple[RunConfig, str]] = []
     unfinished = 0
     with ExitStack() as stack:
         if parallelism == 1 or not tasks:
-            outcomes = ((task[0], _attempt(*task)) for task in tasks)
+            outcomes = ((task, _attempt(*task)) for task in tasks)
         else:
             workers = min(parallelism, len(tasks))
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            futures = {pool.submit(_grid_worker, *task): task[0] for task in tasks}
-            # a future holds either its result or what the worker raised
+            futures = {pool.submit(_grid_worker, *task): task for task in tasks}
+            # a future holds either its results or what the worker raised
             outcomes = ((futures[f], f.exception() or f.result()) for f in as_completed(futures))
-        for config, outcome in outcomes:
+        runs = (run for task, outcome in outcomes for run in _per_run(task, outcome))
+        for config, outcome in runs:
             if isinstance(outcome, RunResult):
                 results.append(outcome)
                 if directory is not None:

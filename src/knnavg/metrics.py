@@ -82,33 +82,35 @@ class MetricReport:
             raise ContractViolationError(f"unknown metric {metric!r}") from None
 
 
-def hypervolume_2d(points, reference) -> float:
+def hypervolume_2d(points, reference):
     """Exact area dominated by ``points`` up to the reference point.
 
-    Two objectives, minimization. Points that do not strictly dominate the
-    reference are ignored; dominated points contribute nothing. The sweep
-    sorts by f1 and accumulates each strip's improvement in f2, so the
+    Two objectives, minimization. ``points`` is one (n, 2) matrix, giving a
+    float, or a stack (..., n, 2) of them, giving an array of one area per
+    matrix. Points that do not strictly dominate the reference are
+    ignored; dominated points contribute nothing. The sweep sorts by f1
+    and adds each strip's improvement in f2 strictly left to right, so the
     result is exact up to float rounding. An empty set has volume zero.
     """
-    reference = np.asarray(reference, dtype=np.float64)
-    if reference.shape != (2,):
-        raise ContractViolationError("reference must be a 2-d point")
+    ref_f1, ref_f2 = as_reference(reference)
     pts = np.asarray(points, dtype=np.float64)
     if pts.size == 0:
         return 0.0
-    if pts.ndim != 2 or pts.shape[1] != 2:
+    if pts.ndim < 2 or pts.shape[-1] != 2:
         raise ContractViolationError(f"expected (n, 2) points, got shape {pts.shape}")
-    pts = pts[(pts[:, 0] < reference[0]) & (pts[:, 1] < reference[1])]
-    if pts.shape[0] == 0:
-        return 0.0
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    area = 0.0
-    best_f2 = reference[1]
-    for f1, f2 in pts[order]:
-        if f2 < best_f2:
-            area += (reference[0] - f1) * (best_f2 - f2)
-            best_f2 = f2
-    return float(area)
+    inside = (pts[..., 0] < ref_f1) & (pts[..., 1] < ref_f2)
+    # an ignored point sits at f2 = ref_f2: it never improves the best f2
+    f1 = np.where(inside, pts[..., 0], ref_f1)
+    f2 = np.where(inside, pts[..., 1], ref_f2)
+    # sorted by f1, then f2, within each matrix
+    order = np.lexsort((f2.ravel(), f1.ravel(), np.arange(f1.size) // f1.shape[-1]))
+    f1, f2 = f1.ravel()[order].reshape(f1.shape), f2.ravel()[order].reshape(f2.shape)
+    # the best f2 before each point
+    best = np.minimum.accumulate(np.concatenate((np.full_like(f2[..., :1], ref_f2), f2), -1), -1)
+    gain = f2 < best[..., :-1]
+    strips = np.where(gain, (ref_f1 - f1) * (best[..., :-1] - f2), 0.0)
+    area = np.cumsum(strips, axis=-1)[..., -1]
+    return float(area) if area.ndim == 0 else area
 
 
 def igd(front, objectives) -> float:

@@ -9,14 +9,16 @@ the selection machinery never sees is how objectives were obtained: an
 passing the noisy sample through or replacing it with a neighborhood
 average over the run's evaluation history.
 
-Populations and offspring are :class:`~knnavg.core.Batch` matrices, in the
-loop and in the :class:`OptimizationResult` it returns. Draw order, the
-same since ``STREAM_VERSION`` 2: the initial population takes
-``random((pop_size, n))``, then its evaluation noise. Every generation then draws the
-fixed-shape blocks of :func:`draw_variation`, whatever the ranks, ties and
-gates turn out to be, then its children's evaluation noise, so all arms of
-a repetition stay at one stream position. Selection, crossover, mutation
-and evaluation then run once on whole matrices.
+:func:`run_stack` advances the runs of one cell and arm together on
+(runs, pop_size, .) arrays, and :func:`run_optimization` is its one-run
+case. Draw order per run, the same since ``STREAM_VERSION`` 2: the initial
+population takes ``random((pop_size, n))``, then its evaluation noise.
+Every generation then draws the fixed-shape blocks of
+:func:`draw_variation`, whatever the ranks, ties and gates turn out to be,
+then its children's evaluation noise, so all arms of a repetition stay at
+one stream position. Each run draws only from its own stream, so a run
+draws the same values alone or in a stack. Selection, crossover, mutation,
+evaluation and ranking then run once on the whole stack.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .core import (
     RngStream,
     as_count,
     as_real,
+    as_streams,
     dominance_matrix,
 )
 from .metrics import DEFAULT_REFERENCE, hypervolume_2d
@@ -53,6 +56,7 @@ __all__ = [
     "sbx_crossover",
     "polynomial_mutation",
     "run_optimization",
+    "run_stack",
 ]
 
 # Distribution indices of SBX and polynomial mutation, the values commonly
@@ -125,53 +129,57 @@ class KnnAveraged(Evaluator):
         return knn_evaluate(batch, history, self.config)
 
 
-def fast_non_dominated_sort(objectives: np.ndarray) -> list[list[int]]:
-    """Partition the rows of an (n, m) objective matrix into non-domination fronts.
+def fast_non_dominated_sort(objectives: np.ndarray) -> np.ndarray:
+    """Front rank of every row of an (n, m) objective matrix, or of each matrix of a stack.
 
     Front 0 is the set of rows dominated by nobody; front j contains rows
-    dominated only by members of earlier fronts. Every row index appears in
-    exactly one front; indices inside a front keep ascending order.
+    dominated only by members of earlier fronts. Ranks have the shape of
+    ``objectives`` without its last axis; all matrices are peeled at once.
     """
     objs = np.asarray(objectives, dtype=np.float64)
-    if not objs.size:
-        return []
     dom = dominance_matrix(objs)
-    n_dominators = dom.sum(axis=0).astype(np.int64)
-    fronts: list[list[int]] = []
-    current = np.flatnonzero(n_dominators == 0)
-    while current.size:
-        fronts.append(current.tolist())
-        released = dom[current].sum(axis=0)
-        n_dominators[current] = -1
-        n_dominators = n_dominators - released
-        current = np.flatnonzero(n_dominators == 0)
-    return fronts
+    ranks = np.zeros(objs.shape[:-1], dtype=np.int64)
+    remaining = np.ones(objs.shape[:-1], dtype=bool)
+    rank = 0
+    while remaining.any():
+        front = remaining & ~(dom & remaining[..., :, None]).any(axis=-2)
+        ranks[front] = rank
+        remaining &= ~front
+        rank += 1
+    return ranks
 
 
-def crowding_distance(front: np.ndarray) -> np.ndarray:
-    """Crowding distances of the rows of one front's (n, m) objective matrix.
+def crowding_distance(objectives: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """Crowding distance of every row within its front, for all fronts at once.
 
-    Boundary solutions of every objective get infinity; interior solutions
-    accumulate the normalized span between their neighbors in each
-    objective's sorted order. Fronts of one or two members are all-infinite.
-    An objective with zero range contributes nothing.
+    A front is the rows of one rank within one (n, m) matrix of
+    ``objectives`` (n, m) or (..., n, m). Boundary solutions of every
+    objective get infinity; interior solutions accumulate the normalized
+    span between their neighbors in each objective's sorted order, equal
+    values in row order. Fronts of one or two members are all-infinite. An
+    objective with zero range on a front contributes nothing to it.
     """
-    objs = np.asarray(front, dtype=np.float64)
-    n = objs.shape[0]
-    if not n:
+    objs = np.asarray(objectives, dtype=np.float64)
+    size, m = objs.shape[-2:]
+    if not size:
         raise ContractViolationError("crowding distance of an empty front is undefined")
-    if n <= 2:
-        return np.full(n, np.inf)
-    dist = np.zeros(n)
-    for vals in objs.T:
-        order = np.argsort(vals, kind="stable")
-        dist[order[0]] = np.inf
-        dist[order[-1]] = np.inf
-        span = vals[order[-1]] - vals[order[0]]
-        if span <= 0.0:
-            continue
-        dist[order[1:-1]] += (vals[order[2:]] - vals[order[:-2]]) / span
-    return dist
+    flat = objs.reshape(-1, m)
+    # one key per (matrix, rank): the fronts of different matrices never mix
+    front = np.arange(len(flat)) // size * size + np.asarray(ranks).reshape(-1)
+    dist = np.zeros(len(flat))
+    for vals in flat.T:
+        order = np.lexsort((vals, front))
+        keys, v, at = front[order], vals[order], np.arange(len(order))
+        edge = keys[1:] != keys[:-1]
+        first, last = np.concatenate(([True], edge)), np.concatenate((edge, [True]))
+        # sorted positions of the first and the last member of each row's front
+        lo = np.maximum.accumulate(np.where(first, at, 0))
+        hi = np.minimum.accumulate(np.where(last, at, len(v))[::-1])[::-1]
+        span = v[hi] - v[lo]
+        inner = np.flatnonzero(~(first | last) & (span > 0.0))
+        dist[order[inner]] += (v[inner + 1] - v[inner - 1]) / span[inner]
+        dist[order[first | last]] = np.inf
+    return dist.reshape(objs.shape[:-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,19 +213,30 @@ def tournament_winners(
 
 
 def draw_variation(
-    ranks: np.ndarray, crowding: np.ndarray, ga: GaConfig, n_vars: int, rng: RngStream
+    ranks: np.ndarray, crowding: np.ndarray, ga: GaConfig, n_vars: int, rng
 ) -> VariationDraws:
-    """Draw one generation's fixed-shape blocks, in the order written here; pick parents."""
-    pairs = ga.pop_size // 2
-    candidates = rng.integers(ga.pop_size, (pairs, 2, 2))
-    coins = rng.random((pairs, 2))
-    crosses = rng.random(pairs) < ga.crossover_prob
-    u_cross = rng.random((pairs, n_vars))
-    mutates = rng.random(ga.pop_size) < ga.mutation_prob
-    u_pick = rng.random((ga.pop_size, n_vars))
-    u_mutation = rng.random((ga.pop_size, n_vars))
+    """Draw one generation's fixed-shape blocks, in the order written here; pick parents.
+
+    ``rng`` is one stream, or one per run of a stack: ``ranks`` and
+    ``crowding`` then hold the runs' populations one after another, each
+    stream draws its run's blocks, and blocks and parents go run by run.
+    """
+    pairs, pop = ga.pop_size // 2, ga.pop_size
+    blocks = [
+        (s.integers(pop, (pairs, 2, 2)), s.random((pairs, 2)), s.random(pairs),
+         s.random((pairs, n_vars)), s.random(pop), s.random((pop, n_vars)), s.random((pop, n_vars)))
+        for s in as_streams(rng)
+    ]
+    candidates, coins, cross_u, u_cross, mutate_u, u_pick, u_mutation = (
+        np.concatenate(block) for block in zip(*blocks)
+    )
+    # each run's tournaments pick from its own population
+    candidates += np.arange(0, len(ranks), ga.pop_size).repeat(pairs)[:, None, None]
     parents = tournament_winners(candidates, coins, ranks, crowding)
-    return VariationDraws(parents, crosses, u_cross, mutates, u_pick, u_mutation)
+    return VariationDraws(
+        parents, cross_u < ga.crossover_prob, u_cross, mutate_u < ga.mutation_prob, u_pick,
+        u_mutation,
+    )
 
 
 def sbx_crossover(parents_a, parents_b, crosses, u) -> tuple[np.ndarray, np.ndarray]:
@@ -254,16 +273,19 @@ def polynomial_mutation(vectors, mutates, u_pick, u) -> np.ndarray:
     x = np.asarray(vectors, dtype=np.float64)
     if x.ndim != 2:
         raise ContractViolationError("vectors must be a (b, n) matrix")
-    u = np.asarray(u)
     pick = np.asarray(mutates, dtype=bool)[:, None] & (np.asarray(u_pick) < (1.0 / x.shape[1]))
+    # only the picked genes, about one per row: each gene's arithmetic is its own
+    u, genes = np.asarray(u)[pick], x[pick]
     # 1 - (1 - x) is not always x in floating point; the recorded bits need both forms
-    frac_high = 1.0 - x
+    frac_high = 1.0 - genes
     power = ETA_MUTATION + 1.0
     exponent = 1.0 / power
-    val_low = 2.0 * u + (1.0 - 2.0 * u) * (1.0 - x) ** power
+    val_low = 2.0 * u + (1.0 - 2.0 * u) * (1.0 - genes) ** power
     val_high = 2.0 * (1.0 - u) + (2.0 * u - 1.0) * (1.0 - frac_high) ** power
     delta = np.where(u < 0.5, val_low**exponent - 1.0, 1.0 - val_high**exponent)
-    return np.where(pick, np.clip(x + delta, 0.0, 1.0), x)
+    mutated = x.copy()
+    mutated[pick] = np.clip(genes + delta, 0.0, 1.0)
+    return mutated
 
 
 @dataclass(frozen=True)
@@ -321,51 +343,40 @@ class OptimizationResult:
         return data
 
 
-def _rank_population(objectives: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Front rank and crowding distance of every population member, in order."""
-    chosen, ranks, crowding = _survival(objectives, len(objectives))
-    order = np.argsort(chosen)
-    return ranks[order], crowding[order]
-
-
 def _survival(
     objectives: np.ndarray, target: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Truncate parents plus offspring to ``target`` by rank, then crowding.
 
-    Returns the chosen row indices with their ranks and crowding distances.
-    Whole fronts are taken while they fit; the first front that overflows is
-    cut by descending crowding distance, ties broken by position, which
-    keeps the truncation deterministic.
+    Each (n, m) matrix of the (runs, n, m) stack is truncated on its own.
+    Returns the chosen rows as indices into the stack's runs * n rows, with
+    their ranks and crowding distances, each (runs, target). Whole fronts
+    are taken while they fit, in row order; the first front that overflows
+    is cut by descending crowding distance, ties broken by position: one
+    stable sort on rank, then minus crowding within that front.
 
     The rank-0 survivors are exactly the survivors' non-dominated members:
     a rank-0 survivor is dominated by nobody in the larger set it was ranked
     in, and a survivor of rank r >= 1 was only kept after every earlier
     front was kept whole, so some survivor of rank r - 1 dominates it.
     """
-    chosen, ranks, crowd = [], [], []
-    count = 0
-    for rank, front in enumerate(fast_non_dominated_sort(objectives)):
-        front = np.array(front)
-        distances = crowding_distance(objectives[front])
-        if count + len(front) > target:
-            keep = np.argsort(-distances, kind="stable")[: target - count]
-            front, distances = front[keep], distances[keep]
-        chosen.append(front)
-        ranks.append(np.full(len(front), rank, dtype=np.int64))
-        crowd.append(distances)
-        count += len(front)
-        if count == target:
-            break
-    return np.concatenate(chosen), np.concatenate(ranks), np.concatenate(crowd)
+    ranks = fast_non_dominated_sort(objectives)
+    crowding = crowding_distance(objectives, ranks)
+    # the last survivor's front is cut by crowding only when it does not fit whole
+    last = np.sort(ranks, axis=-1)[:, target - 1, None]
+    overflows = (ranks <= last).sum(axis=-1, keepdims=True) > target
+    key = np.where((ranks == last) & overflows, -crowding, 0.0)
+    chosen = np.lexsort((key, ranks), axis=-1)[:, :target]
+    chosen += np.arange(0, ranks.size, ranks.shape[1])[:, None]
+    return chosen, ranks.ravel()[chosen], crowding.ravel()[chosen]
 
 
-def _generation_stats(
-    generation: int, objectives: np.ndarray, ranks: np.ndarray
-) -> GenerationStats:
-    front = objectives[ranks == 0]
-    hv = hypervolume_2d(front, DEFAULT_REFERENCE)
-    return GenerationStats(generation=generation, front_size=len(front), front_hypervolume=hv)
+def _first_fronts(objectives: np.ndarray, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Size and hypervolume of the first front of each population of a stack."""
+    front = ranks == 0
+    # the reference point itself adds no area
+    points = np.where(front[..., None], objectives, DEFAULT_REFERENCE)
+    return front.sum(axis=-1), hypervolume_2d(points, DEFAULT_REFERENCE)
 
 
 def run_optimization(
@@ -383,37 +394,58 @@ def run_optimization(
     offspring back to ``pop_size``. Total evaluations are therefore
     ``pop_size * (generations + 1)``, which is also the final history
     length. Identical arguments and seed reproduce the result bitwise; the
-    random stream is consumed in the module's draw-order contract.
+    random stream is consumed in the module's draw-order contract. This is
+    :func:`run_stack` with one run.
     """
-    history = EvaluationHistory(problem.n_vars, problem.n_objs)
-    initial = rng.random((ga.pop_size, problem.n_vars))
-    population = evaluator.evaluate(evaluate_noisy(problem, noise, initial, rng), history)
-    ranks, crowding = _rank_population(population.objectives)
-    trace = [_generation_stats(0, population.objectives, ranks)]
-    for generation in range(1, ga.generations + 1):
-        draws = draw_variation(ranks, crowding, ga, problem.n_vars, rng)
-        child_a, child_b = sbx_crossover(
-            population.variables[draws.parents[:, 0]],
-            population.variables[draws.parents[:, 1]],
-            draws.crosses,
-            draws.u_cross,
-        )
+    (result,) = run_stack(problem, noise, evaluator, ga, [rng])
+    return result
+
+
+def run_stack(
+    problem: ZdtProblem, noise: NoiseSpec, evaluator: Evaluator, ga: GaConfig, rngs
+) -> list[OptimizationResult]:
+    """Advance one run per stream of ``rngs`` together; return their results in that order.
+
+    The runs share problem, noise, evaluator and GA configuration: one cell
+    and arm of a grid. Every step works on their (runs, pop_size, .) arrays
+    at once, while each run draws only from its own stream and is averaged
+    only over its own history, so run r is bitwise ``run_optimization(...,
+    rngs[r])``.
+    """
+    streams = as_streams(rngs)
+    runs, pop, n = len(streams), ga.pop_size, problem.n_vars
+    history = EvaluationHistory(n, problem.n_objs, runs)
+
+    def evaluated(variables: np.ndarray) -> list[np.ndarray]:
+        batch = evaluator.evaluate(evaluate_noisy(problem, noise, variables, streams), history)
+        matrices = (batch.variables, batch.objectives, batch.raw_objectives)
+        return [m.reshape(runs, pop, -1) for m in matrices]
+
+    members = evaluated(np.concatenate([stream.random((pop, n)) for stream in streams]))
+    ranks = fast_non_dominated_sort(members[1])
+    crowding = crowding_distance(members[1], ranks)
+    fronts = [_first_fronts(members[1], ranks)]
+    for _ in range(ga.generations):
+        draws = draw_variation(ranks.ravel(), crowding.ravel(), ga, n, streams)
+        # np.take gathers rows several times faster than fancy indexing
+        parents = np.take(members[0].reshape(runs * pop, n), draws.parents.T, axis=0)
+        child_a, child_b = sbx_crossover(*parents, draws.crosses, draws.u_cross)
         # children in pair order: 2p from parent a, 2p + 1 from parent b
-        children = np.stack((child_a, child_b), axis=1).reshape(ga.pop_size, problem.n_vars)
+        children = np.stack((child_a, child_b), axis=1).reshape(runs * pop, n)
         children = polynomial_mutation(children, draws.mutates, draws.u_pick, draws.u_mutation)
-        offspring = evaluator.evaluate(evaluate_noisy(problem, noise, children, rng), history)
-        combined = population.concat(offspring)
-        chosen, ranks, crowding = _survival(combined.objectives, ga.pop_size)
-        population = combined.take(chosen)
-        trace.append(_generation_stats(generation, population.objectives, ranks))
-    return OptimizationResult(
-        problem=problem,
-        noise=noise,
-        evaluator_label=evaluator.label,
-        ga=ga,
-        seed=rng.seed,
-        population=population,
-        nondominated=population.take(ranks == 0),
-        history=history,
-        trace=trace,
-    )
+        combined = [np.concatenate(pair, axis=1) for pair in zip(members, evaluated(children))]
+        chosen, ranks, crowding = _survival(combined[1], pop)
+        members = [np.take(m.reshape(2 * runs * pop, -1), chosen, axis=0) for m in combined]
+        fronts.append(_first_fronts(members[1], ranks))
+    sizes, volumes = (np.stack(column, axis=1) for column in zip(*fronts))
+    return [
+        OptimizationResult(
+            problem, noise, evaluator.label, ga, stream.seed,
+            population=Batch(*(m[r] for m in members)),
+            nondominated=Batch(*(m[r][ranks[r] == 0] for m in members)),
+            history=own_history,
+            trace=[GenerationStats(g, int(size), float(hv))
+                   for g, (size, hv) in enumerate(zip(sizes[r], volumes[r]))],
+        )
+        for r, (stream, own_history) in enumerate(zip(streams, history.split()))
+    ]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Batch, ContractViolationError, RngStream, as_count, as_real
+from .core import Batch, ContractViolationError, as_count, as_real, as_streams
 
 __all__ = [
     "ZDT_VARIANTS",
@@ -81,7 +81,8 @@ def _checked_variables(problem: ZdtProblem, x) -> np.ndarray:
             f"decision vectors have shape {x.shape}; expected {problem.n_vars} values "
             "per vector in an array of 1 or 2 dimensions"
         )
-    if np.any(x < 0.0) or np.any(x > 1.0):
+    # one reduction, and NaN fails both comparisons
+    if not np.all((x >= 0.0) & (x <= 1.0)):
         raise ContractViolationError("decision variables must lie in [0, 1]")
     return x
 
@@ -108,21 +109,25 @@ def evaluate_true(problem: ZdtProblem, x) -> np.ndarray:
     return np.stack((f1, g * h), axis=-1)
 
 
-def evaluate_noisy(problem: ZdtProblem, noise: NoiseSpec, x, rng: RngStream) -> Batch:
+def evaluate_noisy(problem: ZdtProblem, noise: NoiseSpec, x, rng) -> Batch:
     """One noisy objective sample of each row of the (b, n) matrix ``x``.
 
-    Adds an independent N(0, sigma^2) draw to each true objective. The
-    draws are ``standard_normal((b, 2))``: row by row, two per row
-    regardless of sigma, which consumes the stream exactly as b single-row
-    calls would, so evaluation order fully determines the stream position.
+    Adds an independent N(0, sigma^2) draw to each true objective. ``rng``
+    is one ``RngStream``, or one per run of a stack whose rows ``x`` holds
+    in equal blocks. Each stream draws ``standard_normal((rows, 2))`` for
+    its block: two per row regardless of sigma, exactly as single-row calls
+    would, so evaluation order fully determines the stream position.
     """
     x = np.asarray(x, dtype=np.float64)
     expected = evaluate_true(problem, x)
-    if expected.ndim != 2:
+    streams = as_streams(rng)
+    if expected.ndim != 2 or not streams or len(x) % len(streams):
         raise ContractViolationError(
-            f"noisy evaluation takes a (b, {problem.n_vars}) matrix; got shape {x.shape}"
+            f"noisy evaluation takes a (b, {problem.n_vars}) matrix with an equal block of "
+            f"rows per stream; got shape {x.shape} for {len(streams)} streams"
         )
-    draws = rng.standard_normal((x.shape[0], problem.n_objs))
+    block = (len(x) // len(streams), problem.n_objs)
+    draws = np.concatenate([s.standard_normal(block) for s in streams])
     raw = expected + noise.sigma * draws
     return Batch(variables=x, objectives=raw, raw_objectives=raw)
 

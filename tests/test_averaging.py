@@ -509,7 +509,8 @@ def assert_matches_definition(x, raws, n_prior, k, pick_max_dist):
     config = KnnConfig(k=k, max_dist=pick_max_dist(distances))
     expected = reference_average(reference_history, rows, config, distances)
 
-    kept = zip(*_neighbor_pairs(records, rows, variances, config.max_dist))
+    _, *pairs = _neighbor_pairs(records[None], rows, variances[None], config.max_dist)
+    kept = zip(*pairs)
     q_idx, r_idx = np.nonzero(distances <= config.max_dist)
     within = zip(q_idx, r_idx, distances[q_idx, r_idx])
     assert sorted((int(q), int(r), float(d)) for q, r, d in kept) == sorted(

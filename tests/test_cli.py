@@ -129,14 +129,14 @@ class TestSingle:
         assert err.value.code == 1
 
     def test_out_into_missing_directory(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(experiment, "run_optimization", refuse_to_run)
+        monkeypatch.setattr(experiment, "run_stack", refuse_to_run)
         target = tmp_path / "missing" / "run.json"
         assert run_cli(SINGLE_BASE + ["--out", str(target)]) == 1
         assert f"error: cannot write {target}" in capsys.readouterr().err
         assert not target.parent.exists()
 
     def test_non_finite_reference_rejected_before_the_run(self, capsys, monkeypatch):
-        monkeypatch.setattr(experiment, "run_optimization", refuse_to_run)
+        monkeypatch.setattr(experiment, "run_stack", refuse_to_run)
         assert run_cli(SINGLE_BASE + ["--reference", "inf,inf"]) == 1
         captured = capsys.readouterr()
         assert "error: reference point needs two finite coordinates" in captured.err
@@ -148,14 +148,14 @@ class TestSingle:
          (["--k", "0", "--max-dist", "0.25"], "k must be at least 1")],
     )
     def test_bad_seed_or_k_rejected_before_the_run(self, capsys, monkeypatch, changed, message):
-        monkeypatch.setattr(experiment, "run_optimization", refuse_to_run)
+        monkeypatch.setattr(experiment, "run_stack", refuse_to_run)
         assert run_cli(SINGLE_BASE + changed) == 1  # a repeated flag's last value wins
         captured = capsys.readouterr()
         assert f"error: {message}" in captured.err
         assert captured.out == ""
 
     def test_front_samples_below_two_rejected_before_the_run(self, capsys, monkeypatch):
-        monkeypatch.setattr(experiment, "run_optimization", refuse_to_run)
+        monkeypatch.setattr(experiment, "run_stack", refuse_to_run)
         assert run_cli(SINGLE_BASE + ["--front-samples", "1"]) == 1
         captured = capsys.readouterr()
         assert "error: front sample size must be at least 2" in captured.err
@@ -169,14 +169,16 @@ RUN_FLAGS = [
 ]
 
 REAL_GRID_WORKER = experiment._grid_worker
-DOOMED_RUN = "zdt1-n2-s0.2-p10-g5-baseline-r3"
+# a run of the last of three stacks (baseline, k=3, k=5): on two workers it
+# starts only after an earlier stack has finished
+DOOMED_RUN = "zdt1-n2-s0.2-p10-g5-knn-k5-md0.25-r3"
 
 
-def die_on_one_run(config, *args):
+def die_on_one_run(configs, *args):
     """Grid worker whose process dies without a word on one run, as when the OS kills it."""
-    if config.fingerprint == DOOMED_RUN:
+    if DOOMED_RUN in [c.fingerprint for c in configs]:
         os._exit(1)
-    return REAL_GRID_WORKER(config, *args)
+    return REAL_GRID_WORKER(configs, *args)
 
 
 def results_table(out_dir):
@@ -232,7 +234,7 @@ class TestRun:
         argv = RUN_FLAGS + ["--reps", "2", "--out", str(tmp_path)]
         assert run_cli(argv) == 0
         capsys.readouterr()
-        monkeypatch.setattr(experiment, "run_optimization", refuse_to_run)
+        monkeypatch.setattr(experiment, "run_stack", refuse_to_run)
         assert run_cli(["ZDT1" if arg == "zdt1" else arg for arg in argv]) == 0
         assert "skipped 4 already persisted runs" in capsys.readouterr().out
 
@@ -245,7 +247,7 @@ class TestRun:
 
     def test_non_finite_reference_rejected_before_any_run(self, tmp_path, capsys, monkeypatch):
         # nan != nan: persisted, such rows could never be reported together
-        monkeypatch.setattr(experiment, "run_optimization", refuse_to_run)
+        monkeypatch.setattr(experiment, "run_stack", refuse_to_run)
         out = tmp_path / "grid"
         assert run_cli(RUN_FLAGS + ["--reps", "2", "--reference", "1,nan", "--out", str(out)]) == 1
         captured = capsys.readouterr()
@@ -254,7 +256,7 @@ class TestRun:
         assert not out.exists()
 
     def test_front_samples_below_two_rejected_before_any_run(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(experiment, "run_optimization", refuse_to_run)
+        monkeypatch.setattr(experiment, "run_stack", refuse_to_run)
         out = tmp_path / "grid"
         assert run_cli(RUN_FLAGS + ["--reps", "2", "--front-samples", "1", "--out", str(out)]) == 1
         captured = capsys.readouterr()
@@ -377,11 +379,12 @@ class TestRun:
 
     def test_dead_worker_stops_the_grid_and_resumes(self, tmp_path, capsys, caplog, monkeypatch):
         out = tmp_path / "grid"
-        argv = RUN_FLAGS + ["--reps", "5", "--out", str(out), "--parallelism", "2", "--report"]
+        flags = RUN_FLAGS + ["--ks", "3,5", "--reps", "5"]
+        argv = flags + ["--out", str(out), "--parallelism", "2", "--report"]
         monkeypatch.setattr(experiment, "_grid_worker", die_on_one_run)
         assert run_cli(argv) == 2
         persisted = results_table(out)
-        unfinished = 10 - len(persisted)
+        unfinished = 15 - len(persisted)
         assert DOOMED_RUN not in persisted and unfinished >= 1
         # the runs the dead pool could not finish are not failures
         assert not (out / "failures.csv").exists()
@@ -391,8 +394,8 @@ class TestRun:
 
         monkeypatch.undo()
         assert run_cli(argv) == 0
-        assert f"skipped {10 - unfinished} already persisted runs" in capsys.readouterr().out
-        assert run_cli(RUN_FLAGS + ["--reps", "5", "--out", str(tmp_path / "serial")]) == 0
+        assert f"skipped {15 - unfinished} already persisted runs" in capsys.readouterr().out
+        assert run_cli(flags + ["--out", str(tmp_path / "serial")]) == 0
         assert results_table(out) == results_table(tmp_path / "serial")
 
 

@@ -16,7 +16,7 @@ from knnavg.core import (
     dominance_matrix,
 )
 from knnavg.experiment import ExperimentGrid
-from knnavg.metrics import MetricReport, as_reference, compute_report
+from knnavg.metrics import MetricReport, as_reference, compute_report, hypervolume_2d
 from knnavg.nsga2 import GaConfig
 from knnavg.problems import NoiseSpec, ZdtProblem, evaluate_noisy, true_front
 from oracles import dominates
@@ -163,6 +163,8 @@ REALS = {
     "MetricReport.reference_point":
         lambda v: metric_report_with(reference_point=(v, 11.0)).reference_point[0],
     "as_reference": lambda v: as_reference((11.0, v))[1],
+    # the area of the unit-high strip under (v, 1) dominated by the origin is v
+    "hypervolume_2d.reference": lambda v: hypervolume_2d([[0.0, 0.0]], (v, 1.0)),
     "compute_report.reference": lambda v: compute_report(
         Batch(np.full((1, 2), 0.5), np.ones((1, 2)), np.ones((1, 2))), ZdtProblem("zdt1", 2),
         NoiseSpec(0.0), reference=(v, 11.0), front_sample_size=2,

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import knnavg.experiment as experiment
 from knnavg import core
+from knnavg.averaging import history_rows
 from knnavg.core import ContractViolationError
 from knnavg.experiment import (
     ARM_BASELINE,
@@ -30,6 +31,7 @@ from knnavg.experiment import (
     load_results,
     report,
     run_grid,
+    write_history_csv,
     write_report_files,
 )
 from knnavg.metrics import DEFAULT_FRONT_SAMPLE_SIZE, MetricReport, compute_report
@@ -70,11 +72,11 @@ REAL_GRID_WORKER = experiment._grid_worker
 FAULTY_RUN = expand_grid(tiny_grid())[1].fingerprint
 
 
-def fail_one_run(config, *args):
-    """Grid worker that raises on one run; importable, so pool workers can run it."""
-    if config.fingerprint == FAULTY_RUN:
+def fail_one_run(configs, *args):
+    """Grid worker that raises on a stack holding one run; importable, so pool workers can run it."""
+    if FAULTY_RUN in [c.fingerprint for c in configs]:
         raise RuntimeError("synthetic fault")
-    return REAL_GRID_WORKER(config, *args)
+    return REAL_GRID_WORKER(configs, *args)
 
 
 CUT_GRID = tiny_grid(repetitions=1, generations=2)
@@ -277,7 +279,7 @@ class TestRunGrid:
     def test_non_finite_reference_rejected_before_anything_runs(
         self, tmp_path, monkeypatch, reference
     ):
-        monkeypatch.setattr(experiment, "run_optimization", refuse_to_run)
+        monkeypatch.setattr(experiment, "run_stack", refuse_to_run)
         out = tmp_path / "grid"
         with pytest.raises(ContractViolationError, match="two finite coordinates"):
             run_grid(tiny_grid(), out_dir=out, reference=reference)
@@ -289,7 +291,7 @@ class TestRunGrid:
     def test_front_sample_size_below_two_rejected_before_anything_runs(
         self, tmp_path, monkeypatch, size
     ):
-        monkeypatch.setattr(experiment, "run_optimization", refuse_to_run)
+        monkeypatch.setattr(experiment, "run_stack", refuse_to_run)
         out = tmp_path / "grid"
         with pytest.raises(ContractViolationError, match="front sample size"):
             run_grid(tiny_grid(), out_dir=out, front_sample_size=size)
@@ -314,7 +316,7 @@ class TestRunGrid:
         manifest = tmp_path / MANIFEST_FILENAME
         manifest.write_text(json.dumps({**json.loads(manifest.read_text()), key: value}))
         table = (tmp_path / RESULTS_FILENAME).read_bytes()
-        monkeypatch.setattr(experiment, "run_optimization", refuse_to_run)
+        monkeypatch.setattr(experiment, "run_stack", refuse_to_run)
         with pytest.raises(ContractViolationError, match=f"differs from this package in {key} "):
             run_grid(grid, out_dir=tmp_path)
         assert (tmp_path / RESULTS_FILENAME).read_bytes() == table
@@ -350,7 +352,7 @@ class TestRunGrid:
         else:
             table.write_bytes(table.read_bytes()[:-40])
         before = {path.name: path.read_bytes() for path in out.iterdir()}
-        monkeypatch.setattr(experiment, "run_optimization", refuse_to_run)
+        monkeypatch.setattr(experiment, "run_stack", refuse_to_run)
         size = 64 if "settings" in case else DEFAULT_FRONT_SAMPLE_SIZE
         with pytest.raises(ContractViolationError, match=refusal):
             run_grid(grid, out_dir=out, front_sample_size=size)
@@ -361,7 +363,7 @@ class TestRunGrid:
         grid = tiny_grid()
         run_grid(grid, out_dir=tmp_path)
         (tmp_path / MANIFEST_FILENAME).unlink()
-        monkeypatch.setattr(experiment, "run_optimization", refuse_to_run)
+        monkeypatch.setattr(experiment, "run_stack", refuse_to_run)
         with pytest.raises(ContractViolationError, match="stream version 1.*another output"):
             run_grid(grid, out_dir=tmp_path)
         assert not (tmp_path / MANIFEST_FILENAME).exists()
@@ -438,6 +440,31 @@ class TestRunGrid:
             assert s.metrics.igd_mean_adjusted == p.metrics.igd_mean_adjusted
             assert s.metrics.delta_f == p.metrics.delta_f
 
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_stacks_persist_each_run_as_executed_alone(self, tmp_path, parallelism):
+        grid = tiny_grid(problems=("zdt1", "zdt3"), ks=(1, 3), repetitions=3)
+        out = tmp_path / "grid"
+        run_grid(grid, parallelism=parallelism, out_dir=out, include_histories=True)
+        persisted = {row["fingerprint"]: row for row in table_rows(out / RESULTS_FILENAME)}
+        assert len(persisted) == 18
+        for config in expand_grid(grid):
+            alone = execute_run(config, keep_optimization=True)
+            row = experiment._result_row(alone)
+            del row["duration_s"]
+            assert persisted[config.fingerprint] == row
+            write_history_csv(tmp_path / "alone.csv", alone.optimization)
+            stacked = out / HISTORY_DIRNAME / f"{config.fingerprint}.csv"
+            assert stacked.read_bytes() == (tmp_path / "alone.csv").read_bytes()
+
+    def test_history_csv_is_what_csv_writer_writes(self, tmp_path):
+        config = expand_grid(tiny_grid(sigmas=(1.0,)))[2]
+        optimization = execute_run(config, keep_optimization=True).optimization
+        write_history_csv(tmp_path / "history.csv", optimization)
+        with (tmp_path / "reference.csv").open("w", newline="") as handle:
+            header, rows = history_rows(optimization.history)
+            csv.writer(handle).writerows([header] + rows)
+        assert (tmp_path / "history.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
     def test_failing_run_recorded_alike_serial_and_pooled(self, tmp_path, monkeypatch):
         monkeypatch.setattr(experiment, "_grid_worker", fail_one_run)
         tables = []
@@ -456,7 +483,7 @@ class TestRunGrid:
             FAULTY_RUN: {"fingerprint": FAULTY_RUN, "error": "RuntimeError: synthetic fault"}
         }
 
-    def test_no_more_pool_workers_than_pending_runs(self, tmp_path, monkeypatch):
+    def test_no_more_pool_workers_than_pending_stacks(self, tmp_path, monkeypatch):
         sizes = []
 
         class RecordingPool(experiment.ProcessPoolExecutor):
@@ -467,11 +494,16 @@ class TestRunGrid:
         grid = tiny_grid()
         run_grid(grid, out_dir=tmp_path)
         path = tmp_path / RESULTS_FILENAME
-        path.write_bytes(b"".join(path.read_bytes().splitlines(keepends=True)[:4]))
+        lines = path.read_bytes().splitlines(keepends=True)
         monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+        # the second baseline run and both k-NN runs: two stacks
+        path.write_bytes(b"".join(lines[:2]))
+        assert len(run_grid(grid, parallelism=8, out_dir=tmp_path).results) == 3
+        # the second k-NN run alone: one stack
+        path.write_bytes(b"".join(lines[:4]))
         assert len(run_grid(grid, parallelism=8, out_dir=tmp_path).results) == 1
         assert run_grid(grid, parallelism=8, out_dir=tmp_path).skipped == 4
-        assert sizes == [1]  # one worker for one pending run, no pool for none
+        assert sizes == [2, 1]  # one worker per pending stack, no pool for none
 
     def test_round_trip_preserves_metrics_exactly(self, tmp_path):
         outcome = run_grid(tiny_grid(), out_dir=tmp_path)
@@ -514,10 +546,10 @@ class TestRunGrid:
         victim = expand_grid(grid)[1].fingerprint
         real_worker = experiment._grid_worker
 
-        def flaky(config, reference, front_sample_size, history_path):
-            if config.fingerprint == victim:
+        def flaky(configs, reference, front_sample_size, history_paths):
+            if victim in [c.fingerprint for c in configs]:
                 raise RuntimeError("synthetic fault")
-            return real_worker(config, reference, front_sample_size, history_path)
+            return real_worker(configs, reference, front_sample_size, history_paths)
 
         monkeypatch.setattr(experiment, "_grid_worker", flaky)
         outcome = run_grid(grid, out_dir=tmp_path)

@@ -31,7 +31,7 @@ import pytest
 import knnavg
 from knnavg.averaging import KnnConfig
 from knnavg.core import STREAM_VERSION, RngStream
-from knnavg.nsga2 import GaConfig, KnnAveraged, PlainNoisy, run_optimization
+from knnavg.nsga2 import GaConfig, KnnAveraged, PlainNoisy, run_stack
 from knnavg.problems import NoiseSpec, ZdtProblem
 
 
@@ -147,7 +147,9 @@ def _f8(values) -> bytes:
     return np.ascontiguousarray(values, dtype="<f8").tobytes()
 
 
-def run_digest(name: str) -> str:
+def run_digest(name: str, stack_seeds: tuple[int, ...] = ()) -> str:
+    """Digest of a cell's run; with ``stack_seeds`` the run is advanced
+    between runs of those seeds in one stack."""
     case = CASES[name]
     evaluator = (
         PlainNoisy() if case.k is None
@@ -157,10 +159,12 @@ def run_digest(name: str) -> str:
         pop_size=case.pop_size, generations=case.generations,
         crossover_prob=case.crossover_prob, mutation_prob=case.mutation_prob,
     )
-    result = run_optimization(
+    seeds = stack_seeds[:1] + (case.seed,) + stack_seeds[1:]
+    results = run_stack(
         ZdtProblem(case.problem, case.n_vars), NoiseSpec(case.sigma), evaluator, ga,
-        RngStream(case.seed),
+        [RngStream(seed) for seed in seeds],
     )
+    result = results[min(1, len(stack_seeds))]
     h = hashlib.sha256()
     population = result.population
     # the recorded digests hash each row's variables, objectives and raw objectives in turn
@@ -183,6 +187,12 @@ def test_stream_version_matches_recorded_digests():
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_digest(name):
     assert run_digest(name) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_digest_inside_a_stack(name):
+    # two other runs of the cell around it share every array of the loop
+    assert run_digest(name, stack_seeds=(CASES[name].seed + 1, 2**64 - 1)) == GOLDEN[name]
 
 
 def test_k1_digest_equals_plain():

@@ -20,6 +20,7 @@ from knnavg.nsga2 import (
     fast_non_dominated_sort,
     polynomial_mutation,
     run_optimization,
+    run_stack,
     sbx_crossover,
     tournament_winners,
 )
@@ -36,29 +37,40 @@ def random_objectives(rng, count, spread=2.0):
     return rng.random((count, 2)) * spread
 
 
+def front_lists(objectives):
+    """The fronts of ``fast_non_dominated_sort``'s ranks, each as ascending row indices."""
+    ranks = fast_non_dominated_sort(objectives)
+    return [np.flatnonzero(ranks == rank).tolist() for rank in range(ranks.max(initial=-1) + 1)]
+
+
+def one_front_crowding(front):
+    """Crowding distances of rows that all lie on one front."""
+    return crowding_distance(front, np.zeros(len(front), dtype=np.int64))
+
+
 class TestFastNonDominatedSort:
     def test_chain(self):
-        fronts = fast_non_dominated_sort(rows([0.0, 0.0], [1.0, 1.0], [2.0, 2.0]))
+        fronts = front_lists(rows([0.0, 0.0], [1.0, 1.0], [2.0, 2.0]))
         assert fronts == [[0], [1], [2]]
 
     def test_incomparable_pair_shares_front(self):
-        assert fast_non_dominated_sort(rows([0.0, 1.0], [1.0, 0.0])) == [[0, 1]]
+        assert front_lists(rows([0.0, 1.0], [1.0, 0.0])) == [[0, 1]]
 
     def test_mixed_example(self):
-        fronts = fast_non_dominated_sort(rows([1.0, 1.0], [2.0, 2.0], [0.0, 3.0]))
+        fronts = front_lists(rows([1.0, 1.0], [2.0, 2.0], [0.0, 3.0]))
         assert fronts == [[0, 2], [1]]
 
     def test_empty_population(self):
-        assert fast_non_dominated_sort(np.empty((0, 2))) == []
+        assert front_lists(np.empty((0, 2))) == []
 
     def test_duplicates_share_front(self):
-        fronts = fast_non_dominated_sort(rows([1.0, 1.0], [1.0, 1.0]))
+        fronts = front_lists(rows([1.0, 1.0], [1.0, 1.0]))
         assert fronts == [[0, 1]]
 
     def test_partition_property(self):
         rng = RngStream(85)
         for _ in range(20):
-            fronts = fast_non_dominated_sort(random_objectives(rng, 30))
+            fronts = front_lists(random_objectives(rng, 30))
             flat = [i for front in fronts for i in front]
             assert sorted(flat) == list(range(30))
             for front in fronts:
@@ -68,7 +80,7 @@ class TestFastNonDominatedSort:
         rng = RngStream(86)
         for _ in range(20):
             objs = random_objectives(rng, 25).tolist()
-            fronts = fast_non_dominated_sort(np.array(objs))
+            fronts = front_lists(np.array(objs))
             for i in fronts[0]:
                 assert not any(dominates(q, objs[i]) for q in objs)
 
@@ -76,7 +88,7 @@ class TestFastNonDominatedSort:
         rng = RngStream(87)
         for _ in range(20):
             objs = random_objectives(rng, 25).tolist()
-            fronts = fast_non_dominated_sort(np.array(objs))
+            fronts = front_lists(np.array(objs))
             for prev, front in zip(fronts, fronts[1:]):
                 for i in front:
                     assert any(dominates(objs[j], objs[i]) for j in prev)
@@ -85,7 +97,7 @@ class TestFastNonDominatedSort:
         rng = RngStream(88)
         for _ in range(20):
             objs = random_objectives(rng, 25).tolist()
-            for front in fast_non_dominated_sort(np.array(objs)):
+            for front in front_lists(np.array(objs)):
                 for i in front:
                     for j in front:
                         assert not dominates(objs[i], objs[j])
@@ -117,7 +129,7 @@ class TestSurvival:
     @given(survival_cases())
     def test_rank0_survivors_are_the_survivors_front(self, case):
         combined, target = case
-        chosen, ranks, _ = _survival(combined, target)
+        chosen, ranks, _ = (part[0] for part in _survival(combined[None], target))
         assert len(chosen) == target
         undominated = ~dominance_matrix(combined[chosen]).any(axis=0)
         assert np.array_equal(ranks == 0, undominated)
@@ -126,35 +138,35 @@ class TestSurvival:
 class TestCrowdingDistance:
     def test_boundary_and_interior(self):
         # interior point spans the full range in both objectives: 1 + 1
-        d = crowding_distance(rows([0.0, 1.0], [0.5, 0.5], [1.0, 0.0]))
+        d = one_front_crowding(rows([0.0, 1.0], [0.5, 0.5], [1.0, 0.0]))
         assert d[0] == np.inf
         assert d[2] == np.inf
         assert d[1] == pytest.approx(2.0)
 
     def test_small_fronts_all_infinite(self):
-        assert np.all(np.isposinf(crowding_distance(rows([0.0, 0.0]))))
-        assert np.all(np.isposinf(crowding_distance(rows([0.0, 1.0], [1.0, 0.0]))))
+        assert np.all(np.isposinf(one_front_crowding(rows([0.0, 0.0]))))
+        assert np.all(np.isposinf(one_front_crowding(rows([0.0, 1.0], [1.0, 0.0]))))
 
     def test_empty_front_rejected(self):
         with pytest.raises(ContractViolationError):
-            crowding_distance(np.empty((0, 2)))
+            one_front_crowding(np.empty((0, 2)))
 
     def test_denser_region_scores_lower(self):
         # the point crowded by close neighbors gets a smaller distance
-        d = crowding_distance(
+        d = one_front_crowding(
             rows([0.0, 1.0], [0.1, 0.9], [0.2, 0.8], [1.0, 0.0])
         )
         assert d[1] < d[2]
 
     def test_constant_objective_contributes_nothing(self):
-        d = crowding_distance(rows([0.0, 5.0], [0.5, 5.0], [1.0, 5.0]))
+        d = one_front_crowding(rows([0.0, 5.0], [0.5, 5.0], [1.0, 5.0]))
         assert d[1] == pytest.approx(1.0)
 
     def test_interior_formula(self):
         rng = RngStream(89)
         for _ in range(20):
             objs = random_objectives(rng, 8)
-            d = crowding_distance(objs)
+            d = one_front_crowding(objs)
             expected = np.zeros(8)
             for m in range(2):
                 order = np.argsort(objs[:, m], kind="stable")
@@ -566,6 +578,35 @@ class TestRunOptimization:
         result = small_run(seed=18)
         objs = result.nondominated.objectives
         assert result.trace[-1].front_hypervolume == hypervolume_2d(objs, (11.0, 11.0))
+
+
+class TestRunStack:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        run_cases(),
+        st.sampled_from([None, 1, 3, 12]),
+        st.sampled_from([0.05, 0.25, 1.0, 5.0]),
+        st.lists(st.integers(0, 2**64 - 1), max_size=3),
+    )
+    def test_each_run_of_a_stack_is_the_run_alone(self, case, k, max_dist, more_seeds):
+        problem, noise, ga, seed = case
+        evaluator = PlainNoisy() if k is None else KnnAveraged(KnnConfig(k, max_dist))
+        seeds = [seed] + more_seeds
+        stack = run_stack(problem, noise, evaluator, ga, [RngStream(s) for s in seeds])
+        assert [result.seed for result in stack] == seeds
+        for s, result in zip(seeds, stack):
+            alone = run_optimization(problem, noise, evaluator, ga, RngStream(s))
+            assert run_bytes(result) == run_bytes(alone)
+
+    def test_each_stream_advances_as_in_its_run_alone(self):
+        problem, ga = ZdtProblem("zdt2", 3), GaConfig(pop_size=6, generations=4)
+        evaluator = KnnAveraged(KnnConfig(k=4, max_dist=1.0))
+        streams = [RngStream(seed) for seed in (5, 6, 5)]
+        run_stack(problem, NoiseSpec(0.1), evaluator, ga, streams)
+        alone = [RngStream(seed) for seed in (5, 6, 5)]
+        for stream in alone:
+            run_optimization(problem, NoiseSpec(0.1), evaluator, ga, stream)
+        assert [s.random() for s in streams] == [s.random() for s in alone]
 
 
 class TestOptimizationResultSerialization:

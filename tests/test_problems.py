@@ -83,6 +83,14 @@ class TestEvaluateTrue:
         with pytest.raises(ContractViolationError):
             evaluate_true(problem, [-0.1, 0.0])
 
+    @pytest.mark.parametrize("value", [np.nan, -np.inf, np.inf])
+    def test_non_numbers_rejected(self, value):
+        # NaN fails both bound comparisons, so it used to pass the check and
+        # score as [[nan, nan]]
+        for x in ([[value, 0.5]], [[0.5, value]], [value, 0.5]):
+            with pytest.raises(ContractViolationError, match=r"\[0, 1\]"):
+                evaluate_true(ZdtProblem("zdt1", 2), x)
+
     def test_wrong_length_rejected(self):
         with pytest.raises(ContractViolationError):
             evaluate_true(ZdtProblem("zdt1", 3), [0.5, 0.5])
