@@ -36,16 +36,18 @@ Numerics contract, which seeded runs depend on bit for bit:
   taken strictly left to right in elementwise floating point. A solution
   whose only kept neighbor is itself keeps its raw sample bitwise.
 
-A screen finds the candidate pairs with one matrix product on the
-history's coordinates scaled by 1/sqrt(var), with a slack over twice a
-first-order bound on its rounding error (derived in
+A screen finds the candidate pairs with one matrix product of the batch,
+weighted by 1/var, and the history buffer itself, with a slack over twice
+a first-order bound on its rounding error (derived in
 :func:`_neighbor_pairs`), so it never drops a pair within ``max_dist``.
 Only the exact distance decides which pairs are kept, and the weighting
 uses no BLAS call, so results depend neither on how the BLAS orders its
 sums nor on its thread count or CPU kernel.
 
 Averaging a batch of b solutions over a history of n records holds
-O(b * n) memory, independent of the number of dimensions.
+O(b * n) memory, independent of the number of dimensions. The screen's
+product and mask are the largest part; the history holds them once and
+reuses them from batch to batch.
 """
 
 from __future__ import annotations
@@ -129,6 +131,9 @@ class EvaluationHistory:
         self._folded = 0  # batches merged into the running moments
         self._sum = np.zeros((self.runs, self.n_vars))
         self._m2 = np.zeros((self.runs, self.n_vars))
+        # the neighbour screen's product and mask, reused from batch to batch
+        self._product = np.empty(0)
+        self._mask = np.empty(0, dtype=bool)
 
     def __len__(self) -> int:
         return self._size
@@ -206,6 +211,18 @@ class EvaluationHistory:
             parts.append(part)
         return parts
 
+    def _screen_buffers(self, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """The screen's float64 product and bool mask as contiguous ``shape`` arrays.
+
+        Both grow to at least twice their old size when too small, so a
+        growing history reallocates them O(log n) times.
+        """
+        need = int(np.prod(shape))
+        if need > self._product.size:
+            size = max(need, 2 * self._product.size)
+            self._product, self._mask = np.empty(size), np.empty(size, dtype=bool)
+        return self._product[:need].reshape(shape), self._mask[:need].reshape(shape)
+
     def _fold(self) -> None:
         """Merge the batches appended since the last fold, one at a time in batch order."""
         if not len(self):
@@ -266,43 +283,45 @@ def _pair_distances(a: np.ndarray, b: np.ndarray, variances: np.ndarray) -> np.n
     return np.sqrt(acc)
 
 
-# Elements of the screen's product and scaled records one step may hold (32
-# MiB of float64): a larger stack is screened a few runs at a time.
+# Elements of the screen's product one step may hold (32 MiB of float64): a
+# larger stack is screened a few runs at a time.
 SCREEN_BUDGET = 1 << 22
 
 
 def _neighbor_pairs(
-    records: np.ndarray, rows: slice, variances: np.ndarray, max_dist: float
+    history: EvaluationHistory, rows: slice, max_dist: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Every (run, query, record) triple within ``max_dist``, with its exact distance.
 
-    ``records`` is (runs, n, d) and ``variances`` (runs, d); a run's queries
-    are its ``records[rows]``, indexed by position in ``rows``, and its
-    history ends with them: rows past ``rows.stop`` are ignored. A screen
-    first keeps every pair that may lie within ``max_dist``; the survivors
-    are then measured exactly and cut at ``max_dist``. Over the k dimensions
-    with spread, coordinates are scaled by 1/sqrt(var), giving q' and r',
-    and the screen evaluates the product form |q'|^2 + |r'|^2 - 2 q'.r'
-    with one matrix product per run. A pair passes when this is at most
-    ``max_dist**2`` plus a slack ``c * (|q'|^2 + |r'|^2)``, c = 16 (k + 8) u
-    with u = 2**-53.
+    A run's queries are its records in ``rows``, the batch appended last,
+    indexed by position in ``rows``. A screen first keeps every pair that
+    may lie within ``max_dist``; the survivors are then measured exactly and
+    cut at ``max_dist``. With w_j = 1/var_j over the k dimensions with
+    spread and 0 elsewhere, the screen evaluates the product form
+    |q|_w^2 + |r|_w^2 - 2 (q w).r on the history buffer itself, with one
+    matrix product per run. A pair passes when this is at most
+    ``max_dist**2`` plus a slack ``c * (|q|_w^2 + |r|_w^2)``,
+    c = 16 (k + 8) u with u = 2**-53. The product and mask live in the
+    history's reused workspace.
 
     Why the slack suffices. Let S be the exact standardized squared
-    distance and N = |q'|^2 + |r'|^2. Since S <= 2N (to first order), a
-    pair with ``max_dist**2 > 3N`` passes outright, so take
-    ``max_dist**2 <= 3N``. To first order in u:
+    distance and N = |q|_w^2 + |r|_w^2. Since S <= 2N, a pair with
+    ``max_dist**2 > 3N`` passes outright, so take ``max_dist**2 <= 3N``.
+    To first order in u:
 
     - The exact distance sums k non-negative terms of three roundings each
       and takes a sqrt, so ``distance <= max_dist`` gives
       S <= max_dist**2 (1 + (k + 6) u) <= max_dist**2 + 3 (k + 6) u N.
-    - Each scaled coordinate x_j s_j carries three roundings (sqrt,
-      reciprocal, product) and q'_j, r'_j share s_j: |q' - r'|^2 <= S + 16 u N.
-    - The two squared norms err by at most k u N together and the doubled
-      product by at most k u N, whatever summation order or fused
-      multiply-add the BLAS uses; the five remaining roundings of the test
-      add at most 5 u (2N + max_dist**2) <= 25 u N.
+    - Each w_j carries one rounding. A norm term r_j r_j w_j adds two
+      more and its sum k - 1, so the two norms err by at most (k + 3) u N
+      together. Each q_j (-2 w_j) adds one more (the -2 is exact), and the
+      BLAS sum of k products at most k, whatever its order or fused
+      multiply-add, so the product errs by at most (k + 2) u N, as
+      2 |q_j r_j| <= q_j^2 + r_j^2.
+    - The six remaining roundings of the test, the slack's own included,
+      add at most 6 u (2N + max_dist**2) <= 30 u N.
 
-    The screen therefore errs by at most (5k + 59) u N, under half the
+    The screen therefore errs by at most (5k + 53) u N, under half the
     slack, which leaves room for the second-order terms. The slack grows
     with the norms, so records far from the origin cost the screen
     selectivity, never a pair. An absolute ``k * tiny`` covers subnormal
@@ -310,32 +329,35 @@ def _neighbor_pairs(
     BLAS thread count, and the exact pass alone decides the result.
     Runs are screened and measured in groups that fit ``SCREEN_BUDGET``.
     """
-    runs, capacity, dims = records.shape
-    size = rows.stop
+    buffer, size, b = history._vars, rows.stop, rows.stop - rows.start
+    runs, capacity, dims = buffer.shape
+    variances = np.atleast_2d(history.variances())
     spread = variances >= ZERO_VARIANCE_EPS
     k = np.count_nonzero(spread, axis=1)
-    # a dimension without spread gets scale 0 and drops out of the screen
-    scale = np.zeros_like(variances)
-    scale[spread] = 1.0 / np.sqrt(variances[spread])
+    # a dimension without spread gets weight 0 and drops out of the screen
+    weight = np.zeros_like(variances)
+    weight[spread] = 1.0 / variances[spread]
     shrink = 1.0 - 16.0 * (k + 8) * (np.finfo(np.float64).eps / 2.0)
     limit = max_dist * max_dist + k * np.finfo(np.float64).tiny
-    step = max(1, SCREEN_BUDGET // (size * (rows.stop - rows.start + dims)))
+    step = max(1, SCREEN_BUDGET // (size * b))
     found = []
     for group in (slice(first, first + step) for first in range(0, runs, step)):
-        rs = records[group, :size] * scale[group, None]
-        norms = np.einsum("gij,gij->gi", rs, rs)
-        # (1 - c)|r'|^2 - limit - 2 q'.r' <= -(1 - c)|q'|^2; scaling by -2 is exact
-        test = (-2.0 * rs[:, rows]) @ rs.transpose(0, 2, 1)
+        records, w = buffer[group, :size], weight[group]
+        norms = np.einsum("gij,gij,gj->gi", records, records, w)
+        test, mask = history._screen_buffers((len(w), b, size))
+        # (1 - c)|r|^2 - limit - 2 (q w).r <= -(1 - c)|q|^2; scaling by -2 is exact
+        np.matmul(records[:, rows] * (-2.0 * w[:, None]), records.transpose(0, 2, 1), out=test)
         test += (shrink[group, None] * norms - limit[group, None])[:, None]
         bound = -shrink[group, None] * norms[:, rows]
         # row-major like np.nonzero, which is several times slower on a 3-d mask
-        run_q, r_idx = np.divmod(np.flatnonzero(test <= bound[..., None]), size)
-        run, q_idx = np.divmod(run_q, test.shape[1])
+        passed = np.flatnonzero(np.less_equal(test, bound[..., None], out=mask))
+        run_q, r_idx = np.divmod(passed, size)
+        run, q_idx = np.divmod(run_q, b)
         # np.take gathers rows several times faster than fancy indexing
-        flat, at = records[group].reshape(-1, dims), run * capacity
+        flat, at = buffer[group].reshape(-1, dims), run * capacity
         run += group.start
-        a, b = np.take(flat, [at + rows.start + q_idx, at + r_idx], axis=0)
-        dist = _pair_distances(a, b, np.take(variances, run, axis=0))
+        a, r = np.take(flat, [at + rows.start + q_idx, at + r_idx], axis=0)
+        dist = _pair_distances(a, r, np.take(variances, run, axis=0))
         keep = dist <= max_dist
         found.append((run[keep], q_idx[keep], r_idx[keep], dist[keep]))
     return tuple(np.concatenate(column) for column in zip(*found))
@@ -366,9 +388,7 @@ def knn_evaluate(batch: Batch, history: EvaluationHistory, config: KnnConfig) ->
         return batch
     raws = batch.raw_objectives
     rows = history.append_batch(batch.variables, raws)
-    # the whole buffer, so that its rows are gathered without a copy
-    variances = np.atleast_2d(history.variances())
-    run, q_idx, r_idx, dist = _neighbor_pairs(history._vars, rows, variances, config.max_dist)
+    run, q_idx, r_idx, dist = _neighbor_pairs(history, rows, config.max_dist)
     # Pairs arrive by query, then record. Within a query: self (at distance
     # 0) first, then by distance, then by record. A non-negative float's bits
     # order like its value, so one key (distance, not self) and a stable sort do.

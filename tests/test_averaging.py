@@ -1,6 +1,7 @@
 """Evaluation history, standardized distance, and kNN averaging."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -311,6 +312,14 @@ class TestKnnEvaluate:
             # raw values are preserved untouched
         assert np.array_equal(out.raw_objectives[1], [0.1, 0.1])
 
+    def test_colocated_points_kept_when_the_cutoff_squared_underflows(self):
+        # No dimension has spread and max_dist**2 rounds to 0: the screen's
+        # slack is 0, and only its inclusive comparison keeps distance 0.
+        history = EvaluationHistory(2, 2)
+        batch = make_batch([[0.5, 0.5]] * 3, [[0.0, 0.0], [0.1, 0.1], [0.2, 0.2]])
+        out = knn_evaluate(batch, history, KnnConfig(k=3, max_dist=1e-200))
+        assert np.allclose(out.objectives, 0.1, atol=1e-12)
+
     def test_k1_returns_raw_bitwise(self):
         problem = ZdtProblem("zdt1", 2)
         noise = NoiseSpec(0.3)
@@ -509,7 +518,7 @@ def assert_matches_definition(x, raws, n_prior, k, pick_max_dist):
     config = KnnConfig(k=k, max_dist=pick_max_dist(distances))
     expected = reference_average(reference_history, rows, config, distances)
 
-    _, *pairs = _neighbor_pairs(records[None], rows, variances[None], config.max_dist)
+    _, *pairs = _neighbor_pairs(reference_history, rows, config.max_dist)
     kept = zip(*pairs)
     q_idx, r_idx = np.nonzero(distances <= config.max_dist)
     within = zip(q_idx, r_idx, distances[q_idx, r_idx])
@@ -550,26 +559,93 @@ class TestKnnEvaluateMatchesDefinition:
                 assert_matches_definition(band, raws, 30, 40, lambda dist: float(dist[0, record]))
 
 
+def screened_and_kept(monkeypatch, pop_size, generations, config):
+    """Pairs reaching the exact pass and pairs it keeps, per batch of one zdt1 n=30 run."""
+    exact = averaging._pair_distances
+    candidates, kept = [], []
+
+    def counting(a, b, variances):
+        dist = exact(a, b, variances)
+        candidates.append(dist.size)
+        kept.append(int(np.count_nonzero(dist <= config.max_dist)))
+        return dist
+
+    monkeypatch.setattr(averaging, "_pair_distances", counting)
+    run_optimization(ZdtProblem("zdt1", 30), NoiseSpec(0.1), KnnAveraged(config),
+                     GaConfig(pop_size=pop_size, generations=generations), RngStream(1))
+    return candidates, kept
+
+
 class TestScreenSelectivity:
+    # Every result would stay right if the screen passed every pair; only the
+    # exact pass would slow down. Count what reaches it over one run.
     def test_screen_passes_few_pairs_beyond_the_cutoff(self, monkeypatch):
-        # Every result would stay right if the screen passed every pair; only
-        # the exact pass would slow down. Count what reaches it over one run.
-        config = KnnConfig(k=10, max_dist=0.25)
-        exact = averaging._pair_distances
-        candidates, kept = [], []
-
-        def counting(a, b, variances):
-            dist = exact(a, b, variances)
-            candidates.append(dist.size)
-            kept.append(int(np.count_nonzero(dist <= config.max_dist)))
-            return dist
-
-        monkeypatch.setattr(averaging, "_pair_distances", counting)
-        run_optimization(ZdtProblem("zdt1", 30), NoiseSpec(0.1), KnnAveraged(config),
-                         GaConfig(pop_size=20, generations=15), RngStream(1))
+        candidates, kept = screened_and_kept(monkeypatch, 20, 15, KnnConfig(k=10, max_dist=0.25))
         # 16 batches of 20, and every solution keeps at least itself
         assert len(candidates) == 16 and sum(kept) >= 320
         assert sum(candidates) <= 1.01 * sum(kept)
+
+    def test_screen_is_as_selective_at_the_benchmark_shape(self, monkeypatch):
+        candidates, kept = screened_and_kept(monkeypatch, 100, 20, KnnConfig(k=10, max_dist=0.25))
+        assert len(candidates) == 21 and sum(kept) >= 2100
+        assert sum(candidates) <= 1.01 * sum(kept)
+
+
+class TestScreenWorkspace:
+    def test_calls_reuse_the_history_workspace(self):
+        # tracemalloc sees numpy's data buffers. Only a call that grows the
+        # history's buffers may allocate on the order of batch x history
+        # bytes; the screen's product and mask are the workspace's.
+        d, b, rng = 30, 100, RngStream(3)
+        history, config = EvaluationHistory(d, 2), KnnConfig(k=10, max_dist=0.25)
+
+        def step():
+            knn_evaluate(make_batch(rng.random((b, d)), rng.random((b, 2))), history, config)
+
+        while len(history) < 2500:
+            step()
+        peaks = []
+        tracemalloc.start()
+        try:
+            for _ in range(10):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                step()
+                peaks.append((tracemalloc.get_traced_memory()[1] - before) / (b * len(history) * 8))
+        finally:
+            tracemalloc.stop()
+        assert sum(peak >= 0.25 for peak in peaks) <= 1, peaks
+
+    @pytest.mark.parametrize("per_group", [1, 2])
+    def test_grouped_screen_matches_one_group(self, monkeypatch, per_group):
+        # A stack of 3 runs screened per_group runs at a time (the last group
+        # smaller when per_group is 2) finds the pairs and averages bitwise.
+        b, d, generations = 8, 5, 4
+        rng = RngStream(11)
+        batches = [make_batch(rng.random((3 * b, d)), rng.random((3 * b, 2)))
+                   for _ in range(generations)]
+        groups = []
+        screen_buffers = EvaluationHistory._screen_buffers
+
+        def recording(history, shape):
+            groups.append(shape[0])
+            return screen_buffers(history, shape)
+
+        def run(budget):
+            monkeypatch.setattr(averaging, "SCREEN_BUDGET", budget)
+            history, config = EvaluationHistory(d, 2, runs=3), KnnConfig(k=4, max_dist=2.0)
+            averages = [knn_evaluate(batch, history, config).objectives for batch in batches]
+            groups.clear()
+            rows = slice(len(history) - b, len(history))
+            return averages + list(_neighbor_pairs(history, rows, config.max_dist))
+
+        monkeypatch.setattr(EvaluationHistory, "_screen_buffers", recording)
+        whole = run(1 << 22)
+        assert groups == [3] and whole[-1].size > 3 * b
+        # the last product is b x (generations * b) per run
+        grouped = run(per_group * b * generations * b)
+        assert groups == {1: [1, 1, 1], 2: [2, 1]}[per_group]
+        assert [a.tobytes() for a in grouped] == [a.tobytes() for a in whole]
 
 
 class TestHistoryRows:
