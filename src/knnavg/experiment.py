@@ -31,8 +31,7 @@ import logging
 import os
 import time
 from contextlib import ExitStack
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import BrokenExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -527,6 +526,17 @@ def _attempt(*task) -> list[RunResult] | Exception:
         return exc
 
 
+def _process_pool(workers: int):
+    """A pool of ``workers`` processes.
+
+    The pool machinery (``multiprocessing``, sockets, subprocesses) is
+    imported here, so a process that never starts a pool never loads it.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 def _per_run(task: tuple, outcome) -> list[tuple[RunConfig, object]]:
     """Each run of a stack task with its result, or with what stopped it.
 
@@ -536,7 +546,7 @@ def _per_run(task: tuple, outcome) -> list[tuple[RunConfig, object]]:
     configs, reference, front_sample_size, paths = task
     if isinstance(outcome, list):
         return list(zip(configs, outcome))
-    raised = isinstance(outcome, Exception) and not isinstance(outcome, BrokenProcessPool)
+    raised = isinstance(outcome, Exception) and not isinstance(outcome, BrokenExecutor)
     if len(configs) == 1 or not raised:
         return [(config, outcome) for config in configs]
     logger.warning("a stack of %d runs failed (%r); running them one at a time",
@@ -626,7 +636,7 @@ def run_grid(
             outcomes = ((task, _attempt(*task)) for task in tasks)
         else:
             workers = min(parallelism, len(tasks))
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            pool = stack.enter_context(_process_pool(workers))
             futures = {pool.submit(_grid_worker, *task): task for task in tasks}
             # a future holds either its results or what the worker raised
             outcomes = ((futures[f], f.exception() or f.result()) for f in as_completed(futures))
@@ -636,7 +646,7 @@ def run_grid(
                 results.append(outcome)
                 if directory is not None:
                     directory.append(outcome)
-            elif isinstance(outcome, BrokenProcessPool):
+            elif isinstance(outcome, BrokenExecutor):
                 unfinished += 1
             elif isinstance(outcome, Exception):
                 message = f"{type(outcome).__name__}: {outcome}"

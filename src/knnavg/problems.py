@@ -9,7 +9,6 @@ closed form for the quality indicators.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,49 +131,42 @@ def evaluate_noisy(problem: ZdtProblem, noise: NoiseSpec, x, rng) -> Batch:
     return Batch(variables=x, objectives=raw, raw_objectives=raw)
 
 
-@functools.cache
 def _zdt3_front_intervals() -> tuple[tuple[float, float], ...]:
-    """Non-dominated f1 intervals of the zdt3 front curve.
+    """Non-dominated f1 intervals of the zdt3 front curve, as constants.
 
     The curve f2(f1) = 1 - sqrt(f1) - f1 * sin(10 pi f1) is only partially
-    non-dominated; the intervals are recovered numerically by sweeping a
-    dense f1 grid and keeping points that strictly improve the running f2
-    minimum. Each interval's right edge is pulled in by one grid step so
-    every point inside lies strictly on the decreasing branch, which makes
-    any sample of the intervals mutually non-dominated.
+    non-dominated. The five intervals come from sweeping a 1,000,001-point
+    f1 grid and keeping the points that strictly improve the running f2
+    minimum; each right edge is pulled in by one grid step, so every point
+    inside lies strictly on the decreasing branch and any sample of the
+    intervals is mutually non-dominated. ``tests/test_problems.py`` keeps
+    that sweep and checks that it reproduces these literals bitwise.
     """
-    f1 = np.linspace(0.0, 1.0, 1_000_001)
-    step = f1[1] - f1[0]
-    f2 = 1.0 - np.sqrt(f1) - f1 * np.sin(10.0 * np.pi * f1)
-    running = np.minimum.accumulate(f2)
-    prior_best = np.concatenate(([np.inf], running[:-1]))
-    keep_idx = np.flatnonzero(f2 < prior_best)
-    breaks = np.flatnonzero(np.diff(keep_idx) > 1)
-    starts = np.concatenate(([0], breaks + 1))
-    ends = np.concatenate((breaks, [keep_idx.size - 1]))
-    intervals = []
-    for s, e in zip(starts, ends):
-        lo = float(f1[keep_idx[s]])
-        hi = max(lo, float(f1[keep_idx[e]] - step))
-        intervals.append((lo, hi))
-    return tuple(intervals)
+    return (
+        (0.0, 0.08300099999999999),
+        (0.182229, 0.257761),
+        (0.40931399999999996, 0.453881),
+        (0.618397, 0.652511),
+        (0.823332, 0.8518319999999999),
+    )
 
 
 def _sample_intervals(intervals: tuple[tuple[float, float], ...], count: int) -> np.ndarray:
     """``count`` f1 values spread over ``intervals`` proportionally to length."""
-    lengths = np.array([hi - lo for lo, hi in intervals])
-    cum = np.concatenate(([0.0], np.cumsum(lengths)))
+    starts, ends = np.array(intervals).T
+    cum = np.concatenate(([0.0], np.cumsum(ends - starts)))
     t = np.linspace(0.0, cum[-1], count)
     idx = np.clip(np.searchsorted(cum, t, side="right") - 1, 0, len(intervals) - 1)
-    return np.array([intervals[j][0] + (ti - cum[j]) for j, ti in zip(idx, t)])
+    return starts[idx] + (t - cum[idx])
 
 
 def true_front(problem: ZdtProblem, count: int) -> np.ndarray:
     """``count`` points of the problem's true Pareto front, as a read-only (count, 2) matrix.
 
     zdt1 and zdt2 have connected fronts (f2 = 1 - sqrt(f1) and 1 - f1^2 on
-    f1 in [0, 1]); zdt3's front is disconnected and is sampled from its
-    numerically derived f1 intervals, proportionally to interval length.
+    f1 in [0, 1]); zdt3's front is disconnected and is sampled from its five
+    f1 intervals, proportionally to interval length. Those intervals are
+    constants, which a test re-derives from a dense sweep of the curve.
     Every returned point is non-dominated with respect to every other.
     """
     count = as_count(count, "front sample size", 2)

@@ -485,17 +485,17 @@ class TestRunGrid:
 
     def test_no_more_pool_workers_than_pending_stacks(self, tmp_path, monkeypatch):
         sizes = []
+        real_pool = experiment._process_pool
 
-        class RecordingPool(experiment.ProcessPoolExecutor):
-            def __init__(self, max_workers=None, **kwargs):
-                sizes.append(max_workers)
-                super().__init__(max_workers=max_workers, **kwargs)
+        def recording_pool(workers):
+            sizes.append(workers)
+            return real_pool(workers)
 
         grid = tiny_grid()
         run_grid(grid, out_dir=tmp_path)
         path = tmp_path / RESULTS_FILENAME
         lines = path.read_bytes().splitlines(keepends=True)
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(experiment, "_process_pool", recording_pool)
         # the second baseline run and both k-NN runs: two stacks
         path.write_bytes(b"".join(lines[:2]))
         assert len(run_grid(grid, parallelism=8, out_dir=tmp_path).results) == 3

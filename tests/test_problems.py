@@ -1,19 +1,30 @@
 """ZDT benchmarks, noise injection, and true-front samples."""
 
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import knnavg
 from knnavg.core import ContractViolationError, RngStream
 from knnavg.metrics import compute_report
 from knnavg.problems import (
     NoiseSpec,
     ZdtProblem,
+    _sample_intervals,
+    _zdt3_front_intervals,
     evaluate_noisy,
     evaluate_true,
     true_front,
 )
+
+SRC = str(Path(knnavg.__file__).resolve().parents[1])
 
 
 class TestZdtProblem:
@@ -305,3 +316,81 @@ class TestTrueFront:
         assert front.dtype == np.float64
         with pytest.raises(ValueError):
             front[0, 0] = 5.0
+
+
+def swept_zdt3_intervals():
+    """The zdt3 front's f1 intervals, derived from a dense sweep of the curve.
+
+    Sweeps a 1,000,001-point f1 grid and keeps the points that strictly
+    improve the running f2 minimum; each run of kept points is one interval,
+    whose right edge is pulled in by one grid step so every point inside lies
+    strictly on the decreasing branch.
+    """
+    f1 = np.linspace(0.0, 1.0, 1_000_001)
+    step = f1[1] - f1[0]
+    f2 = 1.0 - np.sqrt(f1) - f1 * np.sin(10.0 * np.pi * f1)
+    running = np.minimum.accumulate(f2)
+    prior_best = np.concatenate(([np.inf], running[:-1]))
+    keep_idx = np.flatnonzero(f2 < prior_best)
+    breaks = np.flatnonzero(np.diff(keep_idx) > 1)
+    starts = np.concatenate(([0], breaks + 1))
+    ends = np.concatenate((breaks, [keep_idx.size - 1]))
+    intervals = []
+    for s, e in zip(starts, ends):
+        lo = float(f1[keep_idx[s]])
+        hi = max(lo, float(f1[keep_idx[e]] - step))
+        intervals.append((lo, hi))
+    return tuple(intervals)
+
+
+def looped_sample(intervals, count):
+    """``_sample_intervals`` one point at a time, as a reference."""
+    lengths = np.array([hi - lo for lo, hi in intervals])
+    cum = np.concatenate(([0.0], np.cumsum(lengths)))
+    t = np.linspace(0.0, cum[-1], count)
+    idx = np.clip(np.searchsorted(cum, t, side="right") - 1, 0, len(intervals) - 1)
+    return np.array([intervals[j][0] + (ti - cum[j]) for j, ti in zip(idx, t)])
+
+
+class TestZdt3Intervals:
+    def test_constants_equal_the_dense_sweep_bitwise(self):
+        swept = swept_zdt3_intervals()
+        shipped = _zdt3_front_intervals()
+        assert len(shipped) == 5
+        assert np.array(shipped).tobytes() == np.array(swept).tobytes()
+
+    @pytest.mark.parametrize("count", [2, 3, 100, 257, 1000, 2000, 100_000])
+    def test_sampling_equals_the_loop_bitwise(self, count):
+        intervals = _zdt3_front_intervals()
+        got = _sample_intervals(intervals, count)
+        assert got.dtype == np.float64
+        assert got.tobytes() == looped_sample(intervals, count).tobytes()
+
+    @pytest.mark.parametrize("count, digest", [
+        (2, "f63e41dc85180e56010623255bc06fa527c90d59d2e6974762bb940b5e2a2e1f"),
+        (500, "4d164e8f3c8f338424663aa900e7303f154fe297ff3135b3beb4f3c784be9cb0"),
+        (1000, "6537a92aa5ffe86d6d5e4eb35b60803df50dafbc2587feb4ae8d97d81f428d25"),
+        (2000, "4240fc8cc2125f872a2dae65948e082a58c28cd8f75ebb6c366e335d8bd4f609"),
+    ])
+    def test_front_bytes_pinned(self, count, digest):
+        for n_vars in (2, 30):
+            front = true_front(ZdtProblem("zdt3", n_vars), count)
+            assert hashlib.sha256(front.tobytes()).hexdigest() == digest
+
+    def test_first_front_of_a_process_allocates_under_one_mib(self):
+        # a fresh interpreter, so no earlier call in this session has paid
+        probe = (
+            "import tracemalloc; from knnavg.problems import ZdtProblem, true_front; "
+            "tracemalloc.start(); true_front(ZdtProblem('zdt3', 2), 1000); "
+            "print(tracemalloc.get_traced_memory()[1])"
+        )
+        path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        assert int(done.stdout) < 2**20
