@@ -389,27 +389,24 @@ def knn_evaluate(batch: Batch, history: EvaluationHistory, config: KnnConfig) ->
     raws = batch.raw_objectives
     rows = history.append_batch(batch.variables, raws)
     run, q_idx, r_idx, dist = _neighbor_pairs(history, rows, config.max_dist)
-    # Pairs arrive by query, then record. Within a query: self (at distance
-    # 0) first, then by distance, then by record. A non-negative float's bits
-    # order like its value, so one key (distance, not self) and a stable sort do.
+    # Pairs arrive by query, then record, so each query's row of the padded
+    # key table is in record order. A non-negative float's bits order like
+    # its value, so a stable sort of the key (distance, not self) puts self
+    # (at distance 0) first, then the rest by distance, then by record, and
+    # the padding (the largest key) last.
     query = run * (rows.stop - rows.start) + q_idx
     key = dist.view(np.uint64) << np.uint64(1) | (r_idx != rows.start + q_idx).astype(np.uint64)
     starts = np.searchsorted(query, np.arange(len(batch) + 1))
-    # Only pairs up to a query's k-th smallest key can be kept; sort just those.
     table = np.full((len(batch), np.diff(starts).max()), np.iinfo(np.uint64).max)
     table[query, np.arange(len(query)) - starts[query]] = key
-    kth = min(config.k, table.shape[1]) - 1
-    near = np.flatnonzero(key <= np.partition(table, kth, axis=1)[query, kth])
-    order = near[np.lexsort((key[near], query[near]))]
-    run, r_idx, dist = run[order], r_idx[order], dist[order]
-    starts = np.searchsorted(query[order], np.arange(len(batch) + 1))
+    counts = np.minimum(np.diff(starts), config.k)
+    order = np.argsort(table, axis=1, kind="stable")[:, : counts.max()]
 
     # The kept neighbors as a padded (b, width) table, self in column 0.
     # Padding weighs 0 against a raw of 0, so it adds exactly +0.0 to sums
     # that start from +0.0 and therefore never hold -0.0.
-    counts = np.minimum(np.diff(starts), config.k)
     kept = np.arange(counts.max()) < counts[:, None]
-    pair = np.where(kept, starts[:-1, None] + np.arange(counts.max()), 0)
+    pair = np.where(kept, starts[:-1, None] + order, 0)
     weights = np.where(kept, np.maximum(config.max_dist - dist[pair] ** 2, 0.0), 0.0)
     raw_rows = history._raws.reshape(-1, history.n_objs)  # buffer rows, run by run
     at = run[pair] * history._raws.shape[1] + r_idx[pair]

@@ -150,18 +150,6 @@ class Batch:
         for x, f, raw in zip(self.variables, self.objectives, self.raw_objectives):
             yield Solution(variables=x, objectives=f, raw_objectives=raw)
 
-    def take(self, index) -> "Batch":
-        """The rows selected by an index array or boolean mask, in that order."""
-        return Batch(self.variables[index], self.objectives[index], self.raw_objectives[index])
-
-    def concat(self, other: "Batch") -> "Batch":
-        """This batch's rows followed by ``other``'s."""
-        return Batch(
-            np.concatenate((self.variables, other.variables)),
-            np.concatenate((self.objectives, other.objectives)),
-            np.concatenate((self.raw_objectives, other.raw_objectives)),
-        )
-
 
 class RngStream:
     """Seeded random stream backed by the PCG64 bit generator.

@@ -103,8 +103,8 @@ def hypervolume_2d(points, reference):
     f1 = np.where(inside, pts[..., 0], ref_f1)
     f2 = np.where(inside, pts[..., 1], ref_f2)
     # sorted by f1, then f2, within each matrix
-    order = np.lexsort((f2.ravel(), f1.ravel(), np.arange(f1.size) // f1.shape[-1]))
-    f1, f2 = f1.ravel()[order].reshape(f1.shape), f2.ravel()[order].reshape(f2.shape)
+    order = np.lexsort((f2, f1), axis=-1)
+    f1, f2 = np.take_along_axis(f1, order, -1), np.take_along_axis(f2, order, -1)
     # the best f2 before each point
     best = np.minimum.accumulate(np.concatenate((np.full_like(f2[..., :1], ref_f2), f2), -1), -1)
     gain = f2 < best[..., :-1]

@@ -71,16 +71,6 @@ class TestBatch:
         with pytest.raises(ValueError):
             batch.objectives[0, 0] = 5.0
 
-    def test_take_and_concat(self):
-        batch = Batch(np.arange(6.0).reshape(3, 2), np.eye(3)[:, :2], np.eye(3)[:, :2])
-        picked = batch.take(np.array([2, 0]))
-        assert np.array_equal(picked.variables, [[4.0, 5.0], [0.0, 1.0]])
-        assert np.array_equal(batch.take(np.array([True, False, True])).variables,
-                              [[0.0, 1.0], [4.0, 5.0]])
-        joined = picked.concat(batch)
-        assert len(joined) == 5
-        assert np.array_equal(joined.raw_objectives[2:], batch.raw_objectives)
-
     def test_shapes_validated(self):
         with pytest.raises(ContractViolationError):
             Batch(np.zeros(2), np.zeros((1, 2)), np.zeros((1, 2)))
@@ -247,7 +237,8 @@ def numbered_batch(objectives) -> Batch:
 
 def front_of(batch: Batch) -> Batch:
     """The rows no other row dominates, in order, as the search loop takes them."""
-    return batch.take(~dominance_matrix(batch.objectives).any(axis=0))
+    front = ~dominance_matrix(batch.objectives).any(axis=0)
+    return Batch(batch.variables[front], batch.objectives[front], batch.raw_objectives[front])
 
 
 def row_numbers(batch: Batch) -> list[int]:

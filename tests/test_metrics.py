@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import cdist
 
 from knnavg.core import Batch, ContractViolationError, RngStream
@@ -24,6 +25,7 @@ from knnavg.problems import (
     evaluate_true,
     true_front,
 )
+from oracles import dominates
 from sampling import one_at_a_time
 
 
@@ -103,6 +105,22 @@ class TestHypervolume2d:
         assert hypervolume_2d(pts, DEFAULT_REFERENCE) == pytest.approx(
             120.66666666666667, abs=1e-3
         )
+
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(1, 4), st.integers(1, 12), st.just(2)),
+            elements=st.integers(-2, 6).map(lambda v: v / 4.0),
+        )
+    )
+    def test_stack_area_is_each_matrix_and_its_front(self, stack):
+        # a coarse grid ties f1 and f2 and repeats rows; a coordinate of 1.0
+        # or more lies beyond the reference
+        areas = hypervolume_2d(stack, (1.0, 1.0))
+        for area, points in zip(areas, stack):
+            front = [p for p in points if not any(dominates(q, p) for q in points)]
+            assert area.hex() == hypervolume_2d(points, (1.0, 1.0)).hex()
+            assert area.hex() == hypervolume_2d(np.array(front), (1.0, 1.0)).hex()
 
     def test_reference_shape_validated(self):
         with pytest.raises(ContractViolationError):
@@ -333,8 +351,8 @@ class TestComputeReport:
         problem = ZdtProblem("zdt1", 2)
         noise = NoiseSpec(0.0)
         rng = RngStream(81)
-        batch = evaluate_noisy(problem, noise, [[float(rng.random()), 0.0]], rng)
-        for _ in range(9):
-            batch = batch.concat(evaluate_noisy(problem, noise, [[float(rng.random()), 0.0]], rng))
+        x = np.zeros((10, 2))
+        x[:, 0] = rng.random(10)
+        batch = evaluate_noisy(problem, noise, x, rng)
         report = compute_report(batch, problem, noise)
         assert report.delta_f == 0.0
