@@ -44,14 +44,16 @@ Only the exact distance decides which pairs are kept, and the weighting
 uses no BLAS call, so results depend neither on how the BLAS orders its
 sums nor on its thread count or CPU kernel.
 
-Averaging a batch of b solutions over a history of n records holds
-O(b * n) memory, independent of the number of dimensions. The screen's
-product and mask are the largest part; the history holds them once and
-reuses them from batch to batch.
+Beyond the history itself, averaging a batch holds O(``SCREEN_TILE`` +
+pairs) memory, independent of the history's length and of the number of
+dimensions. The screen walks the history in tiles of at most
+``SCREEN_TILE`` products, whose product and mask the history holds once
+and reuses from batch to batch.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,12 +216,13 @@ class EvaluationHistory:
     def _screen_buffers(self, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
         """The screen's float64 product and bool mask as contiguous ``shape`` arrays.
 
-        Both grow to at least twice their old size when too small, so a
-        growing history reallocates them O(log n) times.
+        Both grow to at least twice their old size when too small, but not
+        past one ``SCREEN_TILE`` unless ``shape`` needs it, so a growing
+        history reallocates them O(log n) times and holds at most one tile.
         """
         need = int(np.prod(shape))
         if need > self._product.size:
-            size = max(need, 2 * self._product.size)
+            size = max(need, min(2 * self._product.size, SCREEN_TILE))
             self._product, self._mask = np.empty(size), np.empty(size, dtype=bool)
         return self._product[:need].reshape(shape), self._mask[:need].reshape(shape)
 
@@ -283,9 +286,11 @@ def _pair_distances(a: np.ndarray, b: np.ndarray, variances: np.ndarray) -> np.n
     return np.sqrt(acc)
 
 
-# Elements of the screen's product one step may hold (32 MiB of float64): a
-# larger stack is screened a few runs at a time.
-SCREEN_BUDGET = 1 << 22
+# Elements of the screen's product one tile may hold (4 MiB of float64), so
+# its workspace stops growing with the history. Not smaller: at spans of
+# 4,096 records or fewer, numpy's broadcast add and comparison ran 1.6-2x
+# slower per element.
+SCREEN_TILE = 1 << 19
 
 
 def _neighbor_pairs(
@@ -298,11 +303,10 @@ def _neighbor_pairs(
     may lie within ``max_dist``; the survivors are then measured exactly and
     cut at ``max_dist``. With w_j = 1/var_j over the k dimensions with
     spread and 0 elsewhere, the screen evaluates the product form
-    |q|_w^2 + |r|_w^2 - 2 (q w).r on the history buffer itself, with one
-    matrix product per run. A pair passes when this is at most
-    ``max_dist**2`` plus a slack ``c * (|q|_w^2 + |r|_w^2)``,
-    c = 16 (k + 8) u with u = 2**-53. The product and mask live in the
-    history's reused workspace.
+    |q|_w^2 + |r|_w^2 - 2 (q w).r on the history buffer itself, with
+    matrix products into the history's reused workspace. A pair passes
+    when this is at most ``max_dist**2`` plus a slack
+    ``c * (|q|_w^2 + |r|_w^2)``, c = 16 (k + 8) u with u = 2**-53.
 
     Why the slack suffices. Let S be the exact standardized squared
     distance and N = |q|_w^2 + |r|_w^2. Since S <= 2N, a pair with
@@ -327,7 +331,14 @@ def _neighbor_pairs(
     selectivity, never a pair. An absolute ``k * tiny`` covers subnormal
     intermediates. No pair within ``max_dist`` is dropped, whatever the
     BLAS thread count, and the exact pass alone decides the result.
-    Runs are screened and measured in groups that fit ``SCREEN_BUDGET``.
+
+    Tiles. The screen walks the records in tiles of at most
+    ``SCREEN_TILE`` products: a group of whole runs when one run's b x n
+    product fits, else one run's records ``lo:lo + span`` at a time. The
+    argument above bounds each element alone, so tiling leaves it as it
+    is. Each tile's candidates are offset by ``lo`` and all are sorted
+    once, which restores the (run, query, record) order of one row-major
+    mask; :func:`knn_evaluate` relies on it. The exact pass runs once.
     """
     buffer, size, b = history._vars, rows.stop, rows.stop - rows.start
     runs, capacity, dims = buffer.shape
@@ -339,28 +350,32 @@ def _neighbor_pairs(
     weight[spread] = 1.0 / variances[spread]
     shrink = 1.0 - 16.0 * (k + 8) * (np.finfo(np.float64).eps / 2.0)
     limit = max_dist * max_dist + k * np.finfo(np.float64).tiny
-    step = max(1, SCREEN_BUDGET // (size * b))
+    records = buffer[:, :size]
+    norms = np.einsum("gij,gij,gj->gi", records, records, weight)
+    # (1 - c)|r|^2 - limit - 2 (q w).r <= -(1 - c)|q|^2; scaling by -2 is exact
+    queries = records[:, rows] * (-2.0 * weight[:, None])
+    bound = -shrink[:, None, None] * norms[:, rows, None]
+    step, span = max(1, SCREEN_TILE // (size * b)), min(size, max(1, SCREEN_TILE // b))
     found = []
-    for group in (slice(first, first + step) for first in range(0, runs, step)):
-        records, w = buffer[group, :size], weight[group]
-        norms = np.einsum("gij,gij,gj->gi", records, records, w)
-        test, mask = history._screen_buffers((len(w), b, size))
-        # (1 - c)|r|^2 - limit - 2 (q w).r <= -(1 - c)|q|^2; scaling by -2 is exact
-        np.matmul(records[:, rows] * (-2.0 * w[:, None]), records.transpose(0, 2, 1), out=test)
-        test += (shrink[group, None] * norms - limit[group, None])[:, None]
-        bound = -shrink[group, None] * norms[:, rows]
+    for first, lo in itertools.product(range(0, runs, step), range(0, size, span)):
+        group, tile = slice(first, first + step), slice(lo, lo + span)
+        part = records[group, tile]
+        test, mask = history._screen_buffers((len(part), b, part.shape[1]))
+        np.matmul(queries[group], part.transpose(0, 2, 1), out=test)
+        test += (shrink[group, None] * norms[group, tile] - limit[group, None])[:, None]
         # row-major like np.nonzero, which is several times slower on a 3-d mask
-        passed = np.flatnonzero(np.less_equal(test, bound[..., None], out=mask))
-        run_q, r_idx = np.divmod(passed, size)
-        run, q_idx = np.divmod(run_q, b)
-        # np.take gathers rows several times faster than fancy indexing
-        flat, at = buffer[group].reshape(-1, dims), run * capacity
-        run += group.start
-        a, r = np.take(flat, [at + rows.start + q_idx, at + r_idx], axis=0)
-        dist = _pair_distances(a, r, np.take(variances, run, axis=0))
-        keep = dist <= max_dist
-        found.append((run[keep], q_idx[keep], r_idx[keep], dist[keep]))
-    return tuple(np.concatenate(column) for column in zip(*found))
+        passed = np.flatnonzero(np.less_equal(test, bound[group], out=mask))
+        run_q, r_idx = np.divmod(passed, test.shape[2])
+        found.append((first * b + run_q) * size + lo + r_idx)
+    # each tile's indices ascend; a stable sort merges those runs into row-major order
+    run_q, r_idx = np.divmod(np.sort(np.concatenate(found), kind="stable"), size)
+    run, q_idx = np.divmod(run_q, b)
+    # np.take gathers rows several times faster than fancy indexing
+    at = run * capacity
+    a, r = np.take(buffer.reshape(-1, dims), [at + rows.start + q_idx, at + r_idx], axis=0)
+    dist = _pair_distances(a, r, np.take(variances, run, axis=0))
+    keep = dist <= max_dist
+    return run[keep], q_idx[keep], r_idx[keep], dist[keep]
 
 
 def knn_evaluate(batch: Batch, history: EvaluationHistory, config: KnnConfig) -> Batch:
@@ -375,8 +390,8 @@ def knn_evaluate(batch: Batch, history: EvaluationHistory, config: KnnConfig) ->
     earlier-appended records), and their raw objectives are combined with
     weights ``max(max_dist - d**2, 0)``. A solution whose only kept neighbor
     is itself keeps its raw sample bitwise unchanged. Distances, variances
-    and weighted means follow the module's numerics contract, and memory
-    stays within O(batch * history) whatever the number of dimensions.
+    and weighted means follow the module's numerics contract, and the
+    screen holds at most one ``SCREEN_TILE`` whatever the history's length.
 
     With a stacked history each run's rows form one block of the batch and
     are averaged over that run's history only.

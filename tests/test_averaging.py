@@ -533,19 +533,33 @@ def assert_matches_definition(x, raws, n_prior, k, pick_max_dist):
         assert got.tobytes() == raws[n_prior:].tobytes()
 
 
+def drawn_cutoff(boundary, max_dist):
+    """The cutoff of a drawn case: a distance that occurs, or ``max_dist``."""
+
+    def pick(distances):
+        positive = distances[distances > 0.0]
+        if boundary and positive.size:
+            # a distance that occurs: the cutoff is inclusive
+            return float(np.sort(positive)[positive.size // 2])
+        return max_dist
+
+    return pick
+
+
 class TestKnnEvaluateMatchesDefinition:
     @given(averaging_cases())
     def test_bitwise_equal_to_full_matrix_definition(self, case):
         x, raws, n_prior, k, boundary, max_dist = case
+        assert_matches_definition(x, raws, n_prior, k, drawn_cutoff(boundary, max_dist))
 
-        def pick(distances):
-            positive = distances[distances > 0.0]
-            if boundary and positive.size:
-                # a distance that occurs: the cutoff is inclusive
-                return float(np.sort(positive)[positive.size // 2])
-            return max_dist
-
-        assert_matches_definition(x, raws, n_prior, k, pick)
+    @given(averaging_cases(), st.sampled_from([1, 3, 16]))
+    def test_few_element_tiles_match_the_definition(self, case, tile):
+        # Tiles of a few products split the records many times, inside the
+        # batch's own rows too, and down to one record per tile.
+        x, raws, n_prior, k, boundary, max_dist = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(averaging, "SCREEN_TILE", tile)
+            assert_matches_definition(x, raws, n_prior, k, drawn_cutoff(boundary, max_dist))
 
     def test_records_exactly_at_the_cutoff_are_kept(self):
         # At d=30 the screen's product form rounds above the exact distance
@@ -592,60 +606,93 @@ class TestScreenSelectivity:
 
 
 class TestScreenWorkspace:
-    def test_calls_reuse_the_history_workspace(self):
-        # tracemalloc sees numpy's data buffers. Only a call that grows the
-        # history's buffers may allocate on the order of batch x history
-        # bytes; the screen's product and mask are the workspace's.
+    def test_call_memory_does_not_grow_with_the_history(self):
+        # tracemalloc sees numpy's data buffers. It runs from before the
+        # history exists, so a call's peak counts what the history keeps
+        # between calls as well as what the call allocates. Less the
+        # history's own buffers, that is at most one tile's product and mask
+        # plus 1 MiB, at 5k records as at 10k. Only a call that grows the
+        # history's buffers, and so holds the old ones too, is exempt.
         d, b, rng = 30, 100, RngStream(3)
-        history, config = EvaluationHistory(d, 2), KnnConfig(k=10, max_dist=0.25)
-
-        def step():
-            knn_evaluate(make_batch(rng.random((b, d)), rng.random((b, 2))), history, config)
-
-        while len(history) < 2500:
-            step()
-        peaks = []
+        config = KnnConfig(k=10, max_dist=0.25)
+        limit = averaging.SCREEN_TILE * 9 + (1 << 20)
+        over, grown, measured = [], 0, 0
         tracemalloc.start()
         try:
-            for _ in range(10):
+            history = EvaluationHistory(d, 2)
+            while len(history) < 10_300:
+                capacity = history._vars.shape[1]
                 tracemalloc.reset_peak()
-                before = tracemalloc.get_traced_memory()[0]
-                step()
-                peaks.append((tracemalloc.get_traced_memory()[1] - before) / (b * len(history) * 8))
+                knn_evaluate(make_batch(rng.random((b, d)), rng.random((b, 2))), history, config)
+                if not (4_900 <= len(history) <= 5_300 or len(history) >= 9_900):
+                    continue
+                own = sum(a.nbytes for a in (history._vars, history._raws, history._avgs))
+                held = tracemalloc.get_traced_memory()[1] - own
+                grew = history._vars.shape[1] != capacity
+                grown, measured = grown + grew, measured + 1
+                if held > limit and not grew:
+                    over.append((len(history), held))
         finally:
             tracemalloc.stop()
-        assert sum(peak >= 0.25 for peak in peaks) <= 1, peaks
+        assert measured == 10 and grown <= 1
+        assert over == [], (limit, over)
 
-    @pytest.mark.parametrize("per_group", [1, 2])
-    def test_grouped_screen_matches_one_group(self, monkeypatch, per_group):
-        # A stack of 3 runs screened per_group runs at a time (the last group
-        # smaller when per_group is 2) finds the pairs and averages bitwise.
+    def test_run_keeps_at_most_one_tile(self, monkeypatch):
+        # A 60-generation run reaches 6,100 records: 610k products a batch.
+        histories = set()
+        neighbor_pairs = averaging._neighbor_pairs
+
+        def recording(history, rows, max_dist):
+            histories.add(history)
+            return neighbor_pairs(history, rows, max_dist)
+
+        monkeypatch.setattr(averaging, "_neighbor_pairs", recording)
+        run_optimization(ZdtProblem("zdt1", 30), NoiseSpec(0.1),
+                         KnnAveraged(KnnConfig(k=10, max_dist=0.25)),
+                         GaConfig(pop_size=100, generations=60), RngStream(1))
+        (history,) = histories
+        assert len(history) == 6100
+        assert history._product.size <= averaging.SCREEN_TILE
+        assert history._mask.size <= averaging.SCREEN_TILE
+
+    @pytest.mark.parametrize(
+        "tile, tiles",
+        [
+            # runs split into groups of two whole runs and one
+            pytest.param(2 * 8 * 32, [(2, 8, 32), (1, 8, 32)], id="runs"),
+            # each run's 32 records in tiles of 10, one boundary at record 30,
+            # inside the batch's own rows 24-31
+            pytest.param(8 * 10, ([(1, 8, 10)] * 3 + [(1, 8, 2)]) * 3, id="records"),
+        ],
+    )
+    def test_grouped_screen_matches_one_group(self, monkeypatch, tile, tiles):
+        # A stack of 3 runs of 4 batches of 8 screened in tiles of at most
+        # ``tile`` products finds the pairs and averages bitwise.
         b, d, generations = 8, 5, 4
         rng = RngStream(11)
         batches = [make_batch(rng.random((3 * b, d)), rng.random((3 * b, 2)))
                    for _ in range(generations)]
-        groups = []
+        shapes = []
         screen_buffers = EvaluationHistory._screen_buffers
 
         def recording(history, shape):
-            groups.append(shape[0])
+            shapes.append(shape)
             return screen_buffers(history, shape)
 
-        def run(budget):
-            monkeypatch.setattr(averaging, "SCREEN_BUDGET", budget)
+        def run(tile):
+            monkeypatch.setattr(averaging, "SCREEN_TILE", tile)
             history, config = EvaluationHistory(d, 2, runs=3), KnnConfig(k=4, max_dist=2.0)
             averages = [knn_evaluate(batch, history, config).objectives for batch in batches]
-            groups.clear()
+            shapes.clear()
             rows = slice(len(history) - b, len(history))
             return averages + list(_neighbor_pairs(history, rows, config.max_dist))
 
         monkeypatch.setattr(EvaluationHistory, "_screen_buffers", recording)
-        whole = run(1 << 22)
-        assert groups == [3] and whole[-1].size > 3 * b
-        # the last product is b x (generations * b) per run
-        grouped = run(per_group * b * generations * b)
-        assert groups == {1: [1, 1, 1], 2: [2, 1]}[per_group]
-        assert [a.tobytes() for a in grouped] == [a.tobytes() for a in whole]
+        whole = run(averaging.SCREEN_TILE)
+        assert shapes == [(3, b, generations * b)] and whole[-1].size > 3 * b
+        tiled = run(tile)
+        assert shapes == tiles
+        assert [a.tobytes() for a in tiled] == [a.tobytes() for a in whole]
 
 
 class TestHistoryRows:
