@@ -392,6 +392,8 @@ def knn_evaluate(batch: Batch, history: EvaluationHistory, config: KnnConfig) ->
     is itself keeps its raw sample bitwise unchanged. Distances, variances
     and weighted means follow the module's numerics contract, and the
     screen holds at most one ``SCREEN_TILE`` whatever the history's length.
+    With ``config.k == 1`` nothing is searched: the solution itself is always
+    kept first, at distance 0, so every row keeps its raw sample.
 
     With a stacked history each run's rows form one block of the batch and
     are averaged over that run's history only.
@@ -403,6 +405,8 @@ def knn_evaluate(batch: Batch, history: EvaluationHistory, config: KnnConfig) ->
         return batch
     raws = batch.raw_objectives
     rows = history.append_batch(batch.variables, raws)
+    if config.k == 1:
+        return Batch(variables=batch.variables, objectives=raws, raw_objectives=raws)
     run, q_idx, r_idx, dist = _neighbor_pairs(history, rows, config.max_dist)
     # Pairs arrive by query, then record, so each query's row of the padded
     # key table is in record order. A non-negative float's bits order like

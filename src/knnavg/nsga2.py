@@ -24,6 +24,7 @@ evaluation and ranking then run once on the whole stack.
 from __future__ import annotations
 
 import abc
+import bisect
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -134,19 +135,54 @@ def fast_non_dominated_sort(objectives: np.ndarray) -> np.ndarray:
 
     Front 0 is the set of rows dominated by nobody; front j contains rows
     dominated only by members of earlier fronts. Ranks have the shape of
-    ``objectives`` without its last axis; all matrices are peeled at once.
+    ``objectives`` without its last axis. NaN objectives are rejected.
+
+    Two objectives take one sort on (f1, f2) and one sweep that puts each
+    point p into the first front whose last member does not dominate it
+    (Jensen, 2003). The ranks are exact:
+    - every point that dominates p comes before p;
+    - in a front f1 rises and f2 falls, but for identical points, so the
+      last member holds the front's smallest f2, and the front dominates p
+      exactly when that f2 is at most p's and the member is not p's point;
+    - these f2 never decrease front by front, so ``bisect_right`` finds p's
+      front, and a point identical to the one before it takes its front;
+    - -0.0 and 0.0 compare equal, as in the peel of dominance matrices
+      (Deb et al., 2002) that ranks any other number of objectives.
     """
     objs = np.asarray(objectives, dtype=np.float64)
-    dom = dominance_matrix(objs)
-    ranks = np.zeros(objs.shape[:-1], dtype=np.int64)
-    remaining = np.ones(objs.shape[:-1], dtype=bool)
-    rank = 0
-    while remaining.any():
-        front = remaining & ~(dom & remaining[..., :, None]).any(axis=-2)
-        ranks[front] = rank
-        remaining &= ~front
-        rank += 1
-    return ranks
+    if np.isnan(objs).any():
+        raise ContractViolationError("objectives must not be NaN")
+    if objs.shape[-1] != 2:
+        dom = dominance_matrix(objs)
+        ranks = np.zeros(objs.shape[:-1], dtype=np.int64)
+        remaining = np.ones(objs.shape[:-1], dtype=bool)
+        rank = 0
+        while remaining.any():
+            front = remaining & ~(dom & remaining[..., :, None]).any(axis=-2)
+            ranks[front] = rank
+            remaining &= ~front
+            rank += 1
+        return ranks
+    stack = objs.reshape(int(np.prod(objs.shape[:-2])), *objs.shape[-2:])
+    runs, n = stack.shape[:2]
+    order = np.lexsort((stack[..., 1], stack[..., 0]), axis=-1) + n * np.arange(runs)[:, None]
+    f1, f2 = np.take(stack.reshape(-1, 2), order, axis=0).transpose(2, 0, 1)
+    same = np.zeros(order.shape, dtype=bool)
+    same[:, 1:] = (f1[:, 1:] == f1[:, :-1]) & (f2[:, 1:] == f2[:, :-1])
+    fronts = []
+    for keys, repeats in zip(f2.tolist(), same.tolist()):
+        tails = []  # each front's last f2
+        for b, repeat in zip(keys, repeats):
+            if not repeat:
+                k = bisect.bisect_right(tails, b)
+                if k == len(tails):
+                    tails.append(b)
+                else:
+                    tails[k] = b
+            fronts.append(k)
+    ranks = np.empty(runs * n, dtype=np.int64)
+    ranks[order.ravel()] = fronts
+    return ranks.reshape(objs.shape[:-1])
 
 
 def crowding_distance(objectives: np.ndarray, ranks: np.ndarray) -> np.ndarray:

@@ -339,6 +339,15 @@ class TestKnnEvaluate:
         out = knn_evaluate(batch, history, KnnConfig(k=1, max_dist=1.0))
         assert np.array_equal(out.objectives, [[1.0, 2.0], [3.0, 4.0]])
 
+    def test_k1_searches_nothing(self, monkeypatch):
+        # the one neighbour k=1 keeps is the solution itself, at distance 0
+        monkeypatch.delattr(averaging, "_neighbor_pairs")
+        history = EvaluationHistory(2, 2)
+        batch = make_batch([[0.5, 0.5], [0.25, 0.5]], [[1.0, 2.0], [3.0, 4.0]])
+        out = knn_evaluate(batch, history, KnnConfig(k=1, max_dist=1.0))
+        assert np.array_equal(out.objectives, batch.raw_objectives)
+        assert np.array_equal(history.averaged_matrix(), batch.raw_objectives)
+
     def test_batch_appended_before_averaging(self):
         # the batch itself is part of the history it averages over
         history = EvaluationHistory(2, 2)

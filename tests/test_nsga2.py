@@ -104,6 +104,50 @@ class TestFastNonDominatedSort:
 
 
 @st.composite
+def ranking_stacks(draw):
+    """Stacks of two-objective matrices: ties, duplicates, fronts, signed zeros and infinities."""
+    runs, n = draw(st.integers(1, 4)), draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["grid", "trade-off", "signed"]))
+    if shape == "grid":
+        # few distinct values: equal coordinates and exact duplicates
+        objs = rng.integers(0, 3, size=(runs, n, 2)).astype(float)
+    elif shape == "trade-off":
+        # one front, with some points pushed back into later fronts
+        f1 = rng.random((runs, n))
+        objs = np.stack((f1, 1.0 - f1), axis=-1)
+        objs[rng.random((runs, n)) < 0.3] += 0.25
+        copies, sources = rng.integers(max(n, 1), size=(2, n // 4))
+        objs[:, copies] = objs[:, sources]
+    else:
+        # -0.0 and 0.0 are the same point to dominance, though not bitwise
+        objs = rng.choice([-np.inf, -1.0, -0.0, 0.0, 1.0, np.inf], size=(runs, n, 2))
+    return objs
+
+
+class TestRankingSweep:
+    @given(ranking_stacks())
+    def test_ranks_equal_the_peel_and_the_oracle(self, objs):
+        ranks = fast_non_dominated_sort(objs)
+        # a constant third objective changes no dominance, and ranks by the peel
+        third = np.zeros_like(objs[..., :1])
+        peeled = fast_non_dominated_sort(np.concatenate((objs, third), axis=-1))
+        assert ranks.dtype == peeled.dtype and ranks.tobytes() == peeled.tobytes()
+        for matrix, rank in zip(objs.tolist(), ranks.tolist()):
+            for p, r in zip(matrix, rank):
+                fronts = {s for q, s in zip(matrix, rank) if dominates(q, p)}
+                # front 0 is undominated; any later member has a dominator in the front before
+                assert r - 1 in fronts if r else not fronts
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_nan_objectives_rejected(self, m):
+        objs = np.zeros((2, 3, m))
+        objs[1, 2, 0] = np.nan
+        with pytest.raises(ContractViolationError, match="NaN"):
+            fast_non_dominated_sort(objs)
+
+
+@st.composite
 def survival_cases(draw):
     """Parents plus offspring and a target, shaped to hit ties and big fronts."""
     n = draw(st.integers(2, 40))
