@@ -36,9 +36,9 @@ Numerics contract, which seeded runs depend on bit for bit:
   taken strictly left to right in elementwise floating point. A solution
   whose only kept neighbor is itself keeps its raw sample bitwise.
 
-A screen finds the candidate pairs with one matrix product of the batch,
-weighted by 1/var, and the history buffer itself, with a slack over twice
-a first-order bound on its rounding error (derived in
+A screen finds the candidate pairs with one float32 matrix product of the
+batch, weighted by 1/var, and a float32 copy of the history, with a slack
+over twice a first-order bound on its rounding error (derived in
 :func:`_neighbor_pairs`), so it never drops a pair within ``max_dist``.
 Only the exact distance decides which pairs are kept, and the weighting
 uses no BLAS call, so results depend neither on how the BLAS orders its
@@ -48,7 +48,9 @@ Beyond the history itself, averaging a batch holds O(``SCREEN_TILE`` +
 pairs) memory, independent of the history's length and of the number of
 dimensions. The screen walks the history in tiles of at most
 ``SCREEN_TILE`` products, whose product and mask the history holds once
-and reuses from batch to batch.
+and reuses from batch to batch. The float32 copy, half the size of
+the variables' buffer, exists only once averaging runs: the screen fills it
+lazily, so a history that is never screened never has one.
 """
 
 from __future__ import annotations
@@ -133,8 +135,11 @@ class EvaluationHistory:
         self._folded = 0  # batches merged into the running moments
         self._sum = np.zeros((self.runs, self.n_vars))
         self._m2 = np.zeros((self.runs, self.n_vars))
-        # the neighbour screen's product and mask, reused from batch to batch
-        self._product = np.empty(0)
+        # the neighbour screen's float32 copy of the variables, filled up to
+        # row ``_copied``, and its product and mask, reused from batch to batch
+        self._vars32 = np.empty((self.runs, 0, self.n_vars), dtype=np.float32)
+        self._copied = 0
+        self._product = np.empty(0, dtype=np.float32)
         self._mask = np.empty(0, dtype=bool)
 
     def __len__(self) -> int:
@@ -213,8 +218,21 @@ class EvaluationHistory:
             parts.append(part)
         return parts
 
+    def _variables32(self) -> np.ndarray:
+        """The variables in float32, (runs, n, d), copied lazily.
+
+        Only the screen asks for them, so a history that is never screened
+        never allocates them; each call copies the rows appended since the last.
+        """
+        start, stop = self._copied, len(self)
+        if stop > self._vars32.shape[1]:
+            self._vars32 = _grown(self._vars32[:, :start], self._vars.shape[1])
+        self._vars32[:, start:stop] = self._vars[:, start:stop]
+        self._copied = stop
+        return self._vars32[:, :stop]
+
     def _screen_buffers(self, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """The screen's float64 product and bool mask as contiguous ``shape`` arrays.
+        """The screen's float32 product and bool mask as contiguous ``shape`` arrays.
 
         Both grow to at least twice their old size when too small, but not
         past one ``SCREEN_TILE`` unless ``shape`` needs it, so a growing
@@ -223,7 +241,8 @@ class EvaluationHistory:
         need = int(np.prod(shape))
         if need > self._product.size:
             size = max(need, min(2 * self._product.size, SCREEN_TILE))
-            self._product, self._mask = np.empty(size), np.empty(size, dtype=bool)
+            self._product = np.empty(size, dtype=np.float32)
+            self._mask = np.empty(size, dtype=bool)
         return self._product[:need].reshape(shape), self._mask[:need].reshape(shape)
 
     def _fold(self) -> None:
@@ -255,7 +274,7 @@ def sed(a, b, variances) -> float:
     no spread information and contribute zero. Variances must be finite and
     non-negative.
     """
-    a = np.asarray(a, dtype=np.float64)
+    a = np.array(a, dtype=np.float64)  # a copy: the distance overwrites it
     b = np.asarray(b, dtype=np.float64)
     variances = np.asarray(variances, dtype=np.float64)
     if a.shape != b.shape:
@@ -270,7 +289,7 @@ def sed(a, b, variances) -> float:
 
 
 def _pair_distances(a: np.ndarray, b: np.ndarray, variances: np.ndarray) -> np.ndarray:
-    """Standardized distance between row i of ``a`` and row i of ``b``.
+    """Standardized distance between row i of ``a`` and row i of ``b``; overwrites ``a``.
 
     ``variances`` is one (d,) vector for every pair or one row per pair.
     The sum over dimensions runs strictly left to right, one dimension at a
@@ -278,21 +297,24 @@ def _pair_distances(a: np.ndarray, b: np.ndarray, variances: np.ndarray) -> np.n
     dimension without spread adds exactly +0.0, as if skipped.
     """
     spread = variances >= ZERO_VARIANCE_EPS
-    variances = np.where(spread, variances, 1.0)
+    a -= b
+    a *= spread
+    a *= a
+    a /= np.where(spread, variances, 1.0)
     acc = np.zeros(a.shape[0])
     for j in range(a.shape[1]):
-        dj = (a[:, j] - b[:, j]) * spread[..., j]
-        acc += dj * dj / variances[..., j]
+        acc += a[:, j]
     return np.sqrt(acc)
 
 
-# Elements of the screen's product one tile may hold (4 MiB of float64), so
+# Elements of the screen's product one tile may hold (2 MiB of float32), so
 # its workspace stops growing with the history. Not smaller: at spans of
 # 4,096 records or fewer, numpy's broadcast add and comparison ran 1.6-2x
 # slower per element.
 SCREEN_TILE = 1 << 19
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the float32 screen's overflow passes pairs
 def _neighbor_pairs(
     history: EvaluationHistory, rows: slice, max_dist: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -301,36 +323,44 @@ def _neighbor_pairs(
     A run's queries are its records in ``rows``, the batch appended last,
     indexed by position in ``rows``. A screen first keeps every pair that
     may lie within ``max_dist``; the survivors are then measured exactly and
-    cut at ``max_dist``. With w_j = 1/var_j over the k dimensions with
-    spread and 0 elsewhere, the screen evaluates the product form
-    |q|_w^2 + |r|_w^2 - 2 (q w).r on the history buffer itself, with
-    matrix products into the history's reused workspace. A pair passes
-    when this is at most ``max_dist**2`` plus a slack
-    ``c * (|q|_w^2 + |r|_w^2)``, c = 16 (k + 8) u with u = 2**-53.
+    cut at ``max_dist``. The screen runs in float32 (u = 2**-24) on the
+    history's float32 copy of the variables, q' and r'. With w_j = 1/var_j
+    over the k dimensions with spread and 0 elsewhere, and w' its float32
+    value flushed to 0 below float32's normal range, it evaluates
+    |q'|_w'^2 + |r'|_w'^2 - 2 (q' w').r', the norms with one ``einsum`` and
+    the rest with matrix products into the history's reused workspace. A
+    pair passes when this is at most ``max_dist**2 + k * 2**-104`` plus a
+    slack ``c * (|q'|_w'^2 + |r'|_w'^2)``, c = 16 (k + 8) u.
 
     Why the slack suffices. Let S be the exact standardized squared
-    distance and N = |q|_w^2 + |r|_w^2. Since S <= 2N, a pair with
-    ``max_dist**2 > 3N`` passes outright, so take ``max_dist**2 <= 3N``.
-    To first order in u:
+    distance, N = |q|_w^2 + |r|_w^2 and L = ``max_dist**2``. Since S <= 2N,
+    a pair with L > 4N passes outright, so take L <= 4N. A run with a norm
+    past a quarter of float32's range, or NaN, passes every pair, so take
+    the others, where no sum overflows. To first order:
 
-    - The exact distance sums k non-negative terms of three roundings each
-      and takes a sqrt, so ``distance <= max_dist`` gives
-      S <= max_dist**2 (1 + (k + 6) u) <= max_dist**2 + 3 (k + 6) u N.
-    - Each w_j carries one rounding. A norm term r_j r_j w_j adds two
-      more and its sum k - 1, so the two norms err by at most (k + 3) u N
-      together. Each q_j (-2 w_j) adds one more (the -2 is exact), and the
-      BLAS sum of k products at most k, whatever its order or fused
-      multiply-add, so the product errs by at most (k + 2) u N, as
+    - The float64 roundings, each at most 2**-53 = 2**-29 u, add under u N
+      together: the exact pass's (it keeps only S <= L (1 + (k + 6) 2**-53)),
+      the weights' and the limit's.
+    - A norm term r'_j r'_j w'_j carries two roundings from converting r_j,
+      one from w_j and two products, and its sum of k terms k - 1 more,
+      whatever their order, so the two norms err by at most (k + 4) u N
+      together. The product, with q'_j (-2 w'_j) (the -2 is exact), q_j's
+      and r_j's conversions and the BLAS sum of k products, k more whatever
+      its order or fused multiply-add, errs by at most (k + 4) u N too, as
       2 |q_j r_j| <= q_j^2 + r_j^2.
-    - The six remaining roundings of the test, the slack's own included,
-      add at most 6 u (2N + max_dist**2) <= 30 u N.
+    - Converting L and 1 - c (used twice), the test's three roundings and
+      the bound's one, each of a value at most 6N, add at most 19 u N.
+    - Below float32's normal range a rounding errs by up to 2**-150
+      absolutely instead (Higham, 2002, sec. 2.1). As w'_j = 0 or 2**-126
+      <= w'_j < 2**40 (by ZERO_VARIANCE_EPS), a square errs by at most
+      2**-110 per dimension and norm, and the other such errors, by
+      Cauchy-Schwarz against S, by under k 2**-146 + u N; ``k * 2**-104``
+      covers the absolute part.
 
-    The screen therefore errs by at most (5k + 53) u N, under half the
-    slack, which leaves room for the second-order terms. The slack grows
-    with the norms, so records far from the origin cost the screen
-    selectivity, never a pair. An absolute ``k * tiny`` covers subnormal
-    intermediates. No pair within ``max_dist`` is dropped, whatever the
-    BLAS thread count, and the exact pass alone decides the result.
+    That is (2k + 29) u N, under half the slack, which leaves room for the
+    second-order terms. A limit past float32's range is inf, so every pair
+    passes. No pair within ``max_dist`` is dropped, whatever the BLAS, and
+    the exact pass alone decides the result.
 
     Tiles. The screen walks the records in tiles of at most
     ``SCREEN_TILE`` products: a group of whole runs when one run's b x n
@@ -345,13 +375,17 @@ def _neighbor_pairs(
     variances = np.atleast_2d(history.variances())
     spread = variances >= ZERO_VARIANCE_EPS
     k = np.count_nonzero(spread, axis=1)
-    # a dimension without spread gets weight 0 and drops out of the screen
+    f32 = np.finfo(np.float32)
+    # a dimension without spread, or whose weight is subnormal in float32,
+    # gets weight 0 and drops out of the screen
     weight = np.zeros_like(variances)
     weight[spread] = 1.0 / variances[spread]
-    shrink = 1.0 - 16.0 * (k + 8) * (np.finfo(np.float64).eps / 2.0)
-    limit = max_dist * max_dist + k * np.finfo(np.float64).tiny
-    records = buffer[:, :size]
+    weight = np.where(weight >= f32.tiny, weight, 0.0).astype(np.float32)
+    shrink = (1.0 - 16.0 * (k + 8) * (f32.eps / 2.0)).astype(np.float32)
+    limit = (max_dist * max_dist + k * 2.0**-104).astype(np.float32)
+    records = history._variables32()
     norms = np.einsum("gij,gij,gj->gi", records, records, weight)
+    overflow = ~(norms.max(axis=1) <= f32.max / 4)  # or NaN: the run passes every pair
     # (1 - c)|r|^2 - limit - 2 (q w).r <= -(1 - c)|q|^2; scaling by -2 is exact
     queries = records[:, rows] * (-2.0 * weight[:, None])
     bound = -shrink[:, None, None] * norms[:, rows, None]
@@ -363,8 +397,10 @@ def _neighbor_pairs(
         test, mask = history._screen_buffers((len(part), b, part.shape[1]))
         np.matmul(queries[group], part.transpose(0, 2, 1), out=test)
         test += (shrink[group, None] * norms[group, tile] - limit[group, None])[:, None]
+        np.less_equal(test, bound[group], out=mask)
+        mask[overflow[group]] = True
         # row-major like np.nonzero, which is several times slower on a 3-d mask
-        passed = np.flatnonzero(np.less_equal(test, bound[group], out=mask))
+        passed = np.flatnonzero(mask)
         run_q, r_idx = np.divmod(passed, test.shape[2])
         found.append((first * b + run_q) * size + lo + r_idx)
     # each tile's indices ascend; a stable sort merges those runs into row-major order

@@ -19,7 +19,7 @@ from knnavg.averaging import (
     sed,
 )
 from knnavg.core import Batch, ContractViolationError, RngStream
-from knnavg.nsga2 import GaConfig, KnnAveraged, run_optimization
+from knnavg.nsga2 import GaConfig, KnnAveraged, PlainNoisy, run_optimization
 from knnavg.problems import NoiseSpec, ZdtProblem
 from sampling import one_at_a_time
 
@@ -581,6 +581,39 @@ class TestKnnEvaluateMatchesDefinition:
             for record in range(30):
                 assert_matches_definition(band, raws, 30, 40, lambda dist: float(dist[0, record]))
 
+    @pytest.mark.parametrize("cutoff", [1e20, 1e-30],
+                             ids=["square-overflows", "square-underflows"])
+    def test_cutoffs_whose_square_leaves_float32s_range(self, cutoff):
+        # The screen runs in float32, where 1e20**2 overflows and 1e-30**2
+        # rounds to 0 (float64 holds both): all pairs are kept, or only the
+        # copies at distance 0.
+        rng = RngStream(71)
+        x, raws = rng.random((40, 30)), rng.random((40, 2))
+        x[30:36] = x[[0, 5, 31, 31, 33, 33]]
+        assert_matches_definition(x, raws, 30, 12, lambda dist: cutoff)
+
+    def test_variables_whose_squares_overflow_float32(self):
+        # Squares of 1e20 and more are inf in float32, and NaN once the
+        # constant dimension's weight 0 multiplies them: the screen passes
+        # every pair.
+        rng = RngStream(79)
+        x, raws = 1e20 * (1.0 + rng.random((40, 30))), rng.random((40, 2))
+        x[:, 3] = 1e20
+        assert_matches_definition(x, raws, 30, 12, lambda dist: float(np.median(dist)))
+
+    def test_weights_near_1e12_on_records_with_subnormal_squares(self):
+        # Variances just above ZERO_VARIANCE_EPS weigh each dimension by
+        # about 1e12, and the last ten records, near 3e-21, have float32
+        # squares below the normal range, whose rounding the relative slack
+        # does not cover. Each of their distances to the first is put on the
+        # cutoff in turn.
+        rng = RngStream(73)
+        x = np.vstack((rng.random((30, 2)), 1e-15 * rng.random((10, 2))))
+        raws = rng.random((40, 2))
+        x *= np.sqrt(1.01e-12 / x.var(axis=0))
+        for record in range(31, 40):
+            assert_matches_definition(x, raws, 30, 12, lambda dist: float(dist[0, record]))
+
 
 def screened_and_kept(monkeypatch, pop_size, generations, config):
     """Pairs reaching the exact pass and pairs it keeps, per batch of one zdt1 n=30 run."""
@@ -601,17 +634,22 @@ def screened_and_kept(monkeypatch, pop_size, generations, config):
 
 class TestScreenSelectivity:
     # Every result would stay right if the screen passed every pair; only the
-    # exact pass would slow down. Count what reaches it over one run.
+    # exact pass would slow down. Count what reaches it over one run. The
+    # float32 slack c N, c = 16 (30 + 8) 2**-24 = 3.6e-5, is 0.11-0.16
+    # max_dist**2 at the median record of these runs, so the screen passes
+    # the pairs out to about 1.07 max_dist: 658 per 600 kept pairs here and
+    # 4,171 per 3,874 below. 1.1 is the smallest round bound above both; a
+    # limit of max_dist**2 + 1 passes 8,403 per 600.
     def test_screen_passes_few_pairs_beyond_the_cutoff(self, monkeypatch):
         candidates, kept = screened_and_kept(monkeypatch, 20, 15, KnnConfig(k=10, max_dist=0.25))
         # 16 batches of 20, and every solution keeps at least itself
         assert len(candidates) == 16 and sum(kept) >= 320
-        assert sum(candidates) <= 1.01 * sum(kept)
+        assert sum(candidates) <= 1.1 * sum(kept)
 
     def test_screen_is_as_selective_at_the_benchmark_shape(self, monkeypatch):
         candidates, kept = screened_and_kept(monkeypatch, 100, 20, KnnConfig(k=10, max_dist=0.25))
         assert len(candidates) == 21 and sum(kept) >= 2100
-        assert sum(candidates) <= 1.01 * sum(kept)
+        assert sum(candidates) <= 1.1 * sum(kept)
 
 
 class TestScreenWorkspace:
@@ -620,7 +658,8 @@ class TestScreenWorkspace:
         # history exists, so a call's peak counts what the history keeps
         # between calls as well as what the call allocates. Less the
         # history's own buffers, that is at most one tile's product and mask
-        # plus 1 MiB, at 5k records as at 10k. Only a call that grows the
+        # plus 1 MiB, at 5k records as at 10k. The history's own buffers
+        # include the screen's float32 copy. Only a call that grows the
         # history's buffers, and so holds the old ones too, is exempt.
         d, b, rng = 30, 100, RngStream(3)
         config = KnnConfig(k=10, max_dist=0.25)
@@ -635,7 +674,8 @@ class TestScreenWorkspace:
                 knn_evaluate(make_batch(rng.random((b, d)), rng.random((b, 2))), history, config)
                 if not (4_900 <= len(history) <= 5_300 or len(history) >= 9_900):
                     continue
-                own = sum(a.nbytes for a in (history._vars, history._raws, history._avgs))
+                buffers = ("_vars", "_raws", "_avgs", "_vars32")
+                own = sum(getattr(history, name).nbytes for name in buffers)
                 held = tracemalloc.get_traced_memory()[1] - own
                 grew = history._vars.shape[1] != capacity
                 grown, measured = grown + grew, measured + 1
@@ -702,6 +742,21 @@ class TestScreenWorkspace:
         tiled = run(tile)
         assert shapes == tiles
         assert [a.tobytes() for a in tiled] == [a.tobytes() for a in whole]
+
+    def test_plain_run_makes_no_float32_copy(self, monkeypatch):
+        # the history the run appends to, not the per-run view it returns
+        histories = set()
+        evaluate = PlainNoisy.evaluate
+
+        def recording(evaluator, batch, history):
+            histories.add(history)
+            return evaluate(evaluator, batch, history)
+
+        monkeypatch.setattr(PlainNoisy, "evaluate", recording)
+        run_optimization(ZdtProblem("zdt1", 30), NoiseSpec(0.1), PlainNoisy(),
+                         GaConfig(pop_size=20, generations=5), RngStream(1))
+        (history,) = histories
+        assert len(history) == 120 and history._vars32.shape[1] == 0
 
 
 class TestHistoryRows:
