@@ -90,14 +90,15 @@ def hypervolume_2d(points, reference):
     matrix. Points that do not strictly dominate the reference are
     ignored; dominated points contribute nothing. The sweep sorts by f1
     and adds each strip's improvement in f2 strictly left to right, so the
-    result is exact up to float rounding. An empty set has volume zero.
+    result is exact up to float rounding. An empty set, (..., 0, 2), has
+    area zero.
     """
     ref_f1, ref_f2 = as_reference(reference)
     pts = np.asarray(points, dtype=np.float64)
-    if pts.size == 0:
-        return 0.0
     if pts.ndim < 2 or pts.shape[-1] != 2:
         raise ContractViolationError(f"expected (n, 2) points, got shape {pts.shape}")
+    if not pts.shape[-2]:
+        return 0.0 if pts.ndim == 2 else np.zeros(pts.shape[:-2])
     inside = (pts[..., 0] < ref_f1) & (pts[..., 1] < ref_f2)
     # an ignored point sits at f2 = ref_f2: it never improves the best f2
     f1 = np.where(inside, pts[..., 0], ref_f1)

@@ -150,6 +150,8 @@ def fast_non_dominated_sort(objectives: np.ndarray) -> np.ndarray:
       (Deb et al., 2002) that ranks any other number of objectives.
     """
     objs = np.asarray(objectives, dtype=np.float64)
+    if objs.ndim < 2:
+        raise ContractViolationError(f"expected (..., n, m) objectives, got shape {objs.shape}")
     if np.isnan(objs).any():
         raise ContractViolationError("objectives must not be NaN")
     if objs.shape[-1] != 2:
@@ -196,6 +198,8 @@ def crowding_distance(objectives: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     objective with zero range on a front contributes nothing to it.
     """
     objs = np.asarray(objectives, dtype=np.float64)
+    if objs.ndim < 2:
+        raise ContractViolationError(f"expected (..., n, m) objectives, got shape {objs.shape}")
     size, m = objs.shape[-2:]
     if not size:
         raise ContractViolationError("crowding distance of an empty front is undefined")

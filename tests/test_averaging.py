@@ -657,13 +657,14 @@ class TestScreenWorkspace:
         # tracemalloc sees numpy's data buffers. It runs from before the
         # history exists, so a call's peak counts what the history keeps
         # between calls as well as what the call allocates. Less the
-        # history's own buffers, that is at most one tile's product and mask
-        # plus 1 MiB, at 5k records as at 10k. The history's own buffers
-        # include the screen's float32 copy. Only a call that grows the
-        # history's buffers, and so holds the old ones too, is exempt.
+        # history's own buffers, that is at most one tile's float32 product
+        # and mask (4 B + 1 B an element) plus 1 MiB, at 5k records as at
+        # 10k. The history's own buffers include the screen's float32 copy.
+        # Only a call that grows the history's buffers, and so holds the old
+        # ones too, is exempt.
         d, b, rng = 30, 100, RngStream(3)
         config = KnnConfig(k=10, max_dist=0.25)
-        limit = averaging.SCREEN_TILE * 9 + (1 << 20)
+        limit = averaging.SCREEN_TILE * 5 + (1 << 20)
         over, grown, measured = [], 0, 0
         tracemalloc.start()
         try:

@@ -561,6 +561,20 @@ class TestRunGrid:
             rows = list(csv.DictReader(handle))
         assert rows[0]["fingerprint"] == victim
 
+    def test_results_table_appears_with_the_first_finished_run(self, tmp_path, monkeypatch):
+        grid = tiny_grid()
+        monkeypatch.setattr(experiment, "_grid_worker", refuse_to_run)
+        assert len(run_grid(grid, out_dir=tmp_path).failures) == 4
+        assert sorted(p.name for p in tmp_path.iterdir()) == [FAILURES_FILENAME, MANIFEST_FILENAME]
+        assert len(table_rows(tmp_path / FAILURES_FILENAME)) == 4
+        with pytest.raises(ContractViolationError, match="no results table"):
+            load_results(tmp_path)
+        monkeypatch.setattr(experiment, "_grid_worker", REAL_GRID_WORKER)
+        assert len(run_grid(grid, out_dir=tmp_path).results) == 4
+        with (tmp_path / RESULTS_FILENAME).open(newline="") as handle:
+            header = next(csv.reader(handle))
+        assert header == list(experiment._result_row(load_results(tmp_path)[0]))
+
     def test_load_results_requires_table(self, tmp_path):
         with pytest.raises(ContractViolationError):
             load_results(tmp_path)
@@ -643,6 +657,23 @@ class TestReport:
         )
         with pytest.raises(ContractViolationError):
             report([moved] + list(results[1:]))
+
+    def test_mixed_front_sample_sizes_rejected(self, tmp_path):
+        # a resume refuses the mix inside one directory, but a merged or
+        # edited table reaches the report; IGD over different samples differs
+        grid_results(tmp_path)
+        table = tmp_path / RESULTS_FILENAME
+        with table.open(newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        rows[-1]["front_sample_size"] = "50"
+        with table.open("w", newline="") as handle:
+            writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        results = load_results(tmp_path)
+        assert len(results) == 12
+        with pytest.raises(ContractViolationError, match="front sample sizes"):
+            report(results)
 
     def test_per_sigma_scopes_split_runs(self, tmp_path):
         results = grid_results(tmp_path, sigmas=(0.0, 0.4))

@@ -55,6 +55,17 @@ class TestHypervolume2d:
     def test_empty_set(self):
         assert hypervolume_2d(np.empty((0, 2)), (1.0, 1.0)) == 0.0
 
+    def test_empty_stack_has_one_zero_area_per_matrix(self):
+        areas = hypervolume_2d(np.empty((3, 0, 2)), (1.0, 1.0))
+        assert isinstance(areas, np.ndarray) and areas.shape == (3,)
+        assert not areas.any()
+
+    @pytest.mark.parametrize("points", [[], [[]], np.empty((2, 3, 0))], ids=["0", "1x0", "2x3x0"])
+    def test_empty_non_matrix_rejected(self, points):
+        # emptiness used to be read before the shape: these returned 0.0
+        with pytest.raises(ContractViolationError, match="shape"):
+            hypervolume_2d(points, (1.0, 1.0))
+
     def test_point_at_reference_contributes_nothing(self):
         assert hypervolume_2d([[1.0, 1.0]], (1.0, 1.0)) == 0.0
         assert hypervolume_2d([[0.5, 1.0]], (1.0, 1.0)) == 0.0

@@ -63,6 +63,12 @@ class TestFastNonDominatedSort:
     def test_empty_population(self):
         assert front_lists(np.empty((0, 2))) == []
 
+    @pytest.mark.parametrize("shape", [(), (2,), (3,)], ids=["scalar", "2-vector", "3-vector"])
+    def test_non_matrix_rejected(self, shape):
+        # a vector used to fail inside the sweep or the peel, not at the contract
+        with pytest.raises(ContractViolationError, match="objectives"):
+            fast_non_dominated_sort(np.zeros(shape))
+
     def test_duplicates_share_front(self):
         fronts = front_lists(rows([1.0, 1.0], [1.0, 1.0]))
         assert fronts == [[0, 1]]
@@ -194,6 +200,11 @@ class TestCrowdingDistance:
     def test_empty_front_rejected(self):
         with pytest.raises(ContractViolationError):
             one_front_crowding(np.empty((0, 2)))
+
+    @pytest.mark.parametrize("shape", [(), (2,), (3,)], ids=["scalar", "2-vector", "3-vector"])
+    def test_non_matrix_rejected(self, shape):
+        with pytest.raises(ContractViolationError, match="objectives"):
+            crowding_distance(np.zeros(shape), np.zeros(shape, dtype=np.int64))
 
     def test_denser_region_scores_lower(self):
         # the point crowded by close neighbors gets a smaller distance
