@@ -205,7 +205,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"executed {len(outcome.results)} runs, {len(outcome.failures)} failures")
     if outcome.unfinished:
         return 2  # run_grid has logged the count; a report would lack those runs
-    if args.report and (outcome.results or args.out):
+    # skipped runs are on disk; with neither, there is no results table to report
+    if args.report and (outcome.results or outcome.skipped):
         results = load_results(args.out) if args.out else outcome.results
         bundle = report(results)
         print()

@@ -1,4 +1,4 @@
-"""Core domain types: batches, dominance, seeded RNG, count and seed checks.
+"""Core domain types: batches, seeded RNG, count and seed checks.
 
 Everything downstream (benchmark functions, neighbor averaging, the search
 engine, the quality indicators) is built on the small value types defined
@@ -27,7 +27,6 @@ __all__ = [
     "as_real",
     "as_seed",
     "as_streams",
-    "dominance_matrix",
 ]
 
 
@@ -188,19 +187,3 @@ def as_streams(rng) -> tuple[RngStream, ...]:
     """The streams of a stack of runs: one ``RngStream``, or a sequence with one per run."""
     return (rng,) if isinstance(rng, RngStream) else tuple(rng)
 
-
-def dominance_matrix(objs: np.ndarray) -> np.ndarray:
-    """``dom[..., i, j]`` is True when row i of ``objs`` Pareto-dominates row j.
-
-    ``objs`` is one (n, m) matrix or a stack (..., n, m) of them; rows are
-    compared only within their matrix. Minimization: nowhere worse and
-    strictly better somewhere. Equal rows do not dominate each other. The
-    comparisons are accumulated one objective at a time on (..., n, n)
-    matrices, never on an (n, n, m) tensor. Row i nowhere worse than row j
-    is better somewhere exactly when row j is not nowhere worse than row i.
-    """
-    less_eq = np.ones(objs.shape[:-1] + objs.shape[-2:-1], dtype=bool)
-    for j in range(objs.shape[-1]):
-        column = objs[..., j]
-        less_eq &= column[..., :, None] <= column[..., None, :]
-    return less_eq & ~np.swapaxes(less_eq, -1, -2)

@@ -5,9 +5,13 @@ parents by front rank then crowding, simulated binary crossover and
 polynomial mutation produce exactly ``pop_size`` offspring per generation,
 and parents plus offspring are truncated back by rank and crowding. What
 the selection machinery never sees is how objectives were obtained: an
-``Evaluator`` turns freshly sampled solutions into ranked ones, either
-passing the noisy sample through or replacing it with a neighborhood
-average over the run's evaluation history.
+evaluator, any object with a ``label`` and an ``evaluate(batch, history)``
+method, turns freshly sampled solutions into ranked ones, either passing
+the noisy sample through (:class:`PlainNoisy`) or replacing it with a
+neighborhood average over the run's evaluation history
+(:class:`KnnAveraged`). It must be a deterministic function of the batch
+and the history, which it records every batch in exactly once: all
+randomness lives in the sampling step before it.
 
 :func:`run_stack` advances the runs of one cell and arm together on
 (runs, pop_size, .) arrays, and :func:`run_optimization` is its one-run
@@ -23,7 +27,6 @@ evaluation and ranking then run once on the whole stack.
 
 from __future__ import annotations
 
-import abc
 import bisect
 from dataclasses import asdict, dataclass, field
 
@@ -37,14 +40,12 @@ from .core import (
     as_count,
     as_real,
     as_streams,
-    dominance_matrix,
 )
 from .metrics import DEFAULT_REFERENCE, hypervolume_2d
 from .problems import NoiseSpec, ZdtProblem, evaluate_noisy
 
 __all__ = [
     "GaConfig",
-    "Evaluator",
     "PlainNoisy",
     "KnnAveraged",
     "GenerationStats",
@@ -94,22 +95,7 @@ class GaConfig:
             object.__setattr__(self, name, p)
 
 
-class Evaluator(abc.ABC):
-    """Turns a batch of freshly sampled solutions into ranked solutions.
-
-    Implementations must be deterministic functions of the batch and the
-    history state: all randomness lives in the sampling step that precedes
-    them. Every batch must be appended to the history exactly once.
-    """
-
-    label: str = "evaluator"
-
-    @abc.abstractmethod
-    def evaluate(self, batch: Batch, history: EvaluationHistory) -> Batch:
-        """Assign search objectives to ``batch``, recording it in ``history``."""
-
-
-class PlainNoisy(Evaluator):
+class PlainNoisy:
     """Baseline evaluation: the raw noisy sample is ranked as-is."""
 
     label = "plain"
@@ -119,7 +105,7 @@ class PlainNoisy(Evaluator):
         return batch
 
 
-class KnnAveraged(Evaluator):
+class KnnAveraged:
     """Evaluation through nearest-neighbor averaging of the history."""
 
     def __init__(self, config: KnnConfig) -> None:
@@ -131,40 +117,30 @@ class KnnAveraged(Evaluator):
 
 
 def fast_non_dominated_sort(objectives: np.ndarray) -> np.ndarray:
-    """Front rank of every row of an (n, m) objective matrix, or of each matrix of a stack.
+    """Front rank of every row of an (n, 2) objective matrix, or of each matrix of a stack.
 
     Front 0 is the set of rows dominated by nobody; front j contains rows
     dominated only by members of earlier fronts. Ranks have the shape of
-    ``objectives`` without its last axis. NaN objectives are rejected.
+    ``objectives`` without its last axis. Every problem of the package has
+    two objectives; any other count, and NaN objectives, are rejected.
 
-    Two objectives take one sort on (f1, f2) and one sweep that puts each
-    point p into the first front whose last member does not dominate it
-    (Jensen, 2003). The ranks are exact:
+    One sort on (f1, f2) and one sweep put each point p into the first
+    front whose last member does not dominate it (Jensen, 2003). The ranks
+    are exact:
     - every point that dominates p comes before p;
     - in a front f1 rises and f2 falls, but for identical points, so the
       last member holds the front's smallest f2, and the front dominates p
       exactly when that f2 is at most p's and the member is not p's point;
     - these f2 never decrease front by front, so ``bisect_right`` finds p's
       front, and a point identical to the one before it takes its front;
-    - -0.0 and 0.0 compare equal, as in the peel of dominance matrices
-      (Deb et al., 2002) that ranks any other number of objectives.
+    - -0.0 and 0.0 compare equal, so they are one point to the sort, the
+      sweep and Pareto dominance alike.
     """
     objs = np.asarray(objectives, dtype=np.float64)
-    if objs.ndim < 2:
-        raise ContractViolationError(f"expected (..., n, m) objectives, got shape {objs.shape}")
+    if objs.ndim < 2 or objs.shape[-1] != 2:
+        raise ContractViolationError(f"expected (..., n, 2) objectives, got shape {objs.shape}")
     if np.isnan(objs).any():
         raise ContractViolationError("objectives must not be NaN")
-    if objs.shape[-1] != 2:
-        dom = dominance_matrix(objs)
-        ranks = np.zeros(objs.shape[:-1], dtype=np.int64)
-        remaining = np.ones(objs.shape[:-1], dtype=bool)
-        rank = 0
-        while remaining.any():
-            front = remaining & ~(dom & remaining[..., :, None]).any(axis=-2)
-            ranks[front] = rank
-            remaining &= ~front
-            rank += 1
-        return ranks
     stack = objs.reshape(int(np.prod(objs.shape[:-2])), *objs.shape[-2:])
     runs, n = stack.shape[:2]
     order = np.lexsort((stack[..., 1], stack[..., 0]), axis=-1) + n * np.arange(runs)[:, None]
@@ -411,19 +387,10 @@ def _survival(
     return chosen, ranks.ravel()[chosen], crowding.ravel()[chosen]
 
 
-def _first_fronts(objectives: np.ndarray, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Size and hypervolume of the first front of each population of a stack.
-
-    In the f1-then-f2 sweep a dominated point follows one that dominates it: it adds
-    an exact +0.0 and never lowers the best f2, so the area is bitwise the front's.
-    """
-    return (ranks == 0).sum(axis=-1), hypervolume_2d(objectives, DEFAULT_REFERENCE)
-
-
 def run_optimization(
     problem: ZdtProblem,
     noise: NoiseSpec,
-    evaluator: Evaluator,
+    evaluator: PlainNoisy | KnnAveraged,
     ga: GaConfig,
     rng: RngStream,
 ) -> OptimizationResult:
@@ -443,7 +410,7 @@ def run_optimization(
 
 
 def run_stack(
-    problem: ZdtProblem, noise: NoiseSpec, evaluator: Evaluator, ga: GaConfig, rngs
+    problem: ZdtProblem, noise: NoiseSpec, evaluator: PlainNoisy | KnnAveraged, ga: GaConfig, rngs
 ) -> list[OptimizationResult]:
     """Advance one run per stream of ``rngs`` together; return their results in that order.
 
@@ -465,7 +432,7 @@ def run_stack(
     members = evaluated(np.concatenate([stream.random((pop, n)) for stream in streams]))
     ranks = fast_non_dominated_sort(members[1])
     crowding = crowding_distance(members[1], ranks)
-    fronts = [_first_fronts(members[1], ranks)]
+    populations, population_ranks = [members[1]], [ranks]
     for _ in range(ga.generations):
         draws = draw_variation(ranks.ravel(), crowding.ravel(), ga, n, streams)
         # np.take gathers rows several times faster than fancy indexing
@@ -477,8 +444,13 @@ def run_stack(
         combined = [np.concatenate(pair, axis=1) for pair in zip(members, evaluated(children))]
         chosen, ranks, crowding = _survival(combined[1], pop)
         members = [np.take(m.reshape(2 * runs * pop, -1), chosen, axis=0) for m in combined]
-        fronts.append(_first_fronts(members[1], ranks))
-    sizes, volumes = (np.stack(column, axis=1) for column in zip(*fronts))
+        populations.append(members[1])
+        population_ranks.append(ranks)
+    # the trace, (runs, generations + 1): in the f1-then-f2 sweep a dominated point follows
+    # one that dominates it, adds an exact +0.0 and never lowers the best f2, so each
+    # population's area is bitwise its first front's
+    sizes = (np.stack(population_ranks, axis=1) == 0).sum(axis=-1)
+    volumes = hypervolume_2d(np.stack(populations, axis=1), DEFAULT_REFERENCE)
     return [
         OptimizationResult(
             problem, noise, evaluator.label, ga, stream.seed,

@@ -245,6 +245,23 @@ class TestRun:
         assert "Verdicts versus baseline" in out
         assert "knn(3, 0.25)" in out
 
+    def test_report_flag_when_every_run_fails(self, tmp_path, capsys, monkeypatch):
+        # no run finished, so there is no results table to report from
+        monkeypatch.setattr(experiment, "execute_stack", refuse_to_run)
+        argv = RUN_FLAGS + ["--reps", "5", "--out", str(tmp_path), "--report"]
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert "executed 0 runs, 10 failures" in captured.out
+        assert "Verdicts" not in captured.out and "error:" not in captured.err
+        assert not (tmp_path / "results.csv").exists()
+        # a resume that skips every run still reports the persisted ones
+        monkeypatch.undo()
+        assert run_cli(argv) == 0
+        capsys.readouterr()
+        assert run_cli(argv) == 0
+        out = capsys.readouterr().out
+        assert "skipped 10 already persisted runs" in out and "Verdicts" in out
+
     def test_non_finite_reference_rejected_before_any_run(self, tmp_path, capsys, monkeypatch):
         # nan != nan: persisted, such rows could never be reported together
         monkeypatch.setattr(experiment, "run_stack", refuse_to_run)

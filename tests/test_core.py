@@ -8,16 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from knnavg.averaging import KnnConfig
-from knnavg.core import (
-    Batch,
-    ContractViolationError,
-    RngStream,
-    Solution,
-    dominance_matrix,
-)
+from knnavg.core import Batch, ContractViolationError, RngStream, Solution
 from knnavg.experiment import ExperimentGrid
 from knnavg.metrics import MetricReport, as_reference, compute_report, hypervolume_2d
-from knnavg.nsga2 import GaConfig
+from knnavg.nsga2 import GaConfig, fast_non_dominated_sort
 from knnavg.problems import NoiseSpec, ZdtProblem, evaluate_noisy, true_front
 from oracles import dominates
 
@@ -191,9 +185,9 @@ class TestReals:
 
 
 def pair_dominance(a, b) -> tuple[bool, bool]:
-    """(a dominates b, b dominates a), read off a two-row dominance matrix."""
-    dom = dominance_matrix(np.array([a, b], dtype=float))
-    return bool(dom[0, 1]), bool(dom[1, 0])
+    """(a dominates b, b dominates a): of two rows, only the other can push one off front 0."""
+    undominated = fast_non_dominated_sort(np.array([a, b], dtype=float)) == 0
+    return not undominated[1], not undominated[0]
 
 
 class TestDominates:
@@ -220,7 +214,8 @@ class TestDominates:
         # property sweep over random objective vectors
         rng = np.random.default_rng(101)
         for _ in range(400):
-            dom = dominance_matrix(rng.random((3, 2)))
+            objs = rng.random((3, 2))
+            dom = np.array([[pair_dominance(a, b)[0] for b in objs] for a in objs])
             assert not dom.diagonal().any()
             assert not (dom & dom.T).any()
             for a, b, c in ((0, 1, 2), (2, 1, 0), (1, 0, 2), (0, 2, 1)):
@@ -237,12 +232,29 @@ def numbered_batch(objectives) -> Batch:
 
 def front_of(batch: Batch) -> Batch:
     """The rows no other row dominates, in order, as the search loop takes them."""
-    front = ~dominance_matrix(batch.objectives).any(axis=0)
+    front = fast_non_dominated_sort(batch.objectives) == 0
     return Batch(batch.variables[front], batch.objectives[front], batch.raw_objectives[front])
 
 
 def row_numbers(batch: Batch) -> list[int]:
     return batch.variables[:, 0].astype(int).tolist()
+
+
+@st.composite
+def objective_matrices(draw):
+    """Objective matrices with ties, exact duplicates and infinities."""
+    n = draw(st.integers(0, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        objs = rng.integers(0, 3, size=(n, 2)).astype(float)  # many ties
+    else:
+        objs = rng.random((n, 2))
+    for _ in range(draw(st.integers(0, n))):
+        if n:
+            objs[rng.integers(n)] = objs[rng.integers(n)]
+    if n and draw(st.booleans()):
+        objs[rng.integers(n), rng.integers(2)] = np.inf
+    return objs
 
 
 class TestNonDominatedFilter:
@@ -276,7 +288,7 @@ class TestNonDominatedFilter:
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(78)
         for _ in range(200):
-            objs = rng.random((25, 3)).tolist()
+            objs = rng.random((25, 2)).tolist()
             expected = [
                 i for i, s in enumerate(objs) if not any(dominates(other, s) for other in objs)
             ]
@@ -288,42 +300,12 @@ class TestNonDominatedFilter:
             once = front_of(numbered_batch(rng.random((20, 2))))
             assert row_numbers(front_of(once)) == row_numbers(once)
 
-
-@st.composite
-def objective_matrices(draw):
-    """Objective matrices with ties, exact duplicates and infinities."""
-    n = draw(st.integers(0, 30))
-    m = draw(st.sampled_from([2, 3]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.booleans()):
-        objs = rng.integers(0, 3, size=(n, m)).astype(float)  # many ties
-    else:
-        objs = rng.random((n, m))
-    for _ in range(draw(st.integers(0, n))):
-        if n:
-            objs[rng.integers(n)] = objs[rng.integers(n)]
-    if n and draw(st.booleans()):
-        objs[rng.integers(n), rng.integers(m)] = np.inf
-    return objs
-
-
-class TestDominanceMatrix:
     @given(objective_matrices())
     def test_equals_broadcast_definition(self, objs):
         less_eq = np.all(objs[:, None, :] <= objs[None, :, :], axis=2)
         strict = np.any(objs[:, None, :] < objs[None, :, :], axis=2)
-        dom = dominance_matrix(objs)
-        assert dom.shape == (len(objs), len(objs))
-        assert np.array_equal(dom, less_eq & strict)
-
-    def test_agrees_with_dominates(self):
-        rng = np.random.default_rng(80)
-        objs = rng.integers(0, 3, size=(20, 2)).astype(float)
-        dom = dominance_matrix(objs)
-        rows = objs.tolist()
-        for i, a in enumerate(rows):
-            for j, b in enumerate(rows):
-                assert dom[i, j] == dominates(a, b)
+        undominated = ~(less_eq & strict).any(axis=0)
+        assert row_numbers(front_of(numbered_batch(objs))) == np.flatnonzero(undominated).tolist()
 
 
 class TestRngStream:

@@ -1,7 +1,7 @@
 """The benchmark tracer still fits the package it wraps.
 
 ``perfbench/tracer.py`` replaces functions of ``knnavg.nsga2`` by name and
-counts evaluations through ``Evaluator.evaluate``. A rename or a signature
+counts evaluations through the evaluators' ``evaluate``. A rename or a signature
 change there breaks the traced benchmark only when it runs; this test runs
 a toy optimization under the tracer for both arms first.
 """
