@@ -208,9 +208,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # skipped runs are on disk; with neither, there is no results table to report
     if args.report and (outcome.results or outcome.skipped):
         results = load_results(args.out) if args.out else outcome.results
-        bundle = report(results)
-        print()
-        print(bundle.text, end="")
+        try:
+            print("\n" + report(results).text, end="")
+        except ContractViolationError as exc:
+            if not outcome.failures:
+                raise
+            # failed runs can leave averaging runs without partners; exit 2 still reports them
+            print(f"error: {exc}", file=sys.stderr)
     return 2 if outcome.failures else 0
 
 

@@ -678,15 +678,13 @@ _METRIC_HEADERS = {"hv": "HV", "igd": "IGD", "delta_f": "Δf"}
 def report(results: Sequence[RunResult], alpha: float = 0.05) -> ReportBundle:
     """Compare every averaging setting against the baseline, per noise level.
 
-    Runs are paired on (cell, repetition): each averaging run needs the
-    baseline run of the same cell and repetition, and a missing partner is
-    a contract violation naming the missing fingerprints. So are results
-    that mix reference points or front sample sizes. Verdicts are
-    produced per sigma and pooled over all sigmas, for each of the three
-    metrics.
+    Each averaging run is paired once with the baseline run of its cell and
+    repetition, which must share its seed; one contract violation names
+    every baseline fingerprint that is missing or carries another seed. So
+    are results that mix reference points or front sample sizes. Verdicts
+    are produced per sigma and pooled over all sigmas, for each of the
+    three metrics; fewer than five non-zero paired differences are flagged.
     """
-    if not results:
-        raise ContractViolationError("no results to report on")
     by_fingerprint: dict[str, RunResult] = {}
     for result in results:
         by_fingerprint.setdefault(result.config.fingerprint, result)
@@ -698,59 +696,45 @@ def report(results: Sequence[RunResult], alpha: float = 0.05) -> ReportBundle:
     ):
         if len(values) > 1:
             raise ContractViolationError(f"results mix {what}: {sorted(values)}")
-    baselines: dict[tuple, RunResult] = {}
-    knn_runs: dict[tuple[int, float], list[RunResult]] = {}
-    for result in unique:
-        cfg = result.config
-        if cfg.arm == ARM_BASELINE:
-            baselines[cfg.cell + (cfg.rep,)] = result
-        else:
-            knn_runs.setdefault((cfg.k, cfg.max_dist), []).append(result)
+    knn_runs = sorted(
+        (r for r in unique if r.config.arm == ARM_KNN),
+        key=lambda r: (r.config.k, r.config.max_dist, r.config.cell, r.config.rep),
+    )
     if not knn_runs:
         raise ContractViolationError("results contain no averaging-arm runs to compare")
+    pairs: list[tuple[RunResult, RunResult]] = []
+    unpaired: dict[str, str] = {}  # baseline fingerprint -> why it does not pair
+    for run in knn_runs:
+        wanted = dataclasses.replace(run.config, arm=ARM_BASELINE, k=None, max_dist=None)
+        partner = by_fingerprint.get(wanted.fingerprint)
+        if partner is not None and partner.config.seed == wanted.seed:
+            pairs.append((run, partner))
+        else:
+            why = f" (seeds differ: {partner.config.seed} vs {wanted.seed})" if partner else ""
+            unpaired.setdefault(wanted.fingerprint, why)
+    if unpaired:
+        raise ContractViolationError(
+            "missing baseline partners: "
+            + ", ".join(fingerprint + why for fingerprint, why in sorted(unpaired.items()))
+        )
 
-    sigmas = sorted({r.config.sigma for r in unique})
-    settings = sorted(knn_runs)
     tables: dict[str, dict[tuple[int, float], dict[str, ComparisonVerdict]]] = {}
-    scopes = [f"sigma={float(s)!r}" for s in sigmas] + [POOLED_SCOPE]
-
-    for scope, sigma in list(zip(scopes, sigmas)) + [(POOLED_SCOPE, None)]:
-        scope_table: dict[tuple[int, float], dict[str, ComparisonVerdict]] = {}
-        for setting in settings:
-            runs = [
-                r for r in knn_runs[setting]
-                if sigma is None or r.config.sigma == sigma
-            ]
-            if not runs:
-                continue
-            runs.sort(key=lambda r: (r.config.cell, r.config.rep))
-            missing = [
-                dataclasses.replace(r.config, arm=ARM_BASELINE, k=None, max_dist=None).fingerprint
-                for r in runs
-                if r.config.cell + (r.config.rep,) not in baselines
-            ]
-            if missing:
-                raise ContractViolationError(
-                    "missing baseline partners: " + ", ".join(sorted(missing))
-                )
-            paired_baselines = [baselines[r.config.cell + (r.config.rep,)] for r in runs]
-            scope_table[setting] = {
-                metric: compare_setting(
-                    [r.metrics for r in runs], [r.metrics for r in paired_baselines], metric,
-                    alpha=alpha,
-                )
-                for metric in METRICS
+    sigmas = sorted({run.config.sigma for run, _ in pairs})
+    for scope, sigma in [(f"sigma={float(s)!r}", s) for s in sigmas] + [(POOLED_SCOPE, None)]:
+        scoped = [p for p in pairs if sigma is None or p[0].config.sigma == sigma]
+        tables[scope] = {}
+        for setting, group in itertools.groupby(
+            scoped, key=lambda p: (p[0].config.k, p[0].config.max_dist)
+        ):
+            runs, partners = zip(*((run.metrics, partner.metrics) for run, partner in group))
+            tables[scope][setting] = {
+                metric: compare_setting(runs, partners, metric, alpha=alpha) for metric in METRICS
             }
-        if scope_table:
-            tables[scope] = scope_table
-
-    text = _render_text(tables, scopes, alpha)
-    verdict_rows = _verdict_rows(tables)
-    plot_rows = _plot_rows(unique)
-    return ReportBundle(tables=tables, text=text, verdict_rows=verdict_rows, plot_rows=plot_rows)
+    text = _render_text(tables, alpha)
+    return ReportBundle(tables, text, _verdict_rows(tables), _plot_rows(unique))
 
 
-def _render_text(tables, scopes, alpha: float) -> str:
+def _render_text(tables, alpha: float) -> str:
     lines = [
         f"Verdicts versus baseline (two-sided signed-rank, alpha={alpha:g}; "
         "direction by A12)",
@@ -767,12 +751,10 @@ def _render_text(tables, scopes, alpha: float) -> str:
     def row(label: str, cells: list[str]) -> str:
         return "  ".join([label.ljust(width)] + [cell.ljust(4) for cell in cells])
 
-    for scope in scopes:
-        if scope not in tables:
-            continue
+    for scope, table in tables.items():
         title = "all noise levels pooled" if scope == POOLED_SCOPE else scope
         lines += ["", f"-- {title} --", row("setting", [_METRIC_HEADERS[m] for m in METRICS])]
-        for setting, verdicts in tables[scope].items():
+        for setting, verdicts in table.items():
             symbols = [
                 _VERDICT_SYMBOLS[verdicts[m].verdict] + ("*" if verdicts[m].insufficient else "")
                 for m in METRICS
@@ -787,24 +769,22 @@ def _setting_label(setting: tuple[int, float]) -> str:
 
 
 def _verdict_rows(tables) -> list[dict[str, str]]:
-    rows = []
-    for scope, table in tables.items():
-        for (k, max_dist), verdicts in table.items():
-            for metric, verdict in verdicts.items():
-                rows.append(
-                    {
-                        "scope": scope,
-                        "k": str(k),
-                        "max_dist": repr(float(max_dist)),
-                        "metric": metric,
-                        "p_value": repr(verdict.p_value),
-                        "a12": repr(verdict.a12),
-                        "verdict": verdict.verdict.value,
-                        "n_pairs": str(verdict.n_pairs),
-                        "insufficient": "1" if verdict.insufficient else "0",
-                    }
-                )
-    return rows
+    return [
+        {
+            "scope": scope,
+            "k": str(k),
+            "max_dist": repr(float(max_dist)),
+            "metric": metric,
+            "p_value": repr(verdict.p_value),
+            "a12": repr(verdict.a12),
+            "verdict": verdict.verdict.value,
+            "n_pairs": str(verdict.n_pairs),
+            "insufficient": "1" if verdict.insufficient else "0",
+        }
+        for scope, table in tables.items()
+        for (k, max_dist), verdicts in table.items()
+        for metric, verdict in verdicts.items()
+    ]
 
 
 _PLOT_COLUMNS = [

@@ -245,6 +245,28 @@ class TestRun:
         assert "Verdicts versus baseline" in out
         assert "knn(3, 0.25)" in out
 
+    def test_report_flag_with_three_repetitions_flags_cells(self, tmp_path, capsys):
+        # fewer than five pairs cannot be tested; the cells say so with a *
+        argv = RUN_FLAGS + ["--reps", "3", "--out", str(tmp_path), "--report"]
+        assert run_cli(argv) == 0
+        assert "≡*" in capsys.readouterr().out
+        assert run_cli(["report", "--in", str(tmp_path)]) == 0
+        assert "≡*" in capsys.readouterr().out
+
+    def test_report_flag_after_a_failed_baseline_exits_2(self, tmp_path, capsys, monkeypatch):
+        def fail_baseline_r1(configs, *args):
+            if "zdt1-n2-s0.2-p10-g5-baseline-r1" in [c.fingerprint for c in configs]:
+                raise RuntimeError("synthetic fault")
+            return REAL_GRID_WORKER(configs, *args)
+
+        monkeypatch.setattr(experiment, "_grid_worker", fail_baseline_r1)
+        argv = RUN_FLAGS + ["--reps", "5", "--out", str(tmp_path), "--report"]
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert "executed 9 runs, 1 failures" in captured.out
+        assert "Verdicts" not in captured.out
+        assert "missing baseline partners: zdt1-n2-s0.2-p10-g5-baseline-r1" in captured.err
+
     def test_report_flag_when_every_run_fails(self, tmp_path, capsys, monkeypatch):
         # no run finished, so there is no results table to report from
         monkeypatch.setattr(experiment, "execute_stack", refuse_to_run)

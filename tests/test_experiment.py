@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import functools
 import json
+import random
 import tempfile
 from pathlib import Path
 
@@ -632,6 +633,28 @@ class TestReport:
             report(pruned)
         assert f"baseline-r{missing_rep}" in str(err.value)
 
+    def test_every_missing_partner_named_once(self, tmp_path):
+        results = grid_results(tmp_path, sigmas=(0.0, 0.4), ks=(3, 5))
+        pruned = [r for r in results if not (r.config.arm == ARM_BASELINE and r.config.rep == 2)]
+        with pytest.raises(ContractViolationError) as err:
+            report(pruned)
+        for sigma in ("0.0", "0.4"):
+            assert str(err.value).count(f"zdt1-n2-s{sigma}-p10-g8-baseline-r2") == 1
+
+    def test_partner_under_another_seed_refused(self, tmp_path):
+        # the signed-rank test rests on seed pairing; a merged or edited
+        # table can break it, and its verdicts would compare unpaired runs
+        grid_results(tmp_path)
+        table = tmp_path / RESULTS_FILENAME
+        with table.open(newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        victim = next(row for row in rows if row["arm"] == ARM_BASELINE)
+        victim["seed"] = str(int(victim["seed"]) + 1)
+        experiment._write_rows(table, rows)
+        with pytest.raises(ContractViolationError, match="seeds differ") as err:
+            report(load_results(tmp_path))
+        assert victim["fingerprint"] in str(err.value)
+
     def test_baseline_only_results_rejected(self, tmp_path):
         results = grid_results(tmp_path)
         baselines = [r for r in results if r.config.arm == ARM_BASELINE]
@@ -682,6 +705,15 @@ class TestReport:
         pooled = bundle.tables[POOLED_SCOPE][(3, 0.25)]["hv"]
         split = bundle.tables["sigma=0.0"][(3, 0.25)]["hv"]
         assert pooled.n_pairs >= split.n_pairs
+
+    def test_pairing_ignores_input_order(self, tmp_path):
+        results = grid_results(tmp_path, sigmas=(0.0, 0.4), ks=(3, 5))
+        shuffled = list(results)
+        random.Random(7).shuffle(shuffled)
+        expected, got = report(results), report(shuffled)
+        assert got.text == expected.text
+        assert got.verdict_rows == expected.verdict_rows
+        assert len(got.verdict_rows) == 3 * 2 * len(METRICS)
 
     def test_report_files_written(self, tmp_path):
         results = grid_results(tmp_path)

@@ -67,9 +67,16 @@ class TestWilcoxonSignedRank:
         assert not result.sufficient
         assert result.n_pairs == 0
 
-    def test_too_short_input_rejected(self):
-        with pytest.raises(ContractViolationError):
-            wilcoxon_signed_rank([1.0, 2.0], [0.0, 0.0])
+    def test_too_short_input_flagged(self):
+        # fewer pairs than MIN_PAIRS cannot reach significance: flagged, not refused
+        result = wilcoxon_signed_rank([1.0, 2.0], [0.0, 0.0])
+        assert not result.sufficient
+        assert np.isnan(result.p_value)
+        assert result.n_pairs == 2
+        knn = reports([2.0, 3.0, 4.0], [1.0] * 3, [1.0] * 3)
+        base = reports([1.0] * 3, [1.0] * 3, [1.0] * 3)
+        verdict = compare_setting(knn, base, "hv")
+        assert verdict.insufficient and verdict.verdict is Verdict.EQUIVALENT
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ContractViolationError):
