@@ -39,10 +39,10 @@ Numerics contract, which seeded runs depend on bit for bit:
 A screen finds the candidate pairs with one float32 matrix product of the
 batch, weighted by 1/var, and a float32 copy of the history, with a slack
 over twice a first-order bound on its rounding error (derived in
-:func:`_neighbor_pairs`), so it never drops a pair within ``max_dist``.
-Only the exact distance decides which pairs are kept, and the weighting
-uses no BLAS call, so results depend neither on how the BLAS orders its
-sums nor on its thread count or CPU kernel.
+:func:`_nearest`), so it never drops a pair within ``max_dist``; the exact
+distance alone decides. :func:`knn_evaluate` weights the neighbour table
+that :func:`_nearest` returns with no BLAS call, so results depend neither
+on the BLAS's summation order nor on its thread count or CPU kernel.
 
 Beyond the history itself, averaging a batch holds O(``SCREEN_TILE`` +
 pairs) memory, independent of the history's length and of the number of
@@ -315,18 +315,23 @@ SCREEN_TILE = 1 << 19
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the float32 screen's overflow passes pairs
-def _neighbor_pairs(
-    history: EvaluationHistory, rows: slice, max_dist: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every (run, query, record) triple within ``max_dist``, with its exact distance.
+def _nearest(
+    history: EvaluationHistory, rows: slice, count: int, max_dist: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each query's ``count`` nearest records within ``max_dist``, as a padded table.
 
     A run's queries are its records in ``rows``, the batch appended last,
-    indexed by position in ``rows``. A screen first keeps every pair that
-    may lie within ``max_dist``; the survivors are then measured exactly and
-    cut at ``max_dist``. The screen runs in float32 (u = 2**-24) on the
-    history's float32 copy of the variables, q' and r'. With w_j = 1/var_j
-    over the k dimensions with spread and 0 elsewhere, and w' its float32
-    value flushed to 0 below float32's normal range, it evaluates
+    B = runs x b in batch order. Returns ``counts`` (B,), min(records within
+    ``max_dist``, ``count``), and (B, ``counts.max()``) tables of flat buffer
+    rows ``run * capacity + r`` and their exact distances, each row self
+    first, then by distance, then by record. Entries past ``counts[i]`` are padding.
+
+    A screen first keeps every pair that may lie within ``max_dist``; the
+    survivors are then measured exactly and cut at ``max_dist``. The screen
+    runs in float32 (u = 2**-24) on the history's float32 copy of the
+    variables, q' and r'. With w_j = 1/var_j over the k dimensions with
+    spread and 0 elsewhere, and w' its float32 value flushed to 0 below
+    float32's normal range, it evaluates
     |q'|_w'^2 + |r'|_w'^2 - 2 (q' w').r', the norms with one ``einsum`` and
     the rest with matrix products into the history's reused workspace. A
     pair passes when this is at most ``max_dist**2 + k * 2**-104`` plus a
@@ -368,7 +373,7 @@ def _neighbor_pairs(
     argument above bounds each element alone, so tiling leaves it as it
     is. Each tile's candidates are offset by ``lo`` and all are sorted
     once, which restores the (run, query, record) order of one row-major
-    mask; :func:`knn_evaluate` relies on it. The exact pass runs once.
+    mask; the key table relies on it. The exact pass runs once.
     """
     buffer, size, b = history._vars, rows.stop, rows.stop - rows.start
     runs, capacity, dims = buffer.shape
@@ -404,14 +409,25 @@ def _neighbor_pairs(
         run_q, r_idx = np.divmod(passed, test.shape[2])
         found.append((first * b + run_q) * size + lo + r_idx)
     # each tile's indices ascend; a stable sort merges those runs into row-major order
-    run_q, r_idx = np.divmod(np.sort(np.concatenate(found), kind="stable"), size)
-    run, q_idx = np.divmod(run_q, b)
+    query, r_idx = np.divmod(np.sort(np.concatenate(found), kind="stable"), size)
+    run, q_idx = np.divmod(query, b)
     # np.take gathers rows several times faster than fancy indexing
     at = run * capacity
     a, r = np.take(buffer.reshape(-1, dims), [at + rows.start + q_idx, at + r_idx], axis=0)
     dist = _pair_distances(a, r, np.take(variances, run, axis=0))
     keep = dist <= max_dist
-    return run[keep], q_idx[keep], r_idx[keep], dist[keep]
+    query, q_idx, r_idx, at, dist = query[keep], q_idx[keep], r_idx[keep], at[keep], dist[keep]
+    del a, r, run, keep  # freed before the key table is built
+    # Keys arrive in record order; a distance's bits order like its value, so a stable sort
+    # of (distance, not self) puts self first, then distance, then record, and padding last.
+    key = dist.view(np.uint64) << np.uint64(1) | (r_idx != rows.start + q_idx).astype(np.uint64)
+    starts = np.searchsorted(query, np.arange(runs * b + 1))
+    table = np.full((runs * b, np.diff(starts).max()), np.iinfo(np.uint64).max)
+    table[query, np.arange(len(query)) - starts[query]] = key
+    counts = np.minimum(np.diff(starts), count)
+    pair = starts[:-1, None] + np.argsort(table, axis=1, kind="stable")[:, : counts.max()]
+    # a padding column may point past the last pair: clipped, it stays padding
+    return counts, (at + r_idx).take(pair, mode="clip"), dist.take(pair, mode="clip")
 
 
 def knn_evaluate(batch: Batch, history: EvaluationHistory, config: KnnConfig) -> Batch:
@@ -443,29 +459,13 @@ def knn_evaluate(batch: Batch, history: EvaluationHistory, config: KnnConfig) ->
     rows = history.append_batch(batch.variables, raws)
     if config.k == 1:
         return Batch(variables=batch.variables, objectives=raws, raw_objectives=raws)
-    run, q_idx, r_idx, dist = _neighbor_pairs(history, rows, config.max_dist)
-    # Pairs arrive by query, then record, so each query's row of the padded
-    # key table is in record order. A non-negative float's bits order like
-    # its value, so a stable sort of the key (distance, not self) puts self
-    # (at distance 0) first, then the rest by distance, then by record, and
-    # the padding (the largest key) last.
-    query = run * (rows.stop - rows.start) + q_idx
-    key = dist.view(np.uint64) << np.uint64(1) | (r_idx != rows.start + q_idx).astype(np.uint64)
-    starts = np.searchsorted(query, np.arange(len(batch) + 1))
-    table = np.full((len(batch), np.diff(starts).max()), np.iinfo(np.uint64).max)
-    table[query, np.arange(len(query)) - starts[query]] = key
-    counts = np.minimum(np.diff(starts), config.k)
-    order = np.argsort(table, axis=1, kind="stable")[:, : counts.max()]
-
-    # The kept neighbors as a padded (b, width) table, self in column 0.
+    counts, records, dist = _nearest(history, rows, config.k, config.max_dist)
     # Padding weighs 0 against a raw of 0, so it adds exactly +0.0 to sums
     # that start from +0.0 and therefore never hold -0.0.
-    kept = np.arange(counts.max()) < counts[:, None]
-    pair = np.where(kept, starts[:-1, None] + order, 0)
-    weights = np.where(kept, np.maximum(config.max_dist - dist[pair] ** 2, 0.0), 0.0)
+    kept = np.arange(records.shape[1]) < counts[:, None]
+    weights = np.where(kept, np.maximum(config.max_dist - dist**2, 0.0), 0.0)
     raw_rows = history._raws.reshape(-1, history.n_objs)  # buffer rows, run by run
-    at = run[pair] * history._raws.shape[1] + r_idx[pair]
-    neighbor_raws = np.where(kept[:, :, None], np.take(raw_rows, at, axis=0), 0.0)
+    neighbor_raws = np.where(kept[:, :, None], np.take(raw_rows, records, axis=0), 0.0)
     # Both sums strictly left to right along the neighbors: cumsum never
     # reorders its additions, and its first partial sum 0 + w_0 is w_0.
     total = np.cumsum(weights, axis=1)[:, -1:]

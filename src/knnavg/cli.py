@@ -21,7 +21,7 @@ import logging
 import sys
 from pathlib import Path
 
-from .core import ContractViolationError
+from .core import ContractViolationError, as_count
 from .experiment import (
     ExperimentGrid,
     RunConfig,
@@ -119,7 +119,8 @@ def _grid_from_config(path: str | None, args: argparse.Namespace) -> tuple[Exper
     front_samples = pick(
         args.front_samples, "metrics", "front_sample_size", int, DEFAULT_FRONT_SAMPLE_SIZE
     )
-    return grid, {"reference": reference, "front_sample_size": int(front_samples)}
+    front_samples = as_count(front_samples, "front sample size", 2)
+    return grid, {"reference": reference, "front_sample_size": front_samples}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -181,6 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     grid, metric_opts = _grid_from_config(args.config, args)
+    parallelism = as_count(args.parallelism, "parallelism", 1)  # refused before the plan prints
     print(
         f"{grid.total_run_count} runs: {grid.cell_count} cells x "
         f"({grid.settings_per_cell} averaging settings + baseline) x "
@@ -189,7 +191,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     try:
         outcome = run_grid(
             grid,
-            parallelism=args.parallelism,
+            parallelism=parallelism,
             out_dir=args.out,
             reference=metric_opts["reference"],
             front_sample_size=metric_opts["front_sample_size"],

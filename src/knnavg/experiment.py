@@ -737,7 +737,7 @@ def report(results: Sequence[RunResult], alpha: float = 0.05) -> ReportBundle:
 def _render_text(tables, alpha: float) -> str:
     lines = [
         f"Verdicts versus baseline (two-sided signed-rank, alpha={alpha:g}; "
-        "direction by A12)",
+        "direction by W+)",
         "  ✓ averaging better   ≡ no significant difference   ✗ baseline better",
     ]
     if any(

@@ -1,8 +1,8 @@
 """Paired statistical comparison of two run populations.
 
 The comparison protocol is fixed: a two-sided Wilcoxon signed-rank test on
-seed-paired metric values decides whether two configurations differ at all,
-and the Vargha-Delaney A12 effect size decides the direction. Metric
+seed-paired metric values decides whether two configurations differ and, by
+W+, which way; the unpaired Vargha-Delaney A12 is only reported. Metric
 orientation (whether larger values are better) is resolved here, so callers
 receive a plain better / equivalent / worse verdict.
 """
@@ -189,10 +189,10 @@ def compare_setting(
 
     Both run lists must be aligned index by index on shared seeds. The
     verdict is EQUIVALENT when the signed-rank test is insufficient or not
-    significant at ``alpha``; otherwise the A12 effect size direction is
-    translated through the metric's orientation (hypervolume grows with
-    quality, the other two shrink). BETTER always means the averaging runs
-    won.
+    significant at ``alpha``; otherwise the direction of W+ from its null
+    mean n(n + 1)/4 is translated through the metric's orientation
+    (hypervolume grows with quality, the other two shrink). BETTER always
+    means the averaging runs won. The unpaired A12 is only reported.
     """
     if metric not in METRICS:
         raise ContractViolationError(f"unknown metric {metric!r}; expected one of {METRICS}")
@@ -201,17 +201,13 @@ def compare_setting(
     knn_values = np.array([r.value(metric) for r in knn_runs])
     baseline_values = np.array([r.value(metric) for r in baseline_runs])
     test = wilcoxon_signed_rank(knn_values, baseline_values)
-    a12 = vargha_delaney_a12(knn_values, baseline_values)
-    if not test.sufficient or not (test.p_value < alpha) or a12 == 0.5:
+    if not test.sufficient or not (test.p_value < alpha):
         verdict = Verdict.EQUIVALENT
-    elif (a12 > 0.5) == HIGHER_IS_BETTER[metric]:
+    elif (test.statistic > test.n_pairs * (test.n_pairs + 1) / 4) == HIGHER_IS_BETTER[metric]:
         verdict = Verdict.BETTER
     else:
         verdict = Verdict.WORSE
     return ComparisonVerdict(
-        p_value=test.p_value,
-        a12=a12,
-        verdict=verdict,
-        n_pairs=test.n_pairs,
-        insufficient=not test.sufficient,
+        p_value=test.p_value, a12=vargha_delaney_a12(knn_values, baseline_values),
+        verdict=verdict, n_pairs=test.n_pairs, insufficient=not test.sufficient,
     )

@@ -13,7 +13,7 @@ from knnavg.averaging import (
     ZERO_VARIANCE_EPS,
     EvaluationHistory,
     KnnConfig,
-    _neighbor_pairs,
+    _nearest,
     history_rows,
     knn_evaluate,
     sed,
@@ -341,7 +341,7 @@ class TestKnnEvaluate:
 
     def test_k1_searches_nothing(self, monkeypatch):
         # the one neighbour k=1 keeps is the solution itself, at distance 0
-        monkeypatch.delattr(averaging, "_neighbor_pairs")
+        monkeypatch.delattr(averaging, "_nearest")
         history = EvaluationHistory(2, 2)
         batch = make_batch([[0.5, 0.5], [0.25, 0.5]], [[1.0, 2.0], [3.0, 4.0]])
         out = knn_evaluate(batch, history, KnnConfig(k=1, max_dist=1.0))
@@ -508,8 +508,9 @@ def averaging_cases(draw):
 def assert_matches_definition(x, raws, n_prior, k, pick_max_dist):
     """Run ``knn_evaluate`` on rows ``n_prior:`` of ``x`` over a history
     holding rows ``:n_prior`` and compare it bitwise with the definition:
-    first the (query, record, distance) pairs kept within the cutoff, then
-    the weighted means.
+    first ``_nearest``'s neighbour table, each query's records within the
+    cutoff ordered by (not self, distance, record) and cut at k, then the
+    weighted means.
 
     ``pick_max_dist`` maps the full query-by-record distance matrix to the
     cutoff, so a test can place the cutoff on a distance that occurs.
@@ -527,13 +528,13 @@ def assert_matches_definition(x, raws, n_prior, k, pick_max_dist):
     config = KnnConfig(k=k, max_dist=pick_max_dist(distances))
     expected = reference_average(reference_history, rows, config, distances)
 
-    _, *pairs = _neighbor_pairs(reference_history, rows, config.max_dist)
-    kept = zip(*pairs)
-    q_idx, r_idx = np.nonzero(distances <= config.max_dist)
-    within = zip(q_idx, r_idx, distances[q_idx, r_idx])
-    assert sorted((int(q), int(r), float(d)) for q, r, d in kept) == sorted(
-        (int(q), int(r), float(d)) for q, r, d in within
-    )
+    counts, neighbours, dist = _nearest(reference_history, rows, k, config.max_dist)
+    for q, row in enumerate(range(rows.start, rows.stop)):
+        within = np.flatnonzero(distances[q] <= config.max_dist).tolist()
+        nearest = sorted(within, key=lambda r: (r != row, distances[q, r], r))[:k]
+        assert counts[q] == len(nearest)
+        assert neighbours[q, : counts[q]].tolist() == nearest
+        assert dist[q, : counts[q]].tobytes() == distances[q, nearest].tobytes()
 
     got = knn_evaluate(batch, kernel_history, config).objectives
     assert got.tobytes() == expected.tobytes()
@@ -690,13 +691,13 @@ class TestScreenWorkspace:
     def test_run_keeps_at_most_one_tile(self, monkeypatch):
         # A 60-generation run reaches 6,100 records: 610k products a batch.
         histories = set()
-        neighbor_pairs = averaging._neighbor_pairs
+        nearest = averaging._nearest
 
-        def recording(history, rows, max_dist):
+        def recording(history, rows, count, max_dist):
             histories.add(history)
-            return neighbor_pairs(history, rows, max_dist)
+            return nearest(history, rows, count, max_dist)
 
-        monkeypatch.setattr(averaging, "_neighbor_pairs", recording)
+        monkeypatch.setattr(averaging, "_nearest", recording)
         run_optimization(ZdtProblem("zdt1", 30), NoiseSpec(0.1),
                          KnnAveraged(KnnConfig(k=10, max_dist=0.25)),
                          GaConfig(pop_size=100, generations=60), RngStream(1))
@@ -717,7 +718,7 @@ class TestScreenWorkspace:
     )
     def test_grouped_screen_matches_one_group(self, monkeypatch, tile, tiles):
         # A stack of 3 runs of 4 batches of 8 screened in tiles of at most
-        # ``tile`` products finds the pairs and averages bitwise.
+        # ``tile`` products finds the same neighbour table and averages bitwise.
         b, d, generations = 8, 5, 4
         rng = RngStream(11)
         batches = [make_batch(rng.random((3 * b, d)), rng.random((3 * b, 2)))
@@ -735,11 +736,11 @@ class TestScreenWorkspace:
             averages = [knn_evaluate(batch, history, config).objectives for batch in batches]
             shapes.clear()
             rows = slice(len(history) - b, len(history))
-            return averages + list(_neighbor_pairs(history, rows, config.max_dist))
+            return averages + list(_nearest(history, rows, config.k, config.max_dist))
 
         monkeypatch.setattr(EvaluationHistory, "_screen_buffers", recording)
         whole = run(averaging.SCREEN_TILE)
-        assert shapes == [(3, b, generations * b)] and whole[-1].size > 3 * b
+        assert shapes == [(3, b, generations * b)] and whole[-3].max() > 1
         tiled = run(tile)
         assert shapes == tiles
         assert [a.tobytes() for a in tiled] == [a.tobytes() for a in whole]

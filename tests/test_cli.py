@@ -303,6 +303,21 @@ class TestRun:
         assert "executed" not in captured.out
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--parallelism", "0", "parallelism must be at least 1"),
+        ("--front-samples", "1", "front sample size must be at least 2"),
+    ])
+    def test_bad_counts_refused_before_the_plan_prints(
+        self, tmp_path, capsys, monkeypatch, flag, value, message
+    ):
+        monkeypatch.setattr(experiment, "run_stack", refuse_to_run)
+        out = tmp_path / "grid"
+        assert run_cli(RUN_FLAGS + ["--reps", "2", flag, value, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {message}" in captured.err
+        assert not out.exists()
+
     def test_resume_into_another_stream_rejected(self, tmp_path, capsys):
         argv = RUN_FLAGS + ["--reps", "2", "--out", str(tmp_path)]
         assert run_cli(argv) == 0

@@ -257,6 +257,19 @@ class TestCompareSetting:
         lower = shifted_reports(rng, 30, igd_shift=-0.5)
         assert compare_setting(lower, base, "igd").verdict is Verdict.BETTER
 
+    def test_direction_comes_from_the_paired_test(self):
+        # Higher in 18 of 20 seed pairs, 1000 lower in the last 2: the test
+        # finds the averaging arm higher (W+ 171 against a null mean of 105),
+        # while the unpaired A12 leans the other way.
+        base = 2000.0 + 10.0 * np.arange(20)
+        knn = base + np.where(np.arange(20) < 18, 1.0, -1000.0)
+        assert wilcoxon_signed_rank(knn, base).statistic == 171.0
+        ones = np.ones(20)
+        verdict = compare_setting(reports(knn, ones, ones), reports(base, ones, ones), "hv")
+        assert verdict.verdict is Verdict.BETTER
+        assert verdict.p_value == pytest.approx(0.0084, abs=1e-4)
+        assert verdict.a12 == pytest.approx(0.4275)
+
     def test_identical_runs_equivalent(self):
         rng = RngStream(120)
         base = shifted_reports(rng, 20)
