@@ -57,68 +57,65 @@ def _floats(text: str) -> list[float]:
     return [float(v) for v in _split_list(text)]
 
 
+# run's settings, each once: (INI section, INI key and flag destination, flag, parser, help)
+_SETTINGS = (
+    ("grid", "problems", "--problems", _split_list, "e.g. zdt1,zdt2,zdt3"),
+    ("grid", "n_vars", "--n-vars", _ints, None),
+    ("grid", "sigmas", "--sigmas", _floats, None),
+    ("grid", "pop_sizes", "--pop-sizes", _ints, None),
+    ("grid", "ks", "--ks", _ints, None),
+    ("grid", "max_dists", "--max-dists", _floats, None),
+    ("run", "repetitions", "--reps", int, None),
+    ("run", "generations", "--generations", int, None),
+    ("run", "base_seed", "--base-seed", int, None),
+    ("metrics", "reference_point", "--reference", _floats,
+     "hypervolume reference point, e.g. '11,11'"),
+    ("metrics", "front_sample_size", "--front-samples", int, None),
+)
+_METAVARS = {"--reference": "REFERENCE", "--front-samples": "FRONT_SAMPLES"}  # not the INI key
+
+
 def _grid_from_config(path: str | None, args: argparse.Namespace) -> tuple[ExperimentGrid, dict]:
     """Build the grid from the INI file, letting command-line flags override."""
     sections: dict[str, dict[str, str]] = {}
     if path is not None:
         parser = configparser.ConfigParser()
-        read = parser.read(path)
-        if not read:
+        if not parser.read(path):
             raise ContractViolationError(f"config file not found: {path}")
         sections = {name: dict(parser[name]) for name in parser.sections()}
 
-    # grid axes: INI key (also the flag's attribute) -> parser, in grid order
-    axes = {
-        "problems": _split_list, "n_vars": _ints, "sigmas": _floats,
-        "pop_sizes": _ints, "ks": _ints, "max_dists": _floats,
-    }
-    known = {
-        "grid": tuple(axes),
-        "run": ("repetitions", "generations", "base_seed"),
-        "metrics": ("reference_point", "front_sample_size"),
-    }
+    home = {key: section for section, key, *_ in _SETTINGS}
     for name, section in sections.items():
-        if name not in known:
+        if name not in home.values():
             raise ContractViolationError(f"unknown config section [{name}]")
         for key in section:
-            if key not in known[name]:
-                home = next((s for s, keys in known.items() if key in keys), None)
-                message = f"unknown key '{key}' in [{name}]"
-                if home is not None:
-                    message += f" (it belongs in [{home}])"
-                raise ContractViolationError(message)
+            if home.get(key) != name:
+                hint = f" (it belongs in [{home[key]}])" if key in home else ""
+                raise ContractViolationError(f"unknown key '{key}' in [{name}]{hint}")
 
-    def pick(flag_value, section: str, key: str, parse, default=None):
-        if flag_value is not None:
-            return flag_value
-        values = sections.get(section, {})
-        if key not in values:
-            return default
-        try:
-            return parse(values[key])
-        except ValueError as exc:
-            raise ContractViolationError(
-                f"[{section}] {key}: cannot parse {values[key]!r} ({exc})"
-            ) from exc
-
-    levels = {key: pick(getattr(args, key), "grid", key, parse) for key, parse in axes.items()}
-    missing = [key for key, values in levels.items() if not values]
+    # a flag's value, else the file's; a [run] setting given by neither keeps the grid's default
+    values = {"reference_point": DEFAULT_REFERENCE, "front_sample_size": DEFAULT_FRONT_SAMPLE_SIZE}
+    for section, key, _, parse, _ in _SETTINGS:
+        text = sections.get(section, {}).get(key)
+        if getattr(args, key) is not None:
+            values[key] = getattr(args, key)
+        elif text is not None:
+            try:
+                values[key] = parse(text)
+            except ValueError as exc:
+                raise ContractViolationError(
+                    f"[{section}] {key}: cannot parse {text!r} ({exc})"
+                ) from exc
+    missing = [key for key in home if home[key] == "grid" and not values.get(key)]
     if missing:
         raise ContractViolationError(
             "grid is incomplete; missing " + ", ".join(missing)
             + " (provide them in the [grid] section or as flags)"
         )
-    levels["n_vars_list"] = levels.pop("n_vars")
-    given = {key: pick(getattr(args, key), "run", key, int) for key in known["run"]}
-    grid = ExperimentGrid(
-        **levels, **{key: value for key, value in given.items() if value is not None}
-    )
-    reference = as_reference(
-        pick(args.reference, "metrics", "reference_point", _floats, DEFAULT_REFERENCE)
-    )
-    front_samples = pick(
-        args.front_samples, "metrics", "front_sample_size", int, DEFAULT_FRONT_SAMPLE_SIZE
-    )
+    values["n_vars_list"] = values.pop("n_vars")
+    reference, front_samples = values.pop("reference_point"), values.pop("front_sample_size")
+    grid = ExperimentGrid(**values)
+    reference = as_reference(reference)
     front_samples = as_count(front_samples, "front sample size", 2)
     return grid, {"reference": reference, "front_sample_size": front_samples}
 
@@ -131,19 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config", help="INI file with [grid], [run], [metrics] sections")
     run_p.add_argument("--out", help="output directory (results.csv, resumable)")
     run_p.add_argument("--parallelism", type=int, default=1, help="worker processes")
-    run_p.add_argument("--problems", type=_split_list, help="e.g. zdt1,zdt2,zdt3")
-    run_p.add_argument("--n-vars", dest="n_vars", type=_ints)
-    run_p.add_argument("--sigmas", type=_floats)
-    run_p.add_argument("--pop-sizes", dest="pop_sizes", type=_ints)
-    run_p.add_argument("--ks", type=_ints)
-    run_p.add_argument("--max-dists", dest="max_dists", type=_floats)
-    run_p.add_argument("--reps", dest="repetitions", type=int)
-    run_p.add_argument("--generations", type=int)
-    run_p.add_argument("--base-seed", dest="base_seed", type=int)
-    run_p.add_argument(
-        "--reference", type=_floats, help="hypervolume reference point, e.g. '11,11'"
-    )
-    run_p.add_argument("--front-samples", dest="front_samples", type=int)
+    for _, key, flag, parse, help_text in _SETTINGS:
+        run_p.add_argument(flag, dest=key, type=parse, help=help_text, metavar=_METAVARS.get(flag))
     run_p.add_argument(
         "--include-histories", action="store_true",
         help="write one evaluation-history CSV per run (needs --out)",
@@ -182,7 +168,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     grid, metric_opts = _grid_from_config(args.config, args)
-    parallelism = as_count(args.parallelism, "parallelism", 1)  # refused before the plan prints
+    # bad options are refused before the plan prints
+    parallelism = as_count(args.parallelism, "parallelism", 1)
+    if args.include_histories and args.out is None:
+        raise ContractViolationError("history dumps need an output directory")
     print(
         f"{grid.total_run_count} runs: {grid.cell_count} cells x "
         f"({grid.settings_per_cell} averaging settings + baseline) x "
@@ -190,12 +179,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     try:
         outcome = run_grid(
-            grid,
-            parallelism=parallelism,
-            out_dir=args.out,
-            reference=metric_opts["reference"],
-            front_sample_size=metric_opts["front_sample_size"],
-            include_histories=args.include_histories,
+            grid, parallelism=parallelism, out_dir=args.out,
+            include_histories=args.include_histories, **metric_opts,
         )
     except ContractViolationError as exc:
         # the library's refusals of a directory end so; naming the flag is ours

@@ -183,17 +183,20 @@ def crowding_distance(objectives: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     # one key per (matrix, rank): the fronts of different matrices never mix
     front = np.arange(len(flat)) // size * size + np.asarray(ranks).reshape(-1)
     dist = np.zeros(len(flat))
+    # each lexsort below orders by front first, so every objective's fronts sit as in `keys`
+    keys, at = np.sort(front), np.arange(len(front))
+    edge = keys[1:] != keys[:-1]
+    first, last = np.concatenate(([True], edge)), np.concatenate((edge, [True]))
+    interior = np.flatnonzero(~(first | last))
+    # sorted positions of the first and the last member of each interior row's front
+    lo = np.maximum.accumulate(np.where(first, at, 0))[interior]
+    hi = np.minimum.accumulate(np.where(last, at, len(at))[::-1])[::-1][interior]
     for vals in flat.T:
         order = np.lexsort((vals, front))
-        keys, v, at = front[order], vals[order], np.arange(len(order))
-        edge = keys[1:] != keys[:-1]
-        first, last = np.concatenate(([True], edge)), np.concatenate((edge, [True]))
-        # sorted positions of the first and the last member of each row's front
-        lo = np.maximum.accumulate(np.where(first, at, 0))
-        hi = np.minimum.accumulate(np.where(last, at, len(v))[::-1])[::-1]
+        v = vals[order]
         span = v[hi] - v[lo]
-        inner = np.flatnonzero(~(first | last) & (span > 0.0))
-        dist[order[inner]] += (v[inner + 1] - v[inner - 1]) / span[inner]
+        inner = interior[span > 0.0]
+        dist[order[inner]] += (v[inner + 1] - v[inner - 1]) / span[span > 0.0]
         dist[order[first | last]] = np.inf
     return dist.reshape(objs.shape[:-1])
 

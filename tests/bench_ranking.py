@@ -1,4 +1,4 @@
-"""Microbenchmark of non-dominated ranking at the stack shapes the loop ranks.
+"""Microbenchmarks of ranking and crowding at the stack shapes the loop ranks.
 
 The file does not match ``test_*.py``, so the test suite does not collect
 it. Run it on its own with pytest-benchmark::
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from knnavg.core import RngStream
-from knnavg.nsga2 import fast_non_dominated_sort
+from knnavg.nsga2 import crowding_distance, fast_non_dominated_sort
 from knnavg.problems import NoiseSpec, ZdtProblem, evaluate_noisy
 
 # (runs, points) of parents plus offspring: one pop-100 run, a desk stack of
@@ -31,3 +31,11 @@ def test_fast_non_dominated_sort(benchmark, runs, points):
     objs = noisy_populations(runs, points)
     ranks = benchmark(fast_non_dominated_sort, objs)
     assert ranks.shape == (runs, points)
+
+
+@pytest.mark.parametrize("runs, points", SHAPES)
+def test_crowding_distance(benchmark, runs, points):
+    objs = noisy_populations(runs, points)
+    ranks = fast_non_dominated_sort(objs)
+    dist = benchmark(crowding_distance, objs, ranks)
+    assert dist.shape == (runs, points)

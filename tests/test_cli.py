@@ -1,6 +1,8 @@
 """End-to-end command-line behavior of every subcommand."""
 
+import configparser
 import csv
+import dataclasses
 import json
 import os
 import shlex
@@ -9,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from knnavg import experiment
-from knnavg.cli import build_parser, main
+from knnavg.cli import _SETTINGS, _grid_from_config, build_parser, main
 
 
 def run_cli(argv):
@@ -318,6 +320,13 @@ class TestRun:
         assert f"error: {message}" in captured.err
         assert not out.exists()
 
+    def test_histories_without_out_refused_before_the_plan_prints(self, capsys, monkeypatch):
+        monkeypatch.setattr(experiment, "run_stack", refuse_to_run)
+        assert run_cli(RUN_FLAGS + ["--reps", "2", "--include-histories"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: history dumps need an output directory" in captured.err
+
     def test_resume_into_another_stream_rejected(self, tmp_path, capsys):
         argv = RUN_FLAGS + ["--reps", "2", "--out", str(tmp_path)]
         assert run_cli(argv) == 0
@@ -505,3 +514,69 @@ class TestReadme:
         for command in commands:
             parser.parse_args(shlex.split(command)[1:])
         assert {shlex.split(c)[1] for c in commands} == {"run", "single", "report", "front"}
+
+
+# one value of each setting of ``run``, as typed after its flag or its INI key
+SETTING_TEXT = {
+    "problems": "zdt1, zdt3", "n_vars": "2, 5", "sigmas": "0.0, 0.1", "pop_sizes": "10",
+    "ks": "3, 5", "max_dists": "0.25", "repetitions": "4", "generations": "7",
+    "base_seed": "11", "reference_point": "12, 13", "front_sample_size": "300",
+}
+
+
+def grid_and_options(argv, config=None):
+    """What ``run`` would execute for ``argv``: the grid's fields and the metric options."""
+    grid, options = _grid_from_config(config, build_parser().parse_args(argv))
+    return dataclasses.asdict(grid), options
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_ini_example():
+    """The ``[grid]``/``[run]``/``[metrics]`` example of README.md."""
+    return README.read_text(encoding="utf-8").split("```ini\n", 1)[1].split("```", 1)[0]
+
+
+class TestSettingsTable:
+    @pytest.mark.parametrize(
+        "section, key, flag, parse",
+        [row[:4] for row in _SETTINGS], ids=[row[1] for row in _SETTINGS],
+    )
+    def test_flag_and_ini_key_give_the_same_run(self, tmp_path, section, key, flag, parse):
+        others = [
+            arg for _, other, other_flag, *_ in _SETTINGS if other != key
+            for arg in (other_flag, SETTING_TEXT[other])
+        ]
+        text = SETTING_TEXT[key]
+        config = tmp_path / "one.ini"
+        config.write_text(f"[{section}]\n{key} = {text}\n", encoding="utf-8")
+        by_flag = grid_and_options(["run", *others, flag, text])
+        by_key = grid_and_options(["run", *others, "--config", str(config)], str(config))
+        assert by_flag == by_key
+        # the setting arrived, in the form its type stores
+        grid, options = by_flag
+        field = {"n_vars": "n_vars_list", "reference_point": "reference"}.get(key, key)
+        got = options[field] if field in options else grid[field]
+        expected = parse(text)
+        assert (list(got) if isinstance(expected, list) else got) == expected
+
+    def test_readme_ini_example_parses(self, tmp_path):
+        config = tmp_path / "desk.ini"
+        config.write_text(readme_ini_example(), encoding="utf-8")
+        grid, options = grid_and_options(["run", "--config", str(config)], str(config))
+        assert grid["problems"] == ("zdt1", "zdt3") and grid["repetitions"] == 10
+        assert options == {"reference": (11.0, 11.0), "front_sample_size": 1000}
+        # the example sets every key, each in its own section
+        parser = configparser.ConfigParser()
+        parser.read_string(readme_ini_example())
+        written = [(name, key) for name in parser.sections() for key in parser[name]]
+        assert written == [(section, key) for section, key, *_ in _SETTINGS]
+
+    def test_readme_settings_table_matches(self):
+        rows = [
+            tuple(cell.strip().strip("`") for cell in line.strip("|").split("|"))
+            for line in README.read_text(encoding="utf-8").splitlines()
+            if line.startswith("| `--")
+        ]
+        assert rows == [(flag, f"[{section}]", key) for section, key, flag, *_ in _SETTINGS]
