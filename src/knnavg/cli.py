@@ -23,6 +23,8 @@ from pathlib import Path
 
 from .core import ContractViolationError, as_count
 from .experiment import (
+    ARM_BASELINE,
+    ARM_KNN,
     ExperimentGrid,
     RunConfig,
     execute_run,
@@ -172,6 +174,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     parallelism = as_count(args.parallelism, "parallelism", 1)
     if args.include_histories and args.out is None:
         raise ContractViolationError("history dumps need an output directory")
+    if args.out:
+        _check_out_dir(args.out)
     print(
         f"{grid.total_run_count} runs: {grid.cell_count} cells x "
         f"({grid.settings_per_cell} averaging settings + baseline) x "
@@ -205,6 +209,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 2 if outcome.failures else 0
 
 
+def _check_out_dir(path: str) -> None:
+    """Refuse an output directory that names a file or lies under one."""
+    nearest = next(part for part in (Path(path), *Path(path).parents) if part.exists())
+    if not nearest.is_dir():
+        raise ContractViolationError(f"cannot write {path}: {nearest} is not a directory")
+
+
 def _emit(text: str, path: str | None) -> None:
     """Print ``text``, or write it to the file ``path``."""
     if path is None:
@@ -224,7 +235,7 @@ def _cmd_single(args: argparse.Namespace) -> int:
         raise ContractViolationError("--k and --max-dist must be given together")
     config = RunConfig(
         problem=args.problem, n_vars=args.n_vars, sigma=args.sigma, pop_size=args.pop_size,
-        generations=args.generations, arm="baseline" if args.k is None else "knn",
+        generations=args.generations, arm=ARM_BASELINE if args.k is None else ARM_KNN,
         k=args.k, max_dist=args.max_dist, rep=0, seed=args.seed,
     )
     result = execute_run(
@@ -242,6 +253,8 @@ def _cmd_single(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    if args.out:
+        _check_out_dir(args.out)
     results = load_results(args.in_dir)
     bundle = report(results, alpha=args.alpha)
     print(bundle.text, end="")

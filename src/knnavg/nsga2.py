@@ -28,7 +28,7 @@ evaluation and ranking then run once on the whole stack.
 from __future__ import annotations
 
 import bisect
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -48,7 +48,6 @@ __all__ = [
     "GaConfig",
     "PlainNoisy",
     "KnnAveraged",
-    "GenerationStats",
     "OptimizationResult",
     "VariationDraws",
     "fast_non_dominated_sort",
@@ -307,23 +306,14 @@ def polynomial_mutation(vectors, mutates, u_pick, u) -> np.ndarray:
     return mutated
 
 
-@dataclass(frozen=True)
-class GenerationStats:
-    """Per-generation trace entry: first-front size and its hypervolume."""
-
-    generation: int
-    front_size: int
-    front_hypervolume: float
-
-
 @dataclass(eq=False)
 class OptimizationResult:
     """Everything one finished run produced.
 
     ``population`` is the final population, ``nondominated`` its
     non-dominated subset (the run's answer) in population order, both as
-    batches; ``history`` is every sample the run ever drew, and ``trace``
-    one stats entry per generation including the initial one.
+    batches; ``history`` is every sample the run ever drew; ``front_sizes`` and
+    ``front_hypervolumes``, read-only, trace its first front from generation 0.
     """
 
     problem: ZdtProblem
@@ -334,7 +324,8 @@ class OptimizationResult:
     population: Batch
     nondominated: Batch
     history: EvaluationHistory
-    trace: list[GenerationStats] = field(default_factory=list)
+    front_sizes: np.ndarray
+    front_hypervolumes: np.ndarray
 
     def to_dict(self, include_history: bool = False) -> dict:
         """JSON-ready summary of the run."""
@@ -353,7 +344,8 @@ class OptimizationResult:
                     front.objectives.tolist(),
                 )
             ],
-            "trace": [asdict(t) for t in self.trace],
+            "trace": [{"generation": g, "front_size": int(n), "front_hypervolume": float(hv)}
+                      for g, (n, hv) in enumerate(zip(self.front_sizes, self.front_hypervolumes))],
             "history_length": len(self.history),
         }
         if include_history:
@@ -452,16 +444,15 @@ def run_stack(
     # the trace, (runs, generations + 1): in the f1-then-f2 sweep a dominated point follows
     # one that dominates it, adds an exact +0.0 and never lowers the best f2, so each
     # population's area is bitwise its first front's
-    sizes = (np.stack(population_ranks, axis=1) == 0).sum(axis=-1)
-    volumes = hypervolume_2d(np.stack(populations, axis=1), DEFAULT_REFERENCE)
+    sizes = (np.stack(population_ranks, axis=1) == 0).sum(axis=-1, dtype=np.int64)
+    volumes = np.ascontiguousarray(hypervolume_2d(np.stack(populations, axis=1), DEFAULT_REFERENCE))
+    sizes.flags.writeable = volumes.flags.writeable = False
     return [
         OptimizationResult(
             problem, noise, evaluator.label, ga, stream.seed,
             population=Batch(*(m[r] for m in members)),
             nondominated=Batch(*(m[r][ranks[r] == 0] for m in members)),
-            history=own_history,
-            trace=[GenerationStats(g, int(size), float(hv))
-                   for g, (size, hv) in enumerate(zip(sizes[r], volumes[r]))],
+            history=own_history, front_sizes=sizes[r], front_hypervolumes=volumes[r],
         )
         for r, (stream, own_history) in enumerate(zip(streams, history.split()))
     ]

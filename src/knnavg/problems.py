@@ -170,15 +170,11 @@ def true_front(problem: ZdtProblem, count: int) -> np.ndarray:
     Every returned point is non-dominated with respect to every other.
     """
     count = as_count(count, "front sample size", 2)
-    if problem.variant == "zdt1":
-        f1 = np.linspace(0.0, 1.0, count)
-        f2 = 1.0 - np.sqrt(f1)
-    elif problem.variant == "zdt2":
-        f1 = np.linspace(0.0, 1.0, count)
-        f2 = 1.0 - f1**2
-    else:
+    if problem.variant == "zdt3":
         f1 = _sample_intervals(_zdt3_front_intervals(), count)
-        f2 = 1.0 - np.sqrt(f1) - f1 * np.sin(10.0 * np.pi * f1)
-    front = np.column_stack((f1, f2))
+    else:
+        f1 = np.linspace(0.0, 1.0, count)
+    # x2 = 0 makes g exactly 1, so f2 = g * h is h(f1, 1) bitwise: the front's curve
+    front = evaluate_true(ZdtProblem(problem.variant, 2), np.column_stack((f1, np.zeros(count))))
     front.setflags(write=False)
     return front

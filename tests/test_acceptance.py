@@ -157,9 +157,7 @@ def test_ac5_k1_reproduces_baseline_bitwise():
             ), seed
             assert np.array_equal(base.population.variables, knn.population.variables), seed
             assert np.array_equal(base.population.objectives, knn.population.objectives), seed
-            assert [t.front_hypervolume for t in base.trace] == [
-                t.front_hypervolume for t in knn.trace
-            ], seed
+            assert np.array_equal(base.front_hypervolumes, knn.front_hypervolumes), seed
         ok = True
     finally:
         _verdict_line("AC5 k=1 averaging replays the baseline trajectory bitwise", ok)

@@ -3,6 +3,7 @@
 import configparser
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 import shlex
@@ -64,6 +65,14 @@ class TestFront:
 SINGLE_BASE = [
     "single", "--problem", "zdt1", "--n-vars", "2", "--sigma", "0.1",
     "--pop", "10", "--gens", "5", "--seed", "3",
+]
+
+# SHA-256 of a desk run's JSON (pop 10, 100 generations, n=2) without its
+# duration_s, per arm: every key, value and its order, as the CLI prints them
+SINGLE_DESK_DIGESTS = [
+    ([], "245146f370eccefd8bd192c872907963563a28b954907c1b494c2fc25d1ae581"),
+    (["--k", "10", "--max-dist", "0.25"],
+     "38ab047bbe758eb5585e04591d35ee032bba278f09b332323651b6b076b610cb"),
 ]
 
 
@@ -162,6 +171,15 @@ class TestSingle:
         captured = capsys.readouterr()
         assert "error: front sample size must be at least 2" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("arm_flags, digest", SINGLE_DESK_DIGESTS)
+    def test_desk_payload_is_pinned(self, capsys, arm_flags, digest):
+        argv = [*SINGLE_BASE, *arm_flags, "--gens", "100"]  # a repeated flag's last value wins
+        assert run_cli(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        del payload["duration_s"]
+        text = json.dumps(payload, indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 RUN_FLAGS = [
@@ -327,6 +345,19 @@ class TestRun:
         assert captured.out == ""
         assert "error: history dumps need an output directory" in captured.err
 
+    @pytest.mark.parametrize("under", [(), ("grid",)])
+    def test_out_naming_a_file_refused_before_the_plan_prints(
+        self, tmp_path, capsys, monkeypatch, under
+    ):
+        monkeypatch.setattr(experiment, "run_stack", refuse_to_run)
+        (tmp_path / "taken").write_text("kept\n")
+        out = tmp_path.joinpath("taken", *under)
+        assert run_cli(RUN_FLAGS + ["--reps", "2", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: cannot write {out}: " in captured.err
+        assert (tmp_path / "taken").read_text() == "kept\n"
+
     def test_resume_into_another_stream_rejected(self, tmp_path, capsys):
         argv = RUN_FLAGS + ["--reps", "2", "--out", str(tmp_path)]
         assert run_cli(argv) == 0
@@ -482,6 +513,19 @@ class TestReport:
     def test_missing_results_dir(self, tmp_path, capsys):
         assert run_cli(["report", "--in", str(tmp_path / "empty")]) == 1
         assert "no results table" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("under", [(), ("report",)])
+    def test_out_naming_a_file_refused_before_anything_prints(self, tmp_path, capsys, under):
+        grid = tmp_path / "grid"
+        run_cli(RUN_FLAGS + ["--reps", "5", "--out", str(grid)])
+        capsys.readouterr()
+        (tmp_path / "taken").write_text("kept\n")
+        out = tmp_path.joinpath("taken", *under)
+        assert run_cli(["report", "--in", str(grid), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: cannot write {out}: " in captured.err
+        assert (tmp_path / "taken").read_text() == "kept\n"
 
 
 class TestParsing:

@@ -175,8 +175,8 @@ def run_digest(name: str, stack_seeds: tuple[int, ...] = ()) -> str:
     h.update(_f8(history.raw_matrix()))
     h.update(_f8(history.averaged_matrix()))
     h.update(np.ascontiguousarray(history.batch_numbers(), dtype="<i8").tobytes())
-    for t in result.trace:
-        h.update(struct.pack("<qqd", t.generation, t.front_size, t.front_hypervolume))
+    for g, (size, hv) in enumerate(zip(result.front_sizes, result.front_hypervolumes)):
+        h.update(struct.pack("<qqd", g, size, hv))
     return h.hexdigest()
 
 

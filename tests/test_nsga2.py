@@ -496,8 +496,7 @@ def run_bytes(result) -> list[bytes]:
     ]
     parts += [
         history.variables_matrix(), history.raw_matrix(), history.averaged_matrix(),
-        history.batch_numbers(),
-        np.array([(t.generation, t.front_size, t.front_hypervolume) for t in result.trace]),
+        history.batch_numbers(), result.front_sizes, result.front_hypervolumes,
     ]
     return [np.ascontiguousarray(part).tobytes() for part in parts]
 
@@ -521,16 +520,18 @@ class TestRunOptimization:
 
     def test_trace_covers_every_generation(self):
         result = small_run(seed=2, gens=15)
-        assert [t.generation for t in result.trace] == list(range(16))
+        assert result.front_sizes.shape == result.front_hypervolumes.shape == (16,)
+        assert result.front_sizes.dtype == np.int64
+        assert result.front_hypervolumes.dtype == np.float64
+        assert not result.front_sizes.flags.writeable
+        assert not result.front_hypervolumes.flags.writeable
 
     def test_deterministic(self):
         a = small_run(seed=3)
         b = small_run(seed=3)
         assert np.array_equal(a.population.variables, b.population.variables)
         assert np.array_equal(a.population.objectives, b.population.objectives)
-        assert [t.front_hypervolume for t in a.trace] == [
-            t.front_hypervolume for t in b.trace
-        ]
+        assert np.array_equal(a.front_hypervolumes, b.front_hypervolumes)
 
     def test_seeds_differ(self):
         a = small_run(seed=4)
@@ -549,7 +550,7 @@ class TestRunOptimization:
             le = np.all(pop_objs <= o, axis=1)
             lt = np.any(pop_objs < o, axis=1)
             assert not np.any(le & lt)
-        assert result.trace[-1].front_size == len(result.nondominated)
+        assert result.front_sizes[-1] == len(result.nondominated)
 
     def test_all_sampled_variables_in_bounds(self):
         result = small_run(seed=8, sigma=0.3)
@@ -565,7 +566,7 @@ class TestRunOptimization:
     def test_noise_free_run_approaches_true_front(self):
         result = small_run(seed=10, sigma=0.0, pop=20, gens=100)
         # dense true-front hypervolume at (11, 11) is 110 + 10 + 2/3
-        assert result.trace[-1].front_hypervolume >= 0.95 * 120.66666666666667
+        assert result.front_hypervolumes[-1] >= 0.95 * 120.66666666666667
 
     def test_elitism_while_front_below_capacity(self):
         # with exact evaluations, survival keeps the whole first front as
@@ -573,10 +574,10 @@ class TestRunOptimization:
         checked = 0
         for seed in (11, 12, 13):
             result = small_run(seed=seed, sigma=0.0, pop=10, gens=100)
-            for prev, cur in zip(result.trace, result.trace[1:]):
-                if cur.front_size < result.ga.pop_size:
-                    checked += 1
-                    assert cur.front_hypervolume >= prev.front_hypervolume - 1e-9
+            hv = result.front_hypervolumes
+            for g in np.flatnonzero(result.front_sizes[1:] < result.ga.pop_size) + 1:
+                checked += 1
+                assert hv[g] >= hv[g - 1] - 1e-9
         assert checked > 0
 
     def test_k1_averaging_reproduces_baseline_run(self):
@@ -634,7 +635,7 @@ class TestRunOptimization:
     def test_trace_hypervolume_matches_recomputation(self):
         result = small_run(seed=18)
         objs = result.nondominated.objectives
-        assert result.trace[-1].front_hypervolume == hypervolume_2d(objs, (11.0, 11.0))
+        assert result.front_hypervolumes[-1] == hypervolume_2d(objs, (11.0, 11.0))
 
 
 class TestRunStack:

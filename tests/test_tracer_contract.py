@@ -35,7 +35,7 @@ def run_bytes(result) -> bytes:
     parts = [
         history.variables_matrix(), history.raw_matrix(), history.averaged_matrix(),
         result.population.objectives,
-        np.array([t.front_hypervolume for t in result.trace]),
+        result.front_hypervolumes,
     ]
     return b"".join(np.ascontiguousarray(p).tobytes() for p in parts)
 
