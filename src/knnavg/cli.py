@@ -181,16 +181,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         f"({grid.settings_per_cell} averaging settings + baseline) x "
         f"{grid.repetitions} repetitions"
     )
-    try:
-        outcome = run_grid(
-            grid, parallelism=parallelism, out_dir=args.out,
-            include_histories=args.include_histories, **metric_opts,
-        )
-    except ContractViolationError as exc:
-        # the library's refusals of a directory end so; naming the flag is ours
-        if str(exc).endswith("write to another output directory"):
-            raise ContractViolationError(f"{exc} (--out)") from exc
-        raise
+    outcome = run_grid(
+        grid, parallelism=parallelism, out_dir=args.out,
+        include_histories=args.include_histories, **metric_opts,
+    )
     if outcome.skipped:
         print(f"skipped {outcome.skipped} already persisted runs")
     print(f"executed {len(outcome.results)} runs, {len(outcome.failures)} failures")
@@ -228,9 +222,11 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _cmd_single(args: argparse.Namespace) -> int:
-    if args.out and not Path(args.out).parent.is_dir():
+    out = Path(args.out) if args.out else None
+    if out and (out.is_dir() or not out.parent.is_dir()):
         # checked up front so a run is not wasted on output that cannot be kept
-        raise ContractViolationError(f"cannot write {args.out}: no such directory")
+        why = "Is a directory" if out.is_dir() else "No such file or directory"
+        raise ContractViolationError(f"cannot write {out}: {why}")
     if (args.k is None) != (args.max_dist is None):
         raise ContractViolationError("--k and --max-dist must be given together")
     config = RunConfig(

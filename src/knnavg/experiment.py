@@ -25,6 +25,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
+import io
 import itertools
 import json
 import logging
@@ -34,7 +35,7 @@ from contextlib import ExitStack
 from concurrent.futures import BrokenExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -338,16 +339,31 @@ def _row_to_result(row: dict[str, str]) -> RunResult:
     )
 
 
-def _parse_results(path: Path, lines: Iterable[str]) -> list[RunResult]:
-    """Parse the lines of a results table; a row that does not parse names its line."""
+def _read_table(path: Path) -> tuple[csv.DictReader, int]:
+    """A table's complete rows, and the byte length of a torn tail after them.
+
+    ``csv.writer`` ends a row with ``\\r\\n`` and quotes a field holding a
+    quote or a line break, such as a failure message, so a ``\\n`` after an
+    odd number of quotes lies inside a field: the complete rows end at the
+    last ``\\n`` after an even number. A missing table has no rows.
+    """
+    data = path.read_bytes() if path.exists() else b""
+    keep = data.rfind(b"\n") + 1
+    while data.count(b'"', 0, keep) % 2:  # that line break is inside a quoted field
+        keep = data.rfind(b"\n", 0, keep - 1) + 1
+    lines = (line.decode() for line in io.BytesIO(data[:keep]))
+    return csv.DictReader(lines), len(data) - keep
+
+
+def _parse_results(path: Path, rows: csv.DictReader) -> list[RunResult]:
+    """Parse the rows of a results table; a row that does not parse names its line."""
     results: list[RunResult] = []
-    reader = csv.DictReader(lines)
-    for row in reader:
+    for row in rows:
         try:
             results.append(_row_to_result(row))
         except (KeyError, TypeError, ValueError) as exc:
             raise ContractViolationError(
-                f"{path}: line {reader.line_num}: unparsable row ({exc})"
+                f"{path}: line {rows.line_num}: unparsable row ({exc})"
             ) from exc
     return results
 
@@ -355,14 +371,20 @@ def _parse_results(path: Path, lines: Iterable[str]) -> list[RunResult]:
 def load_results(out_dir: str | Path) -> list[RunResult]:
     """Load all persisted results from a grid output directory.
 
-    A row that does not parse is a contract violation naming its line.
-    Resuming the grid drops a last row torn off by a crash mid-write.
+    The table ends at its last complete row. A row that does not parse is a
+    contract violation naming its line, and so is a last row torn off by a
+    crash mid-write: resuming the grid cuts it and runs that run again.
     """
     path = Path(out_dir) / RESULTS_FILENAME
     if not path.exists():
         raise ContractViolationError(f"no results table at {path}")
-    with path.open(newline="") as handle:
-        return _parse_results(path, handle)
+    rows, torn = _read_table(path)
+    results = _parse_results(path, rows)
+    if torn:
+        raise ContractViolationError(
+            f"{path}: line {rows.line_num + 1}: torn last row; resume the grid to cut it"
+        )
+    return results
 
 
 def _write_rows(path: Path, rows: Sequence[dict[str, str]], mode: str = "w") -> None:
@@ -393,93 +415,76 @@ def write_history_csv(path: str | Path, optimization: OptimizationResult) -> Non
         handle.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
 
 
-class _OutputDir:
-    """The output directory of one ``run_grid`` invocation.
+def _open_grid_dir(
+    path: Path, configs: Sequence[RunConfig], reference: tuple[float, float],
+    front_sample_size: int,
+) -> dict[str, RunResult]:
+    """Open the output directory of one ``run_grid`` invocation; returns its runs by fingerprint.
 
-    Opening reads and checks everything before it writes anything, so a
-    refused directory is left as it was. ``grid.json`` must name this
-    package's stream, every complete row of the results table must parse,
-    and each persisted run this grid would skip must carry the seed,
-    reference point and front sample size this grid would run it with (the
-    fingerprint names the cell, arm and repetition only). Only then does it
-    write the manifest and cut a last row torn off by a crash mid-write, so
-    that run counts as not persisted and runs again. A table's header is
-    written with its first row, so a directory where no run finished holds
-    no results table, and a table cut inside its header is emptied and
-    starts over with the next row. ``persisted`` maps the fingerprints in
-    the table to their results.
+    Everything is read and checked before anything is written, so a refused
+    directory is left as it was: the complete rows of the results table
+    must parse, ``grid.json`` must name this package's stream, and each
+    persisted run this grid would skip must carry the seed, reference point
+    and front sample size it would run with (a fingerprint names only the
+    cell, arm and repetition). Then the manifest is written and a torn tail
+    cut off each table, so a torn run runs again, the next row starts on a
+    line of its own, and a table cut inside its header starts over.
     """
-
-    def __init__(
-        self, path: Path, configs: Sequence[RunConfig], reference: tuple[float, float],
-        front_sample_size: int, include_histories: bool,
-    ) -> None:
-        self.path = path
-        self._include_histories = include_histories
-        table = path / RESULTS_FILENAME
-        data = table.read_bytes() if table.exists() else b""
-        keep = data.rfind(b"\n") + 1
-        lines = data[:keep].decode().splitlines()
-        manifest = self._check_manifest(has_runs=len(lines) > 1)
-        self.persisted = {r.config.fingerprint: r for r in _parse_results(table, lines)}
-        for config in configs:
-            stored = self.persisted.get(config.fingerprint)
-            if stored is None:
-                continue
-            for column, old, new in (
-                ("seed", stored.config.seed, config.seed),
-                ("ref_f1/ref_f2", stored.metrics.reference_point, reference),
-                ("front_sample_size", stored.metrics.front_sample_size, front_sample_size),
-            ):
-                if old != new:
-                    raise ContractViolationError(
-                        f"{table} holds run {config.fingerprint} with {column}={old}, but this "
-                        f"grid would run it with {column}={new}; resume with the original "
-                        "settings or write to another output directory"
-                    )
-        path.mkdir(parents=True, exist_ok=True)
-        if manifest is not None:
-            (path / MANIFEST_FILENAME).write_text(json.dumps(manifest, indent=2) + "\n")
-        if keep < len(data):
-            logger.warning("dropping a torn last row of %s", table)
-            os.truncate(table, keep)
-
-    def _check_manifest(self, has_runs: bool) -> dict | None:
-        """Refuse a manifest that names another stream; returns the manifest still to write."""
-        path = self.path / MANIFEST_FILENAME
-        current = {"stream_version": STREAM_VERSION, "numpy": np.__version__}
-        if not path.exists():
-            if has_runs:
+    results, failures = path / RESULTS_FILENAME, path / FAILURES_FILENAME
+    rows, torn = _read_table(results)
+    persisted = {r.config.fingerprint: r for r in _parse_results(results, rows)}
+    tails = {results: torn, failures: _read_table(failures)[1]}
+    manifest = _check_manifest(path, has_runs=bool(persisted))
+    for config in (c for c in configs if c.fingerprint in persisted):
+        stored = persisted[config.fingerprint]
+        for column, old, new in (
+            ("seed", stored.config.seed, config.seed),
+            ("ref_f1/ref_f2", stored.metrics.reference_point, reference),
+            ("front_sample_size", stored.metrics.front_sample_size, front_sample_size),
+        ):
+            if old != new:
                 raise ContractViolationError(
-                    f"{self.path} holds runs but no {MANIFEST_FILENAME}: they were drawn under "
-                    "stream version 1; write to another output directory"
+                    f"{results} holds run {config.fingerprint} with {column}={old}, but this "
+                    f"grid would run it with {column}={new}; resume with the original "
+                    "settings or write to another output directory"
                 )
-            return current
-        try:
-            stored = json.loads(path.read_text())
-            if not isinstance(stored, dict):
-                raise ValueError("not a JSON object")
-        except (OSError, ValueError) as exc:
-            raise ContractViolationError(f"{path}: unreadable manifest ({exc})") from exc
-        differ = sorted(
-            k for k in current.keys() | stored.keys() if stored.get(k) != current.get(k)
-        )
-        if differ:
+    path.mkdir(parents=True, exist_ok=True)
+    if manifest is not None:
+        (path / MANIFEST_FILENAME).write_text(json.dumps(manifest, indent=2) + "\n")
+    for table, torn in tails.items():
+        if torn:
+            logger.warning("dropping a torn last row of %s", table)
+            os.truncate(table, table.stat().st_size - torn)
+    return persisted
+
+
+def _check_manifest(directory: Path, has_runs: bool) -> dict | None:
+    """Refuse a manifest that names another stream; returns the manifest still to write."""
+    path = directory / MANIFEST_FILENAME
+    current = {"stream_version": STREAM_VERSION, "numpy": np.__version__}
+    if not path.exists():
+        if has_runs:
             raise ContractViolationError(
-                f"{path} differs from this package in {', '.join(differ)} ("
-                + "; ".join(f"{k} {stored.get(k)!r} there, {current.get(k)!r} here" for k in differ)
-                + "); write to another output directory"
+                f"{directory} holds runs but no {MANIFEST_FILENAME}: they were drawn under "
+                "stream version 1; write to another output directory"
             )
-        return None
-
-    def append(self, name: str, row: dict[str, str]) -> None:
-        """Append one row to a table of the directory, after its header if the table is empty."""
-        _write_rows(self.path / name, [row], "a")
-
-    def history_path(self, config: RunConfig) -> str | None:
-        if not self._include_histories:
-            return None
-        return str(self.path / HISTORY_DIRNAME / f"{config.fingerprint}.csv")
+        return current
+    try:
+        stored = json.loads(path.read_text())
+        if not isinstance(stored, dict):
+            raise ValueError("not a JSON object")
+    except (OSError, ValueError) as exc:
+        raise ContractViolationError(f"{path}: unreadable manifest ({exc})") from exc
+    differ = sorted(
+        k for k in current.keys() | stored.keys() if stored.get(k) != current.get(k)
+    )
+    if differ:
+        raise ContractViolationError(
+            f"{path} differs from this package in {', '.join(differ)} ("
+            + "; ".join(f"{k} {stored.get(k)!r} there, {current.get(k)!r} here" for k in differ)
+            + "); write to another output directory"
+        )
+    return None
 
 
 def _grid_worker(
@@ -567,24 +572,24 @@ def run_grid(
     directory, its checks come before its writes: a manifest naming another
     stream, an unparsable row, or a persisted run whose seed, reference
     point or front sample size differs from this grid's is a contract
-    violation, raised before anything runs or is written. The pending runs
-    of one cell and arm setting form a stack, which :func:`execute_stack`
-    advances as one array program, each run bitwise as if alone. Stacks
-    execute in this process at ``parallelism`` 1, otherwise on at most one
-    worker process per pending stack. The runs of a finished stack are
-    appended to the results table at once (a single writer in the
-    coordinating process), so crashes lose at most the in-flight stacks; on
-    re-invocation, runs whose fingerprints are already persisted are
-    skipped. The results and failures tables get their header with their
-    first row: until a run finishes there is no ``results.csv``, and a
-    table cut inside its header starts over with the next row. A stack that
-    raises is rerun one run at a time in this process, so a failing run is
-    recorded on its own and does not stop the rest of the grid. A worker
-    process that dies (killed by the OS, say) breaks the pool: the runs
-    finished until then stay persisted, the others are counted as
-    unfinished, not as failures, and one log line says how many there are.
-    ``include_histories`` additionally writes one history CSV per run and
-    requires an output directory.
+    violation, raised before anything runs or is written. Each table ends at
+    its last complete row: a resume cuts a row torn off by a crash, so that
+    run runs again, and :func:`load_results` refuses such a row until then.
+    The pending runs of one cell and arm setting form a stack, which
+    :func:`execute_stack` advances as one array program, each run bitwise as
+    if alone. Stacks execute in this process at ``parallelism`` 1, otherwise
+    on at most one worker process per pending stack. The coordinating
+    process alone appends a finished stack's runs to the results table, so
+    a crash loses at most the stacks in flight; on re-invocation, runs whose
+    fingerprints are already persisted are skipped. Each table gets its
+    header with its first row, so until a run finishes there is no
+    ``results.csv``. A stack that raises is rerun one run at a time in this
+    process, so a failing run is recorded on its own and does not stop the
+    rest of the grid. A worker process that dies (killed by the OS, say)
+    breaks the pool: the runs finished until then stay persisted, the others
+    are counted as unfinished, not as failures, and one log line says how
+    many there are. ``include_histories`` additionally writes one history
+    CSV per run and requires an output directory.
     """
     parallelism = as_count(parallelism, "parallelism", 1)
     reference = as_reference(reference)
@@ -596,12 +601,9 @@ def run_grid(
         "expanded grid: %d runs (%d cells x %d averaging settings + baseline, %d repetitions)",
         len(configs), grid.cell_count, grid.settings_per_cell, grid.repetitions,
     )
-    directory = None
-    if out_dir is not None:
-        directory = _OutputDir(
-            Path(out_dir), configs, reference, front_sample_size, include_histories
-        )
-    pending = [c for c in configs if directory is None or c.fingerprint not in directory.persisted]
+    out_dir = None if out_dir is None else Path(out_dir)
+    persisted = _open_grid_dir(out_dir, configs, reference, front_sample_size) if out_dir else {}
+    pending = [c for c in configs if c.fingerprint not in persisted]
     skipped = len(configs) - len(pending)
     if skipped:
         logger.info("resume: %d runs already persisted, %d to go", skipped, len(pending))
@@ -609,7 +611,8 @@ def run_grid(
     stacks = [list(runs) for _, runs in itertools.groupby(pending, key=lambda c: c.stack)]
     tasks = [
         (runs, reference, front_sample_size,
-         [directory.history_path(c) if directory else None for c in runs])
+         [str(out_dir / HISTORY_DIRNAME / f"{c.fingerprint}.csv") if include_histories else None
+          for c in runs])
         for runs in stacks
     ]
     results: list[RunResult] = []
@@ -628,18 +631,17 @@ def run_grid(
         for config, outcome in runs:
             if isinstance(outcome, RunResult):
                 results.append(outcome)
-                if directory is not None:
-                    directory.append(RESULTS_FILENAME, _result_row(outcome))
+                if out_dir is not None:
+                    _write_rows(out_dir / RESULTS_FILENAME, [_result_row(outcome)], "a")
             elif isinstance(outcome, BrokenExecutor):
                 unfinished += 1
             elif isinstance(outcome, Exception):
                 message = f"{type(outcome).__name__}: {outcome}"
                 failures.append((config, message))
                 logger.error("run %s failed: %s", config.fingerprint, message)
-                if directory is not None:
-                    directory.append(
-                        FAILURES_FILENAME, {"fingerprint": config.fingerprint, "error": message}
-                    )
+                if out_dir is not None:
+                    row = {"fingerprint": config.fingerprint, "error": message}
+                    _write_rows(out_dir / FAILURES_FILENAME, [row], "a")
             else:
                 raise outcome  # a worker stopped by KeyboardInterrupt or SystemExit
     if unfinished:

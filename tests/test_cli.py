@@ -146,6 +146,15 @@ class TestSingle:
         assert f"error: cannot write {target}" in capsys.readouterr().err
         assert not target.parent.exists()
 
+    def test_out_naming_a_directory_refused_before_the_run(self, tmp_path, capsys, monkeypatch):
+        # it used to run the whole optimization and fail only when writing
+        monkeypatch.setattr(experiment, "run_stack", refuse_to_run)
+        assert run_cli(SINGLE_BASE + ["--out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert f"error: cannot write {tmp_path}: Is a directory" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_non_finite_reference_rejected_before_the_run(self, capsys, monkeypatch):
         monkeypatch.setattr(experiment, "run_stack", refuse_to_run)
         assert run_cli(SINGLE_BASE + ["--reference", "inf,inf"]) == 1
@@ -367,11 +376,12 @@ class TestRun:
         capsys.readouterr()
         assert run_cli(argv) == 1
         assert "differs from this package in stream_version" in capsys.readouterr().err
-        # a table persisted before manifests existed: stream 1, use another --out
+        # a table persisted before manifests existed: stream 1, use another
+        # directory; the library's words, with no flag appended to them
         manifest.unlink()
         assert run_cli(argv) == 1
         err = capsys.readouterr().err
-        assert "stream version 1" in err and "--out" in err
+        assert "stream version 1" in err and err.endswith("write to another output directory\n")
         manifest.write_text(written)
         assert run_cli(argv) == 0
         assert "skipped 4 already persisted runs" in capsys.readouterr().out

@@ -80,6 +80,11 @@ def fail_one_run(configs, *args):
     return REAL_GRID_WORKER(configs, *args)
 
 
+def fail_with_a_line_break(configs, *args):
+    """Grid worker whose every run fails with a message holding quotes, a comma and a line break."""
+    raise RuntimeError(f'synthetic, "fault"\nin {configs[0].fingerprint}')
+
+
 CUT_GRID = tiny_grid(repetitions=1, generations=2)
 
 
@@ -428,6 +433,60 @@ class TestRunGrid:
         path.write_bytes(path.read_bytes()[:-40])
         with pytest.raises(ContractViolationError, match="line 5"):
             load_results(tmp_path)
+
+    def test_load_results_refuses_a_torn_row_at_every_cut(self, tmp_path):
+        # a cut inside duration_s used to load as a shorter number, and a cut
+        # anywhere else as an unparsable row
+        table, _, _ = uninterrupted_grid()
+        path = tmp_path / RESULTS_FILENAME
+        path.write_bytes(table)
+        uncut = [experiment._result_row(r) for r in load_results(tmp_path)]
+        for cut in range(len(table) + 1):
+            path.write_bytes(table[:cut])
+            lines = table[:cut].count(b"\n")
+            if cut == 0 or table[cut - 1:cut] == b"\n":
+                loaded = [experiment._result_row(r) for r in load_results(tmp_path)]
+                assert loaded == uncut[:max(lines - 1, 0)], cut
+            else:
+                with pytest.raises(ContractViolationError, match=f"line {lines + 1}: torn"):
+                    load_results(tmp_path)
+
+    def test_failures_table_cut_mid_row_is_cut_on_resume(self, tmp_path, monkeypatch):
+        # a resume used to append onto the torn row, merging it with the next one
+        monkeypatch.setattr(experiment, "_grid_worker", fail_with_a_line_break)
+        clean, path = tmp_path / "clean", tmp_path / "cut" / FAILURES_FILENAME
+        run_grid(tiny_grid(), out_dir=clean)
+        table = (clean / FAILURES_FILENAME).read_bytes()
+        with (clean / FAILURES_FILENAME).open(newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert len(rows) == 5 and all('"fault"\nin ' in error for _, error in rows[1:])
+        last_row = table.rindex(b"\r\n" + rows[-1][0].encode()) + 2
+        path.parent.mkdir()
+        for cut in range(last_row + 1, len(table)):
+            path.write_bytes(table[:cut])
+            assert len(run_grid(tiny_grid(), out_dir=path.parent).failures) == 4
+            with path.open(newline="") as handle:
+                assert list(csv.reader(handle)) == rows[:-1] + rows[1:], cut
+
+    @pytest.mark.parametrize("torn", [False, True], ids=["complete", "torn-tail"])
+    def test_unparsable_complete_row_is_refused_by_its_line(self, tmp_path, monkeypatch, torn):
+        # the reader drops only a torn tail: corruption before it is refused
+        grid = tiny_grid()
+        run_grid(grid, out_dir=tmp_path)
+        path = tmp_path / RESULTS_FILENAME
+        lines = path.read_bytes().split(b"\r\n")
+        assert len(lines) == 6  # header, four rows, and the empty rest
+        fields = lines[2].split(b",")
+        fields[10] = b"x" + fields[10]  # the seed
+        lines[2] = b",".join(fields)
+        corrupt = b"\r\n".join(lines)
+        path.write_bytes(corrupt[:-9] if torn else corrupt)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        monkeypatch.setattr(experiment, "run_stack", refuse_to_run)
+        for read in (load_results, lambda out: run_grid(grid, out_dir=out)):
+            with pytest.raises(ContractViolationError, match="line 3: unparsable row"):
+                read(tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_parallel_matches_serial(self, tmp_path):
         grid = tiny_grid()

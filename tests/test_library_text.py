@@ -2,7 +2,7 @@
 
 The library is called by the CLI, the demos and other programs alike, so a
 message of its own that names a flag such as ``--out`` misleads every caller
-but one. The CLI adds its flags to an error on its own error path.
+but one. Only the CLI's own messages name its flags.
 """
 
 import ast
