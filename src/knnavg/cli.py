@@ -14,7 +14,6 @@ finished but some runs failed, or stopped because a worker process died.
 from __future__ import annotations
 
 import argparse
-import configparser
 import dataclasses
 import json
 import logging
@@ -81,6 +80,7 @@ def _grid_from_config(path: str | None, args: argparse.Namespace) -> tuple[Exper
     """Build the grid from the INI file, letting command-line flags override."""
     sections: dict[str, dict[str, str]] = {}
     if path is not None:
+        import configparser  # here, so a command without --config never loads it
         parser = configparser.ConfigParser()
         if not parser.read(path):
             raise ContractViolationError(f"config file not found: {path}")

@@ -31,6 +31,7 @@ import json
 import logging
 import os
 import time
+from collections import Counter
 from contextlib import ExitStack
 from concurrent.futures import BrokenExecutor, as_completed
 from dataclasses import dataclass, field
@@ -316,6 +317,8 @@ def _result_row(result: RunResult) -> dict[str, str]:
 
 
 def _row_to_result(row: dict[str, str]) -> RunResult:
+    if None in row:  # csv.DictReader files the fields beyond the header under None
+        raise ValueError(f"{len(row[None])} fields beyond the header")
     config = RunConfig(
         problem=row["problem"], n_vars=int(row["n_vars"]), sigma=float(row["sigma"]),
         pop_size=int(row["pop_size"]), generations=int(row["generations"]), arm=row["arm"],
@@ -323,6 +326,8 @@ def _row_to_result(row: dict[str, str]) -> RunResult:
         max_dist=float(row["max_dist"]) if row["max_dist"] else None,
         rep=int(row["rep"]), seed=int(row["seed"]),
     )
+    if row["fingerprint"] != config.fingerprint:
+        raise ValueError(f"fingerprint {row['fingerprint']} should read {config.fingerprint}")
     metrics = MetricReport(
         hv_mean_adjusted=float(row["hv_mean_adjusted"]),
         igd_mean_adjusted=float(row["igd_mean_adjusted"]),
@@ -356,24 +361,29 @@ def _read_table(path: Path) -> tuple[csv.DictReader, int]:
 
 
 def _parse_results(path: Path, rows: csv.DictReader) -> list[RunResult]:
-    """Parse the rows of a results table; a row that does not parse names its line."""
+    """Parse a results table's rows; a row that does not parse, or repeats a run, names its line."""
+    seen: dict[str, int] = {}  # fingerprint -> line of its row
     results: list[RunResult] = []
     for row in rows:
+        where = f"{path}: line {rows.line_num}"
         try:
             results.append(_row_to_result(row))
         except (KeyError, TypeError, ValueError) as exc:
-            raise ContractViolationError(
-                f"{path}: line {rows.line_num}: unparsable row ({exc})"
-            ) from exc
+            raise ContractViolationError(f"{where}: unparsable row ({exc})") from exc
+        fingerprint = results[-1].config.fingerprint
+        if fingerprint in seen:
+            raise ContractViolationError(f"{where}: {fingerprint} repeats line {seen[fingerprint]}")
+        seen[fingerprint] = rows.line_num
     return results
 
 
 def load_results(out_dir: str | Path) -> list[RunResult]:
     """Load all persisted results from a grid output directory.
 
-    The table ends at its last complete row. A row that does not parse is a
-    contract violation naming its line, and so is a last row torn off by a
-    crash mid-write: resuming the grid cuts it and runs that run again.
+    The table ends at its last complete row. A row that does not parse, or
+    repeats a run, is a contract violation naming its line, and so is a last
+    row torn off by a crash mid-write: resuming the grid cuts it and runs
+    that run again.
     """
     path = Path(out_dir) / RESULTS_FILENAME
     if not path.exists():
@@ -683,23 +693,24 @@ def report(results: Sequence[RunResult], alpha: float = 0.05) -> ReportBundle:
     Each averaging run is paired once with the baseline run of its cell and
     repetition, which must share its seed; one contract violation names
     every baseline fingerprint that is missing or carries another seed. So
-    are results that mix reference points or front sample sizes. Verdicts
-    are produced per sigma and pooled over all sigmas, for each of the
-    three metrics; fewer than five non-zero paired differences are flagged.
+    are results that repeat a fingerprint, named too, or mix reference
+    points or front sample sizes. Verdicts are produced per sigma and pooled
+    over all sigmas, for each of the three metrics; fewer than five non-zero
+    paired differences are flagged.
     """
-    by_fingerprint: dict[str, RunResult] = {}
-    for result in results:
-        by_fingerprint.setdefault(result.config.fingerprint, result)
-    unique = list(by_fingerprint.values())
+    by_fingerprint = {r.config.fingerprint: r for r in results}
+    repeated = sorted(f for f, n in Counter(r.config.fingerprint for r in results).items() if n > 1)
+    if repeated:
+        raise ContractViolationError(f"results repeat runs: {', '.join(repeated)}")
     # indicator values under another reference point or front sample do not compare
     for what, values in (
-        ("hypervolume reference points", {r.metrics.reference_point for r in unique}),
-        ("front sample sizes", {r.metrics.front_sample_size for r in unique}),
+        ("hypervolume reference points", {r.metrics.reference_point for r in results}),
+        ("front sample sizes", {r.metrics.front_sample_size for r in results}),
     ):
         if len(values) > 1:
             raise ContractViolationError(f"results mix {what}: {sorted(values)}")
     knn_runs = sorted(
-        (r for r in unique if r.config.arm == ARM_KNN),
+        (r for r in results if r.config.arm == ARM_KNN),
         key=lambda r: (r.config.k, r.config.max_dist, r.config.cell, r.config.rep),
     )
     if not knn_runs:
@@ -733,7 +744,7 @@ def report(results: Sequence[RunResult], alpha: float = 0.05) -> ReportBundle:
                 metric: compare_setting(runs, partners, metric, alpha=alpha) for metric in METRICS
             }
     text = _render_text(tables, alpha)
-    return ReportBundle(tables, text, _verdict_rows(tables), _plot_rows(unique))
+    return ReportBundle(tables, text, _verdict_rows(tables), _plot_rows(results))
 
 
 def _render_text(tables, alpha: float) -> str:

@@ -18,11 +18,12 @@ randomness lives in the sampling step before it.
 case. Draw order per run, the same since ``STREAM_VERSION`` 2: the initial
 population takes ``random((pop_size, n))``, then its evaluation noise.
 Every generation then draws the fixed-shape blocks of
-:func:`draw_variation`, whatever the ranks, ties and gates turn out to be,
-then its children's evaluation noise, so all arms of a repetition stay at
-one stream position. Each run draws only from its own stream, so a run
-draws the same values alone or in a stack. Selection, crossover, mutation,
-evaluation and ranking then run once on the whole stack.
+:func:`draw_variation`, one of them drawn and not used, whatever the ranks,
+ties and gates turn out to be, then its children's evaluation noise, so
+all arms of a repetition stay at one stream position. Each run draws only
+from its own stream, so a run draws the same values alone or in a stack.
+Selection, crossover, mutation, evaluation and ranking then run once on
+the whole stack.
 """
 
 from __future__ import annotations
@@ -33,14 +34,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .averaging import EvaluationHistory, KnnConfig, history_rows, knn_evaluate
-from .core import (
-    Batch,
-    ContractViolationError,
-    RngStream,
-    as_count,
-    as_real,
-    as_streams,
-)
+from .core import Batch, ContractViolationError, RngStream, as_count, as_streams
 from .metrics import DEFAULT_REFERENCE, hypervolume_2d
 from .problems import NoiseSpec, ZdtProblem, evaluate_noisy
 
@@ -61,9 +55,10 @@ __all__ = [
 ]
 
 # Distribution indices of SBX and polynomial mutation, the values commonly
-# used with real-coded operators.
+# used with real-coded operators, and the probability that a parent pair crosses.
 ETA_CROSSOVER = 15.0
 ETA_MUTATION = 20.0
+CROSSOVER_PROB = 0.9
 
 
 @dataclass(frozen=True)
@@ -71,15 +66,12 @@ class GaConfig:
     """Search parameters of one optimization run.
 
     ``pop_size`` must be even because parents are consumed in pairs by the
-    crossover. ``crossover_prob`` applies per parent pair and
-    ``mutation_prob`` per offspring; inside a mutating offspring each
-    variable is perturbed with probability 1/n.
+    crossover. A pair crosses with probability ``CROSSOVER_PROB``; every
+    offspring is mutated, each variable with probability 1/n.
     """
 
     pop_size: int
     generations: int
-    crossover_prob: float = 0.9
-    mutation_prob: float = 1.0
 
     def __post_init__(self) -> None:
         pop_size = as_count(self.pop_size, "pop_size", 2)
@@ -87,11 +79,6 @@ class GaConfig:
             raise ContractViolationError("pop_size must be an even number of at least 2")
         object.__setattr__(self, "pop_size", pop_size)
         object.__setattr__(self, "generations", as_count(self.generations, "generations", 1))
-        for name in ("crossover_prob", "mutation_prob"):
-            p = as_real(getattr(self, name), name)
-            if not 0.0 <= p <= 1.0:
-                raise ContractViolationError(f"{name} must lie in [0, 1]")
-            object.__setattr__(self, name, p)
 
 
 class PlainNoisy:
@@ -202,13 +189,15 @@ def crowding_distance(objectives: np.ndarray, ranks: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class VariationDraws:
-    """One generation's parents and variation draws; rows a gate skips are drawn too."""
+    """One generation's parents and variation draws; rows a gate skips are drawn too.
+
+    So is a per-child block between ``u_cross`` and ``u_pick`` that nothing uses.
+    """
 
     parents: np.ndarray  # (pop_size / 2, 2): the two tournament winners of pair p
     crosses: np.ndarray  # (pop_size / 2,): pair p crosses
     u_cross: np.ndarray  # (pop_size / 2, n): its crossover uniforms
-    mutates: np.ndarray  # (pop_size,): child c mutates
-    u_pick: np.ndarray  # (pop_size, n): which of its variables mutate
+    u_pick: np.ndarray  # (pop_size, n): which of child c's variables mutate
     u_mutation: np.ndarray  # (pop_size, n): how far they move
 
 
@@ -245,16 +234,13 @@ def draw_variation(
          s.random((pairs, n_vars)), s.random(pop), s.random((pop, n_vars)), s.random((pop, n_vars)))
         for s in as_streams(rng)
     ]
-    candidates, coins, cross_u, u_cross, mutate_u, u_pick, u_mutation = (
+    candidates, coins, cross_u, u_cross, _, u_pick, u_mutation = (
         np.concatenate(block) for block in zip(*blocks)
     )
     # each run's tournaments pick from its own population
     candidates += np.arange(0, len(ranks), ga.pop_size).repeat(pairs)[:, None, None]
     parents = tournament_winners(candidates, coins, ranks, crowding)
-    return VariationDraws(
-        parents, cross_u < ga.crossover_prob, u_cross, mutate_u < ga.mutation_prob, u_pick,
-        u_mutation,
-    )
+    return VariationDraws(parents, cross_u < CROSSOVER_PROB, u_cross, u_pick, u_mutation)
 
 
 def sbx_crossover(parents_a, parents_b, crosses, u) -> tuple[np.ndarray, np.ndarray]:
@@ -280,18 +266,18 @@ def sbx_crossover(parents_a, parents_b, crosses, u) -> tuple[np.ndarray, np.ndar
     return np.where(keep, a, child_a), np.where(keep, b, child_b)
 
 
-def polynomial_mutation(vectors, mutates, u_pick, u) -> np.ndarray:
+def polynomial_mutation(vectors, u_pick, u) -> np.ndarray:
     """Bounded polynomial mutation of the rows of a (b, n) matrix (Deb & Goyal, 1996).
 
-    Rows with ``mutates[i]`` False are returned as exact copies. In a
-    mutating row, variable j is perturbed when ``u_pick[i, j] < 1/n``, by
-    the bounded polynomial distribution with index ``ETA_MUTATION`` driven
-    by ``u[i, j]``, which cannot leave [0, 1]; perturbed values are clipped.
+    Variable j of row i is perturbed when ``u_pick[i, j] < 1/n``, by the
+    bounded polynomial distribution with index ``ETA_MUTATION`` driven by
+    ``u[i, j]``, which cannot leave [0, 1]; perturbed values are clipped.
+    The other variables are returned as exact copies.
     """
     x = np.asarray(vectors, dtype=np.float64)
     if x.ndim != 2:
         raise ContractViolationError("vectors must be a (b, n) matrix")
-    pick = np.asarray(mutates, dtype=bool)[:, None] & (np.asarray(u_pick) < (1.0 / x.shape[1]))
+    pick = np.asarray(u_pick) < (1.0 / x.shape[1])
     # only the picked genes, about one per row: each gene's arithmetic is its own
     u, genes = np.asarray(u)[pick], x[pick]
     # 1 - (1 - x) is not always x in floating point; the recorded bits need both forms
@@ -435,7 +421,7 @@ def run_stack(
         child_a, child_b = sbx_crossover(*parents, draws.crosses, draws.u_cross)
         # children in pair order: 2p from parent a, 2p + 1 from parent b
         children = np.stack((child_a, child_b), axis=1).reshape(runs * pop, n)
-        children = polynomial_mutation(children, draws.mutates, draws.u_pick, draws.u_mutation)
+        children = polynomial_mutation(children, draws.u_pick, draws.u_mutation)
         combined = [np.concatenate(pair, axis=1) for pair in zip(members, evaluated(children))]
         chosen, ranks, crowding = _survival(combined[1], pop)
         members = [np.take(m.reshape(2 * runs * pop, -1), chosen, axis=0) for m in combined]

@@ -70,9 +70,9 @@ SINGLE_BASE = [
 # SHA-256 of a desk run's JSON (pop 10, 100 generations, n=2) without its
 # duration_s, per arm: every key, value and its order, as the CLI prints them
 SINGLE_DESK_DIGESTS = [
-    ([], "245146f370eccefd8bd192c872907963563a28b954907c1b494c2fc25d1ae581"),
+    ([], "4dafe1a4bc196cebc6d828c6f3de143ca395160d9aa88a96fb64725587b4de76"),
     (["--k", "10", "--max-dist", "0.25"],
-     "38ab047bbe758eb5585e04591d35ee032bba278f09b332323651b6b076b610cb"),
+     "ebd9eb91e6a6f1d49b353d8ffcdfeb4b74d4019fa8c50d459c631a5942aa7261"),
 ]
 
 
@@ -83,9 +83,7 @@ class TestSingle:
         assert payload["problem"] == {"variant": "zdt1", "n_vars": 2}
         assert payload["evaluator"] == "plain"
         assert payload["seed"] == 3
-        assert payload["ga"] == {
-            "pop_size": 10, "generations": 5, "crossover_prob": 0.9, "mutation_prob": 1.0,
-        }
+        assert payload["ga"] == {"pop_size": 10, "generations": 5}
         assert payload["history_length"] == 60
         assert payload["fingerprint"] == "zdt1-n2-s0.1-p10-g5-baseline-r0"
         assert len(payload["trace"]) == 6

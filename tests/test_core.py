@@ -135,8 +135,6 @@ class TestCounts:
 REALS = {
     "NoiseSpec.sigma": lambda v: NoiseSpec(v).sigma,
     "KnnConfig.max_dist": lambda v: KnnConfig(k=1, max_dist=v).max_dist,
-    "GaConfig.crossover_prob": lambda v: GaConfig(10, 1, crossover_prob=v).crossover_prob,
-    "GaConfig.mutation_prob": lambda v: GaConfig(10, 1, mutation_prob=v).mutation_prob,
     "ExperimentGrid.sigmas": lambda v: grid_with(sigmas=(v,)).sigmas[0],
     "ExperimentGrid.max_dists": lambda v: grid_with(max_dists=(v,)).max_dists[0],
     "MetricReport.hv_mean_adjusted":

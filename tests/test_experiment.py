@@ -488,6 +488,37 @@ class TestRunGrid:
                 read(tmp_path)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
+    @pytest.mark.parametrize("edit, refusal", [
+        ("extra-fields", r"line 3: unparsable row \(2 fields beyond the header\)"),
+        ("fingerprint-mismatch", r"line 4: unparsable row \(fingerprint .*-r7 should read .*-r0\)"),
+        ("duplicate", "line 6: zdt1-.*-baseline-r0 repeats line 2"),
+    ], ids=["extra-fields", "fingerprint-mismatch", "duplicate"])
+    def test_row_that_misdescribes_itself_is_refused_by_its_line(
+        self, tmp_path, monkeypatch, edit, refusal
+    ):
+        # each of these rows used to load, and a resume skipped its run
+        grid = tiny_grid()
+        run_grid(grid, out_dir=tmp_path)
+        path = tmp_path / RESULTS_FILENAME
+        lines = path.read_bytes().split(b"\r\n")
+        if edit == "extra-fields":
+            lines[2] += b",999,extra"
+        elif edit == "fingerprint-mismatch":
+            fingerprint, rest = lines[3].split(b",", 1)
+            assert fingerprint.endswith(b"-r0")  # and so does its rep field
+            lines[3] = fingerprint[:-1] + b"7," + rest
+        else:  # the first row again, with another hypervolume
+            fields = lines[1].split(b",")
+            fields[11] = b"0.5"
+            lines.insert(5, b",".join(fields))
+        path.write_bytes(b"\r\n".join(lines))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        monkeypatch.setattr(experiment, "run_stack", refuse_to_run)
+        for read in (load_results, lambda out: run_grid(grid, out_dir=out)):
+            with pytest.raises(ContractViolationError, match=refusal):
+                read(tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_parallel_matches_serial(self, tmp_path):
         grid = tiny_grid()
         serial = run_grid(grid, out_dir=tmp_path / "serial")
@@ -675,11 +706,15 @@ class TestReport:
         bundle = report(results)
         assert len(bundle.plot_rows) == len(results)
 
-    def test_duplicate_rows_deduplicated(self, tmp_path):
+    def test_duplicate_fingerprints_refused(self, tmp_path):
+        # the first of each fingerprint used to be kept without a word
         results = grid_results(tmp_path)
-        once = report(results)
-        twice = report(list(results) + list(results))
-        assert once.text == twice.text
+        with pytest.raises(ContractViolationError) as err:
+            report(list(results) + [results[3], results[1]])
+        assert str(err.value) == (
+            f"results repeat runs: {results[1].config.fingerprint}, "
+            f"{results[3].config.fingerprint}"
+        )
 
     def test_missing_baseline_names_fingerprint(self, tmp_path):
         results = grid_results(tmp_path)

@@ -3,7 +3,8 @@
 Every CLI call, grid worker and benchmark probe starts by importing the
 package, so its import graph is start-up cost. numpy is the one runtime
 dependency; scipy, which the tests use as an oracle, must not load at all.
-Nor must the process pool, which only a grid run in parallel starts.
+Nor must the process pool, which only a grid run in parallel starts, or
+``configparser``, which only a grid read from ``--config`` uses.
 """
 
 import json
@@ -40,3 +41,7 @@ def test_package_import_loads_no_process_pool():
     loaded = loaded_modules()
     assert [m for m in loaded if m.split(".")[0] == "multiprocessing"] == []
     assert "concurrent.futures.process" not in loaded
+
+
+def test_package_import_loads_no_configparser():
+    assert "configparser" not in loaded_modules()

@@ -1,5 +1,7 @@
 """Non-dominated sorting, variation operators, and the generational loop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from knnavg.averaging import EvaluationHistory, KnnConfig
 from knnavg.core import ContractViolationError, RngStream
 from knnavg.metrics import hypervolume_2d
 from knnavg.nsga2 import (
+    CROSSOVER_PROB,
     ETA_CROSSOVER,
     ETA_MUTATION,
     GaConfig,
@@ -244,11 +247,8 @@ class TestCrowdingDistance:
 DISTINCT = (np.array([0, 1]), np.array([np.inf, np.inf]))
 
 
-def ga_pair(crossover_prob, mutation_prob, pop_size=2):
-    return GaConfig(
-        pop_size=pop_size, generations=1, crossover_prob=crossover_prob,
-        mutation_prob=mutation_prob,
-    )
+def ga_pair(pop_size=2):
+    return GaConfig(pop_size=pop_size, generations=1)
 
 
 def contract_blocks(probe, pop_size, n):
@@ -259,7 +259,7 @@ def contract_blocks(probe, pop_size, n):
         "coins": probe.random((pairs, 2)),
         "cross_gates": probe.random(pairs),
         "u_cross": probe.random((pairs, n)),
-        "mutation_gates": probe.random(pop_size),
+        "unused": probe.random(pop_size),
         "u_pick": probe.random((pop_size, n)),
         "u_mutation": probe.random((pop_size, n)),
     }
@@ -293,19 +293,19 @@ class TestDrawVariation:
         used, probe = RngStream(113), RngStream(113)
         ranks = np.array([0, 1, 0, 2, 1, 0])
         crowding = np.array([1.0, np.inf, 2.0, 0.5, 3.0, 1.0])
-        draws = draw_variation(ranks, crowding, ga_pair(0.5, 0.5, pop_size=6), 3, used)
+        draws = draw_variation(ranks, crowding, ga_pair(pop_size=6), 3, used)
         blocks = contract_blocks(probe, 6, 3)
         expected = tournament_winners(blocks["candidates"], blocks["coins"], ranks, crowding)
         assert np.array_equal(draws.parents, expected)
-        assert np.array_equal(draws.crosses, blocks["cross_gates"] < 0.5)
-        assert np.array_equal(draws.mutates, blocks["mutation_gates"] < 0.5)
+        assert np.array_equal(draws.crosses, blocks["cross_gates"] < CROSSOVER_PROB)
+        # the per-child block between u_cross and u_pick is drawn and not used
         for name in ("u_cross", "u_pick", "u_mutation"):
             assert np.array_equal(getattr(draws, name), blocks[name])
         assert used.random() == probe.random()
 
     def test_same_draws_whatever_the_gates_and_ranks(self):
         # the stream advances by the same blocks for every population state
-        # and gate setting, so all arms of a repetition stay in lockstep
+        # and gate outcome, so all arms of a repetition stay in lockstep
         states = [
             (np.zeros(8, dtype=np.int64), np.full(8, np.inf)),
             (np.arange(8), np.arange(8.0)),
@@ -314,19 +314,17 @@ class TestDrawVariation:
         after = set()
         for seed in range(120, 130):
             for ranks, crowding in states:
-                for pc, pm in ((0.0, 0.0), (1.0, 1.0), (0.9, 0.3)):
-                    rng = RngStream(seed)
-                    draws = draw_variation(ranks, crowding, ga_pair(pc, pm, pop_size=8), 4, rng)
-                    after.add((seed, rng.random(), draws.u_mutation.tobytes()))
+                rng = RngStream(seed)
+                draws = draw_variation(ranks, crowding, ga_pair(pop_size=8), 4, rng)
+                after.add((seed, rng.random(), draws.u_mutation.tobytes()))
         assert len(after) == 10
 
     def test_gates_follow_the_probabilities(self):
         draws = draw_variation(
-            np.zeros(20, dtype=np.int64), np.arange(20.0),
-            GaConfig(pop_size=20, generations=1, crossover_prob=0.5, mutation_prob=0.5),
-            3, RngStream(105),
+            np.zeros(2000, dtype=np.int64), np.arange(2000.0), ga_pair(pop_size=2000), 3,
+            RngStream(105),
         )
-        assert 0 < draws.crosses.sum() < 10 and 0 < draws.mutates.sum() < 20
+        assert draws.crosses.mean() == pytest.approx(CROSSOVER_PROB, abs=0.03)
         # rows a gate skips hold uniforms too: the blocks are drawn whole
         for u in (draws.u_cross, draws.u_pick, draws.u_mutation):
             assert np.all((u > 0.0) & (u < 1.0))
@@ -369,7 +367,7 @@ class TestSbxCrossover:
     def test_draw_accounting_active(self):
         # a crossing pair's uniforms are its row of the crossover block
         used, probe = RngStream(94), RngStream(94)
-        draws = draw_variation(*DISTINCT, ga_pair(1.0, 0.0), 3, used)
+        draws = draw_variation(*DISTINCT, ga_pair(), 3, used)
         blocks = contract_blocks(probe, 2, 3)
         assert draws.crosses.tolist() == [True]
         assert np.array_equal(draws.u_cross, blocks["u_cross"])
@@ -377,8 +375,8 @@ class TestSbxCrossover:
 
     def test_draw_accounting_skipped(self):
         # a skipped crossover still draws its row: same draws, same position
-        used, probe = RngStream(94), RngStream(94)
-        draws = draw_variation(*DISTINCT, ga_pair(0.0, 0.0), 3, used)
+        used, probe = RngStream(100), RngStream(100)
+        draws = draw_variation(*DISTINCT, ga_pair(), 3, used)
         blocks = contract_blocks(probe, 2, 3)
         assert draws.crosses.tolist() == [False]
         assert np.array_equal(draws.u_cross, blocks["u_cross"])
@@ -391,29 +389,30 @@ class TestSbxCrossover:
 
 class TestPolynomialMutation:
     def test_skipped_offspring_copied(self):
+        # an offspring none of whose variables is picked comes back as a copy
         x = rows([0.3, 0.6])
-        u_pick, u = RngStream(97).random((2, 1, 2))
-        y = polynomial_mutation(x, [False], u_pick, u)
+        u_pick, u = 0.5 + 0.5 * RngStream(97).random((2, 1, 2))
+        y = polynomial_mutation(x, u_pick, u)
         assert np.array_equal(y, x) and y is not x
 
     def test_stays_within_bounds(self):
         rng = RngStream(98)
         x, u_pick, u = rng.random((5000, 3)), rng.random((5000, 3)), rng.random((5000, 3))
-        y = polynomial_mutation(x, np.ones(5000, bool), u_pick, u)
+        y = polynomial_mutation(x, u_pick, u)
         assert np.all(y >= 0.0) and np.all(y <= 1.0)
 
     def test_boundary_genes_stay_feasible(self):
         rng = RngStream(99)
         for x in ([0.0, 1.0], [0.0, 0.0], [1.0, 1.0]):
             u_pick, u = rng.random((200, 2)), rng.random((200, 2))
-            y = polynomial_mutation(np.tile(x, (200, 1)), np.ones(200, bool), u_pick, u)
+            y = polynomial_mutation(np.tile(x, (200, 1)), u_pick, u)
             assert np.all(y >= 0.0) and np.all(y <= 1.0)
 
     def test_only_picked_variables_move(self):
         # variable j moves only when its pick uniform falls below 1/n
         x = rows([0.5, 0.5], [0.5, 0.5])
         u_pick = rows([0.1, 0.9], [0.9, 0.4])
-        y = polynomial_mutation(x, [True, True], u_pick, np.full((2, 2), 0.9))
+        y = polynomial_mutation(x, u_pick, np.full((2, 2), 0.9))
         assert y[0, 0] != 0.5 and y[0, 1] == 0.5
         assert y[1, 0] == 0.5 and y[1, 1] != 0.5
 
@@ -421,27 +420,25 @@ class TestPolynomialMutation:
         # symmetric start, symmetric distribution: mean stays at the start
         rng = RngStream(100)
         values = polynomial_mutation(
-            np.full((50_000, 1), 0.5), np.ones(50_000, bool), np.zeros((50_000, 1)),
-            rng.random((50_000, 1)),
+            np.full((50_000, 1), 0.5), np.zeros((50_000, 1)), rng.random((50_000, 1))
         )
         assert np.mean(values) == pytest.approx(0.5, abs=0.005)
 
     def test_draw_accounting_active(self):
-        # a mutating offspring's picks and perturbations are its rows of the blocks
+        # an offspring's picks and perturbations are its rows of the blocks
         used, probe = RngStream(101), RngStream(101)
-        draws = draw_variation(*DISTINCT, ga_pair(0.0, 1.0), 3, used)
+        draws = draw_variation(*DISTINCT, ga_pair(), 3, used)
         blocks = contract_blocks(probe, 2, 3)
-        assert draws.mutates.tolist() == [True, True]
         assert np.array_equal(draws.u_pick, blocks["u_pick"])
         assert np.array_equal(draws.u_mutation, blocks["u_mutation"])
         assert used.random() == probe.random()
 
     def test_draw_accounting_skipped(self):
-        # offspring that skip mutation still draw their rows: same position
+        # variables that are not picked still draw their perturbations: same position
         used, probe = RngStream(101), RngStream(101)
-        draws = draw_variation(*DISTINCT, ga_pair(0.0, 0.0), 3, used)
+        draws = draw_variation(*DISTINCT, ga_pair(), 3, used)
         blocks = contract_blocks(probe, 2, 3)
-        assert draws.mutates.tolist() == [False, False]
+        assert not (draws.u_pick < 1 / 3).all()
         assert np.array_equal(draws.u_pick, blocks["u_pick"])
         assert np.array_equal(draws.u_mutation, blocks["u_mutation"])
         assert used.random() == probe.random()
@@ -458,17 +455,13 @@ class TestGaConfig:
         with pytest.raises(ContractViolationError):
             GaConfig(pop_size=10, generations=0)
 
-    def test_probability_range(self):
-        with pytest.raises(ContractViolationError):
-            GaConfig(pop_size=10, generations=10, crossover_prob=1.5)
-        with pytest.raises(ContractViolationError):
-            GaConfig(pop_size=10, generations=10, mutation_prob=-0.1)
-
     def test_defaults(self):
-        ga = GaConfig(pop_size=10, generations=5)
-        assert ga.crossover_prob == 0.9
-        assert ga.mutation_prob == 1.0
-        assert (ETA_CROSSOVER, ETA_MUTATION) == (15.0, 20.0)
+        # the variation rates and indices are constants, not settings
+        assert [f.name for f in dataclasses.fields(GaConfig)] == ["pop_size", "generations"]
+        for rate in ("crossover_prob", "mutation_prob"):
+            with pytest.raises(TypeError):
+                GaConfig(pop_size=10, generations=5, **{rate: 0.9})
+        assert (CROSSOVER_PROB, ETA_CROSSOVER, ETA_MUTATION) == (0.9, 15.0, 20.0)
 
 
 @st.composite
@@ -477,11 +470,7 @@ def run_cases(draw):
     problem = ZdtProblem(
         draw(st.sampled_from(ZDT_VARIANTS)), draw(st.sampled_from([2, 3, 4, 5, 6, 30]))
     )
-    gate = st.sampled_from([0.0, 0.5, 0.9, 1.0])
-    ga = GaConfig(
-        pop_size=2 * draw(st.integers(1, 6)), generations=draw(st.integers(1, 8)),
-        crossover_prob=draw(gate), mutation_prob=draw(gate),
-    )
+    ga = GaConfig(pop_size=2 * draw(st.integers(1, 6)), generations=draw(st.integers(1, 8)))
     noise = NoiseSpec(draw(st.sampled_from([0.0, 0.1, 1.0])))
     return problem, noise, ga, draw(st.integers(0, 2**64 - 1))
 
@@ -604,17 +593,15 @@ class TestRunOptimization:
         # whatever its ranks and ties, so its noise is the baseline's noise
         problem = ZdtProblem("zdt1", 2)
         arms = [
-            (PlainNoisy(), 0.9),
-            (KnnAveraged(KnnConfig(k=10, max_dist=0.25)), 0.9),
-            (KnnAveraged(KnnConfig(k=3, max_dist=1.0)), 0.9),
-            (PlainNoisy(), 0.0),
-            (PlainNoisy(), 1.0),
+            PlainNoisy(),
+            KnnAveraged(KnnConfig(k=10, max_dist=0.25)),
+            KnnAveraged(KnnConfig(k=3, max_dist=1.0)),
         ]
+        ga = GaConfig(pop_size=10, generations=30)
         for seed in (1, 2, 3):
             positions = set()
-            for evaluator, crossover_prob in arms:
+            for evaluator in arms:
                 rng = RngStream(seed)
-                ga = GaConfig(pop_size=10, generations=30, crossover_prob=crossover_prob)
                 run_optimization(problem, NoiseSpec(0.2), evaluator, ga, rng)
                 positions.add(rng.random())
             assert len(positions) == 1
