@@ -122,10 +122,8 @@ class EvaluationHistory:
     """
 
     def __init__(self, n_vars: int, n_objs: int, runs: int = 1) -> None:
-        if n_vars < 1 or n_objs < 1:
-            raise ContractViolationError("history dimensions must be positive")
-        self.n_vars = int(n_vars)
-        self.n_objs = int(n_objs)
+        self.n_vars = as_count(n_vars, "n_vars", 1)
+        self.n_objs = as_count(n_objs, "n_objs", 1)
         self.runs = as_count(runs, "runs", 1)
         self._size = 0
         self._vars = np.empty((self.runs, 0, self.n_vars))

@@ -32,7 +32,7 @@ from .experiment import (
     run_grid,
     write_report_files,
 )
-from .metrics import DEFAULT_FRONT_SAMPLE_SIZE, DEFAULT_REFERENCE, as_reference
+from .metrics import DEFAULT_FRONT_SAMPLE_SIZE
 from .problems import ZDT_VARIANTS, ZdtProblem, true_front
 
 __all__ = ["main", "build_parser"]
@@ -69,14 +69,10 @@ _SETTINGS = (
     ("run", "repetitions", "--reps", int, None),
     ("run", "generations", "--generations", int, None),
     ("run", "base_seed", "--base-seed", int, None),
-    ("metrics", "reference_point", "--reference", _floats,
-     "hypervolume reference point, e.g. '11,11'"),
-    ("metrics", "front_sample_size", "--front-samples", int, None),
 )
-_METAVARS = {"--reference": "REFERENCE", "--front-samples": "FRONT_SAMPLES"}  # not the INI key
 
 
-def _grid_from_config(path: str | None, args: argparse.Namespace) -> tuple[ExperimentGrid, dict]:
+def _grid_from_config(path: str | None, args: argparse.Namespace) -> ExperimentGrid:
     """Build the grid from the INI file, letting command-line flags override."""
     sections: dict[str, dict[str, str]] = {}
     if path is not None:
@@ -96,7 +92,7 @@ def _grid_from_config(path: str | None, args: argparse.Namespace) -> tuple[Exper
                 raise ContractViolationError(f"unknown key '{key}' in [{name}]{hint}")
 
     # a flag's value, else the file's; a [run] setting given by neither keeps the grid's default
-    values = {"reference_point": DEFAULT_REFERENCE, "front_sample_size": DEFAULT_FRONT_SAMPLE_SIZE}
+    values = {}
     for section, key, _, parse, _ in _SETTINGS:
         text = sections.get(section, {}).get(key)
         if getattr(args, key) is not None:
@@ -115,11 +111,7 @@ def _grid_from_config(path: str | None, args: argparse.Namespace) -> tuple[Exper
             + " (provide them in the [grid] section or as flags)"
         )
     values["n_vars_list"] = values.pop("n_vars")
-    reference, front_samples = values.pop("reference_point"), values.pop("front_sample_size")
-    grid = ExperimentGrid(**values)
-    reference = as_reference(reference)
-    front_samples = as_count(front_samples, "front sample size", 2)
-    return grid, {"reference": reference, "front_sample_size": front_samples}
+    return ExperimentGrid(**values)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -127,11 +119,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="execute an experiment grid")
-    run_p.add_argument("--config", help="INI file with [grid], [run], [metrics] sections")
+    run_p.add_argument("--config", help="INI file with [grid] and [run] sections")
     run_p.add_argument("--out", help="output directory (results.csv, resumable)")
     run_p.add_argument("--parallelism", type=int, default=1, help="worker processes")
     for _, key, flag, parse, help_text in _SETTINGS:
-        run_p.add_argument(flag, dest=key, type=parse, help=help_text, metavar=_METAVARS.get(flag))
+        run_p.add_argument(flag, dest=key, type=parse, help=help_text)
     run_p.add_argument(
         "--include-histories", action="store_true",
         help="write one evaluation-history CSV per run (needs --out)",
@@ -149,10 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     single_p.add_argument("--seed", type=int, required=True)
     single_p.add_argument("--k", type=int, help="averaging neighbor count (omit for baseline)")
     single_p.add_argument("--max-dist", dest="max_dist", type=float)
-    single_p.add_argument("--reference", type=_floats, default=DEFAULT_REFERENCE)
-    single_p.add_argument(
-        "--front-samples", dest="front_samples", type=int, default=DEFAULT_FRONT_SAMPLE_SIZE
-    )
     single_p.add_argument("--out", help="write the JSON here instead of stdout")
 
     report_p = sub.add_parser("report", help="verdict tables from persisted results")
@@ -169,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    grid, metric_opts = _grid_from_config(args.config, args)
+    grid = _grid_from_config(args.config, args)
     # bad options are refused before the plan prints
     parallelism = as_count(args.parallelism, "parallelism", 1)
     if args.include_histories and args.out is None:
@@ -183,7 +171,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     outcome = run_grid(
         grid, parallelism=parallelism, out_dir=args.out,
-        include_histories=args.include_histories, **metric_opts,
+        include_histories=args.include_histories,
     )
     if outcome.skipped:
         print(f"skipped {outcome.skipped} already persisted runs")
@@ -234,12 +222,7 @@ def _cmd_single(args: argparse.Namespace) -> int:
         generations=args.generations, arm=ARM_BASELINE if args.k is None else ARM_KNN,
         k=args.k, max_dist=args.max_dist, rep=0, seed=args.seed,
     )
-    result = execute_run(
-        config,
-        reference=tuple(args.reference),
-        front_sample_size=args.front_samples,
-        keep_optimization=True,
-    )
+    result = execute_run(config, keep_optimization=True)
     payload = result.optimization.to_dict()
     payload["fingerprint"] = config.fingerprint
     payload["metrics"] = dataclasses.asdict(result.metrics)

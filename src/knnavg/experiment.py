@@ -13,11 +13,12 @@ A finished run carries its final non-dominated set as a
 persist as an append-only CSV, one row per finished run holding the
 indicators and the final set's size, not the set itself. That makes
 interrupted grids resumable: already persisted fingerprints are skipped on
-the next invocation, provided their rows were produced under the same seed,
-reference point and front sample size, and under the random stream that
-the directory's ``grid.json`` manifest records. A resume checks all of that
-before it writes anything, so a refused resume leaves the directory as it
-was.
+the next invocation, provided their rows were produced under the same seed
+and under the random stream that the directory's ``grid.json`` manifest
+records. Every row is scored at the one reference point and front sample
+size of :mod:`knnavg.metrics`, and its ``ref_f1``, ``ref_f2`` and
+``front_sample_size`` columns say so. A resume checks all of that before it
+writes anything, so a refused resume leaves the directory as it was.
 """
 
 from __future__ import annotations
@@ -42,13 +43,7 @@ import numpy as np
 
 from .averaging import KnnConfig, history_rows
 from .core import STREAM_VERSION, Batch, ContractViolationError, RngStream, as_count, as_seed
-from .metrics import (
-    DEFAULT_FRONT_SAMPLE_SIZE,
-    DEFAULT_REFERENCE,
-    MetricReport,
-    as_reference,
-    compute_report,
-)
+from .metrics import DEFAULT_FRONT_SAMPLE_SIZE, DEFAULT_REFERENCE, MetricReport, compute_report
 from .nsga2 import GaConfig, KnnAveraged, OptimizationResult, PlainNoisy, run_stack
 from .problems import NoiseSpec, ZdtProblem
 from .stats import METRICS, ComparisonVerdict, Verdict, compare_setting
@@ -87,6 +82,13 @@ HISTORY_DIRNAME = "histories"
 
 POOLED_SCOPE = "all"
 
+# what every results row records of the scoring, as written
+_SCORED_AT = {
+    "ref_f1": repr(DEFAULT_REFERENCE[0]),
+    "ref_f2": repr(DEFAULT_REFERENCE[1]),
+    "front_sample_size": str(DEFAULT_FRONT_SAMPLE_SIZE),
+}
+
 
 @dataclass(frozen=True, eq=False)
 class ExperimentGrid:
@@ -97,7 +99,8 @@ class ExperimentGrid:
     (k, max_dist) averaging setting, each repeated ``repetitions`` times.
     Each level is checked by the type that runs it and stored in that
     type's canonical form: problem names are lower-cased, so ``"ZDT1"`` and
-    ``"zdt1"`` name one cell with one seed.
+    ``"zdt1"`` name one cell with one seed, and a level that repeats in that
+    form is refused.
     """
 
     problems: tuple[str, ...]
@@ -125,6 +128,9 @@ class ExperimentGrid:
             values = tuple(cast(v) for v in getattr(self, name))
             if not values:
                 raise ContractViolationError(f"{name} must be non-empty")
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ContractViolationError(f"{name} repeats {repeated[0]!r}")
             object.__setattr__(self, name, values)
         object.__setattr__(self, "repetitions", as_count(self.repetitions, "repetitions", 1))
         object.__setattr__(self, "generations", generations)
@@ -245,30 +251,18 @@ class RunResult:
     optimization: OptimizationResult | None = None
 
 
-def execute_run(
-    config: RunConfig,
-    reference: tuple[float, float] = DEFAULT_REFERENCE,
-    front_sample_size: int = DEFAULT_FRONT_SAMPLE_SIZE,
-    keep_optimization: bool = False,
-) -> RunResult:
+def execute_run(config: RunConfig, keep_optimization: bool = False) -> RunResult:
     """Execute one run from scratch and score it: a stack of one run."""
-    (result,) = execute_stack([config], reference, front_sample_size, keep_optimization)
+    (result,) = execute_stack([config], keep_optimization)
     return result
 
 
-def execute_stack(
-    configs: Sequence[RunConfig],
-    reference: tuple[float, float] = DEFAULT_REFERENCE,
-    front_sample_size: int = DEFAULT_FRONT_SAMPLE_SIZE,
-    keep_optimization: bool = False,
-) -> list[RunResult]:
+def execute_stack(configs: Sequence[RunConfig], keep_optimization: bool = False) -> list[RunResult]:
     """Execute runs of one cell and arm setting as one stack, and score each.
 
     Each result is bitwise that of executing its run alone; its
     ``duration_s`` is its share of the stack's loop time (time / runs).
     """
-    reference = as_reference(reference)
-    front_sample_size = as_count(front_sample_size, "front sample size", 2)
     if not configs or any(c.stack != configs[0].stack for c in configs):
         raise ContractViolationError("a stack needs runs that share one cell and arm setting")
     first = configs[0]
@@ -283,8 +277,8 @@ def execute_stack(
     return [
         RunResult(
             config, outcome.nondominated, len(outcome.nondominated),
-            compute_report(outcome.nondominated, problem, noise, reference, front_sample_size),
-            duration, outcome if keep_optimization else None,
+            compute_report(outcome.nondominated, problem, noise), duration,
+            outcome if keep_optimization else None,
         )
         for config, outcome in zip(configs, outcomes)
     ]
@@ -308,9 +302,7 @@ def _result_row(result: RunResult) -> dict[str, str]:
         "hv_mean_adjusted": repr(m.hv_mean_adjusted),
         "igd_mean_adjusted": repr(m.igd_mean_adjusted),
         "delta_f": repr(m.delta_f),
-        "ref_f1": repr(m.reference_point[0]),
-        "ref_f2": repr(m.reference_point[1]),
-        "front_sample_size": str(m.front_sample_size),
+        **_SCORED_AT,
         "final_set_size": str(result.final_set_size),
         "duration_s": repr(result.duration_s),
     }
@@ -328,12 +320,13 @@ def _row_to_result(row: dict[str, str]) -> RunResult:
     )
     if row["fingerprint"] != config.fingerprint:
         raise ValueError(f"fingerprint {row['fingerprint']} should read {config.fingerprint}")
+    scored_at = {column: row[column] for column in _SCORED_AT}
+    if scored_at != _SCORED_AT:
+        raise ValueError(f"scored at {scored_at}, not at {_SCORED_AT}")
     metrics = MetricReport(
         hv_mean_adjusted=float(row["hv_mean_adjusted"]),
         igd_mean_adjusted=float(row["igd_mean_adjusted"]),
         delta_f=float(row["delta_f"]),
-        reference_point=(float(row["ref_f1"]), float(row["ref_f2"])),
-        front_sample_size=int(row["front_sample_size"]),
     )
     return RunResult(
         config=config,
@@ -350,14 +343,23 @@ def _read_table(path: Path) -> tuple[csv.DictReader, int]:
     ``csv.writer`` ends a row with ``\\r\\n`` and quotes a field holding a
     quote or a line break, such as a failure message, so a ``\\n`` after an
     odd number of quotes lies inside a field: the complete rows end at the
-    last ``\\n`` after an even number. A missing table has no rows.
+    last ``\\n`` after an even number. A missing table has no rows. A line
+    that is not UTF-8 is refused by its number when the rows reach it.
     """
     data = path.read_bytes() if path.exists() else b""
     keep = data.rfind(b"\n") + 1
     while data.count(b'"', 0, keep) % 2:  # that line break is inside a quoted field
         keep = data.rfind(b"\n", 0, keep - 1) + 1
-    lines = (line.decode() for line in io.BytesIO(data[:keep]))
-    return csv.DictReader(lines), len(data) - keep
+    return csv.DictReader(_decoded(path, data[:keep])), len(data) - keep
+
+
+def _decoded(path: Path, data: bytes):
+    """The lines of ``data`` as text; one that is not UTF-8 names its line."""
+    for number, line in enumerate(io.BytesIO(data), 1):
+        try:
+            yield line.decode()
+        except UnicodeDecodeError as exc:
+            raise ContractViolationError(f"{path}: line {number}: unparsable row ({exc})") from exc
 
 
 def _parse_results(path: Path, rows: csv.DictReader) -> list[RunResult]:
@@ -380,10 +382,11 @@ def _parse_results(path: Path, rows: csv.DictReader) -> list[RunResult]:
 def load_results(out_dir: str | Path) -> list[RunResult]:
     """Load all persisted results from a grid output directory.
 
-    The table ends at its last complete row. A row that does not parse, or
-    repeats a run, is a contract violation naming its line, and so is a last
-    row torn off by a crash mid-write: resuming the grid cuts it and runs
-    that run again.
+    The table ends at its last complete row. A row that does not parse, was
+    scored at another reference point or front sample size, or repeats a
+    run, is a contract violation naming its line, and so is a last row torn
+    off by a crash mid-write: resuming the grid cuts it and runs that run
+    again.
     """
     path = Path(out_dir) / RESULTS_FILENAME
     if not path.exists():
@@ -425,20 +428,17 @@ def write_history_csv(path: str | Path, optimization: OptimizationResult) -> Non
         handle.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
 
 
-def _open_grid_dir(
-    path: Path, configs: Sequence[RunConfig], reference: tuple[float, float],
-    front_sample_size: int,
-) -> dict[str, RunResult]:
+def _open_grid_dir(path: Path, configs: Sequence[RunConfig]) -> dict[str, RunResult]:
     """Open the output directory of one ``run_grid`` invocation; returns its runs by fingerprint.
 
     Everything is read and checked before anything is written, so a refused
     directory is left as it was: the complete rows of the results table
     must parse, ``grid.json`` must name this package's stream, and each
-    persisted run this grid would skip must carry the seed, reference point
-    and front sample size it would run with (a fingerprint names only the
-    cell, arm and repetition). Then the manifest is written and a torn tail
-    cut off each table, so a torn run runs again, the next row starts on a
-    line of its own, and a table cut inside its header starts over.
+    persisted run this grid would skip must carry the seed it would run
+    with (a fingerprint names only the cell, arm and repetition). Then the
+    manifest is written and a torn tail cut off each table, so a torn run
+    runs again, the next row starts on a line of its own, and a table cut
+    inside its header starts over.
     """
     results, failures = path / RESULTS_FILENAME, path / FAILURES_FILENAME
     rows, torn = _read_table(results)
@@ -446,18 +446,13 @@ def _open_grid_dir(
     tails = {results: torn, failures: _read_table(failures)[1]}
     manifest = _check_manifest(path, has_runs=bool(persisted))
     for config in (c for c in configs if c.fingerprint in persisted):
-        stored = persisted[config.fingerprint]
-        for column, old, new in (
-            ("seed", stored.config.seed, config.seed),
-            ("ref_f1/ref_f2", stored.metrics.reference_point, reference),
-            ("front_sample_size", stored.metrics.front_sample_size, front_sample_size),
-        ):
-            if old != new:
-                raise ContractViolationError(
-                    f"{results} holds run {config.fingerprint} with {column}={old}, but this "
-                    f"grid would run it with {column}={new}; resume with the original "
-                    "settings or write to another output directory"
-                )
+        old = persisted[config.fingerprint].config.seed
+        if old != config.seed:
+            raise ContractViolationError(
+                f"{results} holds run {config.fingerprint} with seed={old}, but this grid "
+                f"would run it with seed={config.seed}; resume with the original settings "
+                "or write to another output directory"
+            )
     path.mkdir(parents=True, exist_ok=True)
     if manifest is not None:
         (path / MANIFEST_FILENAME).write_text(json.dumps(manifest, indent=2) + "\n")
@@ -497,17 +492,9 @@ def _check_manifest(directory: Path, has_runs: bool) -> dict | None:
     return None
 
 
-def _grid_worker(
-    configs: list[RunConfig],
-    reference: tuple[float, float],
-    front_sample_size: int,
-    history_paths: list[str | None],
-) -> list[RunResult]:
+def _grid_worker(configs: list[RunConfig], history_paths: list[str | None]) -> list[RunResult]:
     """Execute one stack of a grid and write the history CSV of each of its runs."""
-    results = execute_stack(
-        configs, reference=reference, front_sample_size=front_sample_size,
-        keep_optimization=history_paths[0] is not None,
-    )
+    results = execute_stack(configs, keep_optimization=history_paths[0] is not None)
     for result, path in zip(results, history_paths):
         if path is not None:
             write_history_csv(path, result.optimization)
@@ -540,7 +527,7 @@ def _per_run(task: tuple, outcome) -> list[tuple[RunConfig, object]]:
     A stack that raised is rerun here one run at a time, so a failure
     stays with its run; a broken pool leaves every run unfinished.
     """
-    configs, reference, front_sample_size, paths = task
+    configs, paths = task
     if isinstance(outcome, list):
         return list(zip(configs, outcome))
     raised = isinstance(outcome, Exception) and not isinstance(outcome, BrokenExecutor)
@@ -548,7 +535,7 @@ def _per_run(task: tuple, outcome) -> list[tuple[RunConfig, object]]:
         return [(config, outcome) for config in configs]
     logger.warning("a stack of %d runs failed (%r); running them one at a time",
                    len(configs), outcome)
-    singles = [([c], reference, front_sample_size, [p]) for c, p in zip(configs, paths)]
+    singles = [([c], [p]) for c, p in zip(configs, paths)]
     return [run for single in singles for run in _per_run(single, _attempt(*single))]
 
 
@@ -572,19 +559,18 @@ def run_grid(
     grid: ExperimentGrid,
     parallelism: int = 1,
     out_dir: str | Path | None = None,
-    reference: tuple[float, float] = DEFAULT_REFERENCE,
-    front_sample_size: int = DEFAULT_FRONT_SAMPLE_SIZE,
     include_histories: bool = False,
 ) -> GridOutcome:
     """Execute every pending run of the grid.
 
     The total run count is logged before execution starts. With an output
     directory, its checks come before its writes: a manifest naming another
-    stream, an unparsable row, or a persisted run whose seed, reference
-    point or front sample size differs from this grid's is a contract
-    violation, raised before anything runs or is written. Each table ends at
-    its last complete row: a resume cuts a row torn off by a crash, so that
-    run runs again, and :func:`load_results` refuses such a row until then.
+    stream, an unparsable row (one scored at another reference point or
+    front sample size among them), or a persisted run whose seed differs
+    from this grid's is a contract violation, raised before anything runs or
+    is written. Each table ends at its last complete row: a resume cuts a
+    row torn off by a crash, so that run runs again, and
+    :func:`load_results` refuses such a row until then.
     The pending runs of one cell and arm setting form a stack, which
     :func:`execute_stack` advances as one array program, each run bitwise as
     if alone. Stacks execute in this process at ``parallelism`` 1, otherwise
@@ -602,8 +588,6 @@ def run_grid(
     CSV per run and requires an output directory.
     """
     parallelism = as_count(parallelism, "parallelism", 1)
-    reference = as_reference(reference)
-    front_sample_size = as_count(front_sample_size, "front sample size", 2)
     if include_histories and out_dir is None:
         raise ContractViolationError("history dumps need an output directory")
     configs = expand_grid(grid)
@@ -612,7 +596,7 @@ def run_grid(
         len(configs), grid.cell_count, grid.settings_per_cell, grid.repetitions,
     )
     out_dir = None if out_dir is None else Path(out_dir)
-    persisted = _open_grid_dir(out_dir, configs, reference, front_sample_size) if out_dir else {}
+    persisted = _open_grid_dir(out_dir, configs) if out_dir else {}
     pending = [c for c in configs if c.fingerprint not in persisted]
     skipped = len(configs) - len(pending)
     if skipped:
@@ -620,9 +604,8 @@ def run_grid(
     # expansion order keeps the runs of one cell and arm setting together
     stacks = [list(runs) for _, runs in itertools.groupby(pending, key=lambda c: c.stack)]
     tasks = [
-        (runs, reference, front_sample_size,
-         [str(out_dir / HISTORY_DIRNAME / f"{c.fingerprint}.csv") if include_histories else None
-          for c in runs])
+        (runs, [str(out_dir / HISTORY_DIRNAME / f"{c.fingerprint}.csv") if include_histories
+                else None for c in runs])
         for runs in stacks
     ]
     results: list[RunResult] = []
@@ -693,22 +676,14 @@ def report(results: Sequence[RunResult], alpha: float = 0.05) -> ReportBundle:
     Each averaging run is paired once with the baseline run of its cell and
     repetition, which must share its seed; one contract violation names
     every baseline fingerprint that is missing or carries another seed. So
-    are results that repeat a fingerprint, named too, or mix reference
-    points or front sample sizes. Verdicts are produced per sigma and pooled
-    over all sigmas, for each of the three metrics; fewer than five non-zero
-    paired differences are flagged.
+    are results that repeat a fingerprint, named too. Verdicts are produced
+    per sigma and pooled over all sigmas, for each of the three metrics;
+    fewer than five non-zero paired differences are flagged.
     """
     by_fingerprint = {r.config.fingerprint: r for r in results}
     repeated = sorted(f for f, n in Counter(r.config.fingerprint for r in results).items() if n > 1)
     if repeated:
         raise ContractViolationError(f"results repeat runs: {', '.join(repeated)}")
-    # indicator values under another reference point or front sample do not compare
-    for what, values in (
-        ("hypervolume reference points", {r.metrics.reference_point for r in results}),
-        ("front sample sizes", {r.metrics.front_sample_size for r in results}),
-    ):
-        if len(values) > 1:
-            raise ContractViolationError(f"results mix {what}: {sorted(values)}")
     knn_runs = sorted(
         (r for r in results if r.config.arm == ARM_KNN),
         key=lambda r: (r.config.k, r.config.max_dist, r.config.cell, r.config.rep),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Batch, ContractViolationError, as_count, as_real
+from .core import Batch, ContractViolationError, as_real
 from .problems import NoiseSpec, ZdtProblem, evaluate_true, true_front
 
 __all__ = [
@@ -27,9 +27,11 @@ __all__ = [
     "compute_report",
 ]
 
-# Reference point for the two-objective hypervolume. The noisy ZDT samples
-# in the studied noise range stay well inside it, so no solution set is
-# silently clipped to nothing.
+# Every run is scored at one reference point and one front sample, so any
+# two indicator values compare (Zitzler et al., IEEE TEC 7(2), 2003). The
+# hypervolume reference point: the noisy ZDT samples in the studied noise
+# range stay well inside it, so no solution set is silently clipped to
+# nothing. The front sample: the true-front points IGD measures from.
 DEFAULT_REFERENCE = (11.0, 11.0)
 DEFAULT_FRONT_SAMPLE_SIZE = 1000
 
@@ -49,16 +51,14 @@ class MetricReport:
     """The three indicator values of one finished run.
 
     ``hv_mean_adjusted`` and ``igd_mean_adjusted`` are computed on the
-    expectation-adjusted solution set; ``delta_f`` measures how far the
-    reported objectives sit from those expected values. The reference point
-    and front sample size record the comparison context.
+    expectation-adjusted solution set, at :data:`DEFAULT_REFERENCE` and
+    over :data:`DEFAULT_FRONT_SAMPLE_SIZE` front points; ``delta_f``
+    measures how far the reported objectives sit from those expected values.
     """
 
     hv_mean_adjusted: float
     igd_mean_adjusted: float
     delta_f: float
-    reference_point: tuple[float, float]
-    front_sample_size: int
 
     def __post_init__(self) -> None:
         for field in ("hv_mean_adjusted", "igd_mean_adjusted", "delta_f"):
@@ -66,9 +66,6 @@ class MetricReport:
             if not np.isfinite(value) or value < 0.0:
                 raise ContractViolationError(f"{field} must be finite and non-negative")
             object.__setattr__(self, field, value)
-        object.__setattr__(self, "reference_point", as_reference(self.reference_point))
-        size = as_count(self.front_sample_size, "front_sample_size", 2)
-        object.__setattr__(self, "front_sample_size", size)
 
     def value(self, metric: str) -> float:
         """Look up an indicator by its short name: hv, igd or delta_f."""
@@ -159,29 +156,20 @@ def delta_f(reported, expected) -> float:
     return float(np.linalg.norm(reported - expected, axis=1).mean())
 
 
-def compute_report(
-    solutions: Batch,
-    problem: ZdtProblem,
-    noise: NoiseSpec,
-    reference: tuple[float, float] = DEFAULT_REFERENCE,
-    front_sample_size: int = DEFAULT_FRONT_SAMPLE_SIZE,
-) -> MetricReport:
+def compute_report(solutions: Batch, problem: ZdtProblem, noise: NoiseSpec) -> MetricReport:
     """All three indicators of a final solution set, in one report.
 
-    The noise is additive with mean zero, so the expected objectives of
-    each row are its noise-free evaluation; ``noise`` takes part only
-    through that contract.
+    The hypervolume is taken at :data:`DEFAULT_REFERENCE` and the IGD over
+    :data:`DEFAULT_FRONT_SAMPLE_SIZE` points of the true front. The noise is
+    additive with mean zero, so the expected objectives of each row are its
+    noise-free evaluation; ``noise`` takes part only through that contract.
     """
     del noise
-    reference = as_reference(reference)
     if not len(solutions):
         raise ContractViolationError("cannot score an empty solution set")
     expected = evaluate_true(problem, solutions.variables)
-    front = true_front(problem, front_sample_size)
     return MetricReport(
-        hv_mean_adjusted=hypervolume_2d(expected, reference),
-        igd_mean_adjusted=igd(front, expected),
+        hv_mean_adjusted=hypervolume_2d(expected, DEFAULT_REFERENCE),
+        igd_mean_adjusted=igd(true_front(problem, DEFAULT_FRONT_SAMPLE_SIZE), expected),
         delta_f=delta_f(solutions.objectives, expected),
-        reference_point=reference,
-        front_sample_size=front_sample_size,
     )

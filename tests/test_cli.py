@@ -70,9 +70,9 @@ SINGLE_BASE = [
 # SHA-256 of a desk run's JSON (pop 10, 100 generations, n=2) without its
 # duration_s, per arm: every key, value and its order, as the CLI prints them
 SINGLE_DESK_DIGESTS = [
-    ([], "4dafe1a4bc196cebc6d828c6f3de143ca395160d9aa88a96fb64725587b4de76"),
+    ([], "1633392ca4986a0a85e74e6bf50b1c67066b2824d1fb52ac9716ae614211b598"),
     (["--k", "10", "--max-dist", "0.25"],
-     "ebd9eb91e6a6f1d49b353d8ffcdfeb4b74d4019fa8c50d459c631a5942aa7261"),
+     "13f82759f4481b4989fc9b7d2c6f0614e51991edcbae992efcd5a31a5fe4ed88"),
 ]
 
 
@@ -87,10 +87,7 @@ class TestSingle:
         assert payload["history_length"] == 60
         assert payload["fingerprint"] == "zdt1-n2-s0.1-p10-g5-baseline-r0"
         assert len(payload["trace"]) == 6
-        assert set(payload["metrics"]) == {
-            "hv_mean_adjusted", "igd_mean_adjusted", "delta_f",
-            "reference_point", "front_sample_size",
-        }
+        assert set(payload["metrics"]) == {"hv_mean_adjusted", "igd_mean_adjusted", "delta_f"}
         assert "history" not in payload
 
     def test_averaging_arm(self, capsys):
@@ -153,11 +150,24 @@ class TestSingle:
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
+    # every run is scored at one reference point and front sample size: the
+    # flags that set them are gone, so any value is a usage error
     def test_non_finite_reference_rejected_before_the_run(self, capsys, monkeypatch):
         monkeypatch.setattr(experiment, "run_stack", refuse_to_run)
-        assert run_cli(SINGLE_BASE + ["--reference", "inf,inf"]) == 1
+        with pytest.raises(SystemExit) as err:
+            run_cli(SINGLE_BASE + ["--reference", "inf,inf"])
+        assert err.value.code == 1
         captured = capsys.readouterr()
-        assert "error: reference point needs two finite coordinates" in captured.err
+        assert "error: unrecognized arguments: --reference inf,inf" in captured.err
+        assert captured.out == ""
+
+    def test_front_samples_below_two_rejected_before_the_run(self, capsys, monkeypatch):
+        monkeypatch.setattr(experiment, "run_stack", refuse_to_run)
+        with pytest.raises(SystemExit) as err:
+            run_cli(SINGLE_BASE + ["--front-samples", "1"])
+        assert err.value.code == 1
+        captured = capsys.readouterr()
+        assert "error: unrecognized arguments: --front-samples 1" in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize(
@@ -170,13 +180,6 @@ class TestSingle:
         assert run_cli(SINGLE_BASE + changed) == 1  # a repeated flag's last value wins
         captured = capsys.readouterr()
         assert f"error: {message}" in captured.err
-        assert captured.out == ""
-
-    def test_front_samples_below_two_rejected_before_the_run(self, capsys, monkeypatch):
-        monkeypatch.setattr(experiment, "run_stack", refuse_to_run)
-        assert run_cli(SINGLE_BASE + ["--front-samples", "1"]) == 1
-        captured = capsys.readouterr()
-        assert "error: front sample size must be at least 2" in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("arm_flags, digest", SINGLE_DESK_DIGESTS)
@@ -238,7 +241,7 @@ class TestRun:
 
     @pytest.mark.parametrize(
         "changed, column",
-        [(["--base-seed", "5"], "seed"), (["--reference", "5,5"], "ref_f1/ref_f2")],
+        [(["--base-seed", "5"], "seed")],
     )
     def test_resume_under_other_settings_rejected(self, tmp_path, capsys, changed, column):
         # the old rows were produced under other settings: skipping them
@@ -311,28 +314,31 @@ class TestRun:
         out = capsys.readouterr().out
         assert "skipped 10 already persisted runs" in out and "Verdicts" in out
 
+    # as in TestSingle, the flags are gone and any value is a usage error
     def test_non_finite_reference_rejected_before_any_run(self, tmp_path, capsys, monkeypatch):
-        # nan != nan: persisted, such rows could never be reported together
         monkeypatch.setattr(experiment, "run_stack", refuse_to_run)
         out = tmp_path / "grid"
-        assert run_cli(RUN_FLAGS + ["--reps", "2", "--reference", "1,nan", "--out", str(out)]) == 1
+        with pytest.raises(SystemExit) as err:
+            run_cli(RUN_FLAGS + ["--reps", "2", "--reference", "1,nan", "--out", str(out)])
+        assert err.value.code == 1
         captured = capsys.readouterr()
-        assert "error: reference point needs two finite coordinates" in captured.err
+        assert "error: unrecognized arguments: --reference 1,nan" in captured.err
         assert captured.out == ""
         assert not out.exists()
 
     def test_front_samples_below_two_rejected_before_any_run(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(experiment, "run_stack", refuse_to_run)
         out = tmp_path / "grid"
-        assert run_cli(RUN_FLAGS + ["--reps", "2", "--front-samples", "1", "--out", str(out)]) == 1
+        with pytest.raises(SystemExit) as err:
+            run_cli(RUN_FLAGS + ["--reps", "2", "--front-samples", "1", "--out", str(out)])
+        assert err.value.code == 1
         captured = capsys.readouterr()
-        assert "error: front sample size must be at least 2" in captured.err
-        assert "executed" not in captured.out
+        assert "error: unrecognized arguments: --front-samples 1" in captured.err
+        assert captured.out == ""
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--parallelism", "0", "parallelism must be at least 1"),
-        ("--front-samples", "1", "front sample size must be at least 2"),
     ])
     def test_bad_counts_refused_before_the_plan_prints(
         self, tmp_path, capsys, monkeypatch, flag, value, message
@@ -390,6 +396,23 @@ class TestRun:
         assert "grid is incomplete" in err
         assert "n_vars" in err
 
+    @pytest.mark.parametrize(
+        "flag, levels, message",
+        [("--problems", "zdt1,ZDT1", "problems repeats 'zdt1'"), ("--ks", "3,3", "ks repeats 3"),
+         ("--sigmas", "0.2,0.20", "sigmas repeats 0.2")],
+    )
+    def test_repeated_level_refused_before_the_plan_prints(
+        self, tmp_path, capsys, monkeypatch, flag, levels, message
+    ):
+        # each used to run every run twice, into a table its own report refused
+        monkeypatch.setattr(experiment, "run_stack", refuse_to_run)
+        out = tmp_path / "grid"
+        assert run_cli(RUN_FLAGS + ["--reps", "2", flag, levels, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {message}" in captured.err
+        assert not out.exists()
+
     def test_config_file(self, tmp_path, capsys):
         config = tmp_path / "campaign.ini"
         config.write_text(
@@ -403,10 +426,7 @@ class TestRun:
             "[run]\n"
             "repetitions = 2\n"
             "generations = 5\n"
-            "base_seed = 0\n"
-            "[metrics]\n"
-            "reference_point = 11, 11\n"
-            "front_sample_size = 500\n",
+            "base_seed = 0\n",
             encoding="utf-8",
         )
         out_dir = tmp_path / "out"
@@ -414,7 +434,9 @@ class TestRun:
         assert "executed 4 runs" in capsys.readouterr().out
         with (out_dir / "results.csv").open(newline="") as handle:
             rows = list(csv.DictReader(handle))
-        assert rows[0]["front_sample_size"] == "500"
+        assert (rows[0]["ref_f1"], rows[0]["ref_f2"], rows[0]["front_sample_size"]) == (
+            "11.0", "11.0", "1000"
+        )
 
     def test_flags_override_config(self, tmp_path, capsys):
         config = tmp_path / "campaign.ini"
@@ -469,10 +491,12 @@ class TestRun:
         assert f"error: {where}: cannot parse" in capsys.readouterr().err
 
     def test_unknown_config_section_rejected(self, tmp_path, capsys):
+        # [metrics] held the reference point and front sample size, now constants
         config = tmp_path / "campaign.ini"
-        config.write_text("[grids]\nproblems = zdt1\n", encoding="utf-8")
-        assert run_cli(["run", "--config", str(config)]) == 1
-        assert "unknown config section [grids]" in capsys.readouterr().err
+        for section, key in (("grids", "problems = zdt1"), ("metrics", "reference_point = 5, 5")):
+            config.write_text(f"[{section}]\n{key}\n", encoding="utf-8")
+            assert run_cli(["run", "--config", str(config)]) == 1
+            assert f"unknown config section [{section}]" in capsys.readouterr().err
 
     def test_parallel_flag(self, tmp_path, capsys):
         argv = RUN_FLAGS + ["--reps", "2", "--out", str(tmp_path), "--parallelism", "2"]
@@ -572,21 +596,20 @@ class TestReadme:
 SETTING_TEXT = {
     "problems": "zdt1, zdt3", "n_vars": "2, 5", "sigmas": "0.0, 0.1", "pop_sizes": "10",
     "ks": "3, 5", "max_dists": "0.25", "repetitions": "4", "generations": "7",
-    "base_seed": "11", "reference_point": "12, 13", "front_sample_size": "300",
+    "base_seed": "11",
 }
 
 
-def grid_and_options(argv, config=None):
-    """What ``run`` would execute for ``argv``: the grid's fields and the metric options."""
-    grid, options = _grid_from_config(config, build_parser().parse_args(argv))
-    return dataclasses.asdict(grid), options
+def grid_fields(argv, config=None):
+    """The fields of the grid ``run`` would execute for ``argv``."""
+    return dataclasses.asdict(_grid_from_config(config, build_parser().parse_args(argv)))
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def readme_ini_example():
-    """The ``[grid]``/``[run]``/``[metrics]`` example of README.md."""
+    """The ``[grid]``/``[run]`` example of README.md."""
     return README.read_text(encoding="utf-8").split("```ini\n", 1)[1].split("```", 1)[0]
 
 
@@ -603,22 +626,19 @@ class TestSettingsTable:
         text = SETTING_TEXT[key]
         config = tmp_path / "one.ini"
         config.write_text(f"[{section}]\n{key} = {text}\n", encoding="utf-8")
-        by_flag = grid_and_options(["run", *others, flag, text])
-        by_key = grid_and_options(["run", *others, "--config", str(config)], str(config))
+        by_flag = grid_fields(["run", *others, flag, text])
+        by_key = grid_fields(["run", *others, "--config", str(config)], str(config))
         assert by_flag == by_key
         # the setting arrived, in the form its type stores
-        grid, options = by_flag
-        field = {"n_vars": "n_vars_list", "reference_point": "reference"}.get(key, key)
-        got = options[field] if field in options else grid[field]
+        got = by_flag["n_vars_list" if key == "n_vars" else key]
         expected = parse(text)
         assert (list(got) if isinstance(expected, list) else got) == expected
 
     def test_readme_ini_example_parses(self, tmp_path):
         config = tmp_path / "desk.ini"
         config.write_text(readme_ini_example(), encoding="utf-8")
-        grid, options = grid_and_options(["run", "--config", str(config)], str(config))
+        grid = grid_fields(["run", "--config", str(config)], str(config))
         assert grid["problems"] == ("zdt1", "zdt3") and grid["repetitions"] == 10
-        assert options == {"reference": (11.0, 11.0), "front_sample_size": 1000}
         # the example sets every key, each in its own section
         parser = configparser.ConfigParser()
         parser.read_string(readme_ini_example())

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from knnavg.averaging import KnnConfig
+from knnavg.averaging import EvaluationHistory, KnnConfig
 from knnavg.core import Batch, ContractViolationError, RngStream, Solution
 from knnavg.experiment import ExperimentGrid
-from knnavg.metrics import MetricReport, as_reference, compute_report, hypervolume_2d
+from knnavg.metrics import MetricReport, as_reference, hypervolume_2d
 from knnavg.nsga2 import GaConfig, fast_non_dominated_sort
 from knnavg.problems import NoiseSpec, ZdtProblem, evaluate_noisy, true_front
 from oracles import dominates
@@ -84,10 +84,7 @@ def grid_with(**overrides):
 
 
 def metric_report_with(**overrides):
-    fields = dict(
-        hv_mean_adjusted=1.0, igd_mean_adjusted=1.0, delta_f=1.0,
-        reference_point=(11.0, 11.0), front_sample_size=10,
-    )
+    fields = dict(hv_mean_adjusted=1.0, igd_mean_adjusted=1.0, delta_f=1.0)
     fields.update(overrides)
     return MetricReport(**fields)
 
@@ -106,8 +103,8 @@ COUNTS = {
     "ExperimentGrid.base_seed": lambda v: grid_with(base_seed=v).base_seed,
     "RngStream.seed": lambda v: RngStream(v).seed,
     "true_front.count": lambda v: len(true_front(ZdtProblem("zdt1", 2), v)),
-    "MetricReport.front_sample_size":
-        lambda v: metric_report_with(front_sample_size=v).front_sample_size,
+    "EvaluationHistory.n_vars": lambda v: EvaluationHistory(v, 2).n_vars,
+    "EvaluationHistory.n_objs": lambda v: EvaluationHistory(2, v).n_objs,
 }
 
 
@@ -142,15 +139,9 @@ REALS = {
     "MetricReport.igd_mean_adjusted":
         lambda v: metric_report_with(igd_mean_adjusted=v).igd_mean_adjusted,
     "MetricReport.delta_f": lambda v: metric_report_with(delta_f=v).delta_f,
-    "MetricReport.reference_point":
-        lambda v: metric_report_with(reference_point=(v, 11.0)).reference_point[0],
     "as_reference": lambda v: as_reference((11.0, v))[1],
     # the area of the unit-high strip under (v, 1) dominated by the origin is v
     "hypervolume_2d.reference": lambda v: hypervolume_2d([[0.0, 0.0]], (v, 1.0)),
-    "compute_report.reference": lambda v: compute_report(
-        Batch(np.full((1, 2), 0.5), np.ones((1, 2)), np.ones((1, 2))), ZdtProblem("zdt1", 2),
-        NoiseSpec(0.0), reference=(v, 11.0), front_sample_size=2,
-    ).reference_point[0],
 }
 
 

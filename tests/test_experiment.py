@@ -1,7 +1,6 @@
 """Grid expansion, execution, persistence, and the verdict report."""
 
 import csv
-import dataclasses
 import functools
 import json
 import random
@@ -35,7 +34,7 @@ from knnavg.experiment import (
     write_history_csv,
     write_report_files,
 )
-from knnavg.metrics import DEFAULT_FRONT_SAMPLE_SIZE, MetricReport, compute_report
+from knnavg.metrics import compute_report
 from knnavg.problems import NoiseSpec, ZdtProblem
 from knnavg.stats import METRICS
 
@@ -93,7 +92,7 @@ def uninterrupted_grid():
     """Results table, its rows and the manifest of one uninterrupted run of ``CUT_GRID``."""
     with tempfile.TemporaryDirectory() as out:
         out = Path(out)
-        run_grid(CUT_GRID, out_dir=out, front_sample_size=50)
+        run_grid(CUT_GRID, out_dir=out)
         table = out / RESULTS_FILENAME
         return table.read_bytes(), table_rows(table), (out / MANIFEST_FILENAME).read_bytes()
 
@@ -135,6 +134,20 @@ class TestExperimentGrid:
             tiny_grid(max_dists=(0.0,))
         with pytest.raises(ContractViolationError):
             tiny_grid(repetitions=0)
+
+    @pytest.mark.parametrize("field, levels, repeated", [
+        ("problems", ("zdt1", "ZDT1"), "'zdt1'"),
+        ("n_vars_list", (2, 5, 2.0), "2"),
+        ("sigmas", (0.1, 0.10), "0.1"),
+        ("pop_sizes", (10, np.int64(10)), "10"),
+        ("ks", (3, 3), "3"),
+        ("max_dists", (0.25, 0.5, 0.250), "0.25"),
+    ])
+    def test_repeated_level_refused(self, field, levels, repeated):
+        # a level named twice used to run every one of its runs twice, into a
+        # table that its own report and every resume then refused
+        with pytest.raises(ContractViolationError, match=f"^{field} repeats {repeated}$"):
+            tiny_grid(**{field: levels})
 
 
 class TestExpandGrid:
@@ -231,7 +244,6 @@ class TestExecuteRun:
         result = execute_run(config)
         assert result.final_set_size == len(result.final_set) > 0
         assert result.duration_s > 0.0
-        assert result.metrics.reference_point == (11.0, 11.0)
 
     def test_no_run_path_builds_a_solution(self, monkeypatch, tmp_path):
         # Solution objects exist only for iterating a Batch row by row; runs,
@@ -273,23 +285,30 @@ class TestRunGrid:
         with (tmp_path / RESULTS_FILENAME).open(newline="") as handle:
             assert len(list(csv.DictReader(handle))) == 4
 
-    def test_resume_with_other_front_sample_size_rejected(self, tmp_path):
+    def test_resume_with_other_front_sample_size_rejected(self, tmp_path, monkeypatch):
+        # a directory scored over another front sample, as --front-samples 64
+        # used to write it: its first row is refused, and nothing changes
         grid = tiny_grid()
         run_grid(grid, out_dir=tmp_path)
-        with pytest.raises(ContractViolationError, match="front_sample_size"):
-            run_grid(grid, out_dir=tmp_path, front_sample_size=64)
-        # the refusal leaves the table usable: the original settings resume
-        assert run_grid(grid, out_dir=tmp_path).skipped == 4
+        path = tmp_path / RESULTS_FILENAME
+        path.write_bytes(path.read_bytes().replace(b",11.0,11.0,1000,", b",11.0,11.0,64,"))
+        before = path.read_bytes()
+        monkeypatch.setattr(experiment, "run_stack", refuse_to_run)
+        with pytest.raises(ContractViolationError, match="line 2: .*'front_sample_size': '64'"):
+            run_grid(grid, out_dir=tmp_path)
+        assert path.read_bytes() == before
 
+    # every run is scored at DEFAULT_REFERENCE over DEFAULT_FRONT_SAMPLE_SIZE
+    # front points: no entry point takes either, whatever its value
     @pytest.mark.parametrize("reference", [(1.0, float("nan")), (float("inf"), 11.0)])
     def test_non_finite_reference_rejected_before_anything_runs(
         self, tmp_path, monkeypatch, reference
     ):
         monkeypatch.setattr(experiment, "run_stack", refuse_to_run)
         out = tmp_path / "grid"
-        with pytest.raises(ContractViolationError, match="two finite coordinates"):
+        with pytest.raises(TypeError, match="reference"):
             run_grid(tiny_grid(), out_dir=out, reference=reference)
-        with pytest.raises(ContractViolationError, match="two finite coordinates"):
+        with pytest.raises(TypeError, match="reference"):
             execute_run(expand_grid(tiny_grid())[0], reference=reference)
         assert not out.exists()
 
@@ -299,9 +318,9 @@ class TestRunGrid:
     ):
         monkeypatch.setattr(experiment, "run_stack", refuse_to_run)
         out = tmp_path / "grid"
-        with pytest.raises(ContractViolationError, match="front sample size"):
+        with pytest.raises(TypeError, match="front_sample_size"):
             run_grid(tiny_grid(), out_dir=out, front_sample_size=size)
-        with pytest.raises(ContractViolationError, match="front sample size"):
+        with pytest.raises(TypeError, match="front_sample_size"):
             execute_run(expand_grid(tiny_grid())[0], front_sample_size=size)
         assert not out.exists()
 
@@ -332,7 +351,7 @@ class TestRunGrid:
         [
             ("torn table, foreign manifest", "stream_version"),
             ("foreign manifest only", "stream_version"),
-            ("torn table, settings", "front_sample_size"),
+            ("torn table, settings", "with seed="),
             ("unparsable row of another grid", "line 6: unparsable row"),
         ],
         ids=["torn-foreign-manifest", "foreign-manifest-only", "torn-settings", "unparsable-row"],
@@ -359,9 +378,8 @@ class TestRunGrid:
             table.write_bytes(table.read_bytes()[:-40])
         before = {path.name: path.read_bytes() for path in out.iterdir()}
         monkeypatch.setattr(experiment, "run_stack", refuse_to_run)
-        size = 64 if "settings" in case else DEFAULT_FRONT_SAMPLE_SIZE
         with pytest.raises(ContractViolationError, match=refusal):
-            run_grid(grid, out_dir=out, front_sample_size=size)
+            run_grid(tiny_grid(base_seed=1) if "settings" in case else grid, out_dir=out)
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
     def test_runs_without_manifest_rejected(self, tmp_path, monkeypatch):
@@ -399,7 +417,7 @@ class TestRunGrid:
         # a crash mid-write leaves a partial last row; it used to count as
         # persisted on resume and to crash loading
         grid = tiny_grid(repetitions=1, generations=2)
-        run_grid(grid, out_dir=tmp_path / "clean", front_sample_size=50)
+        run_grid(grid, out_dir=tmp_path / "clean")
         expected = table_rows(tmp_path / "clean" / RESULTS_FILENAME)
         table = (tmp_path / "clean" / RESULTS_FILENAME).read_bytes()
         last_row = table.rstrip(b"\r\n").rfind(b"\n") + 1
@@ -408,7 +426,7 @@ class TestRunGrid:
         # cuts inside the header leave nothing: the table starts over
         for cut in [0, 7, *range(last_row, len(table))]:
             path.write_bytes(table[:cut])
-            outcome = run_grid(grid, out_dir=path.parent, front_sample_size=50)
+            outcome = run_grid(grid, out_dir=path.parent)
             assert outcome.skipped + len(outcome.results) == len(expected)
             assert table_rows(path) == expected, cut
 
@@ -423,7 +441,7 @@ class TestRunGrid:
             out = Path(out)
             (out / MANIFEST_FILENAME).write_bytes(manifest)
             (out / RESULTS_FILENAME).write_bytes(table[:cut])
-            outcome = run_grid(CUT_GRID, out_dir=out, front_sample_size=50)
+            outcome = run_grid(CUT_GRID, out_dir=out)
             assert outcome.skipped + len(outcome.results) == CUT_GRID.total_run_count
             assert table_rows(out / RESULTS_FILENAME) == expected
 
@@ -470,39 +488,58 @@ class TestRunGrid:
 
     @pytest.mark.parametrize("torn", [False, True], ids=["complete", "torn-tail"])
     def test_unparsable_complete_row_is_refused_by_its_line(self, tmp_path, monkeypatch, torn):
-        # the reader drops only a torn tail: corruption before it is refused
+        # the reader drops only a torn tail: corruption before it is refused;
+        # a byte that is not UTF-8 used to escape as a UnicodeDecodeError
         grid = tiny_grid()
         run_grid(grid, out_dir=tmp_path)
         path = tmp_path / RESULTS_FILENAME
-        lines = path.read_bytes().split(b"\r\n")
-        assert len(lines) == 6  # header, four rows, and the empty rest
-        fields = lines[2].split(b",")
-        fields[10] = b"x" + fields[10]  # the seed
-        lines[2] = b",".join(fields)
-        corrupt = b"\r\n".join(lines)
-        path.write_bytes(corrupt[:-9] if torn else corrupt)
-        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        clean = path.read_bytes()
         monkeypatch.setattr(experiment, "run_stack", refuse_to_run)
-        for read in (load_results, lambda out: run_grid(grid, out_dir=out)):
-            with pytest.raises(ContractViolationError, match="line 3: unparsable row"):
-                read(tmp_path)
-        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        for corruption in (b"x", b"\xff"):  # before the seed
+            lines = clean.split(b"\r\n")
+            assert len(lines) == 6  # header, four rows, and the empty rest
+            fields = lines[2].split(b",")
+            fields[10] = corruption + fields[10]
+            lines[2] = b",".join(fields)
+            corrupt = b"\r\n".join(lines)
+            path.write_bytes(corrupt[:-9] if torn else corrupt)
+            before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+            for read in (load_results, lambda out: run_grid(grid, out_dir=out)):
+                with pytest.raises(ContractViolationError, match="line 3: unparsable row"):
+                    read(tmp_path)
+            assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     @pytest.mark.parametrize("edit, refusal", [
         ("extra-fields", r"line 3: unparsable row \(2 fields beyond the header\)"),
         ("fingerprint-mismatch", r"line 4: unparsable row \(fingerprint .*-r7 should read .*-r0\)"),
         ("duplicate", "line 6: zdt1-.*-baseline-r0 repeats line 2"),
-    ], ids=["extra-fields", "fingerprint-mismatch", "duplicate"])
+        ("ref_f1", r"line 2: unparsable row \(scored at \{'ref_f1': '5.0', 'ref_f2': '11.0', "),
+        ("ref_f2", r"line 5: unparsable row \(scored at .*'ref_f2': '11', "),
+        ("front_sample_size", r"line 4: unparsable row \(scored at .*'front_sample_size': '50'\}, "
+                              r"not at \{'ref_f1': '11.0', 'ref_f2': '11.0', 'front_sample_size': "
+                              r"'1000'\}\)"),
+    ], ids=["extra-fields", "fingerprint-mismatch", "duplicate", "ref_f1", "ref_f2",
+            "front_sample_size"])
     def test_row_that_misdescribes_itself_is_refused_by_its_line(
         self, tmp_path, monkeypatch, edit, refusal
     ):
-        # each of these rows used to load, and a resume skipped its run
+        # each of these rows used to load, and a resume skipped its run; a
+        # row scored at another reference point or front sample size used to
+        # reach report(), which refused the mix without naming a line
         grid = tiny_grid()
         run_grid(grid, out_dir=tmp_path)
         path = tmp_path / RESULTS_FILENAME
         lines = path.read_bytes().split(b"\r\n")
         if edit == "extra-fields":
             lines[2] += b",999,extra"
+        elif edit in ("ref_f1", "ref_f2", "front_sample_size"):
+            line, column, value = {
+                "ref_f1": (1, 14, b"5.0"), "ref_f2": (4, 15, b"11"),
+                "front_sample_size": (3, 16, b"50"),
+            }[edit]
+            fields = lines[line].split(b",")
+            fields[column] = value
+            lines[line] = b",".join(fields)
         elif edit == "fingerprint-mismatch":
             fingerprint, rest = lines[3].split(b",", 1)
             assert fingerprint.endswith(b"-r0")  # and so does its rep field
@@ -637,10 +674,10 @@ class TestRunGrid:
         victim = expand_grid(grid)[1].fingerprint
         real_worker = experiment._grid_worker
 
-        def flaky(configs, reference, front_sample_size, history_paths):
+        def flaky(configs, history_paths):
             if victim in [c.fingerprint for c in configs]:
                 raise RuntimeError("synthetic fault")
-            return real_worker(configs, reference, front_sample_size, history_paths)
+            return real_worker(configs, history_paths)
 
         monkeypatch.setattr(experiment, "_grid_worker", flaky)
         outcome = run_grid(grid, out_dir=tmp_path)
@@ -759,25 +796,9 @@ class TestReport:
         with pytest.raises(ContractViolationError):
             report([])
 
-    def test_mixed_reference_points_rejected(self, tmp_path):
-        results = grid_results(tmp_path)
-        clone = results[0]
-        moved = dataclasses.replace(
-            clone,
-            metrics=MetricReport(
-                clone.metrics.hv_mean_adjusted,
-                clone.metrics.igd_mean_adjusted,
-                clone.metrics.delta_f,
-                (9.0, 9.0),
-                clone.metrics.front_sample_size,
-            ),
-        )
-        with pytest.raises(ContractViolationError):
-            report([moved] + list(results[1:]))
-
     def test_mixed_front_sample_sizes_rejected(self, tmp_path):
-        # a resume refuses the mix inside one directory, but a merged or
-        # edited table reaches the report; IGD over different samples differs
+        # a merged or edited table used to reach the report, which refused the
+        # mix; IGD over different samples differs, so the reader refuses the row
         grid_results(tmp_path)
         table = tmp_path / RESULTS_FILENAME
         with table.open(newline="") as handle:
@@ -787,10 +808,8 @@ class TestReport:
             writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
             writer.writeheader()
             writer.writerows(rows)
-        results = load_results(tmp_path)
-        assert len(results) == 12
-        with pytest.raises(ContractViolationError, match="front sample sizes"):
-            report(results)
+        with pytest.raises(ContractViolationError, match="line 13: unparsable row"):
+            load_results(tmp_path)
 
     def test_per_sigma_scopes_split_runs(self, tmp_path):
         results = grid_results(tmp_path, sigmas=(0.0, 0.4))

@@ -280,38 +280,28 @@ class TestAdjustedSet:
 
 class TestMetricReport:
     def test_value_lookup(self):
-        report = MetricReport(
-            hv_mean_adjusted=1.0,
-            igd_mean_adjusted=0.5,
-            delta_f=0.25,
-            reference_point=(11.0, 11.0),
-            front_sample_size=1000,
-        )
+        report = MetricReport(hv_mean_adjusted=1.0, igd_mean_adjusted=0.5, delta_f=0.25)
         assert report.value("hv") == 1.0
         assert report.value("igd") == 0.5
         assert report.value("delta_f") == 0.25
 
     def test_unknown_metric_rejected(self):
-        report = MetricReport(1.0, 0.5, 0.25, (11.0, 11.0), 1000)
+        report = MetricReport(1.0, 0.5, 0.25)
         with pytest.raises(ContractViolationError):
             report.value("spread")
 
     def test_negative_indicator_rejected(self):
         with pytest.raises(ContractViolationError):
-            MetricReport(-1.0, 0.5, 0.25, (11.0, 11.0), 1000)
+            MetricReport(-1.0, 0.5, 0.25)
 
     def test_non_finite_indicator_rejected(self):
         with pytest.raises(ContractViolationError):
-            MetricReport(float("nan"), 0.5, 0.25, (11.0, 11.0), 1000)
+            MetricReport(float("nan"), 0.5, 0.25)
 
-    def test_reference_point_shape(self):
-        with pytest.raises(ContractViolationError):
-            MetricReport(1.0, 0.5, 0.25, (11.0,), 1000)
-
-    @pytest.mark.parametrize("bad", [(1.0, float("nan")), (float("inf"), 11.0)])
-    def test_non_finite_reference_point_rejected(self, bad):
-        with pytest.raises(ContractViolationError, match="finite"):
-            MetricReport(1.0, 0.5, 0.25, bad, 1000)
+    def test_scoring_settings_are_not_fields(self):
+        # every run is scored at DEFAULT_REFERENCE and DEFAULT_FRONT_SAMPLE_SIZE
+        with pytest.raises(TypeError):
+            MetricReport(1.0, 0.5, 0.25, (11.0, 11.0), 1000)
 
 
 class TestAsReference:
@@ -340,17 +330,7 @@ class TestComputeReport:
         assert report.hv_mean_adjusted == hypervolume_2d(adjusted_objs, DEFAULT_REFERENCE)
         assert report.igd_mean_adjusted == igd(front, adjusted_objs)
         assert report.delta_f == delta_f(batch.objectives, adjusted_objs)
-        assert report.reference_point == DEFAULT_REFERENCE
-        assert report.front_sample_size == DEFAULT_FRONT_SAMPLE_SIZE
-
-    def test_custom_reference_and_sample_size(self):
-        problem = ZdtProblem("zdt1", 2)
-        noise = NoiseSpec(0.0)
-        rng = RngStream(80)
-        batch = one_at_a_time(problem, noise, rng, 5)
-        report = compute_report(batch, problem, noise, reference=(5.0, 5.0), front_sample_size=64)
-        assert report.reference_point == (5.0, 5.0)
-        assert report.front_sample_size == 64
+        assert (DEFAULT_REFERENCE, DEFAULT_FRONT_SAMPLE_SIZE) == ((11.0, 11.0), 1000)
 
     def test_empty_set_rejected(self):
         with pytest.raises(ContractViolationError):

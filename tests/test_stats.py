@@ -208,13 +208,7 @@ class TestVarghaDelaneyA12:
 
 def reports(hv, igd, df):
     return [
-        MetricReport(
-            hv_mean_adjusted=h,
-            igd_mean_adjusted=i,
-            delta_f=d,
-            reference_point=(11.0, 11.0),
-            front_sample_size=1000,
-        )
+        MetricReport(hv_mean_adjusted=h, igd_mean_adjusted=i, delta_f=d)
         for h, i, d in zip(hv, igd, df)
     ]
 
@@ -285,8 +279,6 @@ class TestCompareSetting:
                 r.hv_mean_adjusted + float(rng.standard_normal(1)[0]) * 1e-9,
                 r.igd_mean_adjusted,
                 r.delta_f,
-                r.reference_point,
-                r.front_sample_size,
             )
             for r in base
         ]
