@@ -796,6 +796,18 @@ class TestReport:
         with pytest.raises(ContractViolationError):
             report([])
 
+    def test_mixed_reference_points_rejected(self, tmp_path):
+        # report() used to refuse a mix of reference points; hypervolumes at
+        # different reference points differ, so the reader refuses the row
+        grid_results(tmp_path)
+        table = tmp_path / RESULTS_FILENAME
+        with table.open(newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        rows[0]["ref_f1"] = rows[0]["ref_f2"] = "9.0"
+        experiment._write_rows(table, rows)
+        with pytest.raises(ContractViolationError, match=r"line 2: unparsable row \(scored at"):
+            load_results(tmp_path)
+
     def test_mixed_front_sample_sizes_rejected(self, tmp_path):
         # a merged or edited table used to reach the report, which refused the
         # mix; IGD over different samples differs, so the reader refuses the row

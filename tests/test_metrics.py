@@ -332,6 +332,16 @@ class TestComputeReport:
         assert report.delta_f == delta_f(batch.objectives, adjusted_objs)
         assert (DEFAULT_REFERENCE, DEFAULT_FRONT_SAMPLE_SIZE) == ((11.0, 11.0), 1000)
 
+    def test_custom_reference_and_sample_size(self):
+        # every run is scored at DEFAULT_REFERENCE over DEFAULT_FRONT_SAMPLE_SIZE
+        # front points: neither is a parameter any more
+        problem = ZdtProblem("zdt1", 2)
+        noise = NoiseSpec(0.0)
+        batch = one_at_a_time(problem, noise, RngStream(80), 5)
+        for custom in ({"reference": (5.0, 5.0)}, {"front_sample_size": 64}):
+            with pytest.raises(TypeError, match=next(iter(custom))):
+                compute_report(batch, problem, noise, **custom)
+
     def test_empty_set_rejected(self):
         with pytest.raises(ContractViolationError):
             empty = Batch(np.empty((0, 2)), np.empty((0, 2)), np.empty((0, 2)))
