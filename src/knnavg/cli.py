@@ -77,9 +77,16 @@ def _grid_from_config(path: str | None, args: argparse.Namespace) -> ExperimentG
     sections: dict[str, dict[str, str]] = {}
     if path is not None:
         import configparser  # here, so a command without --config never loads it
-        parser = configparser.ConfigParser()
-        if not parser.read(path):
-            raise ContractViolationError(f"config file not found: {path}")
+        # no header names the empty section, so [DEFAULT] is an ordinary, unknown one
+        parser = configparser.ConfigParser(interpolation=None, default_section="")
+        try:
+            parser.read_string(Path(path).read_text(encoding="utf-8"), source=path)
+        except FileNotFoundError as exc:
+            raise ContractViolationError(f"config file not found: {path}") from exc
+        except (OSError, UnicodeDecodeError, configparser.Error) as exc:
+            # configparser's words name the file and the line, over several lines
+            why = exc.strerror if isinstance(exc, OSError) else " ".join(str(exc).split())
+            raise ContractViolationError(f"cannot read config file {path}: {why}") from exc
         sections = {name: dict(parser[name]) for name in parser.sections()}
 
     home = {key: section for section, key, *_ in _SETTINGS}

@@ -271,8 +271,9 @@ def execute_stack(configs: Sequence[RunConfig], keep_optimization: bool = False)
     knn = first.arm == ARM_KNN
     evaluator = KnnAveraged(KnnConfig(first.k, first.max_dist)) if knn else PlainNoisy()
     ga = GaConfig(pop_size=first.pop_size, generations=first.generations)
+    streams = [RngStream(c.seed) for c in configs]  # the first loads numpy.random, untimed
     started = time.perf_counter()
-    outcomes = run_stack(problem, noise, evaluator, ga, [RngStream(c.seed) for c in configs])
+    outcomes = run_stack(problem, noise, evaluator, ga, streams)
     duration = (time.perf_counter() - started) / len(configs)
     return [
         RunResult(
@@ -343,10 +344,16 @@ def _read_table(path: Path) -> tuple[csv.DictReader, int]:
     ``csv.writer`` ends a row with ``\\r\\n`` and quotes a field holding a
     quote or a line break, such as a failure message, so a ``\\n`` after an
     odd number of quotes lies inside a field: the complete rows end at the
-    last ``\\n`` after an even number. A missing table has no rows. A line
-    that is not UTF-8 is refused by its number when the rows reach it.
+    last ``\\n`` after an even number. A missing table has no rows; one that
+    cannot be read (a directory, say) is refused by its path. A line that is
+    not UTF-8 is refused by its number when the rows reach it.
     """
-    data = path.read_bytes() if path.exists() else b""
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        data = b""
+    except OSError as exc:
+        raise ContractViolationError(f"cannot read {path}: {exc.strerror}") from exc
     keep = data.rfind(b"\n") + 1
     while data.count(b'"', 0, keep) % 2:  # that line break is inside a quoted field
         keep = data.rfind(b"\n", 0, keep - 1) + 1
@@ -453,13 +460,16 @@ def _open_grid_dir(path: Path, configs: Sequence[RunConfig]) -> dict[str, RunRes
                 f"would run it with seed={config.seed}; resume with the original settings "
                 "or write to another output directory"
             )
-    path.mkdir(parents=True, exist_ok=True)
-    if manifest is not None:
-        (path / MANIFEST_FILENAME).write_text(json.dumps(manifest, indent=2) + "\n")
-    for table, torn in tails.items():
-        if torn:
-            logger.warning("dropping a torn last row of %s", table)
-            os.truncate(table, table.stat().st_size - torn)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+        if manifest is not None:
+            (path / MANIFEST_FILENAME).write_text(json.dumps(manifest, indent=2) + "\n")
+        for table, torn in tails.items():
+            if torn:
+                logger.warning("dropping a torn last row of %s", table)
+                os.truncate(table, table.stat().st_size - torn)
+    except OSError as exc:
+        raise ContractViolationError(f"cannot write {exc.filename}: {exc.strerror}") from exc
     return persisted
 
 
@@ -564,7 +574,8 @@ def run_grid(
     """Execute every pending run of the grid.
 
     The total run count is logged before execution starts. With an output
-    directory, its checks come before its writes: a manifest naming another
+    directory, its checks come before its writes: a table that cannot be
+    read or a directory that cannot be made, a manifest naming another
     stream, an unparsable row (one scored at another reference point or
     front sample size among them), or a persisted run whose seed differs
     from this grid's is a contract violation, raised before anything runs or
@@ -581,7 +592,9 @@ def run_grid(
     header with its first row, so until a run finishes there is no
     ``results.csv``. A stack that raises is rerun one run at a time in this
     process, so a failing run is recorded on its own and does not stop the
-    rest of the grid. A worker process that dies (killed by the OS, say)
+    rest of the grid. ``failures.csv`` is a log of every failed attempt and
+    is never pruned: a run that fails and then succeeds on a resume keeps
+    its failure row. A worker process that dies (killed by the OS, say)
     breaks the pool: the runs finished until then stay persisted, the others
     are counted as unfinished, not as failures, and one log line says how
     many there are. ``include_histories`` additionally writes one history

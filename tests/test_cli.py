@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from knnavg import experiment
+from knnavg import cli, experiment
 from knnavg.cli import _SETTINGS, _grid_from_config, build_parser, main
 
 
@@ -211,6 +211,11 @@ def die_on_one_run(configs, *args):
     return REAL_GRID_WORKER(configs, *args)
 
 
+def tree(root):
+    """Every path under ``root`` with a file's bytes, or None for a directory."""
+    return {str(p): p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
 def results_table(out_dir):
     """Persisted rows by fingerprint, without the wall-clock column."""
     with (out_dir / "results.csv").open(newline="") as handle:
@@ -218,6 +223,13 @@ def results_table(out_dir):
             row["fingerprint"]: {k: v for k, v in row.items() if k != "duration_s"}
             for row in csv.DictReader(handle)
         }
+
+
+# a complete [grid] section, as bytes, that the config tests break
+GRID_INI = (
+    b"[grid]\nproblems = zdt1\nn_vars = 2\nsigmas = 0.2\npop_sizes = 10\n"
+    b"ks = 3\nmax_dists = 0.25\n"
+)
 
 
 class TestRun:
@@ -498,6 +510,86 @@ class TestRun:
             assert run_cli(["run", "--config", str(config)]) == 1
             assert f"unknown config section [{section}]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content, flags, message",
+        [
+            (GRID_INI + b"ks = 5\n", [],
+             "cannot read config file {config}: While reading from '{config}' [line 8]: "
+             "option 'ks' in section 'grid' already exists"),
+            (GRID_INI + b"[grid]\nks = 5\n", [],
+             "cannot read config file {config}: While reading from '{config}' [line 8]: "
+             "section 'grid' already exists"),
+            (b"problems = zdt1\n", [],
+             "cannot read config file {config}: File contains no section headers."),
+            (GRID_INI + b"[run]\ngenerations\n", [],
+             "cannot read config file {config}: Source contains parsing errors: '{config}' "
+             "[line 9]: 'generations\\n'"),
+            (GRID_INI.replace(b"zdt1", b"zdt%1"), [], "unknown variant 'zdt%1'"),
+            (GRID_INI.replace(b"sigmas = 0.2", b"sigmas = %(x)s"), [],
+             "[grid] sigmas: cannot parse '%(x)s'"),
+            (b"[DEFAULT]\nrepetitions = 2\n" + GRID_INI, [], "unknown config section [DEFAULT]"),
+            # beside [run] alone the key used to be applied without a word
+            (b"[DEFAULT]\nrepetitions = 2\n[run]\ngenerations = 5\n", RUN_FLAGS[1:],
+             "unknown config section [DEFAULT]"),
+            (b"\xff" + GRID_INI, [],
+             "cannot read config file {config}: 'utf-8' codec can't decode byte 0xff"),
+            (None, [], "cannot read config file {config}: Is a directory"),
+        ],
+        ids=["repeated-key", "repeated-section", "no-section-header", "key-without-equals",
+             "percent", "interpolation", "default-section", "default-beside-run",
+             "byte-0xff", "directory"],
+    )
+    def test_malformed_config_file_refused_by_name(
+        self, tmp_path, capsys, monkeypatch, content, flags, message
+    ):
+        # each used to end in a configparser or decoding traceback, to be
+        # refused as a misplaced key, to apply silently, or to read as missing
+        config = tmp_path / "campaign.ini"
+        if content is None:
+            config.mkdir()
+        else:
+            config.write_bytes(content)
+        monkeypatch.setattr(cli, "run_grid", refuse_to_run)
+        out = tmp_path / "grid"
+        assert run_cli(["run", "--config", str(config), *flags, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith(f"error: {message.format(config=config)}")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("table", ["results.csv", "failures.csv"])
+    def test_table_that_is_a_directory_refused_by_name(self, tmp_path, capsys, monkeypatch, table):
+        # used to end in an IsADirectoryError traceback
+        monkeypatch.setattr(experiment, "run_stack", refuse_to_run)
+        (tmp_path / table).mkdir()
+        before = tree(tmp_path)
+        assert run_cli(RUN_FLAGS + ["--reps", "2", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: cannot read {tmp_path / table}: Is a directory\n"
+        assert tree(tmp_path) == before
+
+    def test_failures_table_is_a_log(self, tmp_path, capsys, monkeypatch):
+        # a run that failed and then succeeded on a resume keeps its failure row
+        victim = "zdt1-n2-s0.2-p10-g5-baseline-r1"
+
+        def fail_victim(configs, *args):
+            if victim in [c.fingerprint for c in configs]:
+                raise RuntimeError("synthetic fault")
+            return REAL_GRID_WORKER(configs, *args)
+
+        argv = RUN_FLAGS + ["--reps", "2", "--out", str(tmp_path)]
+        monkeypatch.setattr(experiment, "_grid_worker", fail_victim)
+        assert run_cli(argv) == 2
+        monkeypatch.undo()
+        assert run_cli(argv) == 0
+        assert "skipped 3 already persisted runs" in capsys.readouterr().out
+        assert victim in results_table(tmp_path)
+        with (tmp_path / "failures.csv").open(newline="") as handle:
+            assert [row["fingerprint"] for row in csv.DictReader(handle)] == [victim]
+        assert run_cli(["report", "--in", str(tmp_path)]) == 0
+        assert "Verdicts versus baseline" in capsys.readouterr().out
+
     def test_parallel_flag(self, tmp_path, capsys):
         argv = RUN_FLAGS + ["--reps", "2", "--out", str(tmp_path), "--parallelism", "2"]
         assert run_cli(argv) == 0
@@ -545,6 +637,16 @@ class TestReport:
     def test_missing_results_dir(self, tmp_path, capsys):
         assert run_cli(["report", "--in", str(tmp_path / "empty")]) == 1
         assert "no results table" in capsys.readouterr().err
+
+    def test_results_table_that_is_a_directory_refused_by_name(self, tmp_path, capsys):
+        # used to end in an IsADirectoryError traceback
+        (tmp_path / "results.csv").mkdir()
+        before = tree(tmp_path)
+        assert run_cli(["report", "--in", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot read {tmp_path / 'results.csv'}: Is a directory\n"
+        assert tree(tmp_path) == before
 
     @pytest.mark.parametrize("under", [(), ("report",)])
     def test_out_naming_a_file_refused_before_anything_prints(self, tmp_path, capsys, under):

@@ -5,6 +5,7 @@ import functools
 import json
 import random
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +67,11 @@ def table_rows(path):
             {key: value for key, value in row.items() if key != "duration_s"}
             for row in csv.DictReader(handle)
         ]
+
+
+def tree(root):
+    """Every path under ``root`` with a file's bytes, or None for a directory."""
+    return {str(p): p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
 
 
 REAL_GRID_WORKER = experiment._grid_worker
@@ -244,6 +250,20 @@ class TestExecuteRun:
         result = execute_run(config)
         assert result.final_set_size == len(result.final_set) > 0
         assert result.duration_s > 0.0
+
+    def test_duration_times_the_loop_not_the_streams(self, monkeypatch):
+        # the first stream of a process loads numpy.random, about 9 ms that
+        # duration_s used to count; a slow stream stands in for that import
+        delay = 0.5
+        real_init = core.RngStream.__init__
+
+        def slow_init(self, seed):
+            time.sleep(delay)
+            real_init(self, seed)
+
+        monkeypatch.setattr(core.RngStream, "__init__", slow_init)
+        result = execute_run(expand_grid(tiny_grid())[0])
+        assert 0.0 < result.duration_s < delay
 
     def test_no_run_path_builds_a_solution(self, monkeypatch, tmp_path):
         # Solution objects exist only for iterating a Batch row by row; runs,
@@ -702,6 +722,40 @@ class TestRunGrid:
         with (tmp_path / RESULTS_FILENAME).open(newline="") as handle:
             header = next(csv.reader(handle))
         assert header == list(experiment._result_row(load_results(tmp_path)[0]))
+
+    @pytest.mark.parametrize(
+        "case, refusal",
+        [
+            ("results table is a directory", f"cannot read .*{RESULTS_FILENAME}: Is a directory"),
+            ("failures table is a directory", f"cannot read .*{FAILURES_FILENAME}: Is a directory"),
+            ("output under a file", f"cannot read .*taken/grid/{RESULTS_FILENAME}: Not a directory"),
+            ("directory cannot be made", "cannot write .*grid: Permission denied"),
+        ],
+        ids=["results-dir", "failures-dir", "under-a-file", "mkdir-refused"],
+    )
+    def test_unusable_output_path_refused_by_name(self, tmp_path, monkeypatch, case, refusal):
+        # each used to end in an IsADirectoryError, NotADirectoryError or
+        # PermissionError traceback
+        out = tmp_path / "grid"
+        if case == "output under a file":
+            (tmp_path / "taken").write_text("kept\n")
+            out = tmp_path / "taken" / "grid"
+        elif case == "directory cannot be made":
+            def refuse_mkdir(path, *args, **kwargs):
+                raise PermissionError(13, "Permission denied", str(path))
+
+            monkeypatch.setattr(Path, "mkdir", refuse_mkdir)
+        else:
+            table = RESULTS_FILENAME if case.startswith("results") else FAILURES_FILENAME
+            (out / table).mkdir(parents=True)
+        before = tree(tmp_path)
+        monkeypatch.setattr(experiment, "run_stack", refuse_to_run)
+        with pytest.raises(ContractViolationError, match=refusal):
+            run_grid(tiny_grid(), out_dir=out)
+        assert tree(tmp_path) == before
+        if case == "results table is a directory":
+            with pytest.raises(ContractViolationError, match=refusal):
+                load_results(out)
 
     def test_load_results_requires_table(self, tmp_path):
         with pytest.raises(ContractViolationError):
