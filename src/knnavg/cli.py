@@ -152,7 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     report_p = sub.add_parser("report", help="verdict tables from persisted results")
     report_p.add_argument("--in", dest="in_dir", required=True, help="grid output directory")
-    report_p.add_argument("--alpha", type=float, default=0.05)
     report_p.add_argument("--out", help="also write verdicts.txt/.csv and metrics_long.csv here")
 
     front_p = sub.add_parser("front", help="sample a problem's true Pareto front")
@@ -242,7 +241,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if args.out:
         _check_out_dir(args.out)
     results = load_results(args.in_dir)
-    bundle = report(results, alpha=args.alpha)
+    bundle = report(results)
     print(bundle.text, end="")
     if args.out:
         write_report_files(bundle, args.out)

@@ -46,7 +46,7 @@ from .core import STREAM_VERSION, Batch, ContractViolationError, RngStream, as_c
 from .metrics import DEFAULT_FRONT_SAMPLE_SIZE, DEFAULT_REFERENCE, MetricReport, compute_report
 from .nsga2 import GaConfig, KnnAveraged, OptimizationResult, PlainNoisy, run_stack
 from .problems import NoiseSpec, ZdtProblem
-from .stats import METRICS, ComparisonVerdict, Verdict, compare_setting
+from .stats import ALPHA, METRICS, ComparisonVerdict, Verdict, compare_setting
 
 __all__ = [
     "ARM_BASELINE",
@@ -435,7 +435,9 @@ def write_history_csv(path: str | Path, optimization: OptimizationResult) -> Non
         handle.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
 
 
-def _open_grid_dir(path: Path, configs: Sequence[RunConfig]) -> dict[str, RunResult]:
+def _open_grid_dir(
+    path: Path, configs: Sequence[RunConfig], histories: bool
+) -> dict[str, RunResult]:
     """Open the output directory of one ``run_grid`` invocation; returns its runs by fingerprint.
 
     Everything is read and checked before anything is written, so a refused
@@ -443,9 +445,10 @@ def _open_grid_dir(path: Path, configs: Sequence[RunConfig]) -> dict[str, RunRes
     must parse, ``grid.json`` must name this package's stream, and each
     persisted run this grid would skip must carry the seed it would run
     with (a fingerprint names only the cell, arm and repetition). Then the
-    manifest is written and a torn tail cut off each table, so a torn run
-    runs again, the next row starts on a line of its own, and a table cut
-    inside its header starts over.
+    directory is made, with its ``histories`` directory if ``histories``,
+    the manifest is written and a torn tail cut off each table, so a torn
+    run runs again, the next row starts on a line of its own, and a table
+    cut inside its header starts over.
     """
     results, failures = path / RESULTS_FILENAME, path / FAILURES_FILENAME
     rows, torn = _read_table(results)
@@ -462,6 +465,8 @@ def _open_grid_dir(path: Path, configs: Sequence[RunConfig]) -> dict[str, RunRes
             )
     try:
         path.mkdir(parents=True, exist_ok=True)
+        if histories:
+            (path / HISTORY_DIRNAME).mkdir(exist_ok=True)
         if manifest is not None:
             (path / MANIFEST_FILENAME).write_text(json.dumps(manifest, indent=2) + "\n")
         for table, torn in tails.items():
@@ -502,22 +507,27 @@ def _check_manifest(directory: Path, has_runs: bool) -> dict | None:
     return None
 
 
-def _grid_worker(configs: list[RunConfig], history_paths: list[str | None]) -> list[RunResult]:
-    """Execute one stack of a grid and write the history CSV of each of its runs."""
-    results = execute_stack(configs, keep_optimization=history_paths[0] is not None)
-    for result, path in zip(results, history_paths):
-        if path is not None:
-            write_history_csv(path, result.optimization)
-        result.optimization = None  # keep the cross-process payload small
-    return results
+def _grid_worker(configs: list[RunConfig], histories: Path | None) -> list[RunResult | Exception]:
+    """Execute one stack of a grid; returns each run's result, or the exception that stopped it.
 
-
-def _attempt(*task) -> list[RunResult] | Exception:
-    """Run one grid task in this process; what it raises is its outcome, as from a pool."""
+    A stack that raises is rerun here one run at a time, so a failure stays
+    with its run. With a ``histories`` directory, each run's history CSV is
+    written there as ``<fingerprint>.csv``.
+    """
     try:
-        return _grid_worker(*task)
+        results = execute_stack(configs, keep_optimization=histories is not None)
+        for result in results:
+            if histories is not None:
+                write_history_csv(histories / f"{result.config.fingerprint}.csv",
+                                  result.optimization)
+            result.optimization = None  # keep the cross-process payload small
+        return results
     except Exception as exc:  # noqa: BLE001 - grid isolation
-        return exc
+        if len(configs) == 1:
+            return [exc]
+        logger.warning("a stack of %d runs failed (%r); running them one at a time",
+                       len(configs), exc)
+        return [outcome for config in configs for outcome in _grid_worker([config], histories)]
 
 
 def _process_pool(workers: int):
@@ -529,24 +539,6 @@ def _process_pool(workers: int):
     from concurrent.futures import ProcessPoolExecutor
 
     return ProcessPoolExecutor(max_workers=workers)
-
-
-def _per_run(task: tuple, outcome) -> list[tuple[RunConfig, object]]:
-    """Each run of a stack task with its result, or with what stopped it.
-
-    A stack that raised is rerun here one run at a time, so a failure
-    stays with its run; a broken pool leaves every run unfinished.
-    """
-    configs, paths = task
-    if isinstance(outcome, list):
-        return list(zip(configs, outcome))
-    raised = isinstance(outcome, Exception) and not isinstance(outcome, BrokenExecutor)
-    if len(configs) == 1 or not raised:
-        return [(config, outcome) for config in configs]
-    logger.warning("a stack of %d runs failed (%r); running them one at a time",
-                   len(configs), outcome)
-    singles = [([c], [p]) for c, p in zip(configs, paths)]
-    return [run for single in singles for run in _per_run(single, _attempt(*single))]
 
 
 @dataclass(eq=False)
@@ -590,11 +582,11 @@ def run_grid(
     a crash loses at most the stacks in flight; on re-invocation, runs whose
     fingerprints are already persisted are skipped. Each table gets its
     header with its first row, so until a run finishes there is no
-    ``results.csv``. A stack that raises is rerun one run at a time in this
-    process, so a failing run is recorded on its own and does not stop the
-    rest of the grid. ``failures.csv`` is a log of every failed attempt and
-    is never pruned: a run that fails and then succeeds on a resume keeps
-    its failure row. A worker process that dies (killed by the OS, say)
+    ``results.csv``. A stack that raises is rerun one run at a time in the
+    process that ran it, so a failing run is recorded on its own and does
+    not stop the rest of the grid. ``failures.csv`` is a log of every failed
+    attempt and is never pruned: a run that fails and then succeeds on a
+    resume keeps its failure row. A worker process that dies (killed by the OS, say)
     breaks the pool: the runs finished until then stay persisted, the others
     are counted as unfinished, not as failures, and one log line says how
     many there are. ``include_histories`` additionally writes one history
@@ -609,32 +601,29 @@ def run_grid(
         len(configs), grid.cell_count, grid.settings_per_cell, grid.repetitions,
     )
     out_dir = None if out_dir is None else Path(out_dir)
-    persisted = _open_grid_dir(out_dir, configs) if out_dir else {}
+    persisted = _open_grid_dir(out_dir, configs, include_histories) if out_dir else {}
     pending = [c for c in configs if c.fingerprint not in persisted]
     skipped = len(configs) - len(pending)
     if skipped:
         logger.info("resume: %d runs already persisted, %d to go", skipped, len(pending))
     # expansion order keeps the runs of one cell and arm setting together
     stacks = [list(runs) for _, runs in itertools.groupby(pending, key=lambda c: c.stack)]
-    tasks = [
-        (runs, [str(out_dir / HISTORY_DIRNAME / f"{c.fingerprint}.csv") if include_histories
-                else None for c in runs])
-        for runs in stacks
-    ]
+    histories = out_dir / HISTORY_DIRNAME if include_histories else None
     results: list[RunResult] = []
     failures: list[tuple[RunConfig, str]] = []
     unfinished = 0
     with ExitStack() as stack:
-        if parallelism == 1 or not tasks:
-            outcomes = ((task, _attempt(*task)) for task in tasks)
+        if parallelism == 1 or not stacks:
+            outcomes = ((runs, _grid_worker(runs, histories)) for runs in stacks)
         else:
-            workers = min(parallelism, len(tasks))
-            pool = stack.enter_context(_process_pool(workers))
-            futures = {pool.submit(_grid_worker, *task): task for task in tasks}
-            # a future holds either its results or what the worker raised
-            outcomes = ((futures[f], f.exception() or f.result()) for f in as_completed(futures))
-        runs = (run for task, outcome in outcomes for run in _per_run(task, outcome))
-        for config, outcome in runs:
+            pool = stack.enter_context(_process_pool(min(parallelism, len(stacks))))
+            futures = {pool.submit(_grid_worker, runs, histories): runs for runs in stacks}
+            # a future that failed as a whole (a broken pool, an interrupt) fails each of its runs
+            outcomes = (
+                (futures[f], [f.exception()] * len(futures[f]) if f.exception() else f.result())
+                for f in as_completed(futures)
+            )
+        for config, outcome in (run for runs, ends in outcomes for run in zip(runs, ends)):
             if isinstance(outcome, RunResult):
                 results.append(outcome)
                 if out_dir is not None:
@@ -683,7 +672,7 @@ _VERDICT_SYMBOLS = {Verdict.BETTER: "✓", Verdict.EQUIVALENT: "≡", Verdict.WO
 _METRIC_HEADERS = {"hv": "HV", "igd": "IGD", "delta_f": "Δf"}
 
 
-def report(results: Sequence[RunResult], alpha: float = 0.05) -> ReportBundle:
+def report(results: Sequence[RunResult]) -> ReportBundle:
     """Compare every averaging setting against the baseline, per noise level.
 
     Each averaging run is paired once with the baseline run of its cell and
@@ -729,15 +718,15 @@ def report(results: Sequence[RunResult], alpha: float = 0.05) -> ReportBundle:
         ):
             runs, partners = zip(*((run.metrics, partner.metrics) for run, partner in group))
             tables[scope][setting] = {
-                metric: compare_setting(runs, partners, metric, alpha=alpha) for metric in METRICS
+                metric: compare_setting(runs, partners, metric) for metric in METRICS
             }
-    text = _render_text(tables, alpha)
+    text = _render_text(tables)
     return ReportBundle(tables, text, _verdict_rows(tables), _plot_rows(results))
 
 
-def _render_text(tables, alpha: float) -> str:
+def _render_text(tables) -> str:
     lines = [
-        f"Verdicts versus baseline (two-sided signed-rank, alpha={alpha:g}; "
+        f"Verdicts versus baseline (two-sided signed-rank, alpha={ALPHA:g}; "
         "direction by W+)",
         "  ✓ averaging better   ≡ no significant difference   ✗ baseline better",
     ]
@@ -801,9 +790,15 @@ def _plot_rows(results: Sequence[RunResult]) -> list[dict[str, str]]:
 
 
 def write_report_files(bundle: ReportBundle, out_dir: str | Path) -> None:
-    """Write the rendered table and the CSV companions to ``out_dir``."""
+    """Write the rendered table and the CSV companions to ``out_dir``.
+
+    A file that cannot be written is a contract violation naming it.
+    """
     out_path = Path(out_dir)
-    out_path.mkdir(parents=True, exist_ok=True)
-    (out_path / "verdicts.txt").write_text(bundle.text, encoding="utf-8")
-    _write_rows(out_path / "verdicts.csv", bundle.verdict_rows)
-    _write_rows(out_path / "metrics_long.csv", bundle.plot_rows)
+    try:
+        out_path.mkdir(parents=True, exist_ok=True)
+        (out_path / "verdicts.txt").write_text(bundle.text, encoding="utf-8")
+        _write_rows(out_path / "verdicts.csv", bundle.verdict_rows)
+        _write_rows(out_path / "metrics_long.csv", bundle.plot_rows)
+    except OSError as exc:
+        raise ContractViolationError(f"cannot write {exc.filename}: {exc.strerror}") from exc

@@ -20,6 +20,7 @@ from .core import ContractViolationError
 from .metrics import MetricReport
 
 __all__ = [
+    "ALPHA",
     "MIN_PAIRS",
     "EXACT_LIMIT",
     "METRICS",
@@ -32,6 +33,8 @@ __all__ = [
     "compare_setting",
 ]
 
+# Significance level of every comparison.
+ALPHA = 0.05
 # Fewer non-zero differences than this cannot reach significance at any
 # reasonable alpha; such comparisons are flagged instead of tested.
 MIN_PAIRS = 5
@@ -183,25 +186,22 @@ def compare_setting(
     knn_runs: Sequence[MetricReport],
     baseline_runs: Sequence[MetricReport],
     metric: str,
-    alpha: float = 0.05,
 ) -> ComparisonVerdict:
     """Verdict of an averaging setting against its seed-paired baseline.
 
     Both run lists must be aligned index by index on shared seeds. The
     verdict is EQUIVALENT when the signed-rank test is insufficient or not
-    significant at ``alpha``; otherwise the direction of W+ from its null
+    significant at ``ALPHA``; otherwise the direction of W+ from its null
     mean n(n + 1)/4 is translated through the metric's orientation
     (hypervolume grows with quality, the other two shrink). BETTER always
     means the averaging runs won. The unpaired A12 is only reported.
     """
     if metric not in METRICS:
         raise ContractViolationError(f"unknown metric {metric!r}; expected one of {METRICS}")
-    if not 0.0 < alpha < 1.0:
-        raise ContractViolationError("alpha must lie strictly between 0 and 1")
     knn_values = np.array([r.value(metric) for r in knn_runs])
     baseline_values = np.array([r.value(metric) for r in baseline_runs])
     test = wilcoxon_signed_rank(knn_values, baseline_values)
-    if not test.sufficient or not (test.p_value < alpha):
+    if not test.sufficient or not (test.p_value < ALPHA):
         verdict = Verdict.EQUIVALENT
     elif (test.statistic > test.n_pairs * (test.n_pairs + 1) / 4) == HIGHER_IS_BETTER[metric]:
         verdict = Verdict.BETTER

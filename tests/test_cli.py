@@ -199,6 +199,7 @@ RUN_FLAGS = [
 ]
 
 REAL_GRID_WORKER = experiment._grid_worker
+REAL_EXECUTE_STACK = experiment.execute_stack
 # a run of the last of three stacks (baseline, k=3, k=5): on two workers it
 # starts only after an earlier stack has finished
 DOOMED_RUN = "zdt1-n2-s0.2-p10-g5-knn-k5-md0.25-r3"
@@ -296,12 +297,12 @@ class TestRun:
         assert "≡*" in capsys.readouterr().out
 
     def test_report_flag_after_a_failed_baseline_exits_2(self, tmp_path, capsys, monkeypatch):
-        def fail_baseline_r1(configs, *args):
+        def fail_baseline_r1(configs, *args, **kwargs):
             if "zdt1-n2-s0.2-p10-g5-baseline-r1" in [c.fingerprint for c in configs]:
                 raise RuntimeError("synthetic fault")
-            return REAL_GRID_WORKER(configs, *args)
+            return REAL_EXECUTE_STACK(configs, *args, **kwargs)
 
-        monkeypatch.setattr(experiment, "_grid_worker", fail_baseline_r1)
+        monkeypatch.setattr(experiment, "execute_stack", fail_baseline_r1)
         argv = RUN_FLAGS + ["--reps", "5", "--out", str(tmp_path), "--report"]
         assert run_cli(argv) == 2
         captured = capsys.readouterr()
@@ -569,17 +570,30 @@ class TestRun:
         assert err == f"error: cannot read {tmp_path / table}: Is a directory\n"
         assert tree(tmp_path) == before
 
+    def test_histories_path_that_is_a_file_refused_before_anything_runs(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # every stack used to fail on it, and then every run again one at a time
+        monkeypatch.setattr(experiment, "run_stack", refuse_to_run)
+        (tmp_path / "histories").write_text("kept\n")
+        before = tree(tmp_path)
+        argv = RUN_FLAGS + ["--reps", "2", "--out", str(tmp_path), "--include-histories"]
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {tmp_path / 'histories'}: File exists\n"
+        assert tree(tmp_path) == before
+
     def test_failures_table_is_a_log(self, tmp_path, capsys, monkeypatch):
         # a run that failed and then succeeded on a resume keeps its failure row
         victim = "zdt1-n2-s0.2-p10-g5-baseline-r1"
 
-        def fail_victim(configs, *args):
+        def fail_victim(configs, *args, **kwargs):
             if victim in [c.fingerprint for c in configs]:
                 raise RuntimeError("synthetic fault")
-            return REAL_GRID_WORKER(configs, *args)
+            return REAL_EXECUTE_STACK(configs, *args, **kwargs)
 
         argv = RUN_FLAGS + ["--reps", "2", "--out", str(tmp_path)]
-        monkeypatch.setattr(experiment, "_grid_worker", fail_victim)
+        monkeypatch.setattr(experiment, "execute_stack", fail_victim)
         assert run_cli(argv) == 2
         monkeypatch.undo()
         assert run_cli(argv) == 0
@@ -660,6 +674,26 @@ class TestReport:
         assert captured.out == ""
         assert f"error: cannot write {out}: " in captured.err
         assert (tmp_path / "taken").read_text() == "kept\n"
+
+    @pytest.mark.parametrize("name", ["verdicts.txt", "verdicts.csv", "metrics_long.csv"])
+    def test_report_file_that_cannot_be_written_refused_by_name(self, tmp_path, capsys, name):
+        # used to end in an IsADirectoryError traceback
+        grid, out = tmp_path / "grid", tmp_path / "report"
+        run_cli(RUN_FLAGS + ["--reps", "5", "--out", str(grid)])
+        (out / name).mkdir(parents=True)
+        capsys.readouterr()
+        assert run_cli(["report", "--in", str(grid), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {out / name}: Is a directory\n"
+
+    def test_alpha_is_not_an_option(self, tmp_path, capsys):
+        # the significance level is stats.ALPHA; --alpha used to set another
+        run_cli(RUN_FLAGS + ["--reps", "5", "--out", str(tmp_path)])
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as err:
+            run_cli(["report", "--in", str(tmp_path), "--alpha", "0.1"])
+        assert err.value.code == 1
+        assert "unrecognized arguments: --alpha 0.1" in capsys.readouterr().err
 
 
 class TestParsing:

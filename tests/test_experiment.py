@@ -3,6 +3,7 @@
 import csv
 import functools
 import json
+import os
 import random
 import tempfile
 import time
@@ -74,19 +75,19 @@ def tree(root):
     return {str(p): p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
 
 
-REAL_GRID_WORKER = experiment._grid_worker
+REAL_EXECUTE_STACK = experiment.execute_stack
 FAULTY_RUN = expand_grid(tiny_grid())[1].fingerprint
 
 
-def fail_one_run(configs, *args):
-    """Grid worker that raises on a stack holding one run; importable, so pool workers can run it."""
+def fail_one_run(configs, *args, **kwargs):
+    """``execute_stack`` that raises on a stack holding one run."""
     if FAULTY_RUN in [c.fingerprint for c in configs]:
         raise RuntimeError("synthetic fault")
-    return REAL_GRID_WORKER(configs, *args)
+    return REAL_EXECUTE_STACK(configs, *args, **kwargs)
 
 
-def fail_with_a_line_break(configs, *args):
-    """Grid worker whose every run fails with a message holding quotes, a comma and a line break."""
+def fail_with_a_line_break(configs, *args, **kwargs):
+    """``execute_stack`` that fails every run with quotes, a comma and a line break."""
     raise RuntimeError(f'synthetic, "fault"\nin {configs[0].fingerprint}')
 
 
@@ -491,7 +492,7 @@ class TestRunGrid:
 
     def test_failures_table_cut_mid_row_is_cut_on_resume(self, tmp_path, monkeypatch):
         # a resume used to append onto the torn row, merging it with the next one
-        monkeypatch.setattr(experiment, "_grid_worker", fail_with_a_line_break)
+        monkeypatch.setattr(experiment, "execute_stack", fail_with_a_line_break)
         clean, path = tmp_path / "clean", tmp_path / "cut" / FAILURES_FILENAME
         run_grid(tiny_grid(), out_dir=clean)
         table = (clean / FAILURES_FILENAME).read_bytes()
@@ -614,7 +615,7 @@ class TestRunGrid:
         assert (tmp_path / "history.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     def test_failing_run_recorded_alike_serial_and_pooled(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(experiment, "_grid_worker", fail_one_run)
+        monkeypatch.setattr(experiment, "execute_stack", fail_one_run)
         tables = []
         for parallelism in (1, 2):
             out = tmp_path / f"p{parallelism}"
@@ -630,6 +631,28 @@ class TestRunGrid:
         assert serial[1] == {
             FAULTY_RUN: {"fingerprint": FAULTY_RUN, "error": "RuntimeError: synthetic fault"}
         }
+
+    def test_failed_stack_is_rerun_in_the_worker_that_ran_it(self, tmp_path, monkeypatch):
+        # the coordinator used to rerun a failed stack's runs one at a time itself
+        calls = tmp_path / "calls"
+
+        def record_and_fail_one_run(configs, *args, **kwargs):
+            with calls.open("a") as handle:
+                handle.write(f"{os.getpid()} {len(configs)}\n")
+            return fail_one_run(configs, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "execute_stack", record_and_fail_one_run)
+        outcome = run_grid(tiny_grid(), parallelism=2, out_dir=tmp_path / "grid")
+        assert [c.fingerprint for c, _ in outcome.failures] == [FAULTY_RUN]
+        assert len(outcome.results) == 3
+        pids = {}  # stack size -> the processes that executed stacks of that size
+        for line in calls.read_text().splitlines():
+            pid, size = map(int, line.split())
+            pids.setdefault(size, []).append(pid)
+        assert sorted(pids) == [1, 2] and len(pids[1]) == 2
+        assert os.getpid() not in pids[1] + pids[2]
+        # both reruns ran in the worker process whose stack failed
+        assert len(set(pids[1])) == 1 and pids[1][0] in pids[2]
 
     def test_no_more_pool_workers_than_pending_stacks(self, tmp_path, monkeypatch):
         sizes = []
@@ -692,14 +715,8 @@ class TestRunGrid:
     def test_failure_isolation(self, tmp_path, monkeypatch):
         grid = tiny_grid()
         victim = expand_grid(grid)[1].fingerprint
-        real_worker = experiment._grid_worker
-
-        def flaky(configs, history_paths):
-            if victim in [c.fingerprint for c in configs]:
-                raise RuntimeError("synthetic fault")
-            return real_worker(configs, history_paths)
-
-        monkeypatch.setattr(experiment, "_grid_worker", flaky)
+        assert victim == FAULTY_RUN
+        monkeypatch.setattr(experiment, "execute_stack", fail_one_run)
         outcome = run_grid(grid, out_dir=tmp_path)
         assert len(outcome.results) == 3
         assert len(outcome.failures) == 1
@@ -711,13 +728,13 @@ class TestRunGrid:
 
     def test_results_table_appears_with_the_first_finished_run(self, tmp_path, monkeypatch):
         grid = tiny_grid()
-        monkeypatch.setattr(experiment, "_grid_worker", refuse_to_run)
+        monkeypatch.setattr(experiment, "execute_stack", refuse_to_run)
         assert len(run_grid(grid, out_dir=tmp_path).failures) == 4
         assert sorted(p.name for p in tmp_path.iterdir()) == [FAILURES_FILENAME, MANIFEST_FILENAME]
         assert len(table_rows(tmp_path / FAILURES_FILENAME)) == 4
         with pytest.raises(ContractViolationError, match="no results table"):
             load_results(tmp_path)
-        monkeypatch.setattr(experiment, "_grid_worker", REAL_GRID_WORKER)
+        monkeypatch.setattr(experiment, "execute_stack", REAL_EXECUTE_STACK)
         assert len(run_grid(grid, out_dir=tmp_path).results) == 4
         with (tmp_path / RESULTS_FILENAME).open(newline="") as handle:
             header = next(csv.reader(handle))

@@ -6,6 +6,7 @@ import scipy.stats
 from hypothesis import given
 from hypothesis import strategies as st
 
+from knnavg import stats
 from knnavg.core import ContractViolationError, RngStream
 from knnavg.metrics import MetricReport
 from knnavg.stats import (
@@ -307,21 +308,15 @@ class TestCompareSetting:
         with pytest.raises(ContractViolationError):
             compare_setting(base, base, "spread")
 
-    def test_alpha_validated(self):
-        rng = RngStream(125)
-        base = shifted_reports(rng, 6)
-        with pytest.raises(ContractViolationError):
-            compare_setting(base, base, "hv", alpha=0.0)
-        with pytest.raises(ContractViolationError):
-            compare_setting(base, base, "hv", alpha=1.0)
-
-    def test_alpha_threshold_respected(self):
+    def test_alpha_threshold_respected(self, monkeypatch):
         # the same data flips to equivalent under a stricter alpha
         rng = RngStream(126)
         base = shifted_reports(rng, 8)
         knn = shifted_reports(rng, 8, df_shift=-0.4)
-        loose = compare_setting(knn, base, "delta_f", alpha=0.05)
-        strict = compare_setting(knn, base, "delta_f", alpha=1e-6)
+        assert stats.ALPHA == 0.05
+        loose = compare_setting(knn, base, "delta_f")
+        monkeypatch.setattr(stats, "ALPHA", 1e-6)
+        strict = compare_setting(knn, base, "delta_f")
         assert loose.verdict is Verdict.BETTER
         assert strict.verdict is Verdict.EQUIVALENT
 
