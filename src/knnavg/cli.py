@@ -240,11 +240,10 @@ def _cmd_single(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     if args.out:
         _check_out_dir(args.out)
-    results = load_results(args.in_dir)
-    bundle = report(results)
-    print(bundle.text, end="")
-    if args.out:
+    bundle = report(load_results(args.in_dir))
+    if args.out:  # written first, so a file that cannot be written leaves stdout empty
         write_report_files(bundle, args.out)
+    print(bundle.text, end="")
     return 0
 
 

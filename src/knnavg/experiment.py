@@ -15,10 +15,11 @@ indicators and the final set's size, not the set itself. That makes
 interrupted grids resumable: already persisted fingerprints are skipped on
 the next invocation, provided their rows were produced under the same seed
 and under the random stream that the directory's ``grid.json`` manifest
-records. Every row is scored at the one reference point and front sample
-size of :mod:`knnavg.metrics`, and its ``ref_f1``, ``ref_f2`` and
-``front_sample_size`` columns say so. A resume checks all of that before it
-writes anything, so a refused resume leaves the directory as it was.
+records. Every run is scored at the one reference point and front sample
+size of :mod:`knnavg.metrics`, so no row records them, and a table whose
+header differs from the one written here is refused by the columns that
+differ. A resume checks all of that before it writes anything, so a refused
+resume leaves the directory as it was.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import numpy as np
 
 from .averaging import KnnConfig, history_rows
 from .core import STREAM_VERSION, Batch, ContractViolationError, RngStream, as_count, as_seed
-from .metrics import DEFAULT_FRONT_SAMPLE_SIZE, DEFAULT_REFERENCE, MetricReport, compute_report
+from .metrics import MetricReport, compute_report
 from .nsga2 import GaConfig, KnnAveraged, OptimizationResult, PlainNoisy, run_stack
 from .problems import NoiseSpec, ZdtProblem
 from .stats import ALPHA, METRICS, ComparisonVerdict, Verdict, compare_setting
@@ -82,12 +83,12 @@ HISTORY_DIRNAME = "histories"
 
 POOLED_SCOPE = "all"
 
-# what every results row records of the scoring, as written
-_SCORED_AT = {
-    "ref_f1": repr(DEFAULT_REFERENCE[0]),
-    "ref_f2": repr(DEFAULT_REFERENCE[1]),
-    "front_sample_size": str(DEFAULT_FRONT_SAMPLE_SIZE),
-}
+# a results table's header, which the writer and the reader share
+_RESULT_COLUMNS = (
+    "fingerprint", "problem", "n_vars", "sigma", "pop_size", "generations", "arm", "k",
+    "max_dist", "rep", "seed", "hv_mean_adjusted", "igd_mean_adjusted", "delta_f",
+    "final_set_size", "duration_s",
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,25 +289,24 @@ def execute_stack(configs: Sequence[RunConfig], keep_optimization: bool = False)
 def _result_row(result: RunResult) -> dict[str, str]:
     cfg = result.config
     m = result.metrics
-    return {
-        "fingerprint": cfg.fingerprint,
-        "problem": cfg.problem,
-        "n_vars": str(cfg.n_vars),
-        "sigma": repr(float(cfg.sigma)),
-        "pop_size": str(cfg.pop_size),
-        "generations": str(cfg.generations),
-        "arm": cfg.arm,
-        "k": "" if cfg.k is None else str(cfg.k),
-        "max_dist": "" if cfg.max_dist is None else repr(float(cfg.max_dist)),
-        "rep": str(cfg.rep),
-        "seed": str(cfg.seed),
-        "hv_mean_adjusted": repr(m.hv_mean_adjusted),
-        "igd_mean_adjusted": repr(m.igd_mean_adjusted),
-        "delta_f": repr(m.delta_f),
-        **_SCORED_AT,
-        "final_set_size": str(result.final_set_size),
-        "duration_s": repr(result.duration_s),
-    }
+    return dict(zip(_RESULT_COLUMNS, (
+        cfg.fingerprint,
+        cfg.problem,
+        str(cfg.n_vars),
+        repr(float(cfg.sigma)),
+        str(cfg.pop_size),
+        str(cfg.generations),
+        cfg.arm,
+        "" if cfg.k is None else str(cfg.k),
+        "" if cfg.max_dist is None else repr(float(cfg.max_dist)),
+        str(cfg.rep),
+        str(cfg.seed),
+        repr(m.hv_mean_adjusted),
+        repr(m.igd_mean_adjusted),
+        repr(m.delta_f),
+        str(result.final_set_size),
+        repr(result.duration_s),
+    ), strict=True))
 
 
 def _row_to_result(row: dict[str, str]) -> RunResult:
@@ -321,9 +321,6 @@ def _row_to_result(row: dict[str, str]) -> RunResult:
     )
     if row["fingerprint"] != config.fingerprint:
         raise ValueError(f"fingerprint {row['fingerprint']} should read {config.fingerprint}")
-    scored_at = {column: row[column] for column in _SCORED_AT}
-    if scored_at != _SCORED_AT:
-        raise ValueError(f"scored at {scored_at}, not at {_SCORED_AT}")
     metrics = MetricReport(
         hv_mean_adjusted=float(row["hv_mean_adjusted"]),
         igd_mean_adjusted=float(row["igd_mean_adjusted"]),
@@ -370,14 +367,25 @@ def _decoded(path: Path, data: bytes):
 
 
 def _parse_results(path: Path, rows: csv.DictReader) -> list[RunResult]:
-    """Parse a results table's rows; a row that does not parse, or repeats a run, names its line."""
+    """Parse a results table's rows; a row that does not parse, or repeats a run, names its line.
+
+    A header other than :func:`_result_row`'s is refused by the columns that differ.
+    """
+    header = rows.fieldnames
+    if header is not None and header != list(_RESULT_COLUMNS):
+        missing = [c for c in _RESULT_COLUMNS if c not in header]
+        unexpected = [c for c in header if c not in _RESULT_COLUMNS]
+        raise ContractViolationError(
+            f"{path}: line 1: not this version's results header (missing: "
+            f"{', '.join(missing) or 'none'}; unexpected: {', '.join(unexpected) or 'none'})"
+        )
     seen: dict[str, int] = {}  # fingerprint -> line of its row
     results: list[RunResult] = []
     for row in rows:
         where = f"{path}: line {rows.line_num}"
         try:
             results.append(_row_to_result(row))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ContractViolationError(f"{where}: unparsable row ({exc})") from exc
         fingerprint = results[-1].config.fingerprint
         if fingerprint in seen:
@@ -389,11 +397,11 @@ def _parse_results(path: Path, rows: csv.DictReader) -> list[RunResult]:
 def load_results(out_dir: str | Path) -> list[RunResult]:
     """Load all persisted results from a grid output directory.
 
-    The table ends at its last complete row. A row that does not parse, was
-    scored at another reference point or front sample size, or repeats a
-    run, is a contract violation naming its line, and so is a last row torn
-    off by a crash mid-write: resuming the grid cuts it and runs that run
-    again.
+    The table ends at its last complete row. A header other than the one
+    :func:`run_grid` writes, as in a table of another version, is a contract
+    violation naming the columns that differ. A row that does not parse or
+    repeats a run is one naming its line, and so is a last row torn off by a
+    crash mid-write: resuming the grid cuts it and runs that run again.
     """
     path = Path(out_dir) / RESULTS_FILENAME
     if not path.exists():
@@ -568,11 +576,11 @@ def run_grid(
     The total run count is logged before execution starts. With an output
     directory, its checks come before its writes: a table that cannot be
     read or a directory that cannot be made, a manifest naming another
-    stream, an unparsable row (one scored at another reference point or
-    front sample size among them), or a persisted run whose seed differs
-    from this grid's is a contract violation, raised before anything runs or
-    is written. Each table ends at its last complete row: a resume cuts a
-    row torn off by a crash, so that run runs again, and
+    stream, a results header other than the one written here (named by the
+    columns that differ), an unparsable row, or a persisted run whose seed
+    differs from this grid's is a contract violation, raised before anything
+    runs or is written. Each table ends at its last complete row: a resume
+    cuts a row torn off by a crash, so that run runs again, and
     :func:`load_results` refuses such a row until then.
     The pending runs of one cell and arm setting form a stack, which
     :func:`execute_stack` advances as one array program, each run bitwise as
@@ -792,9 +800,13 @@ def _plot_rows(results: Sequence[RunResult]) -> list[dict[str, str]]:
 def write_report_files(bundle: ReportBundle, out_dir: str | Path) -> None:
     """Write the rendered table and the CSV companions to ``out_dir``.
 
-    A file that cannot be written is a contract violation naming it.
+    A file that cannot be written is a contract violation naming it; one
+    that is a directory is refused before any file is written.
     """
     out_path = Path(out_dir)
+    for path in map(out_path.joinpath, ("verdicts.txt", "verdicts.csv", "metrics_long.csv")):
+        if path.is_dir():
+            raise ContractViolationError(f"cannot write {path}: Is a directory")
     try:
         out_path.mkdir(parents=True, exist_ok=True)
         (out_path / "verdicts.txt").write_text(bundle.text, encoding="utf-8")

@@ -8,7 +8,6 @@ lie rather than by what the noisy samples claimed.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,6 @@ __all__ = [
     "DEFAULT_REFERENCE",
     "DEFAULT_FRONT_SAMPLE_SIZE",
     "MetricReport",
-    "as_reference",
     "hypervolume_2d",
     "igd",
     "delta_f",
@@ -34,16 +32,6 @@ __all__ = [
 # nothing. The front sample: the true-front points IGD measures from.
 DEFAULT_REFERENCE = (11.0, 11.0)
 DEFAULT_FRONT_SAMPLE_SIZE = 1000
-
-
-def as_reference(reference) -> tuple[float, float]:
-    """A hypervolume reference point as two finite floats, or a contract violation."""
-    if not isinstance(reference, Iterable):
-        raise ContractViolationError(f"reference point needs two coordinates, got {reference!r}")
-    ref = tuple(as_real(v, "reference coordinate") for v in reference)
-    if len(ref) != 2 or not all(np.isfinite(ref)):
-        raise ContractViolationError(f"reference point needs two finite coordinates, got {ref}")
-    return ref
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,8 +67,8 @@ class MetricReport:
             raise ContractViolationError(f"unknown metric {metric!r}") from None
 
 
-def hypervolume_2d(points, reference):
-    """Exact area dominated by ``points`` up to the reference point.
+def hypervolume_2d(points):
+    """Exact area dominated by ``points`` up to :data:`DEFAULT_REFERENCE`.
 
     Two objectives, minimization. ``points`` is one (n, 2) matrix, giving a
     float, or a stack (..., n, 2) of them, giving an array of one area per
@@ -90,23 +78,23 @@ def hypervolume_2d(points, reference):
     result is exact up to float rounding. An empty set, (..., 0, 2), has
     area zero.
     """
-    ref_f1, ref_f2 = as_reference(reference)
+    ref1, ref2 = DEFAULT_REFERENCE
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim < 2 or pts.shape[-1] != 2:
         raise ContractViolationError(f"expected (n, 2) points, got shape {pts.shape}")
     if not pts.shape[-2]:
         return 0.0 if pts.ndim == 2 else np.zeros(pts.shape[:-2])
-    inside = (pts[..., 0] < ref_f1) & (pts[..., 1] < ref_f2)
-    # an ignored point sits at f2 = ref_f2: it never improves the best f2
-    f1 = np.where(inside, pts[..., 0], ref_f1)
-    f2 = np.where(inside, pts[..., 1], ref_f2)
+    inside = (pts[..., 0] < ref1) & (pts[..., 1] < ref2)
+    # an ignored point sits at f2 = ref2: it never improves the best f2
+    f1 = np.where(inside, pts[..., 0], ref1)
+    f2 = np.where(inside, pts[..., 1], ref2)
     # sorted by f1, then f2, within each matrix
     order = np.lexsort((f2, f1), axis=-1)
     f1, f2 = np.take_along_axis(f1, order, -1), np.take_along_axis(f2, order, -1)
     # the best f2 before each point
-    best = np.minimum.accumulate(np.concatenate((np.full_like(f2[..., :1], ref_f2), f2), -1), -1)
+    best = np.minimum.accumulate(np.concatenate((np.full_like(f2[..., :1], ref2), f2), -1), -1)
     gain = f2 < best[..., :-1]
-    strips = np.where(gain, (ref_f1 - f1) * (best[..., :-1] - f2), 0.0)
+    strips = np.where(gain, (ref1 - f1) * (best[..., :-1] - f2), 0.0)
     area = np.cumsum(strips, axis=-1)[..., -1]
     return float(area) if area.ndim == 0 else area
 
@@ -169,7 +157,7 @@ def compute_report(solutions: Batch, problem: ZdtProblem, noise: NoiseSpec) -> M
         raise ContractViolationError("cannot score an empty solution set")
     expected = evaluate_true(problem, solutions.variables)
     return MetricReport(
-        hv_mean_adjusted=hypervolume_2d(expected, DEFAULT_REFERENCE),
+        hv_mean_adjusted=hypervolume_2d(expected),
         igd_mean_adjusted=igd(true_front(problem, DEFAULT_FRONT_SAMPLE_SIZE), expected),
         delta_f=delta_f(solutions.objectives, expected),
     )

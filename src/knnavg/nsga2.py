@@ -35,7 +35,7 @@ import numpy as np
 
 from .averaging import EvaluationHistory, KnnConfig, history_rows, knn_evaluate
 from .core import Batch, ContractViolationError, RngStream, as_count, as_streams
-from .metrics import DEFAULT_REFERENCE, hypervolume_2d
+from .metrics import hypervolume_2d
 from .problems import NoiseSpec, ZdtProblem, evaluate_noisy
 
 __all__ = [
@@ -431,7 +431,7 @@ def run_stack(
     # one that dominates it, adds an exact +0.0 and never lowers the best f2, so each
     # population's area is bitwise its first front's
     sizes = (np.stack(population_ranks, axis=1) == 0).sum(axis=-1, dtype=np.int64)
-    volumes = np.ascontiguousarray(hypervolume_2d(np.stack(populations, axis=1), DEFAULT_REFERENCE))
+    volumes = np.ascontiguousarray(hypervolume_2d(np.stack(populations, axis=1)))
     sizes.flags.writeable = volumes.flags.writeable = False
     return [
         OptimizationResult(

@@ -181,12 +181,12 @@ def _mc_hypervolume(points, reference, n_samples, seed):
 
 
 def _staircase_hypervolume(points) -> float:
-    """Exact dominated area in the unit box via x-interval sweep."""
+    """Exact dominated area in the box up to (11, 11) via x-interval sweep."""
     pts = np.asarray(points, dtype=float)
     pts = pts[np.argsort(pts[:, 0])]
     best = np.minimum.accumulate(pts[:, 1])
-    edges = np.append(pts[:, 0], 1.0)
-    return float(np.sum((edges[1:] - edges[:-1]) * (1.0 - best)))
+    edges = np.append(pts[:, 0], 11.0)
+    return float(np.sum((edges[1:] - edges[:-1]) * (11.0 - best)))
 
 
 def _sed_oracle(a, b, variances):
@@ -249,11 +249,11 @@ def test_ac6_oracle_suites():
         rng = RngStream(3002)
         for trial in range(100):
             count = 5 + int(rng.integers(36))
-            points = rng.random(count * 2).reshape(count, 2)
-            exact = hypervolume_2d(points, (1.0, 1.0))
+            points = rng.random(count * 2).reshape(count, 2) * 11.0
+            exact = hypervolume_2d(points)
             assert abs(exact - _staircase_hypervolume(points)) < 1e-12, trial
             estimate, stderr = _mc_hypervolume(
-                points, (1.0, 1.0), 1_000_000, seed=1000 + trial
+                points, (11.0, 11.0), 1_000_000, seed=1000 + trial
             )
             assert abs(exact - estimate) <= 3.0 * stderr + 1e-9, trial
 

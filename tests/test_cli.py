@@ -447,9 +447,9 @@ class TestRun:
         assert "executed 4 runs" in capsys.readouterr().out
         with (out_dir / "results.csv").open(newline="") as handle:
             rows = list(csv.DictReader(handle))
-        assert (rows[0]["ref_f1"], rows[0]["ref_f2"], rows[0]["front_sample_size"]) == (
-            "11.0", "11.0", "1000"
-        )
+        # the scoring columns are gone: every run is scored at the same constants
+        assert list(rows[0]) == list(experiment._RESULT_COLUMNS)
+        assert not {"ref_f1", "ref_f2", "front_sample_size"} & set(rows[0])
 
     def test_flags_override_config(self, tmp_path, capsys):
         config = tmp_path / "campaign.ini"
@@ -683,8 +683,30 @@ class TestReport:
         (out / name).mkdir(parents=True)
         capsys.readouterr()
         assert run_cli(["report", "--in", str(grid), "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err == f"error: cannot write {out / name}: Is a directory\n"
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {out / name}: Is a directory\n"
+        # the tables used to print, and the files before it to be written
+        assert captured.out == ""
+        assert [p.name for p in out.iterdir()] == [name]
+
+    def test_table_with_the_scoring_columns_refused_by_name(self, tmp_path, capsys):
+        # every results.csv written before the scoring columns were dropped
+        grid = tmp_path / "grid"
+        run_cli(RUN_FLAGS + ["--reps", "5", "--out", str(grid)])
+        table = grid / "results.csv"
+        text = table.read_text()
+        at = text.index(",final_set_size,")
+        table.write_text(text[:at] + ",ref_f1,ref_f2,front_sample_size" + text[at:])
+        capsys.readouterr()
+        before = tree(tmp_path)
+        assert run_cli(["report", "--in", str(grid), "--out", str(tmp_path / "report")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {table}: line 1: not this version's results header "
+            "(missing: none; unexpected: ref_f1, ref_f2, front_sample_size)\n"
+        )
+        assert tree(tmp_path) == before
 
     def test_alpha_is_not_an_option(self, tmp_path, capsys):
         # the significance level is stats.ALPHA; --alpha used to set another

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from knnavg.averaging import EvaluationHistory, KnnConfig
 from knnavg.core import Batch, ContractViolationError, RngStream, Solution
 from knnavg.experiment import ExperimentGrid
-from knnavg.metrics import MetricReport, as_reference, hypervolume_2d
+from knnavg.metrics import MetricReport
 from knnavg.nsga2 import GaConfig, fast_non_dominated_sort
 from knnavg.problems import NoiseSpec, ZdtProblem, evaluate_noisy, true_front
 from oracles import dominates
@@ -139,9 +139,6 @@ REALS = {
     "MetricReport.igd_mean_adjusted":
         lambda v: metric_report_with(igd_mean_adjusted=v).igd_mean_adjusted,
     "MetricReport.delta_f": lambda v: metric_report_with(delta_f=v).delta_f,
-    "as_reference": lambda v: as_reference((11.0, v))[1],
-    # the area of the unit-high strip under (v, 1) dominated by the origin is v
-    "hypervolume_2d.reference": lambda v: hypervolume_2d([[0.0, 0.0]], (v, 1.0)),
 }
 
 
@@ -165,12 +162,6 @@ class TestReals:
         else:
             with pytest.raises(ContractViolationError):
                 REALS[field](value)
-
-    def test_reference_point_must_be_a_sequence(self):
-        # 5 used to raise TypeError while iterating
-        for bad in (5, None, 5.0):
-            with pytest.raises(ContractViolationError):
-                as_reference(bad)
 
 
 def pair_dominance(a, b) -> tuple[bool, bool]:

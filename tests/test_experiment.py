@@ -91,6 +91,30 @@ def fail_with_a_line_break(configs, *args, **kwargs):
     raise RuntimeError(f'synthetic, "fault"\nin {configs[0].fingerprint}')
 
 
+# the header of every results table written while each row recorded its scoring
+SCORED_HEADER = (
+    b"fingerprint,problem,n_vars,sigma,pop_size,generations,arm,k,max_dist,rep,seed,"
+    b"hv_mean_adjusted,igd_mean_adjusted,delta_f,ref_f1,ref_f2,front_sample_size,"
+    b"final_set_size,duration_s"
+)
+SCORING_COLUMNS = [b"ref_f1", b"ref_f2", b"front_sample_size"]
+
+
+def add_columns(path, names, values=lambda row: [b"11.0", b"11.0", b"1000"]):
+    """Insert the columns ``names`` after ``delta_f`` in a results table.
+
+    ``values(row)`` gives the new fields of the row-th row, from 1; the
+    default gives every row the scoring that older tables recorded.
+    """
+    lines = path.read_bytes().split(b"\r\n")
+    at = lines[0].split(b",").index(b"delta_f") + 1
+    for number, line in enumerate(lines[:-1]):  # the last is the empty rest
+        fields = line.split(b",")
+        fields[at:at] = values(number) if number else names
+        lines[number] = b",".join(fields)
+    path.write_bytes(b"\r\n".join(lines))
+
+
 CUT_GRID = tiny_grid(repetitions=1, generations=2)
 
 
@@ -308,16 +332,56 @@ class TestRunGrid:
 
     def test_resume_with_other_front_sample_size_rejected(self, tmp_path, monkeypatch):
         # a directory scored over another front sample, as --front-samples 64
-        # used to write it: its first row is refused, and nothing changes
+        # used to write it: its header is refused, and nothing changes
         grid = tiny_grid()
         run_grid(grid, out_dir=tmp_path)
         path = tmp_path / RESULTS_FILENAME
-        path.write_bytes(path.read_bytes().replace(b",11.0,11.0,1000,", b",11.0,11.0,64,"))
-        before = path.read_bytes()
+        add_columns(path, SCORING_COLUMNS, lambda row: [b"11.0", b"11.0", b"64"])
+        before = tree(tmp_path)
         monkeypatch.setattr(experiment, "run_stack", refuse_to_run)
-        with pytest.raises(ContractViolationError, match="line 2: .*'front_sample_size': '64'"):
+        with pytest.raises(ContractViolationError, match="line 1: .*front_sample_size"):
             run_grid(grid, out_dir=tmp_path)
-        assert path.read_bytes() == before
+        assert tree(tmp_path) == before
+
+    def test_table_with_the_scoring_columns_refused_by_name(self, tmp_path, monkeypatch):
+        # the header of every table written before the scoring columns were
+        # dropped: unrefused, a resume would append shorter rows under it
+        grid = tiny_grid()
+        run_grid(grid, out_dir=tmp_path)
+        path = tmp_path / RESULTS_FILENAME
+        add_columns(path, SCORING_COLUMNS)
+        assert path.read_bytes().startswith(SCORED_HEADER + b"\r\n")
+        before = tree(tmp_path)
+        monkeypatch.setattr(experiment, "run_stack", refuse_to_run)
+        refusal = (
+            f"{path}: line 1: not this version's results header "
+            "(missing: none; unexpected: ref_f1, ref_f2, front_sample_size)"
+        )
+        for read in (load_results, lambda out: run_grid(grid, out_dir=out)):
+            with pytest.raises(ContractViolationError) as err:
+                read(tmp_path)
+            assert str(err.value) == refusal
+        assert tree(tmp_path) == before
+
+    @pytest.mark.parametrize("rows", [4, 0], ids=["with-rows", "header-only"])
+    def test_table_missing_a_column_refused_by_name(self, tmp_path, monkeypatch, rows):
+        grid = tiny_grid()
+        run_grid(grid, out_dir=tmp_path)
+        path = tmp_path / RESULTS_FILENAME
+        lines = path.read_bytes().split(b"\r\n")[: rows + 1]
+        at = lines[0].split(b",").index(b"seed")
+        path.write_bytes(b"".join(
+            b",".join(f for i, f in enumerate(line.split(b",")) if i != at) + b"\r\n"
+            for line in lines
+        ))
+        before = tree(tmp_path)
+        monkeypatch.setattr(experiment, "run_stack", refuse_to_run)
+        # a header alone used to load, and a first row to be refused by its KeyError
+        refusal = r"line 1: .* \(missing: seed; unexpected: none\)$"
+        for read in (load_results, lambda out: run_grid(grid, out_dir=out)):
+            with pytest.raises(ContractViolationError, match=refusal):
+                read(tmp_path)
+        assert tree(tmp_path) == before
 
     # every run is scored at DEFAULT_REFERENCE over DEFAULT_FRONT_SAMPLE_SIZE
     # front points: no entry point takes either, whatever its value
@@ -534,11 +598,10 @@ class TestRunGrid:
         ("extra-fields", r"line 3: unparsable row \(2 fields beyond the header\)"),
         ("fingerprint-mismatch", r"line 4: unparsable row \(fingerprint .*-r7 should read .*-r0\)"),
         ("duplicate", "line 6: zdt1-.*-baseline-r0 repeats line 2"),
-        ("ref_f1", r"line 2: unparsable row \(scored at \{'ref_f1': '5.0', 'ref_f2': '11.0', "),
-        ("ref_f2", r"line 5: unparsable row \(scored at .*'ref_f2': '11', "),
-        ("front_sample_size", r"line 4: unparsable row \(scored at .*'front_sample_size': '50'\}, "
-                              r"not at \{'ref_f1': '11.0', 'ref_f2': '11.0', 'front_sample_size': "
-                              r"'1000'\}\)"),
+        ("ref_f1", r"line 1: not this version's results header \(.*; unexpected: ref_f1\)"),
+        ("ref_f2", r"line 1: not this version's results header \(.*; unexpected: ref_f2\)"),
+        ("front_sample_size",
+         r"line 1: not this version's results header \(.*; unexpected: front_sample_size\)"),
     ], ids=["extra-fields", "fingerprint-mismatch", "duplicate", "ref_f1", "ref_f2",
             "front_sample_size"])
     def test_row_that_misdescribes_itself_is_refused_by_its_line(
@@ -546,7 +609,8 @@ class TestRunGrid:
     ):
         # each of these rows used to load, and a resume skipped its run; a
         # row scored at another reference point or front sample size used to
-        # reach report(), which refused the mix without naming a line
+        # reach report(), which refused the mix without naming a line; the
+        # scoring columns are gone, so a table with one is refused by name
         grid = tiny_grid()
         run_grid(grid, out_dir=tmp_path)
         path = tmp_path / RESULTS_FILENAME
@@ -554,13 +618,10 @@ class TestRunGrid:
         if edit == "extra-fields":
             lines[2] += b",999,extra"
         elif edit in ("ref_f1", "ref_f2", "front_sample_size"):
-            line, column, value = {
-                "ref_f1": (1, 14, b"5.0"), "ref_f2": (4, 15, b"11"),
-                "front_sample_size": (3, 16, b"50"),
-            }[edit]
-            fields = lines[line].split(b",")
-            fields[column] = value
-            lines[line] = b",".join(fields)
+            value = {"ref_f1": b"5.0", "ref_f2": b"11", "front_sample_size": b"50"}[edit]
+            path.write_bytes(b"\r\n".join(lines))
+            add_columns(path, [edit.encode()], lambda row: [value])
+            lines = path.read_bytes().split(b"\r\n")
         elif edit == "fingerprint-mismatch":
             fingerprint, rest = lines[3].split(b",", 1)
             assert fingerprint.endswith(b"-r0")  # and so does its rep field
@@ -868,30 +929,21 @@ class TestReport:
             report([])
 
     def test_mixed_reference_points_rejected(self, tmp_path):
-        # report() used to refuse a mix of reference points; hypervolumes at
-        # different reference points differ, so the reader refuses the row
+        # report() used to refuse a mix of reference points, and then the
+        # reader its row; no row records one now, so the header is refused
         grid_results(tmp_path)
         table = tmp_path / RESULTS_FILENAME
-        with table.open(newline="") as handle:
-            rows = list(csv.DictReader(handle))
-        rows[0]["ref_f1"] = rows[0]["ref_f2"] = "9.0"
-        experiment._write_rows(table, rows)
-        with pytest.raises(ContractViolationError, match=r"line 2: unparsable row \(scored at"):
+        add_columns(table, SCORING_COLUMNS[:2], lambda row: [b"9.0" if row == 1 else b"11.0"] * 2)
+        with pytest.raises(ContractViolationError, match=r"line 1: .* ref_f1, ref_f2\)"):
             load_results(tmp_path)
 
     def test_mixed_front_sample_sizes_rejected(self, tmp_path):
         # a merged or edited table used to reach the report, which refused the
-        # mix; IGD over different samples differs, so the reader refuses the row
+        # mix, and then the reader its row; no row records one now
         grid_results(tmp_path)
         table = tmp_path / RESULTS_FILENAME
-        with table.open(newline="") as handle:
-            rows = list(csv.DictReader(handle))
-        rows[-1]["front_sample_size"] = "50"
-        with table.open("w", newline="") as handle:
-            writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
-            writer.writeheader()
-            writer.writerows(rows)
-        with pytest.raises(ContractViolationError, match="line 13: unparsable row"):
+        add_columns(table, SCORING_COLUMNS[2:], lambda row: [b"50" if row == 12 else b"1000"])
+        with pytest.raises(ContractViolationError, match=r"line 1: .* front_sample_size\)"):
             load_results(tmp_path)
 
     def test_per_sigma_scopes_split_runs(self, tmp_path):

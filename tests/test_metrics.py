@@ -12,7 +12,6 @@ from knnavg.metrics import (
     DEFAULT_FRONT_SAMPLE_SIZE,
     DEFAULT_REFERENCE,
     MetricReport,
-    as_reference,
     compute_report,
     delta_f,
     hypervolume_2d,
@@ -46,17 +45,19 @@ def monte_carlo_hv(points, reference, n_samples, seed):
 
 
 class TestHypervolume2d:
+    # every area is taken at DEFAULT_REFERENCE, (11, 11)
     def test_single_point_unit_square(self):
-        assert hypervolume_2d([[0.0, 0.0]], (1.0, 1.0)) == 1.0
+        assert hypervolume_2d([[10.0, 10.0]]) == 1.0
+        assert hypervolume_2d([[0.0, 0.0]]) == 121.0
 
     def test_two_point_staircase(self):
-        assert hypervolume_2d([[0.0, 0.5], [0.5, 0.0]], (1.0, 1.0)) == 0.75
+        assert hypervolume_2d([[0.0, 0.5], [0.5, 0.0]]) == 120.75
 
     def test_empty_set(self):
-        assert hypervolume_2d(np.empty((0, 2)), (1.0, 1.0)) == 0.0
+        assert hypervolume_2d(np.empty((0, 2))) == 0.0
 
     def test_empty_stack_has_one_zero_area_per_matrix(self):
-        areas = hypervolume_2d(np.empty((3, 0, 2)), (1.0, 1.0))
+        areas = hypervolume_2d(np.empty((3, 0, 2)))
         assert isinstance(areas, np.ndarray) and areas.shape == (3,)
         assert not areas.any()
 
@@ -64,31 +65,31 @@ class TestHypervolume2d:
     def test_empty_non_matrix_rejected(self, points):
         # emptiness used to be read before the shape: these returned 0.0
         with pytest.raises(ContractViolationError, match="shape"):
-            hypervolume_2d(points, (1.0, 1.0))
+            hypervolume_2d(points)
 
     def test_point_at_reference_contributes_nothing(self):
-        assert hypervolume_2d([[1.0, 1.0]], (1.0, 1.0)) == 0.0
-        assert hypervolume_2d([[0.5, 1.0]], (1.0, 1.0)) == 0.0
+        assert hypervolume_2d([[11.0, 11.0]]) == 0.0
+        assert hypervolume_2d([[0.5, 11.0]]) == 0.0
 
     def test_point_beyond_reference_ignored(self):
-        base = hypervolume_2d([[0.2, 0.2]], (1.0, 1.0))
-        with_outlier = hypervolume_2d([[0.2, 0.2], [2.0, -5.0]], (1.0, 1.0))
+        base = hypervolume_2d([[0.2, 0.2]])
+        with_outlier = hypervolume_2d([[0.2, 0.2], [12.0, -5.0]])
         assert with_outlier == base
 
     def test_dominated_point_contributes_nothing(self):
-        base = hypervolume_2d([[0.2, 0.2]], (1.0, 1.0))
-        assert hypervolume_2d([[0.2, 0.2], [0.5, 0.5]], (1.0, 1.0)) == base
+        base = hypervolume_2d([[0.2, 0.2]])
+        assert hypervolume_2d([[0.2, 0.2], [0.5, 0.5]]) == base
 
     def test_duplicate_points_counted_once(self):
-        assert hypervolume_2d([[0.0, 0.0], [0.0, 0.0]], (1.0, 1.0)) == 1.0
+        assert hypervolume_2d([[0.0, 0.0], [0.0, 0.0]]) == 121.0
 
     def test_permutation_invariance(self):
         rng = RngStream(71)
         for _ in range(30):
             pts = rng.random(10 * 2).reshape(10, 2)
             shuffled = pts[np.argsort(rng.random(10))]
-            a = hypervolume_2d(pts, (1.0, 1.0))
-            b = hypervolume_2d(shuffled, (1.0, 1.0))
+            a = hypervolume_2d(pts)
+            b = hypervolume_2d(shuffled)
             assert a == pytest.approx(b, abs=1e-15)
 
     def test_adding_a_point_never_shrinks(self):
@@ -96,50 +97,49 @@ class TestHypervolume2d:
         for _ in range(50):
             pts = rng.random(8 * 2).reshape(8, 2)
             extra = rng.random(2)
-            a = hypervolume_2d(pts, (1.0, 1.0))
-            b = hypervolume_2d(np.vstack((pts, extra)), (1.0, 1.0))
+            a = hypervolume_2d(pts)
+            b = hypervolume_2d(np.vstack((pts, extra)))
             assert b >= a - 1e-15
 
     def test_matches_monte_carlo_oracle(self):
         # light version of the large-scale check in the acceptance suite
         rng = RngStream(73)
         for trial in range(10):
-            pts = rng.random(12 * 2).reshape(12, 2)
-            exact = hypervolume_2d(pts, (1.0, 1.0))
-            estimate, stderr = monte_carlo_hv(pts, (1.0, 1.0), 200_000, seed=trial)
+            pts = rng.random(12 * 2).reshape(12, 2) * 11.0
+            exact = hypervolume_2d(pts)
+            estimate, stderr = monte_carlo_hv(pts, DEFAULT_REFERENCE, 200_000, seed=trial)
             assert abs(exact - estimate) <= 3.0 * stderr + 1e-9
 
     def test_zdt1_front_value_at_standard_reference(self):
         # analytic value: 11*11 - integral of (1 - sqrt(f1)) related terms;
         # a dense front sample converges to 120.6667 from below
         pts = true_front(ZdtProblem("zdt1", 2), 100_000)
-        assert hypervolume_2d(pts, DEFAULT_REFERENCE) == pytest.approx(
-            120.66666666666667, abs=1e-3
-        )
+        assert hypervolume_2d(pts) == pytest.approx(120.66666666666667, abs=1e-3)
 
     @given(
         arrays(
             np.float64,
             st.tuples(st.integers(1, 4), st.integers(1, 12), st.just(2)),
-            elements=st.integers(-2, 6).map(lambda v: v / 4.0),
+            elements=st.integers(-2, 6).map(lambda v: 10.0 + v / 4.0),
         )
     )
     def test_stack_area_is_each_matrix_and_its_front(self, stack):
-        # a coarse grid ties f1 and f2 and repeats rows; a coordinate of 1.0
+        # a coarse grid ties f1 and f2 and repeats rows; a coordinate of 11.0
         # or more lies beyond the reference
-        areas = hypervolume_2d(stack, (1.0, 1.0))
+        areas = hypervolume_2d(stack)
         for area, points in zip(areas, stack):
             front = [p for p in points if not any(dominates(q, p) for q in points)]
-            assert area.hex() == hypervolume_2d(points, (1.0, 1.0)).hex()
-            assert area.hex() == hypervolume_2d(np.array(front), (1.0, 1.0)).hex()
+            assert area.hex() == hypervolume_2d(points).hex()
+            assert area.hex() == hypervolume_2d(np.array(front)).hex()
 
-    def test_reference_shape_validated(self):
-        with pytest.raises(ContractViolationError):
-            hypervolume_2d([[0.0, 0.0]], (1.0, 1.0, 1.0))
+    def test_reference_is_not_a_parameter(self):
+        # it used to take one, which no grid, command or demo ever varied
+        with pytest.raises(TypeError):
+            hypervolume_2d([[0.0, 0.0]], (11.0, 11.0))
 
     def test_points_shape_validated(self):
         with pytest.raises(ContractViolationError):
-            hypervolume_2d([[0.0, 0.0, 0.0]], (1.0, 1.0))
+            hypervolume_2d([[0.0, 0.0, 0.0]])
 
 
 class TestIgd:
@@ -257,7 +257,7 @@ class TestAdjustedSet:
             assert np.array_equal(row, evaluate_true(problem, x))
         report = compute_report(batch, problem, noise)
         assert report.delta_f == delta_f(batch.objectives, expected)
-        assert report.hv_mean_adjusted == hypervolume_2d(expected, DEFAULT_REFERENCE)
+        assert report.hv_mean_adjusted == hypervolume_2d(expected)
 
     def test_corner_point(self):
         problem = ZdtProblem("zdt1", 2)
@@ -304,20 +304,6 @@ class TestMetricReport:
             MetricReport(1.0, 0.5, 0.25, (11.0, 11.0), 1000)
 
 
-class TestAsReference:
-    def test_two_finite_coordinates_become_floats(self):
-        ref = as_reference([np.float32(11.0), 5])
-        assert ref == (11.0, 5.0)
-        assert all(type(v) is float for v in ref)
-
-    @pytest.mark.parametrize(
-        "bad", [(1.0, float("nan")), (float("inf"), float("inf")), (11.0,), (1.0, 2.0, 3.0)]
-    )
-    def test_rejected(self, bad):
-        with pytest.raises(ContractViolationError, match="two finite coordinates"):
-            as_reference(bad)
-
-
 class TestComputeReport:
     def test_composes_the_three_indicators(self):
         problem = ZdtProblem("zdt1", 2)
@@ -327,7 +313,7 @@ class TestComputeReport:
         report = compute_report(batch, problem, noise)
         adjusted_objs = evaluate_true(problem, batch.variables)
         front = true_front(problem, DEFAULT_FRONT_SAMPLE_SIZE)
-        assert report.hv_mean_adjusted == hypervolume_2d(adjusted_objs, DEFAULT_REFERENCE)
+        assert report.hv_mean_adjusted == hypervolume_2d(adjusted_objs)
         assert report.igd_mean_adjusted == igd(front, adjusted_objs)
         assert report.delta_f == delta_f(batch.objectives, adjusted_objs)
         assert (DEFAULT_REFERENCE, DEFAULT_FRONT_SAMPLE_SIZE) == ((11.0, 11.0), 1000)

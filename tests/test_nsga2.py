@@ -622,7 +622,7 @@ class TestRunOptimization:
     def test_trace_hypervolume_matches_recomputation(self):
         result = small_run(seed=18)
         objs = result.nondominated.objectives
-        assert result.front_hypervolumes[-1] == hypervolume_2d(objs, (11.0, 11.0))
+        assert result.front_hypervolumes[-1] == hypervolume_2d(objs)
 
 
 class TestRunStack:
