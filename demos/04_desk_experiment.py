@@ -63,7 +63,7 @@ bundle = report(load_results(OUT))
 print(bundle.text)
 
 write_report_files(bundle, OUT)
-print(f"wrote {OUT / 'verdicts.txt'}, verdicts.csv and metrics_long.csv")
+print(f"wrote {OUT / 'verdicts.txt'} and verdicts.csv")
 print()
 print("reading the table: at sigma=0.1 the averaging arms should take the")
 print("error metric (delta_f), while at sigma=0.0 averaging has nothing to")

@@ -20,7 +20,7 @@ import logging
 import sys
 from pathlib import Path
 
-from .core import ContractViolationError, as_count
+from .core import ContractViolationError
 from .experiment import (
     ARM_BASELINE,
     ARM_KNN,
@@ -152,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     report_p = sub.add_parser("report", help="verdict tables from persisted results")
     report_p.add_argument("--in", dest="in_dir", required=True, help="grid output directory")
-    report_p.add_argument("--out", help="also write verdicts.txt/.csv and metrics_long.csv here")
+    report_p.add_argument("--out", help="also write verdicts.txt and verdicts.csv here")
 
     front_p = sub.add_parser("front", help="sample a problem's true Pareto front")
     front_p.add_argument("--problem", required=True, type=str.lower, choices=ZDT_VARIANTS)
@@ -163,24 +163,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    grid = _grid_from_config(args.config, args)
-    # bad options are refused before the plan prints
-    parallelism = as_count(args.parallelism, "parallelism", 1)
-    if args.include_histories and args.out is None:
-        raise ContractViolationError("history dumps need an output directory")
-    if args.out:
-        _check_out_dir(args.out)
-    print(
-        f"{grid.total_run_count} runs: {grid.cell_count} cells x "
-        f"({grid.settings_per_cell} averaging settings + baseline) x "
-        f"{grid.repetitions} repetitions"
-    )
+    # run_grid checks the grid and its directory, then logs its plan
     outcome = run_grid(
-        grid, parallelism=parallelism, out_dir=args.out,
-        include_histories=args.include_histories,
+        _grid_from_config(args.config, args), parallelism=args.parallelism,
+        out_dir=args.out, include_histories=args.include_histories,
     )
-    if outcome.skipped:
-        print(f"skipped {outcome.skipped} already persisted runs")
     print(f"executed {len(outcome.results)} runs, {len(outcome.failures)} failures")
     if outcome.unfinished:
         return 2  # run_grid has logged the count; a report would lack those runs
@@ -195,13 +182,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             # failed runs can leave averaging runs without partners; exit 2 still reports them
             print(f"error: {exc}", file=sys.stderr)
     return 2 if outcome.failures else 0
-
-
-def _check_out_dir(path: str) -> None:
-    """Refuse an output directory that names a file or lies under one."""
-    nearest = next(part for part in (Path(path), *Path(path).parents) if part.exists())
-    if not nearest.is_dir():
-        raise ContractViolationError(f"cannot write {path}: {nearest} is not a directory")
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -238,8 +218,6 @@ def _cmd_single(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    if args.out:
-        _check_out_dir(args.out)
     bundle = report(load_results(args.in_dir))
     if args.out:  # written first, so a file that cannot be written leaves stdout empty
         write_report_files(bundle, args.out)

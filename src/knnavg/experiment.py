@@ -369,16 +369,24 @@ def _decoded(path: Path, data: bytes):
 def _parse_results(path: Path, rows: csv.DictReader) -> list[RunResult]:
     """Parse a results table's rows; a row that does not parse, or repeats a run, names its line.
 
-    A header other than :func:`_result_row`'s is refused by the columns that differ.
+    A header other than :func:`_result_row`'s is refused by the columns that
+    differ; one of the same columns is refused by its repeated column, or by
+    the first column out of place.
     """
     header = rows.fieldnames
     if header is not None and header != list(_RESULT_COLUMNS):
         missing = [c for c in _RESULT_COLUMNS if c not in header]
         unexpected = [c for c in header if c not in _RESULT_COLUMNS]
-        raise ContractViolationError(
-            f"{path}: line 1: not this version's results header (missing: "
-            f"{', '.join(missing) or 'none'}; unexpected: {', '.join(unexpected) or 'none'})"
-        )
+        repeated = dict.fromkeys(c for i, c in enumerate(header) if c in header[:i])
+        if missing or unexpected:
+            why = (f"missing: {', '.join(missing) or 'none'}; "
+                   f"unexpected: {', '.join(unexpected) or 'none'}")
+        elif repeated:
+            why = f"repeated: {', '.join(repeated)}"
+        else:
+            at = next(i for i, (a, b) in enumerate(zip(header, _RESULT_COLUMNS)) if a != b)
+            why = f"column {at + 1} is {header[at]}, not {_RESULT_COLUMNS[at]}"
+        raise ContractViolationError(f"{path}: line 1: not this version's results header ({why})")
     seen: dict[str, int] = {}  # fingerprint -> line of its row
     results: list[RunResult] = []
     for row in rows:
@@ -493,8 +501,8 @@ def _check_manifest(directory: Path, has_runs: bool) -> dict | None:
     if not path.exists():
         if has_runs:
             raise ContractViolationError(
-                f"{directory} holds runs but no {MANIFEST_FILENAME}: they were drawn under "
-                "stream version 1; write to another output directory"
+                f"{directory} holds runs but no {MANIFEST_FILENAME}: the stream they were "
+                "drawn under is unknown; write to another output directory"
             )
         return current
     try:
@@ -573,8 +581,9 @@ def run_grid(
 ) -> GridOutcome:
     """Execute every pending run of the grid.
 
-    The total run count is logged before execution starts. With an output
-    directory, its checks come before its writes: a table that cannot be
+    Once every check has passed, one log line states the plan: the run
+    count, the grid's shape and how many runs are already persisted. With an
+    output directory, its checks come before its writes: a table that cannot be
     read or a directory that cannot be made, a manifest naming another
     stream, a results header other than the one written here (named by the
     columns that differ), an unparsable row, or a persisted run whose seed
@@ -604,16 +613,15 @@ def run_grid(
     if include_histories and out_dir is None:
         raise ContractViolationError("history dumps need an output directory")
     configs = expand_grid(grid)
-    logger.info(
-        "expanded grid: %d runs (%d cells x %d averaging settings + baseline, %d repetitions)",
-        len(configs), grid.cell_count, grid.settings_per_cell, grid.repetitions,
-    )
     out_dir = None if out_dir is None else Path(out_dir)
     persisted = _open_grid_dir(out_dir, configs, include_histories) if out_dir else {}
     pending = [c for c in configs if c.fingerprint not in persisted]
     skipped = len(configs) - len(pending)
-    if skipped:
-        logger.info("resume: %d runs already persisted, %d to go", skipped, len(pending))
+    logger.info(
+        "%d runs: %d cells x (%d averaging settings + baseline) x %d repetitions, "
+        "%d already persisted", len(configs), grid.cell_count, grid.settings_per_cell,
+        grid.repetitions, skipped,
+    )
     # expansion order keeps the runs of one cell and arm setting together
     stacks = [list(runs) for _, runs in itertools.groupby(pending, key=lambda c: c.stack)]
     histories = out_dir / HISTORY_DIRNAME if include_histories else None
@@ -666,14 +674,13 @@ class ReportBundle:
 
     ``tables`` maps a scope label (one per sigma, plus the pooled scope) to
     an ordered mapping from (k, max_dist) to the per-metric verdicts.
-    ``text`` is the rendered table, ``verdict_rows`` and ``plot_rows`` are
-    CSV-ready dictionaries.
+    ``text`` is the rendered table, and ``verdict_rows`` holds its verdicts
+    as CSV-ready dictionaries.
     """
 
     tables: dict[str, dict[tuple[int, float], dict[str, ComparisonVerdict]]]
     text: str
     verdict_rows: list[dict[str, str]]
-    plot_rows: list[dict[str, str]]
 
 
 _VERDICT_SYMBOLS = {Verdict.BETTER: "✓", Verdict.EQUIVALENT: "≡", Verdict.WORSE: "✗"}
@@ -729,7 +736,7 @@ def report(results: Sequence[RunResult]) -> ReportBundle:
                 metric: compare_setting(runs, partners, metric) for metric in METRICS
             }
     text = _render_text(tables)
-    return ReportBundle(tables, text, _verdict_rows(tables), _plot_rows(results))
+    return ReportBundle(tables, text, _verdict_rows(tables))
 
 
 def _render_text(tables) -> str:
@@ -785,32 +792,19 @@ def _verdict_rows(tables) -> list[dict[str, str]]:
     ]
 
 
-_PLOT_COLUMNS = [
-    "fingerprint", "problem", "n_vars", "sigma", "pop_size", "arm", "k", "max_dist", "rep",
-    "hv_mean_adjusted", "igd_mean_adjusted", "delta_f",
-]
-
-
-def _plot_rows(results: Sequence[RunResult]) -> list[dict[str, str]]:
-    """Per-run metric values, keyed for downstream plotting."""
-    rows = [_result_row(r) for r in sorted(results, key=lambda r: r.config.fingerprint)]
-    return [{column: row[column] for column in _PLOT_COLUMNS} for row in rows]
-
-
 def write_report_files(bundle: ReportBundle, out_dir: str | Path) -> None:
-    """Write the rendered table and the CSV companions to ``out_dir``.
+    """Write the rendered table to ``out_dir`` as ``verdicts.txt`` and its rows as ``verdicts.csv``.
 
     A file that cannot be written is a contract violation naming it; one
     that is a directory is refused before any file is written.
     """
     out_path = Path(out_dir)
-    for path in map(out_path.joinpath, ("verdicts.txt", "verdicts.csv", "metrics_long.csv")):
+    for path in map(out_path.joinpath, ("verdicts.txt", "verdicts.csv")):
         if path.is_dir():
             raise ContractViolationError(f"cannot write {path}: Is a directory")
     try:
         out_path.mkdir(parents=True, exist_ok=True)
         (out_path / "verdicts.txt").write_text(bundle.text, encoding="utf-8")
         _write_rows(out_path / "verdicts.csv", bundle.verdict_rows)
-        _write_rows(out_path / "metrics_long.csv", bundle.plot_rows)
     except OSError as exc:
         raise ContractViolationError(f"cannot write {exc.filename}: {exc.strerror}") from exc

@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import logging
 import os
 import shlex
 from pathlib import Path
@@ -226,6 +227,111 @@ def results_table(out_dir):
         }
 
 
+@pytest.fixture
+def plans(caplog):
+    """Read the plan lines ``run_grid`` logged since the last read.
+
+    pytest owns the root logger's handlers, so the CLI's logging setup does
+    not reach them: the lines are read from the records instead.
+    """
+    caplog.set_level(logging.INFO, logger="knnavg.experiment")
+
+    def read():
+        lines = [r.getMessage() for r in caplog.records if "already persisted" in r.getMessage()]
+        caplog.clear()
+        return lines
+
+    return read
+
+
+def first_run(tmp_path):
+    """Run a 4-run grid into ``tmp_path/grid``; returns the flags that name it."""
+    out = tmp_path / "grid"
+    assert run_cli(RUN_FLAGS + ["--reps", "2", "--out", str(out)]) == 0
+    return ["--out", str(out)]
+
+
+def another_base_seed(tmp_path):
+    return first_run(tmp_path) + ["--base-seed", "5"]
+
+
+def manifest_of_another_stream(tmp_path):
+    flags = first_run(tmp_path)
+    manifest = tmp_path / "grid" / "grid.json"
+    manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "stream_version": 1}))
+    return flags
+
+
+def missing_manifest(tmp_path):
+    flags = first_run(tmp_path)
+    (tmp_path / "grid" / "grid.json").unlink()
+    return flags
+
+
+def edit_table(tmp_path, edit):
+    """``first_run``, then the results table's lines replaced by ``edit(lines)``."""
+    flags = first_run(tmp_path)
+    table = tmp_path / "grid" / "results.csv"
+    lines = edit(table.read_bytes().split(b"\r\n")[:-1])
+    table.write_bytes(b"".join(line + b"\r\n" for line in lines))
+    return flags
+
+
+def header_with_an_extra_column(tmp_path):
+    return edit_table(tmp_path, lambda lines: [lines[0] + b",extra"] + [
+        line + b",1" for line in lines[1:]
+    ])
+
+
+def unparsable_row(tmp_path):
+    return edit_table(tmp_path, lambda lines: lines + [b"zdt9-n2,zdt9"])
+
+
+def repeated_fingerprint(tmp_path):
+    return edit_table(tmp_path, lambda lines: lines + lines[-1:])
+
+
+def table_that_is_a_directory(tmp_path):
+    (tmp_path / "grid" / "results.csv").mkdir(parents=True)
+    return ["--out", str(tmp_path / "grid")]
+
+
+def histories_that_is_a_file(tmp_path):
+    flags = first_run(tmp_path)
+    (tmp_path / "grid" / "histories").write_text("kept\n")
+    return flags + ["--include-histories"]
+
+
+def out_under_a_file(tmp_path):
+    (tmp_path / "taken").write_text("kept\n")
+    return ["--out", str(tmp_path / "taken" / "grid")]
+
+
+# each refusal of ``knnavg run``: what makes, under tmp_path, the flags after
+# ``RUN_FLAGS --reps 2`` that meet it, and the words of its one error line
+RUN_REFUSALS = {
+    "another-base-seed": (another_base_seed, "would run it with seed="),
+    "manifest-of-another-stream": (
+        manifest_of_another_stream, "differs from this package in stream_version"
+    ),
+    "missing-manifest": (missing_manifest, "the stream they were drawn under is unknown"),
+    "header-with-an-extra-column": (
+        header_with_an_extra_column, "(missing: none; unexpected: extra)"
+    ),
+    "unparsable-row": (unparsable_row, "results.csv: line 6: unparsable row"),
+    "repeated-fingerprint": (
+        repeated_fingerprint, "line 6: zdt1-n2-s0.2-p10-g5-knn-k3-md0.25-r1 repeats line 5"
+    ),
+    "table-that-is-a-directory": (table_that_is_a_directory, "results.csv: Is a directory"),
+    "histories-that-is-a-file": (histories_that_is_a_file, "histories: File exists"),
+    "out-under-a-file": (out_under_a_file, "grid/results.csv: Not a directory"),
+    "parallelism-0": (lambda tmp_path: ["--parallelism", "0"], "parallelism must be at least 1"),
+    "histories-without-out": (
+        lambda tmp_path: ["--include-histories"], "history dumps need an output directory"
+    ),
+}
+
+
 # a complete [grid] section, as bytes, that the config tests break
 GRID_INI = (
     b"[grid]\nproblems = zdt1\nn_vars = 2\nsigmas = 0.2\npop_sizes = 10\n"
@@ -234,29 +340,55 @@ GRID_INI = (
 
 
 class TestRun:
-    def test_grid_from_flags(self, tmp_path, capsys):
+    def test_grid_from_flags(self, tmp_path, capsys, plans):
         argv = RUN_FLAGS + ["--reps", "2", "--out", str(tmp_path)]
         assert run_cli(argv) == 0
-        out = capsys.readouterr().out
-        assert "4 runs: 1 cells x (1 averaging settings + baseline) x 2 repetitions" in out
-        assert "executed 4 runs, 0 failures" in out
+        # stdout holds the outcome; the plan is logged once, with the resume count
+        assert capsys.readouterr().out == "executed 4 runs, 0 failures\n"
+        assert plans() == [
+            "4 runs: 1 cells x (1 averaging settings + baseline) x 2 repetitions, "
+            "0 already persisted"
+        ]
         with (tmp_path / "results.csv").open(newline="") as handle:
             assert len(list(csv.DictReader(handle))) == 4
 
-    def test_resume_message(self, tmp_path, capsys):
+    def test_resume_message(self, tmp_path, capsys, plans):
         argv = RUN_FLAGS + ["--reps", "2", "--out", str(tmp_path)]
         run_cli(argv)
         capsys.readouterr()
+        plans()
         assert run_cli(argv) == 0
-        out = capsys.readouterr().out
-        assert "skipped 4 already persisted runs" in out
-        assert "executed 0 runs, 0 failures" in out
+        assert capsys.readouterr().out == "executed 0 runs, 0 failures\n"
+        assert [line.split(", ")[-1] for line in plans()] == ["4 already persisted"]
+
+    @pytest.mark.parametrize(
+        "refusal, words", RUN_REFUSALS.values(), ids=RUN_REFUSALS.keys()
+    )
+    def test_every_refusal_prints_one_error_line_and_runs_nothing(
+        self, tmp_path, capsys, caplog, monkeypatch, refusal, words
+    ):
+        # every check comes before the plan is logged and before anything runs or is written
+        flags = refusal(tmp_path)
+        before = tree(tmp_path)
+        capsys.readouterr()
+        caplog.set_level(logging.INFO, logger="knnavg")
+        caplog.clear()
+        monkeypatch.setattr(experiment, "run_stack", refuse_to_run)
+        assert run_cli(RUN_FLAGS + ["--reps", "2", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert words in captured.err
+        assert caplog.records == []
+        assert tree(tmp_path) == before
 
     @pytest.mark.parametrize(
         "changed, column",
         [(["--base-seed", "5"], "seed")],
     )
-    def test_resume_under_other_settings_rejected(self, tmp_path, capsys, changed, column):
+    def test_resume_under_other_settings_rejected(
+        self, tmp_path, capsys, plans, changed, column
+    ):
         # the old rows were produced under other settings: skipping them
         # would silently report results of another experiment
         argv = RUN_FLAGS + ["--reps", "2", "--out", str(tmp_path)]
@@ -268,18 +400,24 @@ class TestRun:
         assert "error:" in captured.err
         assert "zdt1-n2-s0.2-p10-g5-baseline-r0" in captured.err
         assert f"with {column}=" in captured.err
-        assert "skipped" not in captured.out
+        assert captured.out == "" and captured.err.count("\n") == 1
         assert (tmp_path / "results.csv").read_bytes() == before
+        plans()
         assert run_cli(argv) == 0
-        assert "skipped 4 already persisted runs" in capsys.readouterr().out
+        assert capsys.readouterr().out == "executed 0 runs, 0 failures\n"
+        assert [line.split(", ")[-1] for line in plans()] == ["4 already persisted"]
 
-    def test_resume_under_another_spelling_of_the_problem(self, tmp_path, capsys, monkeypatch):
+    def test_resume_under_another_spelling_of_the_problem(
+        self, tmp_path, capsys, monkeypatch, plans
+    ):
         argv = RUN_FLAGS + ["--reps", "2", "--out", str(tmp_path)]
         assert run_cli(argv) == 0
         capsys.readouterr()
+        plans()
         monkeypatch.setattr(experiment, "run_stack", refuse_to_run)
         assert run_cli(["ZDT1" if arg == "zdt1" else arg for arg in argv]) == 0
-        assert "skipped 4 already persisted runs" in capsys.readouterr().out
+        assert capsys.readouterr().out == "executed 0 runs, 0 failures\n"
+        assert [line.split(", ")[-1] for line in plans()] == ["4 already persisted"]
 
     def test_report_flag_prints_verdicts(self, tmp_path, capsys):
         argv = RUN_FLAGS + ["--reps", "5", "--out", str(tmp_path), "--report"]
@@ -310,22 +448,23 @@ class TestRun:
         assert "Verdicts" not in captured.out
         assert "missing baseline partners: zdt1-n2-s0.2-p10-g5-baseline-r1" in captured.err
 
-    def test_report_flag_when_every_run_fails(self, tmp_path, capsys, monkeypatch):
+    def test_report_flag_when_every_run_fails(self, tmp_path, capsys, monkeypatch, plans):
         # no run finished, so there is no results table to report from
         monkeypatch.setattr(experiment, "execute_stack", refuse_to_run)
         argv = RUN_FLAGS + ["--reps", "5", "--out", str(tmp_path), "--report"]
         assert run_cli(argv) == 2
         captured = capsys.readouterr()
-        assert "executed 0 runs, 10 failures" in captured.out
-        assert "Verdicts" not in captured.out and "error:" not in captured.err
+        assert captured.out == "executed 0 runs, 10 failures\n"
+        assert "error:" not in captured.err
         assert not (tmp_path / "results.csv").exists()
         # a resume that skips every run still reports the persisted ones
         monkeypatch.undo()
         assert run_cli(argv) == 0
         capsys.readouterr()
+        plans()
         assert run_cli(argv) == 0
-        out = capsys.readouterr().out
-        assert "skipped 10 already persisted runs" in out and "Verdicts" in out
+        assert capsys.readouterr().out.startswith("executed 0 runs, 0 failures\n\nVerdicts")
+        assert [line.split(", ")[-1] for line in plans()] == ["10 already persisted"]
 
     # as in TestSingle, the flags are gone and any value is a usage error
     def test_non_finite_reference_rejected_before_any_run(self, tmp_path, capsys, monkeypatch):
@@ -375,16 +514,17 @@ class TestRun:
     def test_out_naming_a_file_refused_before_the_plan_prints(
         self, tmp_path, capsys, monkeypatch, under
     ):
+        # refused when run_grid reads the table, in the library's words
         monkeypatch.setattr(experiment, "run_stack", refuse_to_run)
         (tmp_path / "taken").write_text("kept\n")
         out = tmp_path.joinpath("taken", *under)
         assert run_cli(RUN_FLAGS + ["--reps", "2", "--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"error: cannot write {out}: " in captured.err
+        assert captured.err == f"error: cannot read {out / 'results.csv'}: Not a directory\n"
         assert (tmp_path / "taken").read_text() == "kept\n"
 
-    def test_resume_into_another_stream_rejected(self, tmp_path, capsys):
+    def test_resume_into_another_stream_rejected(self, tmp_path, capsys, plans):
         argv = RUN_FLAGS + ["--reps", "2", "--out", str(tmp_path)]
         assert run_cli(argv) == 0
         manifest = tmp_path / "grid.json"
@@ -393,15 +533,20 @@ class TestRun:
         capsys.readouterr()
         assert run_cli(argv) == 1
         assert "differs from this package in stream_version" in capsys.readouterr().err
-        # a table persisted before manifests existed: stream 1, use another
+        # runs without a manifest, whose stream nothing records: use another
         # directory; the library's words, with no flag appended to them
         manifest.unlink()
         assert run_cli(argv) == 1
         err = capsys.readouterr().err
-        assert "stream version 1" in err and err.endswith("write to another output directory\n")
+        assert err == (
+            f"error: {tmp_path} holds runs but no grid.json: the stream they were drawn "
+            "under is unknown; write to another output directory\n"
+        )
         manifest.write_text(written)
+        plans()
         assert run_cli(argv) == 0
-        assert "skipped 4 already persisted runs" in capsys.readouterr().out
+        assert capsys.readouterr().out == "executed 0 runs, 0 failures\n"
+        assert [line.split(", ")[-1] for line in plans()] == ["4 already persisted"]
 
     def test_incomplete_grid_rejected(self, capsys):
         assert run_cli(["run", "--problems", "zdt1"]) == 1
@@ -451,7 +596,7 @@ class TestRun:
         assert list(rows[0]) == list(experiment._RESULT_COLUMNS)
         assert not {"ref_f1", "ref_f2", "front_sample_size"} & set(rows[0])
 
-    def test_flags_override_config(self, tmp_path, capsys):
+    def test_flags_override_config(self, tmp_path, capsys, plans):
         config = tmp_path / "campaign.ini"
         config.write_text(
             "[grid]\n"
@@ -467,7 +612,10 @@ class TestRun:
             encoding="utf-8",
         )
         assert run_cli(["run", "--config", str(config), "--reps", "1"]) == 0
-        assert "x 1 repetitions" in capsys.readouterr().out
+        assert capsys.readouterr().out == "executed 2 runs, 0 failures\n"
+        assert [line.split(", ")[0] for line in plans()] == [
+            "2 runs: 1 cells x (1 averaging settings + baseline) x 1 repetitions"
+        ]
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert run_cli(["run", "--config", str(tmp_path / "nope.ini")]) == 1
@@ -583,7 +731,7 @@ class TestRun:
         assert err == f"error: cannot write {tmp_path / 'histories'}: File exists\n"
         assert tree(tmp_path) == before
 
-    def test_failures_table_is_a_log(self, tmp_path, capsys, monkeypatch):
+    def test_failures_table_is_a_log(self, tmp_path, capsys, monkeypatch, plans):
         # a run that failed and then succeeded on a resume keeps its failure row
         victim = "zdt1-n2-s0.2-p10-g5-baseline-r1"
 
@@ -596,8 +744,10 @@ class TestRun:
         monkeypatch.setattr(experiment, "execute_stack", fail_victim)
         assert run_cli(argv) == 2
         monkeypatch.undo()
+        plans()
         assert run_cli(argv) == 0
-        assert "skipped 3 already persisted runs" in capsys.readouterr().out
+        assert capsys.readouterr().out.endswith("executed 1 runs, 0 failures\n")
+        assert [line.split(", ")[-1] for line in plans()] == ["3 already persisted"]
         assert victim in results_table(tmp_path)
         with (tmp_path / "failures.csv").open(newline="") as handle:
             assert [row["fingerprint"] for row in csv.DictReader(handle)] == [victim]
@@ -609,7 +759,9 @@ class TestRun:
         assert run_cli(argv) == 0
         assert "executed 4 runs, 0 failures" in capsys.readouterr().out
 
-    def test_dead_worker_stops_the_grid_and_resumes(self, tmp_path, capsys, caplog, monkeypatch):
+    def test_dead_worker_stops_the_grid_and_resumes(
+        self, tmp_path, capsys, caplog, monkeypatch, plans
+    ):
         out = tmp_path / "grid"
         flags = RUN_FLAGS + ["--ks", "3,5", "--reps", "5"]
         argv = flags + ["--out", str(out), "--parallelism", "2", "--report"]
@@ -625,8 +777,12 @@ class TestRun:
         assert len(stops) == 1 and f": {unfinished} runs were not attempted" in stops[0]
 
         monkeypatch.undo()
+        plans()
         assert run_cli(argv) == 0
-        assert f"skipped {15 - unfinished} already persisted runs" in capsys.readouterr().out
+        assert capsys.readouterr().out.startswith(f"executed {unfinished} runs, 0 failures\n")
+        assert [line.split(", ")[-1] for line in plans()] == [
+            f"{15 - unfinished} already persisted"
+        ]
         assert run_cli(flags + ["--out", str(tmp_path / "serial")]) == 0
         assert results_table(out) == results_table(tmp_path / "serial")
 
@@ -644,9 +800,7 @@ class TestReport:
         run_cli(RUN_FLAGS + ["--reps", "5", "--out", str(tmp_path)])
         report_dir = tmp_path / "report"
         assert run_cli(["report", "--in", str(tmp_path), "--out", str(report_dir)]) == 0
-        assert (report_dir / "verdicts.txt").exists()
-        assert (report_dir / "verdicts.csv").exists()
-        assert (report_dir / "metrics_long.csv").exists()
+        assert sorted(p.name for p in report_dir.iterdir()) == ["verdicts.csv", "verdicts.txt"]
 
     def test_missing_results_dir(self, tmp_path, capsys):
         assert run_cli(["report", "--in", str(tmp_path / "empty")]) == 1
@@ -675,7 +829,7 @@ class TestReport:
         assert f"error: cannot write {out}: " in captured.err
         assert (tmp_path / "taken").read_text() == "kept\n"
 
-    @pytest.mark.parametrize("name", ["verdicts.txt", "verdicts.csv", "metrics_long.csv"])
+    @pytest.mark.parametrize("name", ["verdicts.txt", "verdicts.csv"])
     def test_report_file_that_cannot_be_written_refused_by_name(self, tmp_path, capsys, name):
         # used to end in an IsADirectoryError traceback
         grid, out = tmp_path / "grid", tmp_path / "report"

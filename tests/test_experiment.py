@@ -383,6 +383,38 @@ class TestRunGrid:
                 read(tmp_path)
         assert tree(tmp_path) == before
 
+    @pytest.mark.parametrize(
+        "swap, refusal",
+        [((1, 2), "column 2 is n_vars, not problem"), ((1, None), "repeated: problem")],
+        ids=["out-of-order", "repeated"],
+    )
+    def test_table_of_the_same_columns_refused_by_what_differs(
+        self, tmp_path, monkeypatch, swap, refusal
+    ):
+        # neither header lacks or adds a column, so the refusal names what differs
+        grid = tiny_grid()
+        run_grid(grid, out_dir=tmp_path)
+        path = tmp_path / RESULTS_FILENAME
+        a, b = swap
+        lines = []
+        for line in path.read_bytes().split(b"\r\n")[:-1]:
+            fields = line.split(b",")
+            if b is None:
+                fields.append(fields[a])
+            else:
+                fields[a], fields[b] = fields[b], fields[a]
+            lines.append(b",".join(fields) + b"\r\n")
+        path.write_bytes(b"".join(lines))
+        before = tree(tmp_path)
+        monkeypatch.setattr(experiment, "run_stack", refuse_to_run)
+        for read in (load_results, lambda out: run_grid(grid, out_dir=out)):
+            with pytest.raises(ContractViolationError) as err:
+                read(tmp_path)
+            assert str(err.value) == (
+                f"{path}: line 1: not this version's results header ({refusal})"
+            )
+        assert tree(tmp_path) == before
+
     # every run is scored at DEFAULT_REFERENCE over DEFAULT_FRONT_SAMPLE_SIZE
     # front points: no entry point takes either, whatever its value
     @pytest.mark.parametrize("reference", [(1.0, float("nan")), (float("inf"), 11.0)])
@@ -468,12 +500,12 @@ class TestRunGrid:
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
     def test_runs_without_manifest_rejected(self, tmp_path, monkeypatch):
-        # results persisted before manifests existed were drawn from stream 1
+        # with grid.json gone, nothing says which stream drew the runs
         grid = tiny_grid()
         run_grid(grid, out_dir=tmp_path)
         (tmp_path / MANIFEST_FILENAME).unlink()
         monkeypatch.setattr(experiment, "run_stack", refuse_to_run)
-        with pytest.raises(ContractViolationError, match="stream version 1.*another output"):
+        with pytest.raises(ContractViolationError, match="under is unknown; write to another"):
             run_grid(grid, out_dir=tmp_path)
         assert not (tmp_path / MANIFEST_FILENAME).exists()
         # a table without rows mixes nothing: it is adopted
@@ -870,11 +902,6 @@ class TestReport:
         assert len(bundle.verdict_rows) == 2 * 1 * 3
         assert {row["scope"] for row in bundle.verdict_rows} == {"sigma=0.2", POOLED_SCOPE}
 
-    def test_plot_rows_cover_every_run(self, tmp_path):
-        results = grid_results(tmp_path)
-        bundle = report(results)
-        assert len(bundle.plot_rows) == len(results)
-
     def test_duplicate_fingerprints_refused(self, tmp_path):
         # the first of each fingerprint used to be kept without a word
         results = grid_results(tmp_path)
@@ -971,8 +998,7 @@ class TestReport:
         assert (out / "verdicts.txt").read_text(encoding="utf-8") == bundle.text
         with (out / "verdicts.csv").open(newline="") as handle:
             assert len(list(csv.DictReader(handle))) == len(bundle.verdict_rows)
-        with (out / "metrics_long.csv").open(newline="") as handle:
-            assert len(list(csv.DictReader(handle))) == len(bundle.plot_rows)
+        assert sorted(p.name for p in out.iterdir()) == ["verdicts.csv", "verdicts.txt"]
 
     def test_verdicts_computed_from_loaded_results(self, tmp_path):
         # reporting from the persisted table matches reporting from memory
