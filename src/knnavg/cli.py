@@ -135,9 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--include-histories", action="store_true",
         help="write one evaluation-history CSV per run (needs --out)",
     )
-    run_p.add_argument(
-        "--report", action="store_true", help="print verdict tables after the grid finishes"
-    )
 
     single_p = sub.add_parser("single", help="execute one run, print JSON")
     single_p.add_argument("--problem", required=True, type=str.lower, choices=ZDT_VARIANTS)
@@ -169,19 +166,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         out_dir=args.out, include_histories=args.include_histories,
     )
     print(f"executed {len(outcome.results)} runs, {len(outcome.failures)} failures")
-    if outcome.unfinished:
-        return 2  # run_grid has logged the count; a report would lack those runs
-    # skipped runs are on disk; with neither, there is no results table to report
-    if args.report and (outcome.results or outcome.skipped):
-        results = load_results(args.out) if args.out else outcome.results
-        try:
-            print("\n" + report(results).text, end="")
-        except ContractViolationError as exc:
-            if not outcome.failures:
-                raise
-            # failed runs can leave averaging runs without partners; exit 2 still reports them
-            print(f"error: {exc}", file=sys.stderr)
-    return 2 if outcome.failures else 0
+    return 2 if outcome.failures or outcome.unfinished else 0
 
 
 def _emit(text: str, path: str | None) -> None:

@@ -419,18 +419,31 @@ class TestRun:
         assert capsys.readouterr().out == "executed 0 runs, 0 failures\n"
         assert [line.split(", ")[-1] for line in plans()] == ["4 already persisted"]
 
+    def test_report_flag_is_gone(self, tmp_path, capsys, monkeypatch):
+        # knnavg report is the one reporter; the flag is refused before anything runs
+        monkeypatch.setattr(experiment, "run_stack", refuse_to_run)
+        out = tmp_path / "grid"
+        with pytest.raises(SystemExit) as err:
+            run_cli(RUN_FLAGS + ["--reps", "2", "--out", str(out), "--report"])
+        assert err.value.code == 1
+        captured = capsys.readouterr()
+        assert "error: unrecognized arguments: --report" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_report_flag_prints_verdicts(self, tmp_path, capsys):
-        argv = RUN_FLAGS + ["--reps", "5", "--out", str(tmp_path), "--report"]
+        argv = RUN_FLAGS + ["--reps", "5", "--out", str(tmp_path)]
         assert run_cli(argv) == 0
+        assert capsys.readouterr().out == "executed 10 runs, 0 failures\n"
+        assert run_cli(["report", "--in", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "Verdicts versus baseline" in out
         assert "knn(3, 0.25)" in out
 
     def test_report_flag_with_three_repetitions_flags_cells(self, tmp_path, capsys):
         # fewer than five pairs cannot be tested; the cells say so with a *
-        argv = RUN_FLAGS + ["--reps", "3", "--out", str(tmp_path), "--report"]
-        assert run_cli(argv) == 0
-        assert "≡*" in capsys.readouterr().out
+        assert run_cli(RUN_FLAGS + ["--reps", "3", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
         assert run_cli(["report", "--in", str(tmp_path)]) == 0
         assert "≡*" in capsys.readouterr().out
 
@@ -441,29 +454,30 @@ class TestRun:
             return REAL_EXECUTE_STACK(configs, *args, **kwargs)
 
         monkeypatch.setattr(experiment, "execute_stack", fail_baseline_r1)
-        argv = RUN_FLAGS + ["--reps", "5", "--out", str(tmp_path), "--report"]
-        assert run_cli(argv) == 2
+        assert run_cli(RUN_FLAGS + ["--reps", "5", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().out == "executed 9 runs, 1 failures\n"
+        # the failed baseline leaves its averaging run without a partner
+        assert run_cli(["report", "--in", str(tmp_path)]) == 1
         captured = capsys.readouterr()
-        assert "executed 9 runs, 1 failures" in captured.out
-        assert "Verdicts" not in captured.out
-        assert "missing baseline partners: zdt1-n2-s0.2-p10-g5-baseline-r1" in captured.err
+        assert captured.out == ""
+        assert captured.err == (
+            "error: missing baseline partners: zdt1-n2-s0.2-p10-g5-baseline-r1\n"
+        )
 
     def test_report_flag_when_every_run_fails(self, tmp_path, capsys, monkeypatch, plans):
-        # no run finished, so there is no results table to report from
         monkeypatch.setattr(experiment, "execute_stack", refuse_to_run)
-        argv = RUN_FLAGS + ["--reps", "5", "--out", str(tmp_path), "--report"]
+        argv = RUN_FLAGS + ["--reps", "5", "--out", str(tmp_path)]
         assert run_cli(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "executed 0 runs, 10 failures\n"
         assert "error:" not in captured.err
         assert not (tmp_path / "results.csv").exists()
-        # a resume that skips every run still reports the persisted ones
         monkeypatch.undo()
         assert run_cli(argv) == 0
         capsys.readouterr()
         plans()
         assert run_cli(argv) == 0
-        assert capsys.readouterr().out.startswith("executed 0 runs, 0 failures\n\nVerdicts")
+        assert capsys.readouterr().out == "executed 0 runs, 0 failures\n"
         assert [line.split(", ")[-1] for line in plans()] == ["10 already persisted"]
 
     # as in TestSingle, the flags are gone and any value is a usage error
@@ -764,7 +778,7 @@ class TestRun:
     ):
         out = tmp_path / "grid"
         flags = RUN_FLAGS + ["--ks", "3,5", "--reps", "5"]
-        argv = flags + ["--out", str(out), "--parallelism", "2", "--report"]
+        argv = flags + ["--out", str(out), "--parallelism", "2"]
         monkeypatch.setattr(experiment, "_grid_worker", die_on_one_run)
         assert run_cli(argv) == 2
         persisted = results_table(out)
@@ -772,7 +786,7 @@ class TestRun:
         assert DOOMED_RUN not in persisted and unfinished >= 1
         # the runs the dead pool could not finish are not failures
         assert not (out / "failures.csv").exists()
-        assert "Verdicts" not in capsys.readouterr().out
+        assert capsys.readouterr().out == f"executed {len(persisted)} runs, 0 failures\n"
         stops = [r.getMessage() for r in caplog.records if "broke the pool" in r.getMessage()]
         assert len(stops) == 1 and f": {unfinished} runs were not attempted" in stops[0]
 
